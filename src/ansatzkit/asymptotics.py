@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InconsistentSystem, UnsupportedCase
+from .errors import InconsistentSystem, InternalError, UnsupportedCase
 from .fields import RATIONAL_FIELD, common_field
 from .polynomials import NEG_INFINITY, Poly, QQ, binomial, rational_roots
 from .sequences import CoeffRing
@@ -78,7 +78,8 @@ def _ser_mul(a, b, length, zero):
 
 
 def _ser_exp(a, length, field):
-    assert not a[0], "exp needs zero constant term"
+    if a[0]:
+        raise InternalError("exp needs zero constant term")
     result = [field.zero] * length
     result[0] = field.one
     term = list(result)
@@ -92,7 +93,8 @@ def _ser_exp(a, length, field):
 
 
 def _ser_inv(a, length, field):
-    assert a[0] == field.one
+    if a[0] != field.one:
+        raise InternalError("series inverse needs constant term one")
     out = [field.zero] * length
     out[0] = field.one
     for m in range(1, length):

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 mathematical failure (no fitting recurrence,
-refuted identity, unusable leading coefficient), 2 usage error, 3 I/O
-error (download, cache, file problems).
+refuted identity, unusable leading coefficient) or internal error, 2 usage
+error, 3 I/O error (download, cache, file problems).
 """
 
 import argparse

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .errors import (
     InsufficientData,
+    InternalError,
     NotPolynomial,
     UnsupportedFactorization,
     UnsupportedField,
@@ -160,7 +161,8 @@ def cfinite_closed_form(system):
     for base, multiplicity in roots:
         for j in range(multiplicity):
             unknowns.append((base, j))
-    assert len(unknowns) == reduced_order
+    if len(unknowns) != reduced_order:
+        raise InternalError("root multiplicities do not add up to the order")
     if reduced_order == 0:
         return CFiniteClosedForm(
             ExpPoly.zero(field), zero_mult, system.initials[:zero_mult]
@@ -172,7 +174,8 @@ def cfinite_closed_form(system):
         )
     rhs = [field.from_rational(v) for v in values]
     solution = solve_linear(rows, rhs, numberfield_adapter(field))
-    assert solution is not None, "initial-condition system must be nonsingular"
+    if solution is None:
+        raise InternalError("initial-condition system must be nonsingular")
     terms = {}
     for (base, j), c in zip(unknowns, solution):
         key = base.sort_key()

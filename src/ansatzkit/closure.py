@@ -1,16 +1,20 @@
 """Recurrences for sequences built from known ones.
 
 Addition, term-wise product, partial sum and linear subsequences all use
-the same solution-space construction: write the shifted combination over a
-finite basis of operand shifts (with coefficients in the appropriate
-function field), then read a recurrence off the left null space of the
-resulting matrix.  Cauchy products go through generating functions:
-rational arithmetic for constant coefficients, an ODE null-space
-construction otherwise.
+the same solution-space construction for every coefficient ring: write the
+shifted combination over a finite basis of operand shifts (with
+coefficients in the ring's function field), then read a recurrence off the
+left null space of the resulting matrix.  One driver, ``_closure``, does
+this for all kinds and rings; a per-ring record ``_RINGS`` supplies the
+field, the coefficient lift, the null-vector normaliser and the size
+tie-break.  Cauchy products go through generating functions: rational
+arithmetic for constant coefficients, an ODE null-space construction
+otherwise.
 
-The identity prover composes the closure order bounds over an expression
-tree and then checks exactly that many initial values, which is a complete
-proof for constant-coefficient operands.
+``ORDER_BOUNDS`` is the one table of closure order bounds.  It sizes the
+matrices, checks every result (``BoundViolated``) and is composed over an
+expression tree by the identity prover, which then checks exactly that
+many initial values -- a complete proof for constant-coefficient operands.
 """
 
 import math
@@ -18,12 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BoundViolated,
     LeadingAlwaysZero,
     NullSpaceEmpty,
     UnboundableExpression,
+    UnsupportedCase,
 )
-from .exppoly import ExpPoly, ExpPolyFraction
-from .fields import RATIONAL_FIELD
+from .exppoly import ExpPolyFraction
+from .fields import RATIONAL_FIELD, common_field
 from .genfun import DiffEquation, cfinite_from_rational
 from .linalg import (
     clear_denominators,
@@ -49,46 +55,155 @@ CAUCHY = "cauchy"
 PARTIAL_SUM = "partial_sum"
 SUBSEQUENCE = "subsequence"
 
+# the closure order bounds, from the operand orders r and s (s is unused by
+# the one-operand kinds); no other place writes an order bound down
+ORDER_BOUNDS = {
+    ADD: lambda r, s: r + s,
+    TERMWISE: lambda r, s: r * s,
+    CAUCHY: lambda r, s: r + s,
+    PARTIAL_SUM: lambda r, s: r + 1,
+    SUBSEQUENCE: lambda r, s: r,
+}
+
+# extra rows tried when every exponential-polynomial candidate has a
+# degenerate leading coefficient, and the window of the degeneracy probe
+MAX_BUMP = 3
+PROBE = 200
+
+
+def _order_bound(kind, op_a, op_b=None):
+    if kind not in ORDER_BOUNDS:
+        raise ValueError(f"unsupported combination kind {kind!r}")
+    return ORDER_BOUNDS[kind](op_a.order, op_b.order if op_b is not None else 0)
+
+
+def _check_bound(order, bound):
+    if order > bound:
+        raise BoundViolated(f"result order {order} exceeds the closure bound {bound}")
+
+
+# ---------------------------------------------------------------------------
+# per-ring rules
+
+
+def _constant_coeffs(vector):
+    """Coprime integer coefficients with a positive leading one."""
+    values = list(vector)
+    while not values[-1]:
+        values.pop()
+    denominators = 1
+    for v in values:
+        denominators = denominators * v.denominator // math.gcd(
+            denominators, v.denominator
+        )
+    scaled = [v * denominators for v in values]
+    content = rational_content(scaled)
+    scaled = [v / content for v in scaled]
+    if scaled[-1] < 0:
+        scaled = [-v for v in scaled]
+    return scaled
+
+
+def _ratfunc_coeffs(vector):
+    trimmed = list(vector)
+    while not trimmed[-1]:
+        trimmed.pop()
+    return clear_denominators(trimmed)
+
+
+def _exppoly_sign(e):
+    """Canonical sign of an exponential polynomial: the sign of the last
+    nonzero rational coordinate of the leading term's leading coefficient."""
+    base, poly = e.terms[-1]
+    lead = poly.leading
+    for c in reversed(lead.coords):
+        if c:
+            return 1 if c > 0 else -1
+    return 1
+
+
+def _exppoly_coeffs(vector):
+    cleared = clear_exppoly_denominators(vector)
+    while not cleared[-1]:
+        cleared.pop()
+    if _exppoly_sign(cleared[-1]) < 0:
+        cleared = [-e for e in cleared]
+    return cleared
+
+
+@dataclass(frozen=True)
+class _RingRules:
+    """How the solution-space construction works over one coefficient ring."""
+
+    adapter: object  # operator -> FieldAdapter of the ring's function field
+    lift: object  # ShiftOperator.shifted_coeff value -> field element
+    normalise: object  # nonzero null vector -> canonical coefficient list
+    size: object  # coefficient list -> tie-break between equal orders
+
+
+_RINGS = {
+    CoeffRing.CONSTANT: _RingRules(
+        adapter=lambda op: rational_adapter(),
+        lift=lambda c: c,
+        normalise=_constant_coeffs,
+        size=lambda coeffs: 0,
+    ),
+    CoeffRing.POLY_N: _RingRules(
+        adapter=lambda op: ratfunc_adapter(RationalFunction(Poly([1], QQ, "n"))),
+        lift=RationalFunction,
+        normalise=_ratfunc_coeffs,
+        size=lambda coeffs: sum(max(c.degree, 0) for c in coeffs if c),
+    ),
+    CoeffRing.EXPPOLY: _RingRules(
+        adapter=lambda op: exppoly_fraction_adapter(op.leading.field),
+        lift=ExpPolyFraction.from_exppoly,
+        normalise=_exppoly_coeffs,
+        size=lambda coeffs: sum(max(c.deg, 0) + len(c.terms) for c in coeffs if c),
+    ),
+}
+
+_RING_RANK = [CoeffRing.CONSTANT, CoeffRing.POLY_N, CoeffRing.EXPPOLY]
+
+
+def _common_ring(op_a, op_b=None, ring=None):
+    """The operands viewed in ``ring`` (default: the larger of their rings);
+    exponential coefficients also move into one number field."""
+    if ring is None:
+        ring = max(op_a.ring, op_b.ring, key=_RING_RANK.index)
+    op_a = op_a.promoted(ring)
+    if op_b is None:
+        return op_a, None
+    op_b = op_b.promoted(ring)
+    if ring is CoeffRing.EXPPOLY and op_a.leading.field != op_b.leading.field:
+        field = common_field(op_a.leading.field, op_b.leading.field)
+        op_a, op_b = (
+            ShiftOperator(ring, [c.to_field(field) for c in op.coeffs])
+            for op in (op_a, op_b)
+        )
+    return op_a, op_b
+
 
 # ---------------------------------------------------------------------------
 # shift representations over the operand basis
 
 
 class _ShiftRep:
-    """Vectors expressing a(mult*n + t) over the basis a(mult*n + i), i < r.
-
-    Entries live in the field selected by the operator's coefficient ring:
-    plain rationals, rational functions in n, or formal exponential
-    polynomial fractions.
-    """
+    """Vectors expressing a(mult*n + t) over the basis a(mult*n + i), i < r,
+    with entries in the function field of the operator's ring."""
 
     def __init__(self, operator, mult=1):
         self.operator = operator
         self.mult = mult
         self.order = operator.order
-        ring = operator.ring
-        if ring is CoeffRing.CONSTANT:
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-        elif ring is CoeffRing.POLY_N:
-            one = RationalFunction(Poly([1], QQ, "n"))
-            self.zero = one - one
-            self.one = one
-        else:
-            field = operator.coeffs[-1].field
-            self.zero = ExpPolyFraction.zero(field)
-            self.one = ExpPolyFraction.one(field)
+        self.lift = _RINGS[operator.ring].lift
+        field = _RINGS[operator.ring].adapter(operator)
+        self.zero = field.zero
+        self.one = field.one
         self._cache = {}
 
     def _coeff(self, i, shift):
         """c_i evaluated at argument mult*n + shift, as a field element."""
-        op = self.operator
-        if op.ring is CoeffRing.CONSTANT:
-            return op.coeffs[i]
-        if op.ring is CoeffRing.POLY_N:
-            return RationalFunction(op.coeffs[i].compose_linear(self.mult, shift))
-        composed = op.coeffs[i].compose_arg(self.mult, shift)
-        return ExpPolyFraction.from_exppoly(composed)
+        return self.lift(self.operator.shifted_coeff(i, shift, self.mult))
 
     def vector(self, t):
         if t in self._cache:
@@ -112,23 +227,6 @@ class _ShiftRep:
         return vec
 
 
-def _adapter_for(operator):
-    if operator.ring is CoeffRing.CONSTANT:
-        return rational_adapter()
-    if operator.ring is CoeffRing.POLY_N:
-        return ratfunc_adapter(RationalFunction(Poly([1], QQ, "n")))
-    return exppoly_fraction_adapter(operator.coeffs[-1].field)
-
-
-def _common_ring(a, b):
-    ranking = {CoeffRing.CONSTANT: 0, CoeffRing.POLY_N: 1, CoeffRing.EXPPOLY: 2}
-    if ranking[a.ring] < ranking[b.ring]:
-        a = a.promoted(b.ring)
-    elif ranking[b.ring] < ranking[a.ring]:
-        b = b.promoted(a.ring)
-    return a, b
-
-
 def combination_matrix(kind, op_a, op_b=None, mult=1, rows=None):
     """The solution-space matrix whose left null vectors are recurrences.
 
@@ -140,34 +238,29 @@ def combination_matrix(kind, op_a, op_b=None, mult=1, rows=None):
         raise ValueError(f"{kind} needs two operands")
     if kind in (PARTIAL_SUM, SUBSEQUENCE) and op_b is not None:
         raise ValueError(f"{kind} takes one operand")
+    if kind == SUBSEQUENCE and mult < 1:
+        raise ValueError("subsequence multiplier must be >= 1")
+    if rows is None:
+        rows = _order_bound(kind, op_a, op_b) + 1
     if kind == SUBSEQUENCE:
         rep = _ShiftRep(op_a, mult)
-        r = op_a.order
-        count = rows if rows is not None else r + 1
-        return [rep.vector(mult * t) for t in range(count)]
+        return [rep.vector(mult * t) for t in range(rows)]
     if kind == PARTIAL_SUM:
         rep = _ShiftRep(op_a)
-        r = op_a.order
-        count = rows if rows is not None else r + 2
         matrix = []
-        acc = [rep.zero] * r
-        for t in range(count):
+        acc = [rep.zero] * op_a.order
+        for t in range(rows):
             if t > 0:
                 acc = [a + b for a, b in zip(acc, rep.vector(t))]
             matrix.append([rep.one] + list(acc))
         return matrix
     rep_a = _ShiftRep(op_a)
     rep_b = _ShiftRep(op_b)
-    ra, rb = op_a.order, op_b.order
     if kind == ADD:
-        bound = ra + rb
-        count = rows if rows is not None else bound + 1
-        return [rep_a.vector(t) + rep_b.vector(t) for t in range(count)]
+        return [rep_a.vector(t) + rep_b.vector(t) for t in range(rows)]
     if kind == TERMWISE:
-        bound = ra * rb
-        count = rows if rows is not None else bound + 1
         matrix = []
-        for t in range(count):
+        for t in range(rows):
             u, w = rep_a.vector(t), rep_b.vector(t)
             matrix.append([ui * wj for ui in u for wj in w])
         return matrix
@@ -175,84 +268,61 @@ def combination_matrix(kind, op_a, op_b=None, mult=1, rows=None):
 
 
 # ---------------------------------------------------------------------------
-# null-vector selection and normalization
+# the solution-space driver
 
 
-def _operator_from_constant_vector(vector):
-    values = list(vector)
-    while values and not values[-1]:
-        values.pop()
-    if not values:
-        return None
-    denominators = 1
-    for v in values:
-        denominators = denominators * v.denominator // math.gcd(
-            denominators, v.denominator
-        )
-    scaled = [v * denominators for v in values]
-    content = rational_content(scaled)
-    scaled = [v / content for v in scaled]
-    if scaled[-1] < 0:
-        scaled = [-v for v in scaled]
-    return ShiftOperator(CoeffRing.CONSTANT, scaled)
+def _least_relation(matrix, field, rules, bound, probe=None):
+    """Normalised left null vector of ``matrix`` of least (order, size).
 
-
-def _operator_from_ratfunc_vector(vector):
-    trimmed = list(vector)
-    while trimmed and not trimmed[-1]:
-        trimmed.pop()
-    if not trimmed:
-        return None
-    polys = clear_denominators(trimmed)
-    return ShiftOperator(CoeffRing.POLY_N, polys)
-
-
-def _exppoly_sign(e):
-    """Canonical sign of an exponential polynomial: the sign of the last
-    nonzero rational coordinate of the leading term's leading coefficient."""
-    base, poly = e.terms[-1]
-    lead = poly.leading
-    for c in reversed(lead.coords):
-        if c:
-            return 1 if c > 0 else -1
-    return 1
-
-
-def _operator_from_exppoly_vector(vector):
-    cleared = clear_exppoly_denominators(vector)
-    while cleared and not cleared[-1]:
-        cleared.pop()
-    if not cleared:
-        return None
-    if _exppoly_sign(cleared[-1]) < 0:
-        cleared = [-e for e in cleared]
-    return ShiftOperator(CoeffRing.EXPPOLY, cleared)
-
-
-def _constant_candidates(basis):
-    out = []
-    for vec in basis:
-        op = _operator_from_constant_vector(vec)
-        if op is not None:
-            out.append((op.order, 0, op))
-    return out
-
-
-def _ratfunc_candidates(basis):
-    out = []
-    for vec in basis:
-        op = _operator_from_ratfunc_vector(vec)
-        if op is not None:
-            total_degree = sum(max(c.degree, 0) for c in op.coeffs if c)
-            out.append((op.order, total_degree, op))
-    return out
-
-
-def _pick(candidates):
-    if not candidates:
+    Returns (coefficients, validity offset).  ``probe`` maps a candidate's
+    leading coefficient to its validity offset, or None to drop it; without
+    it every candidate counts as valid from 0 and an empty null space is an
+    error.  Returns None when the probe drops every candidate.
+    """
+    best = None
+    for vector in left_null_space(matrix, field):
+        coeffs = rules.normalise(vector)
+        validity = probe(coeffs[-1]) if probe else 0
+        if validity is None:
+            continue
+        key = (len(coeffs) - 1, rules.size(coeffs))
+        if best is None or key < best[0]:
+            best = key, coeffs, validity
+    if best is None:
+        if probe:
+            return None
         raise NullSpaceEmpty("no usable null vector (internal shape bug)")
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    return candidates[0][2]
+    (order, _), coeffs, validity = best
+    _check_bound(order, bound)
+    return coeffs, validity
+
+
+def _closure(kind, op_a, op_b=None, mult=1):
+    """Least annihilator of a combination of same-ring operators and the
+    index from which it holds.
+
+    Exponential-polynomial candidates whose leading coefficient vanishes on
+    an arithmetic tail are dropped, and the matrix grows by a row, up to
+    ``MAX_BUMP`` times, until one is left."""
+    ring = op_a.ring
+    rules = _RINGS[ring]
+    bound = _order_bound(kind, op_a, op_b)
+    probing = ring is CoeffRing.EXPPOLY
+    field = rules.adapter(op_a)
+    for extra in range(MAX_BUMP + 1 if probing else 1):
+        matrix = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1 + extra)
+        found = _least_relation(
+            matrix, field, rules, bound + extra,
+            probe_leading_coefficient if probing else None,
+        )
+        if found is not None:
+            operator = ShiftOperator(ring, found[0])
+            if ring is CoeffRing.POLY_N:
+                return operator, leading_validity_offset(operator)
+            return operator, found[1]
+    raise LeadingAlwaysZero(
+        f"no combination up to order +{MAX_BUMP} has a usable leading coefficient"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,65 +334,37 @@ def cfinite_combine_gf(kind, gf_a, gf_b=None):
     or partial sum.  Returns (generating function, recurrence)."""
     if kind == ADD:
         combined = gf_a + gf_b
-        bound = gf_a.den.degree + gf_b.den.degree
     elif kind == CAUCHY:
         combined = gf_a * gf_b
-        bound = gf_a.den.degree + gf_b.den.degree
     elif kind == PARTIAL_SUM:
         if gf_b is not None:
             raise ValueError("partial sum takes one operand")
         combined = gf_a.partial_sum()
-        bound = gf_a.den.degree + 1
     else:
         raise ValueError(f"unsupported generating-function kind {kind!r}")
     system = cfinite_from_rational(combined)
-    assert system.order <= bound
+    degree_b = gf_b.den.degree if gf_b is not None else 0
+    _check_bound(system.order, ORDER_BOUNDS[kind](gf_a.den.degree, degree_b))
     return combined, system
 
 
 def cfinite_termwise(op_a, op_b):
     """Annihilator of the term-wise product; order at most r*s."""
-    matrix = combination_matrix(TERMWISE, op_a, op_b)
-    basis = left_null_space(matrix, rational_adapter())
-    operator = _pick(_constant_candidates(basis))
-    assert operator.order <= op_a.order * op_b.order
-    return operator
+    return _closure(TERMWISE, op_a, op_b)[0]
 
 
 def cfinite_add(op_a, op_b):
     """Annihilator of the sum via the solution space; order at most r+s."""
-    matrix = combination_matrix(ADD, op_a, op_b)
-    basis = left_null_space(matrix, rational_adapter())
-    operator = _pick(_constant_candidates(basis))
-    assert operator.order <= op_a.order + op_b.order
-    return operator
+    return _closure(ADD, op_a, op_b)[0]
 
 
 def cfinite_subsequence(mult, op):
     """Annihilator of a(mult*n); order at most r."""
-    if mult < 1:
-        raise ValueError("subsequence multiplier must be >= 1")
-    matrix = combination_matrix(SUBSEQUENCE, op, mult=mult)
-    basis = left_null_space(matrix, rational_adapter())
-    operator = _pick(_constant_candidates(basis))
-    assert operator.order <= op.order
-    return operator
+    return _closure(SUBSEQUENCE, op, mult=mult)[0]
 
 
 def cfinite_partial_sum(op):
-    matrix = combination_matrix(PARTIAL_SUM, op)
-    basis = left_null_space(matrix, rational_adapter())
-    operator = _pick(_constant_candidates(basis))
-    assert operator.order <= op.order + 1
-    return operator
-
-
-_HOLONOMIC_BOUNDS = {
-    ADD: lambda r, s: r + s,
-    TERMWISE: lambda r, s: r * s,
-    PARTIAL_SUM: lambda r, s: r + 1,
-    SUBSEQUENCE: lambda r, s: r,
-}
+    return _closure(PARTIAL_SUM, op)[0]
 
 
 def holonomic_combine(kind, op_a, op_b=None, mult=1):
@@ -331,29 +373,22 @@ def holonomic_combine(kind, op_a, op_b=None, mult=1):
     The rational-function null vector is cleared to coprime polynomials;
     the caller recomputes the validity offset from the output's leading
     coefficient."""
-    op_a = op_a.promoted(CoeffRing.POLY_N)
-    if op_b is not None:
-        op_b = op_b.promoted(CoeffRing.POLY_N)
-    matrix = combination_matrix(kind, op_a, op_b, mult=mult)
-    adapter = ratfunc_adapter(RationalFunction(Poly([1], QQ, "n")))
-    basis = left_null_space(matrix, adapter)
-    operator = _pick(_ratfunc_candidates(basis))
-    bound = _HOLONOMIC_BOUNDS[kind](op_a.order, op_b.order if op_b else 0)
-    assert operator.order <= bound
-    return operator
+    return _closure(kind, *_common_ring(op_a, op_b, CoeffRing.POLY_N), mult=mult)[0]
 
 
 def holonomic_cauchy(eq_a, eq_b):
     """Homogeneous ODE for the product of two homogeneous single-base
-    generating functions; order at most the product of the orders."""
+    generating functions; its order is bounded like a term-wise product's,
+    by the product of the orders."""
     for eq in (eq_a, eq_b):
         if not eq.is_homogeneous or len(eq.terms) != 1:
             raise ValueError("homogeneous single-base equations required")
     r1, r2 = eq_a.order, eq_b.order
+    bound = ORDER_BOUNDS[TERMWISE](r1, r2)
     rep_a = _DerivativeRep(eq_a)
     rep_b = _DerivativeRep(eq_b)
     rows = []
-    for t in range(r1 * r2 + 1):
+    for t in range(bound + 1):
         row = [rep_a.zero] * (r1 * r2)
         for u in range(t + 1):
             factor = math.comb(t, u)
@@ -366,23 +401,8 @@ def holonomic_cauchy(eq_a, eq_b):
                     if vb[j]:
                         row[i * r2 + j] = row[i * r2 + j] + left * vb[j]
         rows.append(row)
-    adapter = ratfunc_adapter(RationalFunction(Poly([1], QQ, "x")))
-    basis = left_null_space(rows, adapter)
-    candidates = []
-    for vec in basis:
-        trimmed = list(vec)
-        while trimmed and not trimmed[-1]:
-            trimmed.pop()
-        if not trimmed:
-            continue
-        polys = clear_denominators(trimmed)
-        total_degree = sum(max(p.degree, 0) for p in polys if p)
-        candidates.append((len(polys) - 1, total_degree, polys))
-    if not candidates:
-        raise NullSpaceEmpty("no usable null vector (internal shape bug)")
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    polys = candidates[0][2]
-    assert len(polys) - 1 <= r1 * r2
+    field = ratfunc_adapter(RationalFunction(Poly([1], QQ, "x")))
+    polys, _ = _least_relation(rows, field, _RINGS[CoeffRing.POLY_N], bound)
     return DiffEquation(RATIONAL_FIELD, [(1, polys)], None)
 
 
@@ -429,75 +449,27 @@ def _to_qq_poly(poly):
 # exponential-polynomial coefficients, with degeneracy handling
 
 
-def probe_leading_coefficient(coefficient, probe=200):
-    """Scan n = 0..probe for zeros of the leading coefficient.
+def probe_leading_coefficient(coefficient):
+    """Scan n = 0..PROBE for zeros of the leading coefficient.
 
     Returns the validity offset when the zeros stop early, or None when
     they persist to the end of the window (structural vanishing, e.g. on a
     parity class)."""
-    zeros = [n for n in range(probe + 1) if not coefficient.evaluate(n)]
+    zeros = [n for n in range(PROBE + 1) if not coefficient.evaluate(n)]
     if not zeros:
         return 0
-    if zeros[-1] >= probe - 2:
+    if zeros[-1] >= PROBE - 2:
         return None
     return zeros[-1] + 1
 
 
-def c2_combine(kind, op_a, op_b=None, mult=1, max_bump=3, probe=200):
+def c2_combine(kind, op_a, op_b=None, mult=1):
     """Solution-space closure for exponential-polynomial coefficients.
 
     Candidates whose leading coefficient vanishes on an arithmetic tail
     (the degenerate case) are rejected and the order is bumped by one, up
-    to ``max_bump`` times.  Returns (operator, validity_offset)."""
-    op_a = op_a.promoted(CoeffRing.EXPPOLY)
-    if op_b is not None:
-        op_b = op_b.promoted(CoeffRing.EXPPOLY)
-        field = op_a.coeffs[-1].field
-        other = op_b.coeffs[-1].field
-        if field != other:
-            from .fields import common_field
-
-            target = common_field(field, other)
-            op_a = ShiftOperator(
-                CoeffRing.EXPPOLY, [c.to_field(target) for c in op_a.coeffs]
-            )
-            op_b = ShiftOperator(
-                CoeffRing.EXPPOLY, [c.to_field(target) for c in op_b.coeffs]
-            )
-    adapter = _adapter_for(op_a)
-    if kind == ADD:
-        base_rows = op_a.order + op_b.order + 1
-    elif kind == TERMWISE:
-        base_rows = op_a.order * op_b.order + 1
-    elif kind == SUBSEQUENCE:
-        base_rows = op_a.order + 1
-    elif kind == PARTIAL_SUM:
-        base_rows = op_a.order + 2
-    else:
-        raise ValueError(f"unsupported kind {kind!r}")
-    for bump in range(max_bump + 1):
-        matrix = combination_matrix(
-            kind, op_a, op_b, mult=mult, rows=base_rows + bump
-        )
-        basis = left_null_space(matrix, adapter)
-        candidates = []
-        for vec in basis:
-            operator = _operator_from_exppoly_vector(vec)
-            if operator is None:
-                continue
-            validity = probe_leading_coefficient(operator.leading, probe)
-            if validity is None:
-                continue
-            total_degree = sum(
-                max(c.deg, 0) + len(c.terms) for c in operator.coeffs if c
-            )
-            candidates.append((operator.order, total_degree, (operator, validity)))
-        if candidates:
-            candidates.sort(key=lambda item: (item[0], item[1]))
-            return candidates[0][2]
-    raise LeadingAlwaysZero(
-        f"no combination up to order +{max_bump} has a usable leading coefficient"
-    )
+    to ``MAX_BUMP`` times.  Returns (operator, validity_offset)."""
+    return _closure(kind, *_common_ring(op_a, op_b, CoeffRing.EXPPOLY), mult=mult)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +588,7 @@ def _combined_values(kind, sys_a, sys_b, count, mult=1):
     raise ValueError(f"unsupported kind {kind!r}")
 
 
-def combine(kind, sys_a, sys_b=None, mult=1, max_bump=3, probe=200):
+def combine(kind, sys_a, sys_b=None, mult=1):
     """Combine recurrence systems into a full system for the result.
 
     Operands of different classes are promoted upward (polynomial and
@@ -634,48 +606,28 @@ def combine(kind, sys_a, sys_b=None, mult=1, max_bump=3, probe=200):
     if op_b is not None:
         op_a, op_b = _common_ring(op_a, op_b)
     ring = op_a.ring
-    validity = 0
-    if ring is CoeffRing.EXPPOLY:
-        if kind == CAUCHY:
-            from .errors import UnsupportedCase
+    if kind != CAUCHY:
+        operator, validity = _closure(kind, op_a, op_b, mult=mult)
+    elif ring is CoeffRing.CONSTANT:
+        from .genfun import genfun_cfinite
 
-            raise UnsupportedCase(
-                "no constructive Cauchy-product procedure exists for"
-                " exponential-polynomial coefficients"
-            )
-        operator, validity = c2_combine(
-            kind, op_a, op_b, mult=mult, max_bump=max_bump, probe=probe
+        _, system = cfinite_combine_gf(
+            CAUCHY, genfun_cfinite(sys_a), genfun_cfinite(sys_b)
         )
+        return system
     elif ring is CoeffRing.POLY_N:
-        if kind == CAUCHY:
-            from .genfun import diff_to_holonomic, holonomic_to_diff, homogenize
+        from .genfun import diff_to_holonomic, holonomic_to_diff, homogenize
 
-            equation = holonomic_cauchy(
-                homogenize(holonomic_to_diff(sys_a)),
-                homogenize(holonomic_to_diff(sys_b)),
-            )
-            operator, validity = diff_to_holonomic(equation)
-        else:
-            operator = holonomic_combine(kind, op_a, op_b, mult=mult)
-            validity = leading_validity_offset(operator)
+        equation = holonomic_cauchy(
+            homogenize(holonomic_to_diff(sys_a)),
+            homogenize(holonomic_to_diff(sys_b)),
+        )
+        operator, validity = diff_to_holonomic(equation)
     else:
-        if kind == ADD:
-            operator = cfinite_add(op_a, op_b)
-        elif kind == TERMWISE:
-            operator = cfinite_termwise(op_a, op_b)
-        elif kind == SUBSEQUENCE:
-            operator = cfinite_subsequence(mult, op_a)
-        elif kind == PARTIAL_SUM:
-            operator = cfinite_partial_sum(op_a)
-        elif kind == CAUCHY:
-            from .genfun import genfun_cfinite
-
-            _, system = cfinite_combine_gf(
-                CAUCHY, genfun_cfinite(sys_a), genfun_cfinite(sys_b)
-            )
-            return system
-        else:
-            raise ValueError(f"unsupported kind {kind!r}")
+        raise UnsupportedCase(
+            "no constructive Cauchy-product procedure exists for"
+            " exponential-polynomial coefficients"
+        )
     initials = _combined_values(kind, sys_a, sys_b, validity + operator.order, mult)
     return RecurrenceSystem(operator, initials, validity, 0)
 
@@ -738,8 +690,8 @@ def _claim_bound(claim):
         for name, _ in term.factors:
             if name not in orders:
                 raise UnboundableExpression(f"sequence {name!r} is not registered")
-            bound *= orders[name]
-        total += bound
+            bound = ORDER_BOUNDS[TERMWISE](bound, orders[name])
+        total = ORDER_BOUNDS[ADD](total, bound)
         pieces.append(term.describe(orders))
     trace = " + ".join(pieces) + f" = {total}"
     return total, trace

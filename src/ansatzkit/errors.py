@@ -37,6 +37,14 @@ class InconsistentSystem(AnsatzError):
     """No series refinement matches the proposed leading form."""
 
 
+class InternalError(AnsatzError):
+    """A check on the toolkit's own invariants failed (a bug, not bad input)."""
+
+
+class BoundViolated(InternalError):
+    """A closure result exceeds the order bound its construction guarantees."""
+
+
 class NullSpaceEmpty(AnsatzError):
     """A guaranteed-nontrivial null space came back empty (internal shape bug)."""
 

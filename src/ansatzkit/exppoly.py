@@ -91,9 +91,6 @@ class ExpPoly:
             return NEG_INFINITY
         return max(p.degree for _, p in self.terms)
 
-    def is_single_term(self):
-        return len(self.terms) == 1
-
     def is_unit(self):
         """Units are c * b^n with constant c != 0."""
         return len(self.terms) == 1 and self.terms[0][1].degree == 0

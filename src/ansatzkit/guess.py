@@ -10,7 +10,7 @@ guess is considered trustworthy.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InsufficientData
+from .errors import InsufficientData, InternalError
 from .linalg import left_null_space, rational_adapter, solve_linear
 from .polynomials import Poly, QQ, rational_content
 from .sequences import (
@@ -136,7 +136,8 @@ def guess_cfinite(sequence, max_order, margin=5, assume_bound=False):
         if coeffs is None:
             continue
         operator = ShiftOperator(CoeffRing.CONSTANT, list(coeffs) + [Fraction(1)])
-        assert verify_annihilates(operator, sequence, sequence.offset) is None
+        if verify_annihilates(operator, sequence, sequence.offset) is not None:
+            raise InternalError("fitted recurrence fails on its own data")
         system = RecurrenceSystem(
             operator, terms[:order], sequence.offset, sequence.offset
         )

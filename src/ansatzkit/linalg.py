@@ -1,17 +1,20 @@
 """Exact Gaussian elimination over pluggable fields.
 
-A small adapter carries the field's zero/one and a pivot-quality hook.
-Over honest fields (rationals, rational functions, number fields) every
-nonzero entry is an equally good pivot.  Over the formal fraction ring of
-exponential polynomials some nonzero entries vanish at infinitely many
-indices; the null-space routine there prefers unit pivots, which is what
-steers degenerate combinations towards relations with a usable leading
-coefficient.
+There is one elimination kernel, ``_eliminate``: ``rref``, ``rank``,
+``solve_linear`` and ``left_null_space`` all read their answers off its
+reduced matrix and pivot list.  A small adapter carries the field's
+zero/one and a pivot-quality hook.  Over honest fields (rationals,
+rational functions, number fields) every nonzero entry is an equally good
+pivot.  Over the formal fraction ring of exponential polynomials some
+nonzero entries vanish at infinitely many indices; the null-space routine
+there prefers unit pivots, which is what steers degenerate combinations
+towards relations with a usable leading coefficient.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InternalError
 from .polynomials import Poly, poly_gcd, poly_lcm, rational_content
 
 
@@ -47,78 +50,36 @@ def exppoly_fraction_adapter(field):
     )
 
 
-def rref(rows, field):
-    """Textbook reduced row echelon form; row space is preserved."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m
-    n_cols = len(m[0])
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(pivot_row, len(m)):
-            if m[r][col] != field.zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        lead = m[pivot_row][col]
-        m[pivot_row] = [entry / lead for entry in m[pivot_row]]
-        for r in range(len(m)):
-            if r == pivot_row:
-                continue
-            factor = m[r][col]
-            if factor == field.zero:
-                continue
-            m[r] = [a - factor * b for a, b in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(m):
-            break
-    return m
+def _eliminate(rows, zero, prefer=None):
+    """Gauss-Jordan reduction, the one elimination routine of this module.
 
-def rank(rows, field):
-    reduced = rref(rows, field)
-    return sum(1 for row in reduced if any(x != field.zero for x in row))
-
-
-def _eliminate(rows, field):
-    """Full reduction with unit-preferring column choice.
-
-    Returns (matrix, pivots) where pivots is a list of (row, col).  Columns
-    are scanned left to right, but a later column with a unit pivot wins
-    over an earlier one whose available entries are all non-units.
+    Returns (matrix, pivots) where pivots is a list of (row, col) and each
+    pivot row is scaled to a pivot of one.  Rows are never swapped.  A
+    pivot is the first unused nonzero entry of the leftmost column that has
+    one; with ``prefer`` set, a later column with a preferred pivot wins
+    over earlier ones whose available entries are all non-preferred.
     """
     m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    n_cols = len(m[0])
-    prefer = field.is_unit
+    n_cols = len(m[0]) if m else 0
     pivots = []
     used_rows = set()
     pivot_cols = set()
-    while True:
-        fallback = None
-        chosen = None
+    while len(used_rows) < len(m):
+        chosen = fallback = None
         for col in range(n_cols):
             if col in pivot_cols:
                 continue
-            nonzero_rows = [
-                r for r in range(len(m)) if r not in used_rows and m[r][col] != field.zero
-            ]
-            if not nonzero_rows:
-                continue
-            if prefer is None:
-                chosen = (nonzero_rows[0], col)
+            for r, row in enumerate(m):
+                if r in used_rows or row[col] == zero:
+                    continue
+                if prefer is None or prefer(row[col]):
+                    chosen = (r, col)
+                    break
+                if fallback is None:
+                    fallback = (r, col)
+            if chosen is not None:
                 break
-            unit_rows = [r for r in nonzero_rows if prefer(m[r][col])]
-            if unit_rows:
-                chosen = (unit_rows[0], col)
-                break
-            if fallback is None:
-                fallback = (nonzero_rows[0], col)
-        if chosen is None:
-            chosen = fallback
+        chosen = chosen or fallback
         if chosen is None:
             break
         prow, pcol = chosen
@@ -128,13 +89,27 @@ def _eliminate(rows, field):
             if r == prow:
                 continue
             factor = m[r][pcol]
-            if factor == field.zero:
+            if factor == zero:
                 continue
             m[r] = [a - factor * b for a, b in zip(m[r], m[prow])]
         used_rows.add(prow)
         pivot_cols.add(pcol)
         pivots.append((prow, pcol))
     return m, pivots
+
+
+def rref(rows, field):
+    """Reduced row echelon form: the pivot rows in pivot-column order, then
+    the zero rows; row space is preserved."""
+    reduced, pivots = _eliminate(rows, field.zero)
+    # without a pivot preference the pivots come in column order
+    pivot_rows = [r for r, _ in pivots]
+    zero_rows = [row for r, row in enumerate(reduced) if r not in pivot_rows]
+    return [reduced[r] for r in pivot_rows] + zero_rows
+
+
+def rank(rows, field):
+    return len(_eliminate(rows, field.zero)[1])
 
 
 def left_null_space(rows, field):
@@ -148,7 +123,7 @@ def left_null_space(rows, field):
         return []
     n_cols = len(rows[0])
     transposed = [[rows[r][c] for r in range(n_rows)] for c in range(n_cols)]
-    reduced, pivots = _eliminate(transposed, field)
+    reduced, pivots = _eliminate(transposed, field.zero, field.is_unit)
     pivot_for_col = {col: row for row, col in pivots}
     free_cols = [c for c in range(n_rows) if c not in pivot_for_col]
     basis = []
@@ -169,27 +144,21 @@ def left_null_space(rows, field):
 def solve_linear(rows, rhs, field):
     """One exact solution of rows . x = rhs with free variables set to zero.
 
-    Returns None when the system is inconsistent.
+    Returns None when the system is inconsistent, which is exactly when the
+    right-hand-side column takes a pivot.
     """
     if not rows:
         return []
-    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced = rref(augmented, field)
     n_cols = len(rows[0])
+    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
+    reduced, pivots = _eliminate(augmented, field.zero)
     solution = [field.zero] * n_cols
-    for row in reduced:
-        lead_col = None
-        for c in range(n_cols):
-            if row[c] != field.zero:
-                lead_col = c
-                break
-        if lead_col is None:
-            if row[n_cols] != field.zero:
-                return None
-            continue
-        # rref rows have a unit pivot and zeros in the other pivot columns;
-        # free variables stay zero so the pivot value is the rhs entry
-        solution[lead_col] = row[n_cols]
+    for row, col in pivots:
+        if col == n_cols:
+            return None
+        # a pivot row is zero in the other pivot columns and free variables
+        # stay zero, so the pivot variable is the rhs entry
+        solution[col] = reduced[row][n_cols]
     return solution
 
 
@@ -250,6 +219,7 @@ def clear_exppoly_denominators(vector):
         value = e
         for factor in common:
             value = value * factor
-        assert not value.den_factors, "common denominator failed to clear"
+        if value.den_factors:
+            raise InternalError("common denominator failed to clear")
         out.append(value.expanded_num())
     return out

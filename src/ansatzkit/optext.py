@@ -255,10 +255,6 @@ def parse_operator(text, declarations=None):
 # -- printing -----------------------------------------------------------------
 
 
-def _format_rational(q):
-    return str(q)
-
-
 def _poly_text(poly):
     return str(poly)
 

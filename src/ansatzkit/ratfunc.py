@@ -29,11 +29,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_value(cls, value, like):
-        """Constant rational function over the same domain/var as ``like``."""
-        return cls(Poly([like.num.domain.coerce(value)], like.num.domain, like.num.var))
-
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other

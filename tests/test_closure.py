@@ -1,6 +1,11 @@
 """Closure constructions and the rigorous identity prover."""
 
+import ast
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -498,3 +503,58 @@ class TestPromotion:
             verify_annihilates(system.operator, product, system.validity_offset)
             is None
         )
+
+
+class TestTypedChecks:
+    """Internal checks raise typed errors, so they survive ``python -O``."""
+
+    SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+    def test_no_assert_statements_in_library(self):
+        package = os.path.join(self.SRC, "ansatzkit")
+        offenders = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            offenders += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+            ]
+        assert offenders == []
+
+    def test_bound_violated_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            from ansatzkit import closure, genfun_cfinite, parse_recurrence_spec
+            from ansatzkit.errors import BoundViolated
+
+            overlong = parse_recurrence_spec("N^9 - 1;0,0,0,0,0,0,0,0,1")
+            closure.cfinite_from_rational = lambda gf: overlong
+            fib = genfun_cfinite(parse_recurrence_spec("N^2 - N - 1;0,1"))
+            try:
+                closure.cfinite_combine_gf(closure.CAUCHY, fib, fib)
+            except BoundViolated as exc:
+                print("BoundViolated:", exc)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(self.SRC))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("BoundViolated: result order 9 exceeds")
+
+    def test_cli_reports_bound_violation_as_error(self, monkeypatch, capsys):
+        from ansatzkit import closure
+        from ansatzkit.cli import main
+        from ansatzkit.optext import parse_recurrence_spec
+
+        overlong = parse_recurrence_spec("N^9 - 1;0,0,0,0,0,0,0,0,1")
+        monkeypatch.setattr(closure, "cfinite_from_rational", lambda gf: overlong)
+        code = main(["closure", "--kind", "cauchy", "N^2-N-1;0,1", "N-2;1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: result order 9 exceeds")

@@ -17,7 +17,7 @@ from ansatzkit import (
     rref,
 )
 from ansatzkit.errors import UnsupportedField
-from ansatzkit.linalg import clear_denominators, rational_adapter
+from ansatzkit.linalg import clear_denominators, rational_adapter, solve_linear
 from ansatzkit.polynomials import rational_roots, squarefree_decomposition
 
 F = Fraction
@@ -40,6 +40,10 @@ class TestRref:
     def test_two_rows(self):
         reduced = rref(frac_rows([[1, 1, 1], [0, 1, 2]]), QFIELD)
         assert reduced == frac_rows([[1, 0, -1], [0, 1, 2]])
+
+    def test_first_pivot_below_first_row(self):
+        reduced = rref(frac_rows([[0, 2], [3, 0], [0, 0]]), QFIELD)
+        assert reduced == frac_rows([[1, 0], [0, 1], [0, 0]])
 
     def test_idempotent(self):
         rng = random.Random(7)
@@ -82,6 +86,22 @@ class TestRref:
             assert computed == minor_rank(rows)
             basis = left_null_space(rows, QFIELD)
             assert computed + len(basis) == len(rows)
+
+
+class TestSolveLinear:
+    def test_inconsistent_returns_none(self):
+        rows = frac_rows([[1, 1], [2, 2]])
+        assert solve_linear(rows, frac_rows([[1, 3]])[0], QFIELD) is None
+
+    def test_rank_deficient_free_variables_zero(self):
+        rows = frac_rows([[1, 2, 3], [2, 4, 7]])
+        solution = solve_linear(rows, frac_rows([[1, 3]])[0], QFIELD)
+        assert solution == frac_rows([[-2, 0, 1]])[0]
+
+    def test_tall_consistent(self):
+        rows = frac_rows([[1, 1], [1, -1], [2, 1], [0, 3]])
+        rhs = frac_rows([[3, -1, 4, 6]])[0]
+        assert solve_linear(rows, rhs, QFIELD) == frac_rows([[1, 2]])[0]
 
 
 class TestLeftNullSpace:
