@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentSystem, InternalError, UnsupportedCase
-from .fields import RATIONAL_FIELD, common_field
+from .fields import RATIONAL_FIELD, quadratic_field
 from .polynomials import NEG_INFINITY, Poly, QQ, binomial, rational_roots
 from .sequences import CoeffRing
 
@@ -216,8 +216,6 @@ def leading_forms(operator):
                 )
             lams.append(("rational", root))
         if cofactor.degree == 2:
-            from .fields import quadratic_field
-
             field = quadratic_field(cofactor)
             gen = field.generator()
             other = field.from_rational(-cofactor.monic().coefficient(1)) - gen

@@ -45,7 +45,7 @@ class BoundViolated(InternalError):
     """A closure result exceeds the order bound its construction guarantees."""
 
 
-class NullSpaceEmpty(AnsatzError):
+class NullSpaceEmpty(InternalError):
     """A guaranteed-nontrivial null space came back empty (internal shape bug)."""
 
 

@@ -15,8 +15,8 @@ all the null-space elimination needs.
 
 from fractions import Fraction
 
-from .errors import UnsupportedField
-from .fields import NumberFieldElement, RATIONAL_FIELD, embed
+from .errors import InternalError
+from .fields import NumberField, NumberFieldElement, RATIONAL_FIELD, common_field
 from .polynomials import NEG_INFINITY, Poly
 
 
@@ -65,7 +65,7 @@ class ExpPoly:
     def from_poly(cls, poly, field=None):
         """A polynomial sequence p(n) seen as p(n) * 1^n."""
         if field is None:
-            field = poly.domain if isinstance(poly.domain, type(RATIONAL_FIELD)) else RATIONAL_FIELD
+            field = poly.domain if isinstance(poly.domain, NumberField) else RATIONAL_FIELD
         return cls(field, [(field.one, poly)])
 
     def one_like(self):
@@ -106,13 +106,9 @@ class ExpPoly:
 
     def _coerce(self, other):
         if isinstance(other, ExpPoly):
-            if other.field == self.field:
-                return other
-            try:
-                return other.to_field(self.field)
-            except UnsupportedField:
-                # let the reflected operation try the other field
-                return None
+            if common_field(self.field, other.field) != self.field:
+                return None  # the reflected operation works in the larger field
+            return other.to_field(self.field)
         if isinstance(other, (int, Fraction, NumberFieldElement)):
             return ExpPoly.constant(self.field.coerce(other), self.field)
         return None
@@ -194,32 +190,7 @@ class ExpPoly:
     def to_field(self, field):
         if field == self.field:
             return self
-        if self.field.degree != 1:
-            if not all(
-                b.is_rational() and all(c.is_rational() for c in p.coeffs)
-                for b, p in self.terms
-            ):
-                raise UnsupportedField(f"cannot move {self} into {field}")
-            return ExpPoly(
-                field,
-                [
-                    (
-                        field.from_rational(b.as_rational()),
-                        Poly([c.as_rational() for c in p.coeffs], field, "n"),
-                    )
-                    for b, p in self.terms
-                ],
-            )
-        return ExpPoly(
-            field,
-            [
-                (
-                    embed(b, field),
-                    Poly([embed(c, field) for c in p.coeffs], field, "n"),
-                )
-                for b, p in self.terms
-            ],
-        )
+        return ExpPoly(field, self.terms)  # the constructor coerces into ``field``
 
     # -- printing ---------------------------------------------------------------------
 
@@ -264,7 +235,7 @@ def _multiset_subtract(big, small):
                 del remaining[i]
                 break
         else:
-            raise ValueError("multiset subtraction underflow")
+            raise InternalError("multiset subtraction underflow")
     return remaining
 
 

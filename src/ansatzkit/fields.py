@@ -1,44 +1,47 @@
-"""Presented number fields Q[t]/(m(t)) and their elements.
+"""The number fields the toolkit supports: Q and quadratic fields.
 
-Degree-1 fields are plain rationals in disguise; quadratic fields host the
-irrational roots of characteristic polynomials.  Irreducibility of the
-presenting polynomial is checked by rational-root absence plus a
-square-free test, which is exact up to degree 2; a reducible higher-degree
-modulus that slips past those checks is the caller's bug.
+Characteristic roots are rational or conjugate pairs from one irreducible
+quadratic factor (closed forms and asymptotics reject higher-degree
+factors), so a field is presented by a monic modulus t + c0 or
+t^2 + c1*t + c0.  A quadratic modulus is irreducible exactly when its
+discriminant c1^2 - 4*c0 is not a rational square; any other modulus raises
+:class:`UnsupportedField`.
+
+Elements are coordinate tuples (a0,) or (a0, a1) standing for a0 + a1*t.
+They multiply by closed formulas with t^2 = -c1*t - c0 and invert as the
+conjugate over the norm; in degree 1 they are plain ``Fraction`` arithmetic.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import UnsupportedField
-from .polynomials import QQ, Poly, poly_gcd, rational_roots
+from .polynomials import QQ, Poly
+
+
+def _is_rational_square(q):
+    return q >= 0 and all(isqrt(k) ** 2 == k for k in (q.numerator, q.denominator))
 
 
 class NumberField:
-    """Q[t]/(minpoly) with a monic modulus; also a Poly coefficient domain."""
+    """Q[t]/(minpoly) with a monic irreducible modulus of degree 1 or 2;
+    also a Poly coefficient domain."""
 
-    __slots__ = ("minpoly", "degree", "_zero", "_one")
+    __slots__ = ("minpoly", "degree", "low", "zero", "one")
 
     def __init__(self, minpoly):
         if isinstance(minpoly, (list, tuple)):
             minpoly = Poly(minpoly, QQ, "t")
-        if not minpoly.is_monic() or minpoly.degree < 1:
-            raise UnsupportedField("field modulus must be monic of degree >= 1")
-        if minpoly.degree >= 2:
-            roots, _ = rational_roots(minpoly)
-            if roots:
-                raise UnsupportedField(f"modulus {minpoly} has a rational root")
-            if poly_gcd(minpoly, minpoly.derivative()).degree > 0:
-                raise UnsupportedField(f"modulus {minpoly} is not square-free")
-        object.__setattr__(self, "minpoly", minpoly)
-        object.__setattr__(self, "degree", minpoly.degree)
-        object.__setattr__(self, "_zero", None)
-        object.__setattr__(self, "_one", None)
-
-    def __setattr__(self, name, value):
-        if name in ("_zero", "_one"):
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("NumberField is immutable")
+        if minpoly.degree not in (1, 2) or not minpoly.is_monic():
+            raise UnsupportedField(f"field modulus {minpoly} must be monic of degree 1 or 2")
+        low = minpoly.coeffs[:-1]  # (c0,) or (c0, c1)
+        if minpoly.degree == 2 and _is_rational_square(low[1] ** 2 - 4 * low[0]):
+            raise UnsupportedField(f"modulus {minpoly} is reducible over Q")
+        self.minpoly = minpoly
+        self.degree = minpoly.degree
+        self.low = low
+        self.zero = NumberFieldElement(self, (Fraction(0),) * self.degree)
+        self.one = self.from_rational(1)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly.coeffs == other.minpoly.coeffs
@@ -52,20 +55,6 @@ class NumberField:
         return f"QQ[t]/({self.minpoly})"
 
     # -- domain protocol (usable as Poly coefficient domain) ---------------
-
-    @property
-    def zero(self):
-        if self._zero is None:
-            self._zero = NumberFieldElement(self, (Fraction(0),) * self.degree)
-        return self._zero
-
-    @property
-    def one(self):
-        if self._one is None:
-            coords = [Fraction(0)] * self.degree
-            coords[0] = Fraction(1)
-            self._one = NumberFieldElement(self, tuple(coords))
-        return self._one
 
     def coerce(self, value):
         if isinstance(value, NumberFieldElement):
@@ -97,11 +86,8 @@ class NumberField:
         return self.element([0, 1])
 
 
-RATIONAL_FIELD = NumberField(Poly([0, 1], QQ, "t"))
-
-
 class NumberFieldElement:
-    """Residue of a rational polynomial modulo the field's minpoly."""
+    """a0 + a1*t in a quadratic field, or a0 in a degree-1 field."""
 
     __slots__ = ("field", "coords")
 
@@ -110,9 +96,6 @@ class NumberFieldElement:
         self.coords = coords
 
     # -- helpers -----------------------------------------------------------
-
-    def _lift(self):
-        return Poly(self.coords, QQ, "t")
 
     def _same(self, other):
         if isinstance(other, NumberFieldElement):
@@ -178,28 +161,28 @@ class NumberFieldElement:
         other = self._same(other)
         if other is None:
             return NotImplemented
-        product = self._lift() * other._lift()
-        rep = product % self.field.minpoly
-        coords = list(rep.coeffs) + [Fraction(0)] * (self.field.degree - len(rep.coeffs))
-        return NumberFieldElement(self.field, tuple(coords))
+        field = self.field
+        if field.degree == 1:
+            return NumberFieldElement(field, (self.coords[0] * other.coords[0],))
+        (a0, a1), (b0, b1), (c0, c1) = self.coords, other.coords, field.low
+        a1b1 = a1 * b1
+        return NumberFieldElement(
+            field, (a0 * b0 - c0 * a1b1, a0 * b1 + a1 * b0 - c1 * a1b1)
+        )
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid against the modulus
-        r0, r1 = self.field.minpoly, self._lift()
-        s0, s1 = Poly([], QQ, "t"), Poly([1], QQ, "t")
-        while r1.degree > 0:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        # r1 is a nonzero constant: gcd(rep, minpoly) = 1 since minpoly is irreducible
-        inv = s1.scale(Fraction(1) / r1.coefficient(0))
-        rep = inv % self.field.minpoly
-        coords = list(rep.coeffs) + [Fraction(0)] * (self.field.degree - len(rep.coeffs))
-        return NumberFieldElement(self.field, tuple(coords))
+        field = self.field
+        if field.degree == 1:
+            return NumberFieldElement(field, (1 / self.coords[0],))
+        # the conjugate a0 + a1*t' (t' = -c1 - t) over the norm, which is
+        # nonzero because the modulus is irreducible
+        (a0, a1), (c0, c1) = self.coords, field.low
+        norm = a0 * a0 - c1 * a0 * a1 + c0 * a1 * a1
+        return NumberFieldElement(field, ((a0 - c1 * a1) / norm, -a1 / norm))
 
     def __truediv__(self, other):
         other = self._same(other)
@@ -214,6 +197,8 @@ class NumberFieldElement:
         return other * self.inverse()
 
     def __pow__(self, exponent):
+        if self.field.degree == 1:
+            return NumberFieldElement(self.field, (self.coords[0] ** exponent,))
         if exponent < 0:
             return self.inverse() ** (-exponent)
         result = self.field.one
@@ -230,10 +215,13 @@ class NumberFieldElement:
     def __str__(self):
         if self.is_rational():
             return str(self.coords[0])
-        return str(self._lift())
+        return str(Poly(self.coords, QQ, "t"))
 
     def __repr__(self):
         return f"NFE({self})"
+
+
+RATIONAL_FIELD = NumberField(Poly([0, 1], QQ, "t"))
 
 
 def common_field(first, second):
@@ -247,15 +235,6 @@ def common_field(first, second):
     raise UnsupportedField(
         f"no supported field contains both {first} and {second}"
     )
-
-
-def embed(element, field):
-    """Move an element into ``field`` (identity or QQ-embedding only)."""
-    if element.field == field:
-        return element
-    if element.is_rational():
-        return field.from_rational(element.as_rational())
-    raise UnsupportedField(f"cannot embed {element} into {field}")
 
 
 def quadratic_field(poly):

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import DenominatorVanishesAtZero, UnsupportedField
-from .fields import RATIONAL_FIELD, common_field
+from .fields import RATIONAL_FIELD
 from .polynomials import (
     NEG_INFINITY,
     Poly,
@@ -471,9 +471,7 @@ def c2_to_diff(system):
     operator = system.operator
     if operator.ring is not CoeffRing.EXPPOLY:
         operator = operator.promoted(CoeffRing.EXPPOLY)
-    field = operator.coeffs[-1].field
-    for c in operator.coeffs:
-        field = common_field(field, c.field)
+    field = operator.leading.field  # ShiftOperator keeps all coefficients in one field
     r = operator.order
     k = max(c.deg for c in operator.coeffs if c)
     if k is NEG_INFINITY:
@@ -484,7 +482,6 @@ def c2_to_diff(system):
     for t, coeff in enumerate(operator.coeffs):
         if not coeff:
             continue
-        coeff = coeff.to_field(field)
         for base, poly in coeff.terms:
             inv_base_t = base ** (-t)
             for s in range(poly.degree + 1):

@@ -106,10 +106,7 @@ def _fraction(value):
 
 
 def _field_from(minpoly_list):
-    minpoly = Poly([_fraction(c) for c in minpoly_list], QQ, "t")
-    if minpoly.coeffs == RATIONAL_FIELD.minpoly.coeffs:
-        return RATIONAL_FIELD
-    return NumberField(minpoly)
+    return NumberField([_fraction(c) for c in minpoly_list])
 
 
 def _exppoly_from(data):
@@ -136,11 +133,6 @@ def _operator_from(data):
         coeffs = [Poly([_fraction(x) for x in c], QQ, "n") for c in data["coeffs"]]
     else:
         coeffs = [_exppoly_from(c) for c in data["coeffs"]]
-        fields = {c.field for c in coeffs if c}
-        fields.discard(RATIONAL_FIELD)
-        if fields:
-            target = fields.pop()
-            coeffs = [c.to_field(target) for c in coeffs]
     return ShiftOperator(ring, coeffs)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InsufficientData, LeadingCoefficientZero
 from .exppoly import ExpPoly
-from .fields import RATIONAL_FIELD
+from .fields import RATIONAL_FIELD, common_field
 from .polynomials import Poly, QQ, rational_roots
 
 
@@ -56,13 +56,10 @@ class ShiftOperator:
         if not coerced:
             raise ValueError("zero shift operator")
         if ring is CoeffRing.EXPPOLY:
-            fields = {c.field for c in coerced if isinstance(c, ExpPoly)}
-            fields.discard(RATIONAL_FIELD)
-            if len(fields) > 1:
-                raise ValueError("exponential coefficients must share one field")
-            if fields:
-                target = fields.pop()
-                coerced = [c.to_field(target) for c in coerced]
+            field = RATIONAL_FIELD
+            for c in coerced:
+                field = common_field(field, c.field)
+            coerced = [c.to_field(field) for c in coerced]
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", tuple(coerced))
 

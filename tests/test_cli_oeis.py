@@ -165,6 +165,16 @@ class TestJsonRoundTrips:
         parsed = self._assert_stable(equation)
         assert parsed == equation
 
+    def test_cubic_minpoly_rejected(self):
+        from ansatzkit.errors import UnsupportedField
+
+        term = {"base": {"minpoly": ["-2", "0", "0", "1"], "rep": ["0", "1", "0"]},
+                "poly": [["1", "0", "0"]]}
+        document = {"type": "operator", "class": "c2", "order": 1,
+                    "coeffs": [[term], [dict(term, base={"minpoly": ["0", "1"], "rep": ["1"]})]]}
+        with pytest.raises(UnsupportedField):
+            loads(json.dumps(document))
+
 
 class TestCliCommands:
     def test_guess_fibonacci(self, offline_cache, capsys):
@@ -196,6 +206,22 @@ class TestCliCommands:
     def test_io_error_exit_3(self, offline_cache, capsys):
         code = main(["fetch", "--oeis", "A123456"])
         assert code == 3
+
+    def test_two_quadratic_fields_no_result(self, capsys):
+        code = main(
+            [
+                "genfun",
+                "--class",
+                "c2",
+                "--coeff",
+                "F=cfinite:N^2-N-1;0,1",
+                "--coeff",
+                "G=cfinite:N^2-2;1,1",
+                "N - F(n) - G(n);1",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("no result: no supported field")
 
     def test_prove_identity(self, capsys):
         code = main(

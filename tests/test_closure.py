@@ -548,6 +548,20 @@ class TestTypedChecks:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("BoundViolated: result order 9 exceeds")
 
+    def test_null_space_empty_is_internal(self):
+        from ansatzkit.errors import InternalError, NullSpaceEmpty
+
+        assert issubclass(NullSpaceEmpty, InternalError)
+
+    def test_multiset_underflow_is_internal(self):
+        from ansatzkit.errors import InternalError
+        from ansatzkit.exppoly import _multiset_subtract
+
+        two = ExpPoly.geometric(2)
+        assert _multiset_subtract([two, two], [two]) == [two]
+        with pytest.raises(InternalError):
+            _multiset_subtract([two], [two, two])
+
     def test_cli_reports_bound_violation_as_error(self, monkeypatch, capsys):
         from ansatzkit import closure
         from ansatzkit.cli import main

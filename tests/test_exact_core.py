@@ -215,24 +215,45 @@ class TestRationalRoots:
 
 
 class TestNumberField:
+    # t^2 - t - 1, t^2 + 1, t^2 - 2, t^2 + t + 1: c1 = 0 and c1 != 0, c0 of both signs
+    MODULI = ([-1, -1, 1], [1, 0, 1], [-2, 0, 1], [1, 1, 1])
+
     def test_inverse_roundtrip(self):
-        field = NumberField([-1, -1, 1])
-        rng = random.Random(3)
-        for _ in range(40):
-            element = field.element(
-                [F(rng.randint(-5, 5)), F(rng.randint(-5, 5))]
-            )
-            if not element:
-                continue
-            assert element * element.inverse() == field.one
+        for modulus in self.MODULI:
+            field = NumberField(modulus)
+            minpoly = Poly(modulus, QQ, "t")
+            rng = random.Random(3)
+            previous = field.generator()
+            for _ in range(40):
+                element = field.element(
+                    [F(rng.randint(-5, 5)), F(rng.randint(-5, 5))]
+                )
+                # reference product: multiply the coordinate polynomials and reduce
+                reference = (
+                    Poly(element.coords, QQ, "t") * Poly(previous.coords, QQ, "t")
+                ) % minpoly
+                assert element * previous == field.element(reference.coeffs)
+                previous = element
+                if not element:
+                    continue
+                assert element * element.inverse() == field.one
+                assert element ** -3 == element.inverse() ** 3
 
     def test_reducible_modulus_rejected(self):
-        with pytest.raises(UnsupportedField):
-            NumberField([-1, 0, 1])  # t^2 - 1 has rational roots
+        # t^2 - 1, t^2 - 4 have rational roots; (t^2 + 1)(t^2 + 2) has none
+        # and is square-free
+        for modulus in ([-1, 0, 1], [-4, 0, 1], [2, 0, 3, 0, 1]):
+            with pytest.raises(UnsupportedField):
+                NumberField(modulus)
 
     def test_square_modulus_rejected(self):
+        for modulus in ([0, 0, 1], [1, 2, 1]):  # t^2, (t + 1)^2 are not square-free
+            with pytest.raises(UnsupportedField):
+                NumberField(modulus)
+
+    def test_cubic_modulus_rejected(self):
         with pytest.raises(UnsupportedField):
-            NumberField([0, 0, 1])  # t^2 is not square-free
+            NumberField([-2, 0, 0, 1])  # t^3 - 2 is irreducible but unsupported
 
 
 class TestExpPoly:
