@@ -103,6 +103,7 @@ class NumberFieldElement:
                 return other
             if other.is_rational():
                 return self.field.from_rational(other.as_rational())
+            common_field(self.field, other.field)  # raises for two quadratic fields
             return None
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(Fraction(other))
@@ -112,7 +113,10 @@ class NumberFieldElement:
         return any(self.coords)
 
     def __eq__(self, other):
-        other = self._same(other)
+        try:
+            other = self._same(other)
+        except UnsupportedField:
+            return False
         if other is None:
             return NotImplemented
         return self.coords == other.coords

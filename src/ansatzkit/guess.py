@@ -5,13 +5,27 @@ over the rationals using every available term, and only reports a result
 whose relation holds on all supplied data.  ``margin`` is the number of
 terms beyond the minimal determining window that must be present before a
 guess is considered trustworthy.
+
+The C-finite and holonomic guessers first reduce the terms modulo the
+prime ``linalg.PRIME`` and reject every shape whose fit rows are linearly
+independent mod p: that is an exact proof that no relation of the shape
+exists (see ``linalg.independent_mod_p``).  Only the surviving shapes,
+and every shape when some term's denominator is divisible by p, run
+exact elimination over Q, so the answers are those of the exact search.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientData, InternalError
-from .linalg import left_null_space, rational_adapter, solve_linear
+from .linalg import (
+    PRIME,
+    independent_mod_p,
+    left_null_space,
+    rational_adapter,
+    residue,
+    solve_linear,
+)
 from .polynomials import Poly, QQ, rational_content
 from .sequences import (
     CoeffRing,
@@ -100,6 +114,12 @@ def guess_polynomial(sequence, max_degree, margin=1, assume_bound=False):
     return GuessReport(None, ("polynomial", None, None), 0, 0)
 
 
+def _residues(terms):
+    """The terms mod PRIME, or None when some term has no residue."""
+    residues = [residue(t) for t in terms]
+    return None if None in residues else residues
+
+
 def _degenerate_zero_report(sequence, class_name):
     operator = ShiftOperator(CoeffRing.CONSTANT, [0, 1])
     system = RecurrenceSystem(
@@ -123,11 +143,17 @@ def guess_cfinite(sequence, max_order, margin=5, assume_bound=False):
         return _degenerate_zero_report(sequence, "cfinite")
     field = rational_adapter()
     terms = sequence.terms
+    residues = _residues(terms)
     for order in range(1, max_order + 1):
         fit = cfinite_fit_length(order)
         if length < fit + max(margin, 1):
             break
         windows = length - order
+        # a relation of this order makes the order + 1 shifted windows dependent
+        if residues is not None and independent_mod_p(
+            [residues[i : i + windows] for i in range(order + 1)]
+        ):
+            continue
         rows = [
             [terms[j + i] for i in range(order)] for j in range(windows)
         ]
@@ -176,11 +202,26 @@ def guess_holonomic(sequence, max_order, max_degree, margin=5, assume_bound=Fals
     field = rational_adapter()
     terms = sequence.terms
     offset = sequence.offset
+    residues = _residues(terms)
+    if residues is not None:
+        powers = [
+            [pow(offset + w, j, PRIME) for w in range(length)]
+            for j in range(max_degree + 1)
+        ]
     for order, degree in _holonomic_shapes(max_order, max_degree):
         fit = holonomic_fit_length(order, degree)
         if length < fit + max(margin, 1):
             continue
         windows = length - order
+        # the residues of the exact rows below; independent rows have no null vector
+        if residues is not None and independent_mod_p(
+            [
+                [p * t % PRIME for p, t in zip(powers[j], residues[i : i + windows])]
+                for i in range(order + 1)
+                for j in range(degree + 1)
+            ]
+        ):
+            continue
         # rows indexed by unknown c_{i,j}, columns by window start n
         rows = []
         for i in range(order + 1):

@@ -9,6 +9,12 @@ pivot.  Over the formal fraction ring of exponential polynomials some
 nonzero entries vanish at infinitely many indices; the null-space routine
 there prefers unit pivots, which is what steers degenerate combinations
 towards relations with a usable leading coefficient.
+
+Beside the exact kernel sits one modular test, ``independent_mod_p``: it
+decides whether rows of residues are linearly independent modulo the
+fixed prime ``PRIME``.  The guessers run it before exact elimination,
+because independence mod p proves independence over Q and most shapes
+they try have no relation at all.
 """
 
 from dataclasses import dataclass
@@ -96,6 +102,41 @@ def _eliminate(rows, zero, prefer=None):
         pivot_cols.add(pcol)
         pivots.append((prow, pcol))
     return m, pivots
+
+
+PRIME = 2**61 - 1  # a Mersenne prime; a product of two residues fits in 122 bits
+
+
+def residue(value):
+    """The rational ``value`` mod PRIME, or None when PRIME divides its
+    denominator (then ``value`` has no residue)."""
+    den = value.denominator % PRIME
+    if not den:
+        return None
+    return value.numerator * pow(den, -1, PRIME) % PRIME
+
+
+def independent_mod_p(rows):
+    """True when the rows of residues are linearly independent mod PRIME.
+
+    Reduction mod PRIME is a ring homomorphism on the rationals whose
+    denominators are prime to PRIME, so a maximal minor that is nonzero mod
+    PRIME is nonzero over Q: True proves the rows independent over Q (their
+    left null space is trivial).  False proves nothing; callers then decide
+    by exact elimination.
+    """
+    basis = []  # (pivot column, row scaled to a pivot of one)
+    for row in rows:
+        for col, pivot_row in basis:
+            factor = row[col]
+            if factor:
+                row = [(a - factor * b) % PRIME for a, b in zip(row, pivot_row)]
+        col = next((c for c, a in enumerate(row) if a), None)
+        if col is None:
+            return False
+        inverse = pow(row[col], -1, PRIME)
+        basis.append((col, [a * inverse % PRIME for a in row]))
+    return True
 
 
 def rref(rows, field):

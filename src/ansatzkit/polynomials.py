@@ -10,6 +10,8 @@ be compared with ``max``/``<=`` directly.
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .errors import InternalError
+
 NEG_INFINITY = float("-inf")
 
 
@@ -191,7 +193,7 @@ class Poly:
     def exact_div(self, other):
         q, r = divmod(self, other)
         if r:
-            raise ValueError("polynomial division is not exact")
+            raise InternalError("polynomial division is not exact")
         return q
 
     def monic(self):

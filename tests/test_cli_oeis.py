@@ -207,6 +207,16 @@ class TestCliCommands:
         code = main(["fetch", "--oeis", "A123456"])
         assert code == 3
 
+    def test_internal_error_exit_1(self, monkeypatch, capsys):
+        def inexact_division(args):
+            n = Poly([0, 1], QQ, "n")
+            return (n * n + 1).exact_div(n + 1)
+
+        monkeypatch.setattr("ansatzkit.cli._cmd_guess", inexact_division)
+        code = main(["guess", "--class", "cfinite", "--terms", "1,2,3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: polynomial division is not exact\n"
+
     def test_two_quadratic_fields_no_result(self, capsys):
         code = main(
             [

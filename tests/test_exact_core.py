@@ -1,5 +1,6 @@
 """Exact arithmetic foundation: matrices, roots, fields, exponential rings."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -16,8 +17,15 @@ from ansatzkit import (
     rank,
     rref,
 )
-from ansatzkit.errors import UnsupportedField
-from ansatzkit.linalg import clear_denominators, rational_adapter, solve_linear
+from ansatzkit.errors import InternalError, UnsupportedField
+from ansatzkit.linalg import (
+    PRIME,
+    clear_denominators,
+    independent_mod_p,
+    rational_adapter,
+    residue,
+    solve_linear,
+)
 from ansatzkit.polynomials import rational_roots, squarefree_decomposition
 
 F = Fraction
@@ -151,6 +159,45 @@ class TestLeftNullSpace:
         assert [v * scale for v in vec] == target
 
 
+class TestModularIndependence:
+    def test_residue(self):
+        assert residue(F(-3)) == PRIME - 3
+        assert residue(F(1, 2)) * 2 % PRIME == 1
+        assert residue(F(5, PRIME)) is None
+        assert residue(F(PRIME, 7)) == 0
+
+    def test_independent_rows(self):
+        assert independent_mod_p([[1, 2, 3], [0, 1, 4]])
+        assert independent_mod_p([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+
+    def test_dependent_rows(self):
+        assert not independent_mod_p([[1, 2, 3], [2, 4, 6]])
+        assert not independent_mod_p([[1, 2], [3, 4], [5, 6]])
+        assert not independent_mod_p([[0, 0, 0]])
+        # independent over Q, dependent mod p: the test only ever says "independent"
+        assert not independent_mod_p([[1, 1], [1, 1 + PRIME]])
+
+    def test_agrees_with_exact_rank(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 6)
+            rows = [[rng.randint(-2, 2) for _ in range(n_cols)] for _ in range(n_rows)]
+            exact = rank(frac_rows(rows), QFIELD) == n_rows
+            residues = [[residue(F(x)) for x in row] for row in rows]
+            assert independent_mod_p(residues) == exact
+
+
+class TestExactDivision:
+    def test_exact_quotient(self):
+        n = Poly([0, 1], QQ, "n")
+        assert (n * n - 1).exact_div(n + 1) == n - 1
+
+    def test_remainder_is_internal_error(self):
+        n = Poly([0, 1], QQ, "n")
+        with pytest.raises(InternalError):
+            (n * n + 1).exact_div(n + 1)
+
+
 class TestClearDenominators:
     def test_single_denominator(self):
         n = Poly([0, 1], QQ, "n")
@@ -254,6 +301,18 @@ class TestNumberField:
     def test_cubic_modulus_rejected(self):
         with pytest.raises(UnsupportedField):
             NumberField([-2, 0, 0, 1])  # t^3 - 2 is irreducible but unsupported
+
+    def test_two_quadratic_fields_raise(self):
+        golden = NumberField([-1, -1, 1]).generator()
+        root2 = NumberField([-2, 0, 1]).generator()
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(UnsupportedField):
+                op(golden, root2)
+        for name in ("__radd__", "__rsub__", "__rmul__", "__rtruediv__"):
+            with pytest.raises(UnsupportedField):
+                getattr(golden, name)(root2)
+        assert not golden == root2
+        assert golden != root2
 
 
 class TestExpPoly:

@@ -16,8 +16,10 @@ from ansatzkit import (
     guess_polynomial,
     verify_annihilates,
 )
+from ansatzkit import guess as guess_module
 from ansatzkit.errors import InsufficientData
 from ansatzkit.guess import holonomic_fit_length
+from ansatzkit.linalg import PRIME
 
 import conftest as corpus
 
@@ -202,3 +204,111 @@ class TestRoundTrips:
             seq = Sequence([poly.evaluate(F(n)) for n in range(16)])
             report = guess_polynomial(seq, 4)
             assert report.poly == poly
+
+
+def count_calls(monkeypatch, name):
+    """Record each call of the exact routine ``name`` as the guessers see it."""
+    calls = []
+    original = getattr(guess_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(guess_module, name, counted)
+    return calls
+
+
+def report_summary(report):
+    system = report.result
+    if system is None:
+        return (report.shape, None)
+    return (
+        report.shape,
+        tuple(system.operator.coeffs),
+        tuple(system.initials),
+        system.validity_offset,
+        report.terms_used_for_fit,
+        report.terms_verified,
+        report.proven,
+    )
+
+
+class TestModularPrefilter:
+    def test_no_fit_runs_no_exact_elimination(self, monkeypatch):
+        rng = random.Random(4)
+        seq = Sequence([rng.randint(-10**6, 10**6) for _ in range(80)])
+        null_calls = count_calls(monkeypatch, "left_null_space")
+        solve_calls = count_calls(monkeypatch, "solve_linear")
+        assert guess_holonomic(seq, 3, 3).result is None
+        assert guess_cfinite(seq, 10).result is None
+        assert null_calls == []
+        assert solve_calls == []
+
+    def test_multiples_of_p_take_exact_path(self, monkeypatch):
+        # every residue is 0, so every shape is dependent mod p
+        seq = expand_terms(corpus.catalan_system(), 20)
+        scaled = Sequence([PRIME * t for t in seq.terms])
+        null_calls = count_calls(monkeypatch, "left_null_space")
+        report = guess_holonomic(seq, 2, 2)
+        # shapes (1, 0) and (2, 0) are rejected mod p, (1, 1) fits
+        assert len(null_calls) == 1
+        scaled_report = guess_holonomic(scaled, 2, 2)
+        assert len(null_calls) == 1 + 3
+        assert scaled_report.shape == report.shape == ("holonomic", 1, 1)
+        assert scaled_report.result.operator.coeffs == report.result.operator.coeffs
+
+    def test_multiples_of_p_cfinite(self, monkeypatch):
+        seq = expand_terms(corpus.fibonacci_system(), 20)
+        scaled = Sequence([PRIME * t for t in seq.terms])
+        solve_calls = count_calls(monkeypatch, "solve_linear")
+        report = guess_cfinite(seq, 3)
+        assert len(solve_calls) == 1
+        scaled_report = guess_cfinite(scaled, 3)
+        assert len(solve_calls) == 1 + 2
+        assert list(scaled_report.result.operator.coeffs) == [-1, -1, 1]
+        assert report.result.operator.coeffs == scaled_report.result.operator.coeffs
+
+    def test_denominator_p_falls_back(self, monkeypatch):
+        # no term has a residue mod p, so every shape runs exact elimination
+        seq = expand_terms(corpus.catalan_system(), 20)
+        shrunk = Sequence([t / PRIME for t in seq.terms])
+        assert all(t.denominator == PRIME for t in shrunk.terms)
+        null_calls = count_calls(monkeypatch, "left_null_space")
+        report = guess_holonomic(shrunk, 2, 2)
+        assert len(null_calls) == 3
+        assert report.shape == ("holonomic", 1, 1)
+        expected = guess_holonomic(seq, 2, 2).result.operator.coeffs
+        assert report.result.operator.coeffs == expected
+        assert list(report.result.initials) == [F(1, PRIME)]
+
+    def test_reports_match_exact_search(self, monkeypatch):
+        rng = random.Random(2027)
+        sequences = []
+        for k in range(36):
+            if k % 3 == 0:
+                system = corpus.random_holonomic(rng, max_order=2, max_degree=2)
+                sequences.append(expand_terms(system, 30))
+            elif k % 3 == 1:
+                system = corpus.random_cfinite(rng, max_order=3)
+                sequences.append(expand_terms(system, 24))
+            else:
+                sequences.append(Sequence([rng.randint(-50, 50) for _ in range(30)]))
+
+        def run_all():
+            return [
+                (
+                    report_summary(guess_holonomic(seq, 2, 2)),
+                    report_summary(guess_cfinite(seq, 4)),
+                )
+                for seq in sequences
+            ]
+
+        null_calls = count_calls(monkeypatch, "left_null_space")
+        filtered = run_all()
+        filtered_calls = len(null_calls)
+        monkeypatch.setattr(guess_module, "independent_mod_p", lambda rows: False)
+        assert run_all() == filtered
+        assert len(null_calls) - filtered_calls > 2 * filtered_calls
+        assert any(holonomic[1] is None for holonomic, _ in filtered)
+        assert any(cfinite[1] is not None for _, cfinite in filtered)
