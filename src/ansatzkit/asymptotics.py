@@ -54,11 +54,9 @@ class AsymptoticForm:
 
 
 def _poly_coeffs(operator):
-    if operator.ring is CoeffRing.CONSTANT:
-        return [Poly([c], QQ, "n") for c in operator.coeffs]
-    if operator.ring is CoeffRing.POLY_N:
-        return list(operator.coeffs)
-    raise UnsupportedCase("exponential-coefficient recurrences are out of scope")
+    if operator.ring is CoeffRing.EXPPOLY:
+        raise UnsupportedCase("exponential-coefficient recurrences are out of scope")
+    return list(operator.promoted(CoeffRing.POLY_N).coeffs)
 
 
 # -- truncated power series helpers (dense lists over a number field) --------

@@ -35,7 +35,6 @@ from .optext import (
     parse_operator,
     parse_recurrence_spec,
 )
-from .polynomials import Poly, QQ
 from .sequences import CoeffRing, RecurrenceSystem, Sequence
 
 EXIT_OK = 0
@@ -171,18 +170,10 @@ def _cmd_guess(args):
 def _cmd_genfun(args):
     if args.klass == "poly":
         operator = parse_operator(args.spec, _declarations(args))
-        if operator.order != 0 or operator.ring not in (
-            CoeffRing.CONSTANT,
-            CoeffRing.POLY_N,
-        ):
+        if operator.order != 0 or operator.ring is CoeffRing.EXPPOLY:
             print("expected a polynomial in n", file=sys.stderr)
             return EXIT_USAGE
-        poly = (
-            operator.coeffs[0]
-            if operator.ring is CoeffRing.POLY_N
-            else Poly([operator.coeffs[0]], QQ, "n")
-        )
-        result = genfun_polynomial(poly)
+        result = genfun_polynomial(operator.promoted(CoeffRing.POLY_N).coeffs[0])
         print(result)
         _write_json(args, result)
         return EXIT_OK

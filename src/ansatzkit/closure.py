@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedCase,
 )
 from .exppoly import ExpPolyFraction
-from .fields import RATIONAL_FIELD, common_field
+from .fields import RATIONAL_FIELD, as_rational_poly, common_field
 from .genfun import DiffEquation, cfinite_from_rational
 from .linalg import (
     clear_denominators,
@@ -46,6 +46,7 @@ from .sequences import (
     RecurrenceSystem,
     ShiftOperator,
     expand_terms,
+    join_rings,
     leading_validity_offset,
 )
 
@@ -162,14 +163,11 @@ _RINGS = {
     ),
 }
 
-_RING_RANK = [CoeffRing.CONSTANT, CoeffRing.POLY_N, CoeffRing.EXPPOLY]
-
-
 def _common_ring(op_a, op_b=None, ring=None):
     """The operands viewed in ``ring`` (default: the larger of their rings);
     exponential coefficients also move into one number field."""
     if ring is None:
-        ring = max(op_a.ring, op_b.ring, key=_RING_RANK.index)
+        ring = join_rings(op_a.ring, op_b.ring)
     op_a = op_a.promoted(ring)
     if op_b is None:
         return op_a, None
@@ -412,9 +410,9 @@ class _DerivativeRep:
 
     def __init__(self, equation):
         _, coeffs = equation.terms[0]
-        lead = RationalFunction(_to_qq_poly(coeffs[-1]))
+        lead = RationalFunction(as_rational_poly(coeffs[-1]))
         self.reduction = [
-            RationalFunction(_to_qq_poly(c)) / lead * Fraction(-1) for c in coeffs[:-1]
+            RationalFunction(as_rational_poly(c)) / lead * Fraction(-1) for c in coeffs[:-1]
         ]
         self.order = len(coeffs) - 1
         one = RationalFunction(Poly([1], QQ, "x"))
@@ -439,10 +437,6 @@ class _DerivativeRep:
                 vec = [a + top * b for a, b in zip(vec, self.reduction)]
         self._cache[u] = vec
         return vec
-
-
-def _to_qq_poly(poly):
-    return Poly([c.as_rational() for c in poly.coeffs], QQ, poly.var)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,13 @@ class NumberFieldElement:
             return self.field.from_rational(Fraction(other))
         return None
 
+    def _lifted(self, other, name):
+        """Apply the operator ``name`` in the field of ``other`` when ``self``
+        is rational and ``other`` is not (``_same`` returned None for it)."""
+        if not isinstance(other, NumberFieldElement):
+            return NotImplemented
+        return getattr(other.field.coerce(self), name)(other)
+
     def __bool__(self):
         return any(self.coords)
 
@@ -122,6 +129,9 @@ class NumberFieldElement:
         return self.coords == other.coords
 
     def __hash__(self):
+        # equal elements of different fields are rational, so hash the value
+        if self.is_rational():
+            return hash(self.coords[0])
         return hash((self.field, self.coords))
 
     def is_rational(self):
@@ -138,11 +148,11 @@ class NumberFieldElement:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._same(other)
-        if other is None:
-            return NotImplemented
+        same = self._same(other)
+        if same is None:
+            return self._lifted(other, "__add__")
         return NumberFieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
+            self.field, tuple(a + b for a, b in zip(self.coords, same.coords))
         )
 
     __radd__ = __add__
@@ -151,24 +161,24 @@ class NumberFieldElement:
         return NumberFieldElement(self.field, tuple(-a for a in self.coords))
 
     def __sub__(self, other):
-        other = self._same(other)
-        if other is None:
-            return NotImplemented
+        same = self._same(other)
+        if same is None:
+            return self._lifted(other, "__sub__")
         return NumberFieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coords, other.coords))
+            self.field, tuple(a - b for a, b in zip(self.coords, same.coords))
         )
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._same(other)
-        if other is None:
-            return NotImplemented
+        same = self._same(other)
+        if same is None:
+            return self._lifted(other, "__mul__")
         field = self.field
         if field.degree == 1:
-            return NumberFieldElement(field, (self.coords[0] * other.coords[0],))
-        (a0, a1), (b0, b1), (c0, c1) = self.coords, other.coords, field.low
+            return NumberFieldElement(field, (self.coords[0] * same.coords[0],))
+        (a0, a1), (b0, b1), (c0, c1) = self.coords, same.coords, field.low
         a1b1 = a1 * b1
         return NumberFieldElement(
             field, (a0 * b0 - c0 * a1b1, a0 * b1 + a1 * b0 - c1 * a1b1)
@@ -189,16 +199,16 @@ class NumberFieldElement:
         return NumberFieldElement(field, ((a0 - c1 * a1) / norm, -a1 / norm))
 
     def __truediv__(self, other):
-        other = self._same(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        same = self._same(other)
+        if same is None:
+            return self._lifted(other, "__truediv__")
+        return self * same.inverse()
 
     def __rtruediv__(self, other):
-        other = self._same(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+        same = self._same(other)
+        if same is None:
+            return self._lifted(other, "__rtruediv__")
+        return same * self.inverse()
 
     def __pow__(self, exponent):
         if self.field.degree == 1:
@@ -239,6 +249,12 @@ def common_field(first, second):
     raise UnsupportedField(
         f"no supported field contains both {first} and {second}"
     )
+
+
+def as_rational_poly(poly):
+    """A polynomial with rational field-element coefficients, over QQ;
+    raises UnsupportedField for an irrational coefficient."""
+    return Poly([c.as_rational() for c in poly.coeffs], QQ, poly.var)
 
 
 def quadratic_field(poly):

@@ -1,11 +1,13 @@
 """Conversions between recurrences and generating-function equations.
 
 Rational generating functions cover the polynomial and constant-coefficient
-classes.  Polynomial-coefficient recurrences correspond to linear ODEs for
-the generating function, and recurrences with exponential-polynomial
-coefficients correspond to equations in the dilated arguments f(b*x).  The
-one differential-equation type covers all of these: a sum over dilation
-bases b of q_{b,j}(x) * d^j/dx^j f(b x) equal to a polynomial right side.
+classes.  Recurrences with exponential-polynomial coefficients correspond
+to equations in the dilated arguments f(b*x): a sum over dilation bases b
+of q_{b,j}(x) * d^j/dx^j f(b x) equal to a polynomial right side.  A
+polynomial coefficient p(n) is the exponential polynomial p(n) * 1^n, so
+the linear ODE of a polynomial-coefficient recurrence is the case b = 1:
+``holonomic_to_diff`` and ``diff_to_holonomic`` are ``c2_to_diff`` and
+``diff_to_c2`` restricted to that case.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import DenominatorVanishesAtZero, UnsupportedField
-from .fields import RATIONAL_FIELD
+from .fields import as_rational_poly
 from .polynomials import (
     NEG_INFINITY,
     Poly,
@@ -24,7 +26,7 @@ from .polynomials import (
     poly_gcd,
     rational_content,
 )
-from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator
+from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator, leading_validity_offset
 from .linalg import rational_adapter, solve_linear
 
 
@@ -338,47 +340,14 @@ def falling_basis_constants(s, t):
     return tuple(solution)
 
 
-def _operator_poly_coeffs(operator):
-    """Coefficients as polynomials in n regardless of ring."""
-    if operator.ring is CoeffRing.CONSTANT:
-        return [Poly([c], QQ, "n") for c in operator.coeffs]
-    if operator.ring is CoeffRing.POLY_N:
-        return list(operator.coeffs)
-    raise ValueError("polynomial-coefficient recurrence required")
-
-
 def holonomic_to_diff(system):
     """Differential equation satisfied by the generating function of a
-    polynomial-coefficient recurrence; order <= degree, coefficient degrees
-    <= order + degree, right side degree <= order - 1."""
-    if system.validity_offset != 0 or system.offset != 0:
-        raise ValueError("recurrence must be valid from n=0")
-    polys = _operator_poly_coeffs(system.operator)
-    r = len(polys) - 1
-    k = max(p.degree for p in polys if p)
-    if k is NEG_INFINITY:
-        k = 0
-    a = system.initials
-    lhs = {}
-    rhs = Poly([], QQ, "x")
-    for t, p in enumerate(polys):
-        for s in range(k + 1):
-            b = p.coefficient(s)
-            if not b:
-                continue
-            constants = falling_basis_constants(s, t)
-            for j, cj in enumerate(constants):
-                if not cj:
-                    continue
-                term = Poly([0] * (j + r - t) + [b * cj], QQ, "x")
-                lhs[j] = lhs.get(j, Poly([], QQ, "x")) + term
-            rhs_piece = [Fraction(0)] * r
-            for n in range(t):
-                rhs_piece[n + r - t] += b * a[n] * Fraction(n - t) ** s
-            rhs = rhs + Poly(rhs_piece, QQ, "x")
-    order = max(lhs)
-    coeffs = [lhs.get(j, Poly([], QQ, "x")) for j in range(order + 1)]
-    return DiffEquation(RATIONAL_FIELD, [(1, coeffs)], rhs)
+    polynomial-coefficient recurrence: the dilation equation of
+    :func:`c2_to_diff` with the single base 1.  Order <= degree,
+    coefficient degrees <= order + degree, right side degree <= order - 1."""
+    if system.operator.ring is CoeffRing.EXPPOLY:
+        raise ValueError("polynomial-coefficient recurrence required")
+    return c2_to_diff(system)
 
 
 def homogenize(equation):
@@ -409,56 +378,24 @@ c2_homogenize = homogenize
 
 def diff_to_holonomic(equation):
     """Recurrence for the series coefficients of a homogeneous single-base
-    equation; returns (operator, validity_offset).
+    equation with rational coefficients; returns (operator, validity_offset).
 
-    Order <= equation order + degree, coefficient degree <= equation order.
+    This is :func:`diff_to_c2` with the single base 1, whose coefficients
+    p(n) * 1^n are read back as polynomials.  Order <= equation order +
+    degree, coefficient degree <= equation order.
     """
     if not equation.is_homogeneous:
         raise ValueError("homogeneous equation required")
     if len(equation.terms) != 1 or equation.terms[0][0] != equation.field.one:
         raise ValueError("single-base equation required")
     _, coeffs = equation.terms[0]
-    if not all(
-        all(c.is_rational() for c in p.coeffs) for p in coeffs
-    ):
+    if not all(all(c.is_rational() for c in p.coeffs) for p in coeffs):
         raise UnsupportedField("rational coefficients required")
-    r = len(coeffs) - 1
-    k = max((p.degree for p in coeffs if p), default=0)
-    out = []
-    for shift in range(r + k + 1):
-        total = Poly([], QQ, "n")
-        for t in range(r + 1):
-            s = t - shift + k
-            if s < 0 or s > k:
-                continue
-            b = coeffs[t].coefficient(s).as_rational()
-            if not b:
-                continue
-            total = total + falling_factorial_poly(shift, t).scale(b)
-        out.append(total)
-    return _shift_polys_to_operator(out)
-
-
-def _shift_polys_to_operator(polys):
-    """Trim a raw coefficient list p_0..p_m into an operator plus validity.
-
-    Trailing zero coefficients lower the order; leading zero coefficients
-    factor out a pure shift, which re-indexes the relation and raises the
-    validity offset accordingly.
-    """
-    from .sequences import leading_validity_offset
-
-    while polys and not polys[-1]:
-        polys.pop()
-    if not polys:
-        raise ValueError("equation produced the zero recurrence")
-    v = 0
-    while not polys[0]:
-        polys.pop(0)
-        v += 1
-    if v:
-        polys = [p.shift_arg(-v) for p in polys]
-    operator = ShiftOperator(CoeffRing.POLY_N, polys)
+    operator, v = diff_to_c2(equation)
+    operator = ShiftOperator(
+        CoeffRing.POLY_N,
+        [as_rational_poly(c.terms[0][1]) if c else 0 for c in operator.coeffs],
+    )
     return operator, max(v, leading_validity_offset(operator))
 
 
@@ -473,9 +410,6 @@ def c2_to_diff(system):
         operator = operator.promoted(CoeffRing.EXPPOLY)
     field = operator.leading.field  # ShiftOperator keeps all coefficients in one field
     r = operator.order
-    k = max(c.deg for c in operator.coeffs if c)
-    if k is NEG_INFINITY:
-        k = 0
     a = system.initials
     lhs = {}
     rhs = Poly([], field, "x")

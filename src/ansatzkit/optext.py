@@ -11,11 +11,11 @@ holds structurally for everything this module prints.
 import re
 from fractions import Fraction
 
-from .errors import MixedRing, OperatorSyntaxError, UnknownCoefficient
+from .errors import MixedRing, OperatorSyntaxError, UnknownCoefficient, UnsupportedField
 from .exppoly import ExpPoly
-from .fields import RATIONAL_FIELD
+from .fields import as_rational_poly
 from .polynomials import Poly, QQ
-from .sequences import CoeffRing, ShiftOperator
+from .sequences import CoeffRing, ShiftOperator, coerce_coeff, join_rings
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<symbol>[-+*/^(),;]))"
@@ -54,40 +54,25 @@ def _first_nonspace(text, position):
 # -- coefficient expression values ------------------------------------------
 #
 # Values are dicts {power of N: coefficient}; coefficients are Fraction,
-# Poly in n, or ExpPoly, promoted as needed.
+# Poly in n, or ExpPoly, lifted into the larger ring as needed.
 
 
-def _level(coefficient):
-    if isinstance(coefficient, Fraction):
-        return 0
+def _ring_of(coefficient):
+    if isinstance(coefficient, ExpPoly):
+        return CoeffRing.EXPPOLY
     if isinstance(coefficient, Poly):
-        return 1
-    return 2
-
-
-def _promote(coefficient, level):
-    current = _level(coefficient)
-    if current == level:
-        return coefficient
-    if current == 0 and level == 1:
-        return Poly([coefficient], QQ, "n")
-    if current == 0 and level == 2:
-        return ExpPoly.constant(coefficient)
-    if current == 1 and level == 2:
-        return ExpPoly.from_poly(coefficient)
-    raise MixedRing("cannot demote a coefficient")
+        return CoeffRing.POLY_N
+    return CoeffRing.CONSTANT
 
 
 def _coeff_add(a, b):
-    level = max(_level(a), _level(b))
-    return _promote(a, level) + _promote(b, level)
+    ring = join_rings(_ring_of(a), _ring_of(b))
+    return coerce_coeff(ring, a) + coerce_coeff(ring, b)
 
 
 def _coeff_mul(a, b):
-    level = max(_level(a), _level(b))
-    if level == 2:
-        return _promote(a, 2) * _promote(b, 2)
-    return _promote(a, level) * _promote(b, level)
+    ring = join_rings(_ring_of(a), _ring_of(b))
+    return coerce_coeff(ring, a) * coerce_coeff(ring, b)
 
 
 def _value_add(a, b):
@@ -112,7 +97,7 @@ def _value_neg(a):
 
 
 def _is_constant(value):
-    return set(value) <= {0} and (_level(value.get(0, Fraction(0))) == 0)
+    return set(value) <= {0} and _ring_of(value.get(0, Fraction(0))) is CoeffRing.CONSTANT
 
 
 class _Parser:
@@ -237,26 +222,12 @@ def parse_operator(text, declarations=None):
         raise OperatorSyntaxError("trailing input", parser.peek()[2])
     if not value:
         raise OperatorSyntaxError("empty operator", 0)
-    order = max(value)
-    levels = [_level(c) for c in value.values()]
-    top = max(levels)
-    ring = (
-        CoeffRing.CONSTANT,
-        CoeffRing.POLY_N,
-        CoeffRing.EXPPOLY,
-    )[top]
-    coeffs = []
-    for power in range(order + 1):
-        coeff = value.get(power, Fraction(0))
-        coeffs.append(_promote(coeff, top))
+    ring = join_rings(*(_ring_of(c) for c in value.values()))
+    coeffs = [value.get(power, Fraction(0)) for power in range(max(value) + 1)]
     return ShiftOperator(ring, coeffs)
 
 
 # -- printing -----------------------------------------------------------------
-
-
-def _poly_text(poly):
-    return str(poly)
 
 
 def _exppoly_rational_ratio(a, b):
@@ -286,12 +257,10 @@ def _exppoly_text(coeff, declarations):
     """Render an exponential polynomial coefficient, preferring declared
     names, then rational-base exponential terms."""
     for name, closed in (declarations or {}).items():
-        target = closed if closed.field == coeff.field else None
-        if target is None:
-            try:
-                target = closed.to_field(coeff.field)
-            except Exception:
-                continue
+        try:
+            target = closed.to_field(coeff.field)
+        except UnsupportedField:
+            continue
         for shift in range(0, 24):
             ratio = _exppoly_rational_ratio(coeff, target.shift(shift))
             if ratio is not None:
@@ -308,10 +277,9 @@ def _exppoly_text(coeff, declarations):
     parts = []
     for base, poly in coeff.terms:
         q = base.as_rational()
-        rational_coeffs = [c.as_rational() for c in poly.coeffs]
-        qq_poly = Poly(rational_coeffs, QQ, "n")
+        qq_poly = as_rational_poly(poly)
         if q == 1:
-            parts.append(_poly_text(qq_poly))
+            parts.append(str(qq_poly))
             continue
         base_text = f"{q}^n" if q > 0 and q.denominator == 1 else f"({q})^n"
         if qq_poly == Poly([1], QQ, "n"):
@@ -346,7 +314,7 @@ def operator_to_text(operator, declarations=None):
                 if power > 0 and abs(value) == 1:
                     body = ""
             else:
-                body, needs_parens, negative = _poly_text(coeff), True, False
+                body, needs_parens, negative = str(coeff), True, False
         else:
             text, composite = _exppoly_text(coeff, declarations)
             if text.startswith("-"):

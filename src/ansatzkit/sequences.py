@@ -19,12 +19,25 @@ from .polynomials import Poly, QQ, rational_roots
 
 
 class CoeffRing(enum.Enum):
+    """The coefficient rings in increasing order, each containing the ones
+    declared before it: Q within Q[n] within the exponential polynomials
+    (a polynomial p(n) is the single-base term p(n) * 1^n)."""
+
     CONSTANT = "constant"
     POLY_N = "poly"
     EXPPOLY = "exppoly"
 
 
-def _coerce_coeff(ring, value):
+_RANK = {ring: rank for rank, ring in enumerate(CoeffRing)}
+
+
+def join_rings(*rings):
+    """The smallest coefficient ring containing all of ``rings``."""
+    return max(rings, key=_RANK.__getitem__)
+
+
+def coerce_coeff(ring, value):
+    """``value`` as a coefficient in ``ring``, lifted from any smaller ring."""
     if ring is CoeffRing.CONSTANT:
         if isinstance(value, Poly):
             if value.degree > 0:
@@ -50,7 +63,7 @@ class ShiftOperator:
     coeffs: tuple
 
     def __init__(self, ring, coeffs):
-        coerced = [_coerce_coeff(ring, c) for c in coeffs]
+        coerced = [coerce_coeff(ring, c) for c in coeffs]
         while coerced and not coerced[-1]:
             coerced.pop()
         if not coerced:
@@ -81,14 +94,10 @@ class ShiftOperator:
         return c.evaluate_rational(n)
 
     def promoted(self, ring):
-        """View this operator in a larger coefficient ring."""
-        if ring is self.ring:
-            return self
-        if self.ring is CoeffRing.CONSTANT:
-            return ShiftOperator(ring, self.coeffs)
-        if self.ring is CoeffRing.POLY_N and ring is CoeffRing.EXPPOLY:
-            return ShiftOperator(ring, [ExpPoly.from_poly(c) for c in self.coeffs])
-        raise ValueError(f"cannot promote {self.ring} to {ring}")
+        """View this operator in a coefficient ring containing its own."""
+        if join_rings(self.ring, ring) is not ring:
+            raise ValueError(f"cannot promote {self.ring} to {ring}")
+        return self if ring is self.ring else ShiftOperator(ring, self.coeffs)
 
     def shifted_coeff(self, i, offset, mult=1):
         """Coefficient c_i with its argument rewritten as mult*n + offset."""
@@ -105,8 +114,6 @@ class ShiftOperator:
             raise ValueError("zero scale")
         if self.ring is CoeffRing.CONSTANT:
             return ShiftOperator(self.ring, [c * factor for c in self.coeffs])
-        if self.ring is CoeffRing.POLY_N:
-            return ShiftOperator(self.ring, [c.scale(factor) for c in self.coeffs])
         return ShiftOperator(self.ring, [c.scale(factor) for c in self.coeffs])
 
     def __str__(self):
@@ -263,14 +270,7 @@ def advanced_system(system, steps):
     if steps == 0:
         return system
     op = system.operator
-    if op.ring is CoeffRing.CONSTANT:
-        new_op = op
-    elif op.ring is CoeffRing.POLY_N:
-        new_op = ShiftOperator(
-            op.ring, [c.shift_arg(steps) for c in op.coeffs]
-        )
-    else:
-        new_op = ShiftOperator(op.ring, [c.shift(steps) for c in op.coeffs])
+    new_op = ShiftOperator(op.ring, [op.shifted_coeff(i, steps) for i in range(op.order + 1)])
     new_offset = system.offset  # b is indexed from the same origin
     new_validity = max(system.validity_offset - steps, new_offset)
     needed = new_validity - new_offset + op.order

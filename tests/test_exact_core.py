@@ -12,6 +12,7 @@ from ansatzkit import (
     NumberField,
     Poly,
     QQ,
+    RATIONAL_FIELD,
     RationalFunction,
     left_null_space,
     rank,
@@ -313,6 +314,25 @@ class TestNumberField:
                 getattr(golden, name)(root2)
         assert not golden == root2
         assert golden != root2
+
+    def test_rational_meets_quadratic_field(self):
+        three = RATIONAL_FIELD.from_rational(3)
+        golden = NumberField([-1, -1, 1]).generator()
+        assert three + golden == golden + 3
+        assert golden + three == golden + 3
+        assert three - golden == 3 - golden
+        assert three * golden == golden * 3
+        assert three / golden == 3 / golden
+        assert (three / golden) * golden == 3
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            assert op(three, golden).field == golden.field
+
+    def test_hash_agrees_with_equality_across_fields(self):
+        a = NumberField([-1, -1, 1]).from_rational(3)
+        b = RATIONAL_FIELD.from_rational(3)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 class TestExpPoly:

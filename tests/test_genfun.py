@@ -9,6 +9,7 @@ from ansatzkit import (
     CoeffRing,
     DiffEquation,
     ExpPoly,
+    NumberField,
     Poly,
     QQ,
     RATIONAL_FIELD,
@@ -28,7 +29,7 @@ from ansatzkit import (
     homogenize,
     verify_annihilates,
 )
-from ansatzkit.errors import DenominatorVanishesAtZero
+from ansatzkit.errors import DenominatorVanishesAtZero, UnsupportedField
 from ansatzkit.genfun import falling_basis_constants
 
 import conftest as corpus
@@ -212,6 +213,39 @@ class TestDiffToHolonomic:
         operator, validity = diff_to_holonomic(equation)
         terms = expand_terms(corpus.catalan_system(), 40)
         assert verify_annihilates(operator, terms, validity) is None
+
+
+class TestHolonomicErrorContract:
+    """The holonomic translations reject what the polynomial-coefficient
+    (base 1, rational) case cannot express, with these error types."""
+
+    def test_exponential_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="polynomial-coefficient"):
+            holonomic_to_diff(corpus.doubling_tail_system())
+
+    def test_inhomogeneous_equation_rejected(self):
+        with pytest.raises(ValueError, match="homogeneous"):
+            diff_to_holonomic(rational_equation([[-1], [1]], [1]))
+
+    def test_two_base_equation_rejected(self):
+        equation = DiffEquation(
+            RATIONAL_FIELD,
+            [(1, [x_poly([]), x_poly([1])]), (2, [x_poly([-2])])],
+            None,
+        )
+        with pytest.raises(ValueError, match="single-base"):
+            diff_to_holonomic(equation)
+
+    def test_irrational_coefficient_rejected(self):
+        field = NumberField([-5, 0, 1])  # Q(sqrt 5)
+        root5 = field.generator()
+        equation = DiffEquation(
+            field,
+            [(1, [Poly([root5], field, "x"), Poly([1], field, "x")])],
+            None,
+        )
+        with pytest.raises(UnsupportedField, match="rational coefficients"):
+            diff_to_holonomic(equation)
 
 
 class TestC2ToDiff:

@@ -117,12 +117,15 @@ class TestRoundTrips:
             )
 
     def test_index_translation(self):
+        # the shifted operator comes from ShiftOperator.shifted_coeff in
+        # every coefficient ring
         rng = random.Random(77)
-        for _ in range(20):
-            system = corpus.random_holonomic(rng)
-            steps = rng.randint(1, 3)
-            advanced = advanced_system(system, steps)
-            full = expand_terms(system, 15 + steps)
-            moved = expand_terms(advanced, 15)
-            for n in range(15):
-                assert moved.value(n) == full.value(n + steps)
+        for generate in (corpus.random_holonomic, corpus.random_cfinite, corpus.random_c2):
+            for _ in range(20):
+                system = generate(rng)
+                steps = rng.randint(1, 3)
+                advanced = advanced_system(system, steps)
+                full = expand_terms(system, 15 + steps)
+                moved = expand_terms(advanced, 15)
+                for n in range(15):
+                    assert moved.value(n) == full.value(n + steps)
