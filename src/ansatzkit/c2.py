@@ -7,11 +7,10 @@ exponential polynomials; both normalize into the same canonical store.
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
 from .closedform import cfinite_closed_form
 from .errors import UnsupportedFactorization, ZeroTail
-from .exppoly import ExpPoly, deg
+from .exppoly import deg
 from .polynomials import NEG_INFINITY
 from .sequences import CoeffRing, RecurrenceSystem, expand_terms
 

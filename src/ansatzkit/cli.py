@@ -35,7 +35,7 @@ from .optext import (
     parse_operator,
     parse_recurrence_spec,
 )
-from .sequences import CoeffRing, RecurrenceSystem, Sequence
+from .sequences import CoeffRing, Sequence
 
 EXIT_OK = 0
 EXIT_NO_RESULT = 1

@@ -6,10 +6,13 @@ shifted combination over a finite basis of operand shifts (with
 coefficients in the ring's function field), then read a recurrence off the
 left null space of the resulting matrix.  One driver, ``_closure``, does
 this for all kinds and rings; a per-ring record ``_RINGS`` supplies the
-field, the coefficient lift, the null-vector normaliser and the size
-tie-break.  Cauchy products go through generating functions: rational
-arithmetic for constant coefficients, an ODE null-space construction
-otherwise.
+field, the coefficient lift, the normalised null vectors and the size
+tie-break.  Over constants and exponential polynomials the null space comes
+from Gauss-Jordan over the function field.  Polynomial-coefficient
+relations are read off minors over Z[n] by the fraction-free kernel
+``least_null_vector``, which finds the least-order one directly.  Cauchy
+products go through generating functions: rational arithmetic for
+constant coefficients, an ODE null-space construction otherwise.
 
 ``ORDER_BOUNDS`` is the one table of closure order bounds.  It sizes the
 matrices, checks every result (``BoundViolated``) and is composed over an
@@ -32,12 +35,12 @@ from .exppoly import ExpPolyFraction
 from .fields import RATIONAL_FIELD, as_rational_poly, common_field
 from .genfun import DiffEquation, cfinite_from_rational
 from .linalg import (
-    clear_denominators,
+    FieldAdapter,
     clear_exppoly_denominators,
     exppoly_fraction_adapter,
+    least_null_vector,
     left_null_space,
     rational_adapter,
-    ratfunc_adapter,
 )
 from .polynomials import Poly, QQ, rational_content
 from .ratfunc import RationalFunction
@@ -105,11 +108,17 @@ def _constant_coeffs(vector):
     return scaled
 
 
-def _ratfunc_coeffs(vector):
-    trimmed = list(vector)
-    while not trimmed[-1]:
-        trimmed.pop()
-    return clear_denominators(trimmed)
+def _poly_relations(matrix, var="n"):
+    """The least-order left null vector of a matrix over Q(var) as coprime
+    polynomials, read off minors over Z[var]; empty when there is none."""
+    vector = least_null_vector(matrix)
+    return [] if vector is None else [[Poly(c, QQ, var) for c in vector]]
+
+
+def _ratfunc_field():
+    """Q(n), the field of polynomial-coefficient shift vectors."""
+    one = RationalFunction(Poly([1], QQ, "n"))
+    return FieldAdapter(one - one, one)
 
 
 def _exppoly_sign(e):
@@ -138,7 +147,7 @@ class _RingRules:
 
     adapter: object  # operator -> FieldAdapter of the ring's function field
     lift: object  # ShiftOperator.shifted_coeff value -> field element
-    normalise: object  # nonzero null vector -> canonical coefficient list
+    relations: object  # (matrix, field) -> canonical coefficient lists of null vectors
     size: object  # coefficient list -> tie-break between equal orders
 
 
@@ -146,19 +155,19 @@ _RINGS = {
     CoeffRing.CONSTANT: _RingRules(
         adapter=lambda op: rational_adapter(),
         lift=lambda c: c,
-        normalise=_constant_coeffs,
+        relations=lambda matrix, field: map(_constant_coeffs, left_null_space(matrix, field)),
         size=lambda coeffs: 0,
     ),
     CoeffRing.POLY_N: _RingRules(
-        adapter=lambda op: ratfunc_adapter(RationalFunction(Poly([1], QQ, "n"))),
+        adapter=lambda op: _ratfunc_field(),
         lift=RationalFunction,
-        normalise=_ratfunc_coeffs,
-        size=lambda coeffs: sum(max(c.degree, 0) for c in coeffs if c),
+        relations=lambda matrix, field: _poly_relations(matrix),
+        size=lambda coeffs: 0,  # one candidate: the least-order vector
     ),
     CoeffRing.EXPPOLY: _RingRules(
         adapter=lambda op: exppoly_fraction_adapter(op.leading.field),
         lift=ExpPolyFraction.from_exppoly,
-        normalise=_exppoly_coeffs,
+        relations=lambda matrix, field: map(_exppoly_coeffs, left_null_space(matrix, field)),
         size=lambda coeffs: sum(max(c.deg, 0) + len(c.terms) for c in coeffs if c),
     ),
 }
@@ -269,8 +278,8 @@ def combination_matrix(kind, op_a, op_b=None, mult=1, rows=None):
 # the solution-space driver
 
 
-def _least_relation(matrix, field, rules, bound, probe=None):
-    """Normalised left null vector of ``matrix`` of least (order, size).
+def _least_relation(candidates, rules, bound, probe=None):
+    """The candidate coefficient list of least (order, size).
 
     Returns (coefficients, validity offset).  ``probe`` maps a candidate's
     leading coefficient to its validity offset, or None to drop it; without
@@ -278,8 +287,7 @@ def _least_relation(matrix, field, rules, bound, probe=None):
     error.  Returns None when the probe drops every candidate.
     """
     best = None
-    for vector in left_null_space(matrix, field):
-        coeffs = rules.normalise(vector)
+    for coeffs in candidates:
         validity = probe(coeffs[-1]) if probe else 0
         if validity is None:
             continue
@@ -310,7 +318,7 @@ def _closure(kind, op_a, op_b=None, mult=1):
     for extra in range(MAX_BUMP + 1 if probing else 1):
         matrix = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1 + extra)
         found = _least_relation(
-            matrix, field, rules, bound + extra,
+            rules.relations(matrix, field), rules, bound + extra,
             probe_leading_coefficient if probing else None,
         )
         if found is not None:
@@ -368,7 +376,7 @@ def cfinite_partial_sum(op):
 def holonomic_combine(kind, op_a, op_b=None, mult=1):
     """Solution-space closure for polynomial-coefficient operators.
 
-    The rational-function null vector is cleared to coprime polynomials;
+    The null vector is read off minors over Z[n] as coprime polynomials;
     the caller recomputes the validity offset from the output's leading
     coefficient."""
     return _closure(kind, *_common_ring(op_a, op_b, CoeffRing.POLY_N), mult=mult)[0]
@@ -381,12 +389,20 @@ def holonomic_cauchy(eq_a, eq_b):
     for eq in (eq_a, eq_b):
         if not eq.is_homogeneous or len(eq.terms) != 1:
             raise ValueError("homogeneous single-base equations required")
+    bound = ORDER_BOUNDS[TERMWISE](eq_a.order, eq_b.order)
+    rows = _cauchy_matrix(eq_a, eq_b, bound + 1)
+    polys, _ = _least_relation(_poly_relations(rows, "x"), _RINGS[CoeffRing.POLY_N], bound)
+    return DiffEquation(RATIONAL_FIELD, [(1, polys)], None)
+
+
+def _cauchy_matrix(eq_a, eq_b, rows):
+    """Row t expresses the t-th derivative of the product over the products
+    of the operands' derivative bases (Leibniz rule), over Q(x)."""
     r1, r2 = eq_a.order, eq_b.order
-    bound = ORDER_BOUNDS[TERMWISE](r1, r2)
     rep_a = _DerivativeRep(eq_a)
     rep_b = _DerivativeRep(eq_b)
-    rows = []
-    for t in range(bound + 1):
+    matrix = []
+    for t in range(rows):
         row = [rep_a.zero] * (r1 * r2)
         for u in range(t + 1):
             factor = math.comb(t, u)
@@ -398,10 +414,8 @@ def holonomic_cauchy(eq_a, eq_b):
                 for j in range(r2):
                     if vb[j]:
                         row[i * r2 + j] = row[i * r2 + j] + left * vb[j]
-        rows.append(row)
-    field = ratfunc_adapter(RationalFunction(Poly([1], QQ, "x")))
-    polys, _ = _least_relation(rows, field, _RINGS[CoeffRing.POLY_N], bound)
-    return DiffEquation(RATIONAL_FIELD, [(1, polys)], None)
+        matrix.append(row)
+    return matrix
 
 
 class _DerivativeRep:

@@ -173,8 +173,11 @@ class ExpPoly:
             raise ValueError("argument multiplier must be >= 1")
         out = []
         for base, poly in self.terms:
-            new_poly = poly.compose_linear(mult, offset).scale(base ** offset)
-            out.append((base ** mult, new_poly))
+            new_poly = poly.compose_linear(mult, offset)
+            if base == self.field.one:  # a polynomial term: no powers
+                out.append((base, new_poly))
+            else:
+                out.append((base ** mult, new_poly.scale(base ** offset)))
         return ExpPoly(self.field, out)
 
     def evaluate(self, n):

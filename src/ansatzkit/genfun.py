@@ -417,24 +417,26 @@ def c2_to_diff(system):
         if not coeff:
             continue
         for base, poly in coeff.terms:
-            inv_base_t = base ** (-t)
+            unit = base == field.one  # every holonomic term: no powers needed
+            inv_base_t = None if unit else base ** (-t)
             for s in range(poly.degree + 1):
                 b = poly.coefficient(s)
                 if not b:
                     continue
+                b_t = b if unit else b * inv_base_t
                 constants = falling_basis_constants(s, t)
                 key = base.sort_key()
                 slot = lhs.setdefault(key, (base, {}))[1]
                 for j, cj in enumerate(constants):
                     if not cj:
                         continue
-                    factor = b * inv_base_t * field.coerce(cj)
+                    factor = b_t * field.coerce(cj)
                     term = Poly([field.zero] * (j + r - t) + [factor], field, "x")
                     slot[j] = slot.get(j, Poly([], field, "x")) + term
                 rhs_piece = [field.zero] * r
                 for n in range(t):
                     rhs_piece[n + r - t] = rhs_piece[n + r - t] + (
-                        b * (base ** (n - t)) * (Fraction(n - t) ** s * a[n])
+                        (b if unit else b * base ** (n - t)) * (Fraction(n - t) ** s * a[n])
                     )
                 rhs = rhs + Poly(rhs_piece, field, "x")
     terms = []
@@ -458,6 +460,7 @@ def diff_to_c2(equation):
     k = equation.degree
     coeff_terms = [[] for _ in range(r + k + 1)]
     for base, coeffs in equation.terms:
+        unit = base == field.one
         for t, q in enumerate(coeffs):
             if not q:
                 continue
@@ -466,7 +469,9 @@ def diff_to_c2(equation):
                 if not b:
                     continue
                 shift = k + t - s
-                poly = falling_factorial_poly(shift, t, field).scale(b * base ** shift)
+                poly = falling_factorial_poly(shift, t, field).scale(
+                    b if unit else b * base ** shift
+                )
                 coeff_terms[shift].append((base, poly))
     exppolys = [ExpPoly(field, terms) for terms in coeff_terms]
     while exppolys and not exppolys[-1]:

@@ -30,7 +30,6 @@ from .polynomials import Poly, QQ, rational_content
 from .sequences import (
     CoeffRing,
     RecurrenceSystem,
-    Sequence,
     ShiftOperator,
     leading_validity_offset,
     verify_annihilates,

@@ -1,16 +1,22 @@
-"""Exact Gaussian elimination over pluggable fields.
+"""Exact linear algebra: one field kernel and one ring kernel.
 
-There is one elimination kernel, ``_eliminate``: ``rref``, ``rank``,
-``solve_linear`` and ``left_null_space`` all read their answers off its
-reduced matrix and pivot list.  A small adapter carries the field's
-zero/one and a pivot-quality hook.  Over honest fields (rationals,
-rational functions, number fields) every nonzero entry is an equally good
-pivot.  Over the formal fraction ring of exponential polynomials some
-nonzero entries vanish at infinitely many indices; the null-space routine
-there prefers unit pivots, which is what steers degenerate combinations
-towards relations with a usable leading coefficient.
+The field kernel, ``_eliminate``, is Gauss-Jordan over a pluggable field:
+``rref``, ``rank``, ``solve_linear`` and ``left_null_space`` all read
+their answers off its reduced matrix and pivot list.  A small adapter
+carries the field's zero/one and a pivot-quality hook.  Over honest fields
+(rationals, number fields) every nonzero entry is an equally good pivot.
+Over the formal fraction ring of exponential polynomials some nonzero
+entries vanish at infinitely many indices; the null-space routine there
+prefers unit pivots, which is what steers degenerate combinations towards
+relations with a usable leading coefficient.
 
-Beside the exact kernel sits one modular test, ``independent_mod_p``: it
+The ring kernel, ``least_null_vector``, finds the least-order left null
+vector of a matrix of rational functions without forming a fraction: each
+equation is cleared to integer polynomials and a fraction-free
+(Bareiss) Gauss-Jordan over Z[x] reads the vector off minors, which are
+normalised once, on integers.
+
+Beside the exact kernels sits one modular test, ``independent_mod_p``: it
 decides whether rows of residues are linearly independent modulo the
 fixed prime ``PRIME``.  The guessers run it before exact elimination,
 because independence mod p proves independence over Q and most shapes
@@ -19,9 +25,10 @@ they try have no relation at all.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import InternalError
-from .polynomials import Poly, poly_gcd, poly_lcm, rational_content
+from .polynomials import Poly, QQ, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -38,11 +45,6 @@ def rational_adapter():
 
 def numberfield_adapter(field):
     return FieldAdapter(field.zero, field.one)
-
-
-def ratfunc_adapter(rf_one):
-    """Adapter from a sample one-element of the rational function field."""
-    return FieldAdapter(rf_one - rf_one, rf_one)
 
 
 def exppoly_fraction_adapter(field):
@@ -204,39 +206,15 @@ def solve_linear(rows, rhs, field):
 
 
 def clear_denominators(vector):
-    """Turn a rational-function vector into a coprime polynomial vector.
-
-    Multiplies by the least common denominator, divides out the polynomial
-    and rational content, and fixes the sign so the highest-index nonzero
-    entry has a positive leading rational.
-    """
+    """Turn a vector of rational functions over Q into a coprime polynomial
+    vector: multiplied through by one common factor, with the polynomial
+    and integer content divided out and the highest-index nonzero entry's
+    leading coefficient positive."""
     entries = list(vector)
-    nonzero = [e for e in entries if e]
-    if not nonzero:
+    if not any(entries):
         raise ValueError("cannot normalize the zero vector")
-    sample = nonzero[0].num
-    lcd = Poly([1], sample.domain, sample.var)
-    for e in nonzero:
-        lcd = poly_lcm(lcd, e.den)
-    polys = []
-    for e in entries:
-        if e:
-            polys.append(e.num * lcd.exact_div(e.den))
-        else:
-            polys.append(Poly([], sample.domain, sample.var))
-    shared = Poly([], sample.domain, sample.var)
-    for p in polys:
-        if p:
-            shared = poly_gcd(shared, p) if shared else p.monic()
-    if shared.degree > 0:
-        polys = [p.exact_div(shared) if p else p for p in polys]
-    content = rational_content([c for p in polys for c in p.coeffs])
-    if content and content != 1:
-        polys = [p.scale(Fraction(1) / content) for p in polys]
-    top = max(i for i, p in enumerate(polys) if p)
-    if polys[top].leading < 0:
-        polys = [-p for p in polys]
-    return polys
+    var = entries[0].num.var
+    return [Poly(c, QQ, var) for c in _primitive_vector(_cleared(entries))]
 
 
 def clear_exppoly_denominators(vector):
@@ -264,3 +242,235 @@ def clear_exppoly_denominators(vector):
             raise InternalError("common denominator failed to clear")
         out.append(value.expanded_num())
     return out
+
+
+# ---------------------------------------------------------------------------
+# the ring kernel: fraction-free elimination over Z[x]
+#
+# An integer polynomial is a list of ints, lowest power first, without
+# trailing zeros; the zero polynomial is the empty list.
+
+
+def _zx_mul(a, b):
+    """Product by Kronecker substitution: both factors packed into integers
+    at x = 2**k, with k wide enough for every coefficient of the product,
+    multiplied once and unpacked as signed k-bit digits."""
+    if not a or not b:
+        return []
+    k = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    product = _zx_pack(a, k) * _zx_pack(b, k)
+    out = []
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    for _ in range(len(a) + len(b) - 1):
+        digit = product & mask
+        product >>= k
+        if digit >= half:
+            digit -= 1 << k
+            product += 1
+        out.append(digit)
+    while not out[-1]:
+        out.pop()
+    return out
+
+
+def _zx_pack(a, k):
+    value = 0
+    for c in reversed(a):
+        value = (value << k) + c
+    return value
+
+
+def _zx_sub(a, b):
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = [x - y for x, y in zip(a, b)] + a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zx_quotient(a, b):
+    """a / b in Z[x], or None when b does not divide a there."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if a else []
+    rem = list(a)
+    lead = b[-1]
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        if not rem[i]:
+            continue
+        q, r = divmod(rem[i], lead)
+        if r:
+            return None
+        quot[i - db] = q
+        for j in range(db):
+            rem[i - db + j] -= q * b[j]
+    if any(rem[:db]):
+        return None
+    return quot
+
+
+def _zx_exact_div(a, b):
+    """a / b in Z[x]; a remainder means a broken minor, an internal error."""
+    if b == [1]:
+        return a
+    quotient = _zx_quotient(a, b)
+    if quotient is None:
+        raise InternalError("integer polynomial division is not exact")
+    return quotient
+
+
+def _zx_primitive(a):
+    """The primitive part of a nonzero a, with a positive leading coefficient."""
+    content = gcd(*a)
+    if a[-1] < 0:
+        content = -content
+    return a if content == 1 else [c // content for c in a]
+
+
+def _over_common_denominator(coeffs):
+    """Rational coefficients as (integer coefficients, common denominator)."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+
+
+def _heuristic_gcd(a, b):
+    """The gcd of two primitive integer polynomials of positive degree by
+    evaluation (Char, Geddes and Gonnet, "GCDHEU", 1989), or None.
+
+    The integer gcd of a(xi) and b(xi) is expanded into xi-adic digits.
+    Since xi > 2 min(|a|, |b|) + 1, their primitive part is the gcd exactly
+    when it divides both operands, which each try checks; None when no try
+    passes.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        h = gcd(_zx_value(a, xi), _zx_value(b, xi))
+        digits = []
+        while h:
+            digit = h % xi
+            if 2 * digit > xi:
+                digit -= xi
+            digits.append(digit)
+            h = (h - digit) // xi
+        candidate = _zx_primitive(digits)
+        if _zx_quotient(a, candidate) is not None and _zx_quotient(b, candidate) is not None:
+            return candidate
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _zx_value(a, point):
+    acc = 0
+    for c in reversed(a):
+        acc = acc * point + c
+    return acc
+
+
+def _zx_gcd(a, b):
+    """gcd of two primitive integer polynomials, primitive with a positive
+    leading coefficient; ``poly_gcd`` over Q decides when the heuristic fails."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    found = _heuristic_gcd(a, b)
+    if found is None:
+        found = _zx_primitive(_over_common_denominator(poly_gcd(Poly(a), Poly(b)).coeffs)[0])
+    return found
+
+
+def _primitive_vector(vector):
+    """Divide out the polynomial gcd and the integer content of the entries,
+    and make the leading coefficient of the last nonzero entry positive."""
+    parts = [_zx_primitive(v) for v in vector if v]
+    shared = parts[0]
+    for part in parts[1:]:
+        if len(shared) == 1:
+            break
+        shared = _zx_gcd(shared, part)
+    vector = [_zx_exact_div(v, shared) if v else v for v in vector]
+    content = gcd(*(c for v in vector for c in v))
+    if next(v for v in reversed(vector) if v)[-1] < 0:
+        content = -content
+    return [[c // content for c in v] for v in vector]
+
+
+def _cleared(entries):
+    """Rational functions num/den over Q, times one common factor, as
+    integer polynomials.
+
+    The factor is the lcm L of the primitive parts D of the denominators,
+    then the lcm of the remaining coefficient denominators: num/den with
+    den = D/D[-1] times L is D[-1] num (L/D).
+    """
+    denominators = {
+        den: _zx_primitive(_over_common_denominator(den.coeffs)[0])
+        for den in dict.fromkeys(e.den for e in entries if e)
+    }
+    lcd = [1]
+    for d in denominators.values():
+        lcd = _zx_mul(lcd, _zx_exact_div(d, _zx_gcd(lcd, d)))
+    scaled = []  # (integer polynomial, integer denominator) per entry
+    for e in entries:
+        if not e:
+            scaled.append(([], 1))
+            continue
+        d = denominators[e.den]
+        factor = [c * d[-1] for c in _zx_exact_div(lcd, d)]
+        num, den = _over_common_denominator(e.num.coeffs)
+        scaled.append((_zx_mul(num, factor), den))
+    scale = lcm(*(den for _, den in scaled))
+    return [[c * (scale // den) for c in p] for p, den in scaled]
+
+
+def least_null_vector(rows):
+    """The left null vector of least order of a matrix of rational
+    functions (``num``/``den`` over Q), or None when the null space is
+    trivial.  Entries are integer polynomials: coprime, with a positive
+    leading coefficient in the last entry, which is nonzero.
+
+    A fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on the
+    transposed, cleared matrix, with the pivot rule of ``_eliminate``
+    (leftmost column, first unused row), so the pivot columns are those of
+    the reduced form over Q(x).  Each step sets M[i][j] = (piv M[i][j] -
+    M[i][c] M[p][j]) / prev for every other row, an exact division because
+    every entry is a minor.  The basis vector of the first free column f
+    has order exactly f, so it is the least-order one: the elimination
+    stops at f and reads it off as v[f] = prev, v[c] = -M[r][f] for each
+    pivot (r, c).
+    """
+    if not rows:
+        return None
+    n_rows = len(rows)
+    # each column is one equation; scaling equations keeps the null space
+    m = [_cleared([row[col] for row in rows]) for col in range(len(rows[0]))]
+    unused = list(range(len(m)))
+    pivots = []
+    prev = [1]
+    for col in range(n_rows):
+        p = next((r for r in unused if m[r][col]), None)
+        if p is None:
+            vector = [[] for _ in range(col + 1)]
+            vector[col] = prev
+            for r, c in pivots:
+                vector[c] = [-x for x in m[r][col]]
+            return _primitive_vector(vector)
+        unused.remove(p)
+        pivot_row = m[p]
+        piv = pivot_row[col]
+        for i, row in enumerate(m):
+            if i == p:
+                continue
+            factor = row[col]
+            for j in range(col + 1, n_rows):
+                row[j] = _zx_exact_div(
+                    _zx_sub(_zx_mul(piv, row[j]), _zx_mul(factor, pivot_row[j])), prev
+                )
+        pivots.append((p, col))
+        prev = piv
+    return None

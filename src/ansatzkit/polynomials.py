@@ -8,7 +8,7 @@ be compared with ``max``/``<=`` directly.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import InternalError
 
@@ -277,12 +277,6 @@ def poly_gcd(a, b):
     return a.monic() if a else a
 
 
-def poly_lcm(a, b):
-    if not a or not b:
-        return a.spawn([])
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
-
-
 def squarefree_decomposition(p):
     """Yun's algorithm: list of (squarefree factor, multiplicity), monic factors."""
     if p.degree <= 0:
@@ -375,6 +369,50 @@ def rational_roots(p):
         if multiplicity:
             roots.append((candidate, multiplicity))
     return roots, work.monic()
+
+
+def _ceil_root(x, k):
+    """The least integer r >= 0 with r**k >= x, for integers x >= 0, k >= 1."""
+    if x <= 1:
+        return x
+    r = 1 << -(-x.bit_length() // k)  # r**k > x
+    while True:  # Newton's iteration descends to the floor of the root
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r ** k >= x else r + 1
+
+
+def largest_natural_root(p):
+    """The largest nonnegative integer root of a nonzero QQ polynomial, or
+    None when it has none.
+
+    A positive integer root divides the lowest nonzero coefficient and is
+    at most Fujiwara's bound 2 max_i |c_(d-i)/c_d|^(1/i); the candidates
+    come from whichever of the two is cheaper to enumerate.
+    """
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in p.coeffs]
+    zero_root = not ints[0]
+    while not ints[0]:
+        ints.pop(0)
+    low, lead, degree = abs(ints[0]), abs(ints[-1]), len(ints) - 1
+    bound = 0
+    for i in range(1, degree + 1):
+        bound = max(bound, 2 * _ceil_root(-(-abs(ints[degree - i]) // lead), i))
+    bound = min(bound, low)
+    if bound <= isqrt(low):
+        candidates = (k for k in range(bound, 0, -1) if not low % k)
+    else:
+        candidates = (k for k in reversed(_divisors(low)) if k <= bound)
+    for k in candidates:
+        value = 0
+        for c in reversed(ints):
+            value = value * k + c
+        if not value:
+            return k
+    return 0 if zero_root else None
 
 
 def binomial(n, k):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import InsufficientData, LeadingCoefficientZero
 from .exppoly import ExpPoly
 from .fields import RATIONAL_FIELD, common_field
-from .polynomials import Poly, QQ, rational_roots
+from .polynomials import Poly, QQ, largest_natural_root
 
 
 class CoeffRing(enum.Enum):
@@ -250,15 +250,8 @@ def leading_validity_offset(operator):
     if operator.ring is CoeffRing.CONSTANT:
         return 0
     if operator.ring is CoeffRing.POLY_N:
-        lead = operator.leading
-        if lead.degree == 0:
-            return 0
-        roots, _ = rational_roots(lead)
-        best = -1
-        for root, _mult in roots:
-            if root.denominator == 1 and root >= 0:
-                best = max(best, int(root))
-        return best + 1
+        root = largest_natural_root(operator.leading)
+        return 0 if root is None else root + 1
     raise ValueError("exponential leading coefficients are probed, not solved")
 
 

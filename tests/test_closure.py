@@ -525,6 +525,24 @@ class TestTypedChecks:
             ]
         assert offenders == []
 
+    def test_no_unused_module_imports(self):
+        package = os.path.join(self.SRC, "ansatzkit")
+        offenders = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py") or name == "__init__.py":
+                continue  # the package's __init__ imports to re-export
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    offenders += [
+                        f"{name}:{node.lineno} {alias.asname or alias.name}"
+                        for alias in node.names
+                        if (alias.asname or alias.name.split(".")[0]) not in used
+                    ]
+        assert offenders == []
+
     def test_bound_violated_under_optimize(self):
         script = textwrap.dedent(
             """
@@ -572,3 +590,176 @@ class TestTypedChecks:
         code = main(["closure", "--kind", "cauchy", "N^2-N-1;0,1", "N-2;1"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: result order 9 exceeds")
+
+
+def _poly_n(*coeff_lists):
+    return ShiftOperator(CoeffRing.POLY_N, [Poly(c, QQ, "n") for c in coeff_lists])
+
+
+class TestFractionFreeKernel:
+    """``least_null_vector`` against the field kernel over Q(n) and Q(x)."""
+
+    @staticmethod
+    def reference(matrix):
+        """clear_denominators of the least-order ``left_null_space`` vector."""
+        from ansatzkit.linalg import FieldAdapter, left_null_space
+
+        sample = next(e for row in matrix for e in row)
+        one = RationalFunction(Poly([1], QQ, sample.num.var))
+        basis = left_null_space(matrix, FieldAdapter(one - one, one))
+        if not basis:
+            return None
+        orders = [max(i for i, e in enumerate(v) if e) for v in basis]
+        least = basis[orders.index(min(orders))]
+        return clear_denominators(least[: min(orders) + 1])
+
+    @staticmethod
+    def kernel(matrix, var):
+        from ansatzkit.linalg import least_null_vector
+
+        vector = least_null_vector(matrix)
+        return None if vector is None else [Poly(c, QQ, var) for c in vector]
+
+    @staticmethod
+    def random_operator(rng, order):
+        coeffs = [[rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] for _ in range(order)]
+        return _poly_n(*coeffs, [rng.randint(1, 4), rng.randint(0, 2)])
+
+    def test_matches_field_kernel_on_combination_matrices(self):
+        rng = random.Random(2024)
+        checked = 0
+        for _ in range(6):
+            a = self.random_operator(rng, rng.randint(1, 2))
+            b = self.random_operator(rng, rng.randint(1, 2))
+            matrices = [
+                combination_matrix(ADD, a, b),
+                combination_matrix(TERMWISE, a, b),
+                combination_matrix(PARTIAL_SUM, a),
+                combination_matrix(SUBSEQUENCE, a, mult=rng.randint(2, 3)),
+            ]
+            for matrix in matrices:
+                expected = self.reference(matrix)
+                assert expected is not None
+                assert self.kernel(matrix, "n") == expected
+                checked += 1
+        assert checked == 24
+
+    def test_matches_field_kernel_on_cauchy_rows(self):
+        from ansatzkit.closure import _cauchy_matrix
+
+        rng = random.Random(7)
+        for _ in range(4):
+            systems = []
+            for _ in range(2):
+                op = self.random_operator(rng, 1)
+                systems.append(RecurrenceSystem(op, [rng.randint(1, 5)]))
+            eq_a, eq_b = (homogenize(holonomic_to_diff(s)) for s in systems)
+            matrix = _cauchy_matrix(eq_a, eq_b, eq_a.order * eq_b.order + 1)
+            expected = self.reference(matrix)
+            assert expected is not None
+            assert self.kernel(matrix, "x") == expected
+
+    def test_empty_null_space(self):
+        from ansatzkit.linalg import least_null_vector
+
+        n = Poly([0, 1], QQ, "n")
+        one = RationalFunction(Poly([1], QQ, "n"))
+        zero = one - one
+        matrix = [
+            [RationalFunction(n + 1), zero, one],
+            [RationalFunction(Poly([1], QQ, "n"), n + 2), one, zero],
+        ]
+        assert least_null_vector(matrix) is None
+        assert self.reference(matrix) is None
+        short = combination_matrix(
+            ADD, corpus.catalan_system().operator, corpus.harmonic_from_zero().operator, rows=3
+        )
+        assert least_null_vector(short) is None
+        assert self.reference(short) is None
+
+    def test_exact_division_in_zx(self):
+        from ansatzkit.errors import InternalError
+        from ansatzkit.linalg import _zx_exact_div
+
+        assert _zx_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+        assert _zx_exact_div([6, 4], [2]) == [3, 2]
+        with pytest.raises(InternalError):
+            _zx_exact_div([1, 0, 1], [1, 1])  # remainder 2
+        with pytest.raises(InternalError):
+            _zx_exact_div([1, 2], [2])  # quotient 1/2 + x is not integral
+        with pytest.raises(InternalError):
+            _zx_exact_div([1], [1, 1])  # lower degree, nonzero
+
+    @staticmethod
+    def gcd_pairs():
+        rng = random.Random(99)
+
+        def poly(degree, bits):
+            coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(degree)]
+            return coeffs + [rng.randint(1, 2**bits)]
+
+        from ansatzkit.linalg import _zx_mul, _zx_primitive
+
+        pairs = []
+        for bits in (2, 2, 5, 5, 8, 200):
+            shared = poly(rng.randint(0, 3), bits)
+            a = _zx_mul(shared, poly(rng.randint(1, 4), bits))
+            b = _zx_mul(shared, poly(rng.randint(1, 4), bits))
+            pairs.append((_zx_primitive(a), _zx_primitive(b)))
+        return pairs
+
+    @staticmethod
+    def same_up_to_unit(zx, expected):
+        return Poly(zx, QQ, "n").monic() == expected.monic()
+
+    def test_heuristic_gcd_matches_poly_gcd(self):
+        from ansatzkit.linalg import _heuristic_gcd, _zx_gcd
+        from ansatzkit.polynomials import poly_gcd
+
+        for a, b in self.gcd_pairs():
+            expected = poly_gcd(Poly(a, QQ, "n"), Poly(b, QQ, "n"))
+            assert _heuristic_gcd(a, b) is not None
+            assert self.same_up_to_unit(_zx_gcd(a, b), expected)
+
+    def test_gcd_falls_back_to_poly_gcd(self, monkeypatch):
+        from ansatzkit import linalg
+        from ansatzkit.polynomials import poly_gcd
+
+        monkeypatch.setattr(linalg, "_heuristic_gcd", lambda a, b: None)
+        for a, b in self.gcd_pairs():
+            expected = poly_gcd(Poly(a, QQ, "n"), Poly(b, QQ, "n"))
+            found = linalg._zx_gcd(a, b)
+            assert self.same_up_to_unit(found, expected)
+            assert found[-1] > 0
+
+
+class TestLargeHolonomicProducts:
+    """Term-wise products of two order-3 operators, which the Q(n)
+    elimination could not finish: order at most 9, annihilating the
+    directly multiplied terms from the validity offset on."""
+
+    def check(self, op_a, op_b):
+        sys_a = RecurrenceSystem(op_a, [1, 2, 3])
+        sys_b = RecurrenceSystem(op_b, [1, -1, 2])
+        result = combine(TERMWISE, sys_a, sys_b)
+        assert result.operator.order <= 9
+        a = expand_terms(sys_a, 40).terms
+        b = expand_terms(sys_b, 40).terms
+        product = Sequence([x * y for x, y in zip(a, b)])
+        assert verify_annihilates(result.operator, product, result.validity_offset) is None
+        assert expand_terms(result, 40).terms[:40] == product.terms
+
+    def test_dense_order_three_product(self):
+        # A = (2n+1) + (n-3)N + (2-n)N^2 + (n+1)N^3
+        # B = (2-n) + (3n+1)N + (2n-1)N^2 + (n+3)N^3
+        self.check(
+            _poly_n([1, 2], [-3, 1], [2, -1], [1, 1]),
+            _poly_n([2, -1], [1, 3], [-1, 2], [3, 1]),
+        )
+
+    def test_sparse_order_three_product(self):
+        # degree-1 coefficients only at the ends
+        self.check(
+            _poly_n([2, 1], [3], [-1], [1, 1]),
+            _poly_n([-1, 2], [1], [2], [3, 1]),
+        )

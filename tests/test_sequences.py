@@ -96,6 +96,35 @@ class TestLeadingValidityOffset:
         op = ShiftOperator(CoeffRing.POLY_N, [Poly([1]), lead])
         assert leading_validity_offset(op) == 4
 
+    def test_matches_rational_roots(self):
+        from ansatzkit.polynomials import largest_natural_root, rational_roots
+
+        rng = random.Random(5)
+        for _ in range(300):
+            p = Poly([Fraction(rng.randint(1, 5), rng.randint(1, 3))], QQ, "n")
+            for _ in range(rng.randint(0, 4)):
+                if rng.random() < 0.6:
+                    factor = [rng.randint(-30, 30), rng.randint(1, 3)]
+                else:
+                    factor = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+                    factor.append(rng.randint(1, 5))
+                p = p * Poly(factor, QQ, "n")
+            naturals = [
+                int(root) for root, _ in rational_roots(p)[0]
+                if root.denominator == 1 and root >= 0
+            ] if p.degree > 0 else []
+            assert largest_natural_root(p) == max(naturals, default=None)
+
+    def test_huge_constant_term(self):
+        # the constant term has 126 bits, far beyond trial division;
+        # the root bound leaves a few thousand candidates
+        lead = Poly([-40, 1], QQ, "n")
+        for prime in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                      53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
+            lead = lead * Poly([prime, 1], QQ, "n")
+        op = ShiftOperator(CoeffRing.POLY_N, [Poly([1]), lead])
+        assert leading_validity_offset(op) == 41
+
 
 class TestRoundTrips:
     def test_expansion_always_verifies(self):
