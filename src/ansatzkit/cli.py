@@ -87,9 +87,7 @@ def _load_sequence(args):
         text = fh.read()
     stripped = [line for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")]
     if stripped and all(len(line.split()) == 2 for line in stripped):
-        entries = oeis.parse_bfile(text)
-        offset = entries[0][0]
-        return Sequence([v for _, v in entries], max(offset, 0))
+        return oeis._sequence_from_entries(oeis.parse_bfile(text), args.file)
     values = [Fraction(tok) for tok in text.replace(",", " ").split()]
     return Sequence(values, args.offset)
 

@@ -42,7 +42,7 @@ from .linalg import (
     left_null_space,
     rational_adapter,
 )
-from .polynomials import Poly, QQ, rational_content
+from .polynomials import Poly, QQ, _over_common_denominator, _zx_primitive
 from .ratfunc import RationalFunction
 from .sequences import (
     CoeffRing,
@@ -88,24 +88,6 @@ def _check_bound(order, bound):
 
 # ---------------------------------------------------------------------------
 # per-ring rules
-
-
-def _constant_coeffs(vector):
-    """Coprime integer coefficients with a positive leading one."""
-    values = list(vector)
-    while not values[-1]:
-        values.pop()
-    denominators = 1
-    for v in values:
-        denominators = denominators * v.denominator // math.gcd(
-            denominators, v.denominator
-        )
-    scaled = [v * denominators for v in values]
-    content = rational_content(scaled)
-    scaled = [v / content for v in scaled]
-    if scaled[-1] < 0:
-        scaled = [-v for v in scaled]
-    return scaled
 
 
 def _poly_relations(matrix, var="n"):
@@ -155,7 +137,12 @@ _RINGS = {
     CoeffRing.CONSTANT: _RingRules(
         adapter=lambda op: rational_adapter(),
         lift=lambda c: c,
-        relations=lambda matrix, field: map(_constant_coeffs, left_null_space(matrix, field)),
+        # a null vector read as a polynomial in N: coprime integers with a
+        # positive last entry are its primitive part
+        relations=lambda matrix, field: (
+            _zx_primitive(_over_common_denominator(Poly(v).coeffs)[0])
+            for v in left_null_space(matrix, field)
+        ),
         size=lambda coeffs: 0,
     ),
     CoeffRing.POLY_N: _RingRules(

@@ -14,7 +14,8 @@ The ring kernel, ``least_null_vector``, finds the least-order left null
 vector of a matrix of rational functions without forming a fraction: each
 equation is cleared to integer polynomials and a fraction-free
 (Bareiss) Gauss-Jordan over Z[x] reads the vector off minors, which are
-normalised once, on integers.
+normalised once, on integers.  Its integer-polynomial arithmetic comes
+from ``polynomials``.
 
 Beside the exact kernels sits one modular test, ``independent_mod_p``: it
 decides whether rows of residues are linearly independent modulo the
@@ -25,10 +26,19 @@ they try have no relation at all.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import InternalError
-from .polynomials import Poly, QQ, poly_gcd
+from .polynomials import (
+    Poly,
+    QQ,
+    _over_common_denominator,
+    _zx_exact_div,
+    _zx_gcd,
+    _zx_mul,
+    _zx_primitive,
+    _zx_sub,
+)
 
 
 @dataclass(frozen=True)
@@ -245,143 +255,8 @@ def clear_exppoly_denominators(vector):
 
 
 # ---------------------------------------------------------------------------
-# the ring kernel: fraction-free elimination over Z[x]
-#
-# An integer polynomial is a list of ints, lowest power first, without
-# trailing zeros; the zero polynomial is the empty list.
-
-
-def _zx_mul(a, b):
-    """Product by Kronecker substitution: both factors packed into integers
-    at x = 2**k, with k wide enough for every coefficient of the product,
-    multiplied once and unpacked as signed k-bit digits."""
-    if not a or not b:
-        return []
-    k = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
-    product = _zx_pack(a, k) * _zx_pack(b, k)
-    out = []
-    mask, half = (1 << k) - 1, 1 << (k - 1)
-    for _ in range(len(a) + len(b) - 1):
-        digit = product & mask
-        product >>= k
-        if digit >= half:
-            digit -= 1 << k
-            product += 1
-        out.append(digit)
-    while not out[-1]:
-        out.pop()
-    return out
-
-
-def _zx_pack(a, k):
-    value = 0
-    for c in reversed(a):
-        value = (value << k) + c
-    return value
-
-
-def _zx_sub(a, b):
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    out = [x - y for x, y in zip(a, b)] + a[len(b):]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zx_quotient(a, b):
-    """a / b in Z[x], or None when b does not divide a there."""
-    db = len(b) - 1
-    if len(a) <= db:
-        return None if a else []
-    rem = list(a)
-    lead = b[-1]
-    quot = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if not rem[i]:
-            continue
-        q, r = divmod(rem[i], lead)
-        if r:
-            return None
-        quot[i - db] = q
-        for j in range(db):
-            rem[i - db + j] -= q * b[j]
-    if any(rem[:db]):
-        return None
-    return quot
-
-
-def _zx_exact_div(a, b):
-    """a / b in Z[x]; a remainder means a broken minor, an internal error."""
-    if b == [1]:
-        return a
-    quotient = _zx_quotient(a, b)
-    if quotient is None:
-        raise InternalError("integer polynomial division is not exact")
-    return quotient
-
-
-def _zx_primitive(a):
-    """The primitive part of a nonzero a, with a positive leading coefficient."""
-    content = gcd(*a)
-    if a[-1] < 0:
-        content = -content
-    return a if content == 1 else [c // content for c in a]
-
-
-def _over_common_denominator(coeffs):
-    """Rational coefficients as (integer coefficients, common denominator)."""
-    scale = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
-
-
-def _heuristic_gcd(a, b):
-    """The gcd of two primitive integer polynomials of positive degree by
-    evaluation (Char, Geddes and Gonnet, "GCDHEU", 1989), or None.
-
-    The integer gcd of a(xi) and b(xi) is expanded into xi-adic digits.
-    Since xi > 2 min(|a|, |b|) + 1, their primitive part is the gcd exactly
-    when it divides both operands, which each try checks; None when no try
-    passes.
-    """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    for _ in range(6):
-        h = gcd(_zx_value(a, xi), _zx_value(b, xi))
-        digits = []
-        while h:
-            digit = h % xi
-            if 2 * digit > xi:
-                digit -= xi
-            digits.append(digit)
-            h = (h - digit) // xi
-        candidate = _zx_primitive(digits)
-        if _zx_quotient(a, candidate) is not None and _zx_quotient(b, candidate) is not None:
-            return candidate
-        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
-    return None
-
-
-def _zx_value(a, point):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * point + c
-    return acc
-
-
-def _zx_gcd(a, b):
-    """gcd of two primitive integer polynomials, primitive with a positive
-    leading coefficient; ``poly_gcd`` over Q decides when the heuristic fails."""
-    if len(a) == 1 or len(b) == 1:
-        return [1]
-    found = _heuristic_gcd(a, b)
-    if found is None:
-        found = _zx_primitive(_over_common_denominator(poly_gcd(Poly(a), Poly(b)).coeffs)[0])
-    return found
+# the ring kernel: fraction-free elimination over Z[x], on the integer
+# polynomials of ``polynomials``
 
 
 def _primitive_vector(vector):

@@ -5,6 +5,13 @@ The coefficient field is described by a lightweight domain object with
 singleton and algebraic extensions plug in a ``NumberField``.  Degree of
 the zero polynomial is the ``NEG_INFINITY`` sentinel so degree bounds can
 be compared with ``max``/``<=`` directly.
+
+Polynomials over Q have a second form: integer coefficient lists (the
+``_zx_*`` helpers), which the fraction-free ring kernel of ``linalg`` and
+the root search share.  ``rational_roots`` and ``largest_natural_root``
+run one root search, by p-adic lifting on the squarefree part, in time
+polynomial in the degree and the coefficients' bit size: its lifts stop
+above twice Cauchy's bound on a times a root, a the leading coefficient.
 """
 
 from fractions import Fraction
@@ -314,105 +321,216 @@ def rational_content(values):
     return Fraction(num, den) if num else Fraction(0)
 
 
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+# -- integer polynomials -----------------------------------------------------
+#
+# A list of ints, lowest power first, without trailing zeros; the zero
+# polynomial is the empty list.
+
+
+def _zx_mul(a, b):
+    """Product by Kronecker substitution: both factors packed into integers
+    at x = 2**k, with k wide enough for every coefficient of the product,
+    multiplied once and unpacked as signed k-bit digits."""
+    if not a or not b:
+        return []
+    k = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    product = _zx_pack(a, k) * _zx_pack(b, k)
+    out = []
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    for _ in range(len(a) + len(b) - 1):
+        digit = product & mask
+        product >>= k
+        if digit >= half:
+            digit -= 1 << k
+            product += 1
+        out.append(digit)
+    while not out[-1]:
+        out.pop()
+    return out
+
+
+def _zx_pack(a, k):
+    value = 0
+    for c in reversed(a):
+        value = (value << k) + c
+    return value
+
+
+def _zx_sub(a, b):
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = [x - y for x, y in zip(a, b)] + a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zx_quotient(a, b):
+    """a / b in Z[x], or None when b does not divide a there."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if a else []
+    rem = list(a)
+    lead = b[-1]
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        if not rem[i]:
+            continue
+        q, r = divmod(rem[i], lead)
+        if r:
+            return None
+        quot[i - db] = q
+        for j in range(db):
+            rem[i - db + j] -= q * b[j]
+    if any(rem[:db]):
+        return None
+    return quot
+
+
+def _zx_exact_div(a, b):
+    """a / b in Z[x]; a remainder (such as a broken minor) is an internal error."""
+    if b == [1]:
+        return a
+    quotient = _zx_quotient(a, b)
+    if quotient is None:
+        raise InternalError("integer polynomial division is not exact")
+    return quotient
+
+
+def _zx_primitive(a):
+    """The primitive part of a nonzero a, with a positive leading coefficient."""
+    content = gcd(*a)
+    if a[-1] < 0:
+        content = -content
+    return a if content == 1 else [c // content for c in a]
+
+
+def _over_common_denominator(coeffs):
+    """Rational coefficients as (integer coefficients, common denominator)."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+
+
+def _heuristic_gcd(a, b):
+    """The gcd of two primitive integer polynomials of positive degree by
+    evaluation (Char, Geddes and Gonnet, "GCDHEU", 1989), or None.
+
+    The integer gcd of a(xi) and b(xi) is expanded into xi-adic digits.
+    Since xi > 2 min(|a|, |b|) + 1, their primitive part is the gcd exactly
+    when it divides both operands, which each try checks; None when no try
+    passes.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        h = gcd(_zx_value(a, xi), _zx_value(b, xi))
+        digits = []
+        while h:
+            digit = h % xi
+            if 2 * digit > xi:
+                digit -= xi
+            digits.append(digit)
+            h = (h - digit) // xi
+        candidate = _zx_primitive(digits)
+        if _zx_quotient(a, candidate) is not None and _zx_quotient(b, candidate) is not None:
+            return candidate
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _zx_value(a, point):
+    acc = 0
+    for c in reversed(a):
+        acc = acc * point + c
+    return acc
+
+
+def _zx_gcd(a, b):
+    """gcd of two primitive integer polynomials, primitive with a positive
+    leading coefficient; ``poly_gcd`` over Q decides when the heuristic fails."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    found = _heuristic_gcd(a, b)
+    if found is None:
+        found = _zx_primitive(_over_common_denominator(poly_gcd(Poly(a), Poly(b)).coeffs)[0])
+    return found
+
+
+def _zx_roots(f):
+    """The rational roots of a nonzero integer polynomial f with their
+    multiplicities, zero first and then the others ascending, and the
+    cofactor: the primitive part of f divided by x^m and by (v x - u)^m for
+    each root u/v of multiplicity m.
+
+    p-adic lifting (Loos, SIAM J. Comput. 1983) on the squarefree part s
+    with leading coefficient a: a root u/v has v | a, and by Cauchy's bound
+    |a u/v| < |a| + max |s_i|.  For the first prime l that does not divide
+    a and leaves every root of s mod l simple, Newton's iteration lifts
+    each root mod l to the l-adic root it belongs to, modulo more than
+    twice that bound; then a times a rational root is the symmetric residue
+    of a times its lift, and a lift is a root when (v x - u) divides f.
+    The work is polynomial in the degree and in the bit size of the
+    coefficients.
+    """
+    zeros = next(i for i, c in enumerate(f) if c)
+    f = _zx_primitive(f[zeros:])
+    roots = [(Fraction(0), zeros)] if zeros else []
+    if len(f) == 1:
+        return roots, f
+    s = _zx_exact_div(f, _zx_gcd(f, _zx_primitive([i * c for i, c in enumerate(f)][1:])))
+    ds = [i * c for i, c in enumerate(s)][1:]
+    lead = s[-1]
+    bound = 2 * (lead + max(map(abs, s)))
+    ell = 1
+    while True:
+        ell += 1
+        if not lead % ell or any(not ell % q for q in range(2, isqrt(ell) + 1)):
+            continue
+        residues = [r for r in range(ell) if not _zx_value(s, r) % ell]
+        if all(_zx_value(ds, r) % ell for r in residues):
+            break
+    candidates = []
+    for r in residues:
+        modulus = ell
+        while modulus <= bound:
+            modulus *= modulus
+            r = (r - _zx_value(s, r) * pow(_zx_value(ds, r), -1, modulus)) % modulus
+        y = lead * r % modulus
+        candidates.append(Fraction(y - modulus if 2 * y > modulus else y, lead))
+    for root in sorted(candidates):
+        factor = [-root.numerator, root.denominator]
+        multiplicity = 0
+        while (quotient := _zx_quotient(f, factor)) is not None:
+            f, multiplicity = quotient, multiplicity + 1
+        if multiplicity:
+            roots.append((root, multiplicity))
+    return roots, f
 
 
 def rational_roots(p):
     """All rational roots of a QQ polynomial with multiplicities.
 
     Returns ``(roots, cofactor)`` where ``roots`` is a list of
-    ``(Fraction, multiplicity)`` and ``cofactor`` is the monic remaining
-    factor with no rational roots.
+    ``(Fraction, multiplicity)``, the zero root first and then the others
+    in ascending order, and ``cofactor`` is the monic remaining factor with
+    no rational roots.
     """
     if not p:
         raise ValueError("zero polynomial has every root")
-    roots = []
-    work = p.monic()
-    zero_mult = 0
-    while work.coefficient(0) == 0 and work.degree > 0:
-        work = work.spawn(work.coeffs[1:])
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    if work.degree <= 0:
-        return roots, work
-    scale = 1
-    for c in work.coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in work.coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
-    ints = [c // content for c in ints]
-    candidates = set()
-    for pnum in _divisors(ints[0]):
-        for pden in _divisors(ints[-1]):
-            candidates.add(Fraction(pnum, pden))
-            candidates.add(Fraction(-pnum, pden))
-    for candidate in sorted(candidates):
-        if work.degree <= 0:
-            break
-        multiplicity = 0
-        while work.degree > 0 and work.evaluate(candidate) == 0:
-            work = work.exact_div(
-                Poly([-candidate, Fraction(1)], work.domain, work.var)
-            )
-            multiplicity += 1
-        if multiplicity:
-            roots.append((candidate, multiplicity))
-    return roots, work.monic()
-
-
-def _ceil_root(x, k):
-    """The least integer r >= 0 with r**k >= x, for integers x >= 0, k >= 1."""
-    if x <= 1:
-        return x
-    r = 1 << -(-x.bit_length() // k)  # r**k > x
-    while True:  # Newton's iteration descends to the floor of the root
-        s = ((k - 1) * r + x // r ** (k - 1)) // k
-        if s >= r:
-            break
-        r = s
-    return r if r ** k >= x else r + 1
+    roots, cofactor = _zx_roots(_over_common_denominator(p.coeffs)[0])
+    return roots, p.spawn(cofactor).monic()
 
 
 def largest_natural_root(p):
     """The largest nonnegative integer root of a nonzero QQ polynomial, or
-    None when it has none.
-
-    A positive integer root divides the lowest nonzero coefficient and is
-    at most Fujiwara's bound 2 max_i |c_(d-i)/c_d|^(1/i); the candidates
-    come from whichever of the two is cheaper to enumerate.
-    """
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in p.coeffs]
-    zero_root = not ints[0]
-    while not ints[0]:
-        ints.pop(0)
-    low, lead, degree = abs(ints[0]), abs(ints[-1]), len(ints) - 1
-    bound = 0
-    for i in range(1, degree + 1):
-        bound = max(bound, 2 * _ceil_root(-(-abs(ints[degree - i]) // lead), i))
-    bound = min(bound, low)
-    if bound <= isqrt(low):
-        candidates = (k for k in range(bound, 0, -1) if not low % k)
-    else:
-        candidates = (k for k in reversed(_divisors(low)) if k <= bound)
-    for k in candidates:
-        value = 0
-        for c in reversed(ints):
-            value = value * k + c
-        if not value:
-            return k
-    return 0 if zero_root else None
+    None when it has none."""
+    roots = _zx_roots(_over_common_denominator(p.coeffs)[0])[0]
+    naturals = [r for r, _ in roots if r >= 0 and r.denominator == 1]
+    return int(max(naturals)) if naturals else None
 
 
 def binomial(n, k):

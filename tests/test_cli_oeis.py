@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -365,3 +366,64 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines()[0] == "(n + 2)*N^2 + (-2*n - 3)*N + (n + 1)"
+
+    def test_fetch_file_comma_list(self, tmp_path, capsys):
+        path = tmp_path / "terms.txt"
+        path.write_text("1,2,4,8\n")
+        code = main(["fetch", "--file", str(path), "--offset", "2"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "[1, 2, 4, 8] (from n=2)"
+
+    def test_fetch_file_bfile(self, tmp_path, capsys):
+        path = tmp_path / "b000045.txt"
+        path.write_text("# Fibonacci\n3 2\n4 3\n5 5\n6 8\n")
+        code = main(["fetch", "--file", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "[2, 3, 5, 8] (from n=3)"
+
+    def test_fetch_file_negative_first_index(self, tmp_path, capsys):
+        # as for a downloaded b-file, the terms before index 0 are dropped
+        path = tmp_path / "b.txt"
+        path.write_text("-1 7\n0 1\n1 1\n2 2\n3 3\n")
+        code = main(["fetch", "--file", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "[1, 1, 2, 3] (from n=0)"
+
+    def test_fetch_file_index_gap_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "b.txt"
+        path.write_text("0 1\n1 1\n3 2\n4 3\n")
+        code = main(["fetch", "--file", str(path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("i/o error: bad b-file line")
+
+    def test_closedform_eleven_digit_roots(self, capsys):
+        code = main(
+            ["closedform", "--class", "cfinite",
+             "N^2 - 20000000052*N + 100000000520000000627;1,1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        terms = re.findall(r"\((-?\d+)/(\d+)\)\*(\d+)\^n", out)
+        assert len(terms) == 2
+        expected = [F(1), F(1)]
+        while len(expected) < 10:
+            expected.append(20000000052 * expected[-1] - 100000000520000000627 * expected[-2])
+        for n, value in enumerate(expected):
+            assert sum(F(int(a), int(b)) * int(lam) ** n for a, b, lam in terms) == value
+
+    def test_asymptotics_thirty_digit_leading_coefficient(self, capsys):
+        code = main(
+            ["asymptotics",
+             "holonomic:(n-5)*(n^2+1000000000000000000000000000000)*N - 1;1,2,3,4,5,6,7"]
+        )
+        assert code == 0
+
+    def test_asymptotics_eleven_digit_growth_roots(self, capsys):
+        code = main(
+            ["asymptotics",
+             "holonomic:(n+1)*N^2 - (n+1)*20000000052*N"
+             " + (n+1)*100000000520000000627;1,1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "(10000000019)^n" in out and "(10000000033)^n" in out

@@ -679,7 +679,7 @@ class TestFractionFreeKernel:
 
     def test_exact_division_in_zx(self):
         from ansatzkit.errors import InternalError
-        from ansatzkit.linalg import _zx_exact_div
+        from ansatzkit.polynomials import _zx_exact_div
 
         assert _zx_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
         assert _zx_exact_div([6, 4], [2]) == [3, 2]
@@ -698,7 +698,7 @@ class TestFractionFreeKernel:
             coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(degree)]
             return coeffs + [rng.randint(1, 2**bits)]
 
-        from ansatzkit.linalg import _zx_mul, _zx_primitive
+        from ansatzkit.polynomials import _zx_mul, _zx_primitive
 
         pairs = []
         for bits in (2, 2, 5, 5, 8, 200):
@@ -713,8 +713,7 @@ class TestFractionFreeKernel:
         return Poly(zx, QQ, "n").monic() == expected.monic()
 
     def test_heuristic_gcd_matches_poly_gcd(self):
-        from ansatzkit.linalg import _heuristic_gcd, _zx_gcd
-        from ansatzkit.polynomials import poly_gcd
+        from ansatzkit.polynomials import _heuristic_gcd, _zx_gcd, poly_gcd
 
         for a, b in self.gcd_pairs():
             expected = poly_gcd(Poly(a, QQ, "n"), Poly(b, QQ, "n"))
@@ -722,13 +721,13 @@ class TestFractionFreeKernel:
             assert self.same_up_to_unit(_zx_gcd(a, b), expected)
 
     def test_gcd_falls_back_to_poly_gcd(self, monkeypatch):
-        from ansatzkit import linalg
+        from ansatzkit import polynomials
         from ansatzkit.polynomials import poly_gcd
 
-        monkeypatch.setattr(linalg, "_heuristic_gcd", lambda a, b: None)
+        monkeypatch.setattr(polynomials, "_heuristic_gcd", lambda a, b: None)
         for a, b in self.gcd_pairs():
             expected = poly_gcd(Poly(a, QQ, "n"), Poly(b, QQ, "n"))
-            found = linalg._zx_gcd(a, b)
+            found = polynomials._zx_gcd(a, b)
             assert self.same_up_to_unit(found, expected)
             assert found[-1] > 0
 

@@ -3,6 +3,7 @@
 import operator
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
@@ -27,7 +28,11 @@ from ansatzkit.linalg import (
     residue,
     solve_linear,
 )
-from ansatzkit.polynomials import rational_roots, squarefree_decomposition
+from ansatzkit.polynomials import (
+    largest_natural_root,
+    rational_roots,
+    squarefree_decomposition,
+)
 
 F = Fraction
 QFIELD = rational_adapter()
@@ -237,7 +242,95 @@ class TestClearDenominators:
         assert cleared[0] * vec[1].num * vec[0].den == cleared[1] * vec[0].num * vec[1].den
 
 
+def divisor_pair_roots(p):
+    """Reference root search: every candidate u/v with u | c_0 and v | c_d,
+    in ascending order, tested by Horner over Fraction and divided out as
+    often as it is a root."""
+
+    def divisors(k):
+        k = abs(k)
+        return {d for j in range(1, isqrt(k) + 1) if not k % j for d in (j, k // j)}
+
+    work, roots = p.monic(), []
+    zeros = 0
+    while work.degree > 0 and not work.coefficient(0):
+        work, zeros = work.spawn(work.coeffs[1:]), zeros + 1
+    if zeros:
+        roots.append((F(0), zeros))
+    scale = lcm(*(c.denominator for c in work.coeffs))
+    low, high = int(work.coeffs[0] * scale), int(work.coeffs[-1] * scale)
+    candidates = {
+        sign * F(u, v) for u in divisors(low) for v in divisors(high) for sign in (1, -1)
+    }
+    for candidate in sorted(candidates):
+        multiplicity = 0
+        while work.degree > 0 and not work.evaluate(candidate):
+            work = work.exact_div(Poly([-candidate, 1], QQ, work.var))
+            multiplicity += 1
+        if multiplicity:
+            roots.append((candidate, multiplicity))
+    return roots, work.monic()
+
+
 class TestRationalRoots:
+    # no rational roots; each is irreducible over Q
+    IRREDUCIBLE = ([1, 0, 1], [-2, 0, 1], [3, 1, 2], [-2, 0, 0, 1], [1, 1, 0, 1], [5, -1, 0, 3])
+
+    def random_poly(self, rng):
+        p = Poly([F(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))], QQ, "N")
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.random()
+            if kind < 0.5:  # integer or rational non-integer root
+                factor = [rng.randint(-12, 12), rng.randint(1, 4)]
+            elif kind < 0.6:
+                factor = [0, 1]
+            elif kind < 0.8:
+                factor = rng.choice(self.IRREDUCIBLE)
+            else:
+                factor = [rng.randint(-6, 6) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 4)]
+            p = p * Poly(factor, QQ, "N") ** rng.choice([1, 1, 1, 2, 3])
+        return p
+
+    def test_matches_divisor_pair_reference(self):
+        rng = random.Random(2024)
+        seen = {"fraction": 0, "zero": 0, "repeated": 0, "quadratic": 0, "cubic": 0}
+        for _ in range(600):
+            p = self.random_poly(rng)
+            roots, cofactor = rational_roots(p)
+            expected_roots, expected_cofactor = divisor_pair_roots(p)
+            assert roots == expected_roots, p
+            assert cofactor == expected_cofactor and cofactor.var == "N", p
+            naturals = [int(r) for r, _ in roots if r >= 0 and r.denominator == 1]
+            assert largest_natural_root(p) == max(naturals, default=None)
+            seen["fraction"] += any(r.denominator > 1 for r, _ in roots)
+            seen["zero"] += any(not r for r, _ in roots)
+            seen["repeated"] += any(m > 1 for _, m in roots)
+            seen["quadratic"] += cofactor.degree == 2
+            seen["cubic"] += cofactor.degree == 3
+        assert min(seen.values()) >= 20, seen
+
+    def test_prime_search_moves_on(self):
+        # 1 and 31 coincide mod 2, 3 and 5, so the search moves on to 7; 2
+        # and 3 divide the leading coefficient of (6n-1)(n-4), so it moves
+        # on to 5.  1 and 16 coincide mod 3 and 5, and 3 divides the leading
+        # coefficient of (3n-1)(n-4); the prime 2 serves both.
+        n = Poly([0, 1], QQ, "n")
+        cases = {
+            (1, 16): (n - 1) * (n - 16),
+            (1, 31): (n - 1) * (n - 31),
+            (F(1, 3), 4): (3 * n - 1) * (n - 4),
+            (F(1, 6), 4): (6 * n - 1) * (n - 4),
+        }
+        for (low, high), p in cases.items():
+            assert rational_roots(p) == ([(F(low), 1), (F(high), 1)], Poly([1], QQ, "n"))
+
+    def test_eleven_digit_roots(self):
+        # the divisor-pair search factors a 67-bit constant term
+        p = Poly([100000000520000000627, -20000000052, 1], QQ, "N")
+        roots, cofactor = rational_roots(p)
+        assert roots == [(F(10000000019), 1), (F(10000000033), 1)]
+        assert cofactor.degree == 0
+
     def test_floor_characteristic(self):
         roots, cofactor = rational_roots(Poly([-1, 2, 0, -2, 1], QQ, "N"))
         assert sorted(roots) == [(F(-1), 1), (F(1), 3)]

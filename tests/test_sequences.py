@@ -116,14 +116,19 @@ class TestLeadingValidityOffset:
             assert largest_natural_root(p) == max(naturals, default=None)
 
     def test_huge_constant_term(self):
-        # the constant term has 126 bits, far beyond trial division;
-        # the root bound leaves a few thousand candidates
+        # the constant term has 126 bits, far beyond trial division
         lead = Poly([-40, 1], QQ, "n")
         for prime in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                       53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
             lead = lead * Poly([prime, 1], QQ, "n")
         op = ShiftOperator(CoeffRing.POLY_N, [Poly([1]), lead])
         assert leading_validity_offset(op) == 41
+
+    def test_huge_lowest_coefficient_and_root_bound(self):
+        # both are about 10**30: neither divisors nor a bounded scan finish
+        from ansatzkit.polynomials import largest_natural_root
+
+        assert largest_natural_root(Poly([-5, 1]) * Poly([10**30, 0, 1])) == 5
 
 
 class TestRoundTrips:
