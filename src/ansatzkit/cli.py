@@ -86,9 +86,10 @@ def _load_sequence(args):
     with open(args.file) as fh:
         text = fh.read()
     stripped = [line for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")]
-    if stripped and all(len(line.split()) == 2 for line in stripped):
+    # b-file lines are "index value" pairs and never contain commas
+    if stripped and all(len(line.split()) == 2 and "," not in line for line in stripped):
         return oeis._sequence_from_entries(oeis.parse_bfile(text), args.file)
-    values = [Fraction(tok) for tok in text.replace(",", " ").split()]
+    values = [Fraction(tok) for tok in " ".join(stripped).replace(",", " ").split()]
     return Sequence(values, args.offset)
 
 

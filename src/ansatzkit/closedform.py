@@ -19,7 +19,14 @@ from .errors import (
 from .exppoly import ExpPoly
 from .fields import RATIONAL_FIELD, common_field, quadratic_field
 from .linalg import numberfield_adapter, solve_linear
-from .polynomials import Poly, QQ, binomial, rational_roots, squarefree_decomposition
+from .polynomials import (
+    Poly,
+    QQ,
+    binomial,
+    forward_differences,
+    rational_roots,
+    squarefree_decomposition,
+)
 from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator
 
 
@@ -57,11 +64,7 @@ def poly_binomial_form(sequence, degree):
         raise InsufficientData(
             f"need {degree + 1} terms for a degree-{degree} binomial form"
         )
-    diffs = list(sequence.terms)
-    coeffs = [diffs[0]]
-    for _ in range(degree):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        coeffs.append(diffs[0])
+    coeffs = forward_differences(sequence.terms[: max(degree, 0) + 1])
     form = BinomialForm(tuple(coeffs), sequence.offset)
     for n in range(sequence.offset, sequence.end):
         if form.evaluate(n) != sequence.value(n):

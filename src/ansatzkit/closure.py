@@ -13,6 +13,8 @@ relations are read off minors over Z[n] by the fraction-free kernel
 ``least_null_vector``, which finds the least-order one directly.  Cauchy
 products go through generating functions: rational arithmetic for
 constant coefficients, an ODE null-space construction otherwise.
+``poly_closure`` combines polynomial sequences in closed form; its partial
+sums and Cauchy products interpolate the combined values in Newton's form.
 
 ``ORDER_BOUNDS`` is the one table of closure order bounds.  It sizes the
 matrices, checks every result (``BoundViolated``) and is composed over an
@@ -23,6 +25,7 @@ many initial values -- a complete proof for constant-coefficient operands.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     BoundViolated,
@@ -42,7 +45,14 @@ from .linalg import (
     left_null_space,
     rational_adapter,
 )
-from .polynomials import Poly, QQ, _over_common_denominator, _zx_primitive
+from .polynomials import (
+    Poly,
+    QQ,
+    _over_common_denominator,
+    _zx_primitive,
+    forward_differences,
+    newton_poly,
+)
 from .ratfunc import RationalFunction
 from .sequences import (
     CoeffRing,
@@ -471,37 +481,6 @@ def c2_combine(kind, op_a, op_b=None, mult=1):
 # polynomial closures in closed form
 
 
-def _binomial_basis(poly):
-    """Coefficients d_j with p(n) = sum_j d_j C(n, j), via finite differences."""
-    degree = max(poly.degree, 0)
-    values = [poly.evaluate(Fraction(n)) for n in range(degree + 1)]
-    out = []
-    while values:
-        out.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return out
-
-
-def _binomial_poly(j):
-    """C(n, j) as a polynomial in n."""
-    result = Poly([1], QQ, "n")
-    for i in range(j):
-        result = result * Poly([Fraction(-i), 1], QQ, "n")
-        result = result.scale(Fraction(1, i + 1))
-    return result
-
-
-def poly_partial_sum(poly):
-    """sum_{i=0}^{n} p(i) as a polynomial in n, via the binomial basis."""
-    coeffs = _binomial_basis(poly)
-    result = Poly([], QQ, "n")
-    for j, d in enumerate(coeffs):
-        if d:
-            result = result + _binomial_poly(j + 1).scale(d)
-    # antidifference gives sum_{i=0}^{n-1}; shift to include n
-    return result.shift_arg(1)
-
-
 def poly_closure(kind, poly_a, poly_b=None, mult=1):
     """Closed-form combination of polynomial sequences.
 
@@ -513,37 +492,18 @@ def poly_closure(kind, poly_a, poly_b=None, mult=1):
         return poly_a * poly_b
     if kind == SUBSEQUENCE:
         return poly_a.compose_linear(mult, 0)
-    if kind == PARTIAL_SUM:
-        return poly_partial_sum(poly_a)
-    if kind == CAUCHY:
-        # c_n = sum_i a(i) b(n-i): expand b(n-i) by powers of i, then sum
-        # each i-power with the closed-form power sums
-        i_coeffs = {}
-        for l in range(max(poly_b.degree, 0) + 1):
-            bl = poly_b.coefficient(l)
-            if not bl:
-                continue
-            # (n - i)^l = sum_j C(l,j) n^(l-j) (-i)^j
-            for j in range(l + 1):
-                piece = Poly(
-                    [Fraction(0)] * (l - j) + [bl * math.comb(l, j) * Fraction(-1) ** j],
-                    QQ,
-                    "n",
-                )
-                i_coeffs[j] = i_coeffs.get(j, Poly([], QQ, "n")) + piece
-        # multiply by a(i) = sum_a a_m i^m
-        product = {}
-        for m in range(max(poly_a.degree, 0) + 1):
-            am = poly_a.coefficient(m)
-            if not am:
-                continue
-            for j, q in i_coeffs.items():
-                product[m + j] = product.get(m + j, Poly([], QQ, "n")) + q.scale(am)
-        result = Poly([], QQ, "n")
-        for power, q in product.items():
-            monomial = Poly([Fraction(0)] * power + [Fraction(1)], QQ, "n")
-            result = result + q * poly_partial_sum(monomial)
-        return result
+    if kind in (PARTIAL_SUM, CAUCHY):
+        # interpolate the combined values at n = 0 .. the degree bound
+        bound = max(poly_a.degree, 0) + 1
+        if kind == CAUCHY:
+            bound += max(poly_b.degree, 0)
+        a = [poly_a.evaluate(Fraction(n)) for n in range(bound + 1)]
+        if kind == PARTIAL_SUM:
+            values = list(accumulate(a))
+        else:
+            b = [poly_b.evaluate(Fraction(n)) for n in range(bound + 1)]
+            values = [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(bound + 1)]
+        return newton_poly(forward_differences(values))
     raise ValueError(f"unsupported polynomial closure kind {kind!r}")
 
 

@@ -13,21 +13,20 @@ the linear ODE of a polynomial-coefficient recurrence is the case b = 1:
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .errors import DenominatorVanishesAtZero, UnsupportedField
 from .fields import as_rational_poly
 from .polynomials import (
-    NEG_INFINITY,
     Poly,
     QQ,
     falling_factorial,
     falling_factorial_poly,
+    forward_differences,
     poly_gcd,
     rational_content,
 )
 from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator, leading_validity_offset
-from .linalg import rational_adapter, solve_linear
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +105,6 @@ def genfun_polynomial(poly):
     sums of the first k+1 values.
     """
     k = poly.degree if poly else 0
-    if k is NEG_INFINITY:
-        k = 0
     values = [poly.evaluate(Fraction(n)) for n in range(k + 1)]
     num = [
         sum(
@@ -330,14 +327,12 @@ def _normalize_equation(field, terms, rhs):
 def falling_basis_constants(s, t):
     """Constants c_j with sum_j c_j (n+t)_j = n^s, j = 0..s.
 
-    Solved once per (s, t) from the unitriangular basis-change system and
-    memoized; safe for concurrent readers.
+    (n+t)_j = j! C(n+t, j), so c_j is the j-th forward difference of
+    m -> (m-t)^s at m = 0 over j!.  Memoized per (s, t); safe for
+    concurrent readers.
     """
-    basis = [falling_factorial_poly(t, j) for j in range(s + 1)]
-    rows = [[basis[j].coefficient(power) for j in range(s + 1)] for power in range(s + 1)]
-    rhs = [Fraction(1) if power == s else Fraction(0) for power in range(s + 1)]
-    solution = solve_linear(rows, rhs, rational_adapter())
-    return tuple(solution)
+    diffs = forward_differences([(m - t) ** s for m in range(s + 1)])
+    return tuple(Fraction(d, factorial(j)) for j, d in enumerate(diffs))
 
 
 def holonomic_to_diff(system):

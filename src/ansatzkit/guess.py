@@ -1,17 +1,23 @@
-"""Fit recurrence ansatzes to raw sequence data by exact linear algebra.
+"""Fit recurrence ansatzes to raw sequence data.
 
-Each guesser searches shapes from small to large, solves the fit system
-over the rationals using every available term, and only reports a result
+Each guesser searches shapes from small to large and only reports a result
 whose relation holds on all supplied data.  ``margin`` is the number of
 terms beyond the minimal determining window that must be present before a
 guess is considered trustworthy.
 
-The C-finite and holonomic guessers first reduce the terms modulo the
-prime ``linalg.PRIME`` and reject every shape whose fit rows are linearly
-independent mod p: that is an exact proof that no relation of the shape
-exists (see ``linalg.independent_mod_p``).  Only the surviving shapes,
-and every shape when some term's denominator is divisible by p, run
-exact elimination over Q, so the answers are those of the exact search.
+A polynomial of degree d needs no fit system: it matches every term
+exactly when row d of the forward-difference table of the terms is
+constant, so that row d + 1 vanishes, and the leading entries of rows
+0..d are its Newton coefficients.
+
+The C-finite and holonomic guessers solve their fit systems over the
+rationals by exact linear algebra, using every available term.  They
+first reduce the terms modulo the prime ``linalg.PRIME`` and reject every
+shape whose fit rows are linearly independent mod p: that is an exact
+proof that no relation of the shape exists (see
+``linalg.independent_mod_p``).  Only the surviving shapes, and every shape
+when some term's denominator is divisible by p, run exact elimination
+over Q, so the answers are those of the exact search.
 """
 
 from dataclasses import dataclass
@@ -26,7 +32,7 @@ from .linalg import (
     residue,
     solve_linear,
 )
-from .polynomials import Poly, QQ, rational_content
+from .polynomials import Poly, QQ, difference_rows, newton_poly, rational_content
 from .sequences import (
     CoeffRing,
     RecurrenceSystem,
@@ -77,39 +83,33 @@ def guess_polynomial(sequence, max_degree, margin=1, assume_bound=False):
     length = len(sequence)
     if length < 2 or max_degree < 0:
         raise InsufficientData("need at least two terms to guess a polynomial")
-    field = rational_adapter()
+    rows = difference_rows(sequence.terms)
+    leading = []
     for degree in range(0, max_degree + 1):
         fit = polynomial_fit_length(degree)
         if length < fit + max(margin, 1):
             break
-        points = range(sequence.offset, sequence.offset + fit)
-        rows = [[Fraction(n) ** j for j in range(degree + 1)] for n in points]
-        rhs = [sequence.value(n) for n in points]
-        coeffs = solve_linear(rows, rhs, field)
-        if coeffs is None:
+        row = next(rows)
+        leading.append(row[0])
+        if any(entry != row[0] for entry in row):
             continue
-        poly = Poly(coeffs, QQ, "n")
-        if all(
-            poly.evaluate(Fraction(n)) == sequence.value(n)
-            for n in range(sequence.offset, sequence.end)
-        ):
-            annihilator = Poly([-1, 1], QQ, "N") ** (degree + 1)
-            operator = ShiftOperator(CoeffRing.CONSTANT, annihilator.coeffs)
-            system = RecurrenceSystem(
-                operator,
-                sequence.terms[: degree + 1],
-                sequence.offset,
-                sequence.offset,
-            )
-            proven = assume_bound and length >= polynomial_fit_length(max_degree)
-            return GuessReport(
-                result=system,
-                shape=("polynomial", degree + 1, degree),
-                terms_used_for_fit=fit,
-                terms_verified=length - fit,
-                poly=poly,
-                proven=proven,
-            )
+        annihilator = Poly([-1, 1], QQ, "N") ** (degree + 1)
+        operator = ShiftOperator(CoeffRing.CONSTANT, annihilator.coeffs)
+        system = RecurrenceSystem(
+            operator,
+            sequence.terms[: degree + 1],
+            sequence.offset,
+            sequence.offset,
+        )
+        proven = assume_bound and length >= polynomial_fit_length(max_degree)
+        return GuessReport(
+            result=system,
+            shape=("polynomial", degree + 1, degree),
+            terms_used_for_fit=fit,
+            terms_verified=length - fit,
+            poly=newton_poly(leading, sequence.offset),
+            proven=proven,
+        )
     return GuessReport(None, ("polynomial", None, None), 0, 0)
 
 

@@ -12,6 +12,14 @@ the root search share.  ``rational_roots`` and ``largest_natural_root``
 run one root search, by p-adic lifting on the squarefree part, in time
 polynomial in the degree and the coefficients' bit size: its lifts stop
 above twice Cauchy's bound on a times a root, a the leading coefficient.
+
+Every polynomial interpolation goes through Newton's forward-difference
+form: ``forward_differences`` reads the coefficients d_j off the leading
+entries of the difference table and ``newton_poly`` builds
+sum_j d_j C(n - start, j).  Its users are the polynomial guesser (degree d
+fits when row d + 1 of the table vanishes), the partial-sum and Cauchy
+closures of polynomial sequences, ``poly_binomial_form`` and the
+falling-factorial basis change of the generating-function translations.
 """
 
 from fractions import Fraction
@@ -222,11 +230,7 @@ class Poly:
 
     def shift_arg(self, offset):
         """p(x) -> p(x + offset) for an integer or field offset."""
-        shifted = self.spawn([])
-        point = Poly([self.domain.coerce(offset), self.domain.one], self.domain, self.var)
-        for c in reversed(self.coeffs):
-            shifted = shifted * point + Poly([c], self.domain, self.var)
-        return shifted
+        return self.compose_linear(1, offset)
 
     def compose_linear(self, scale, offset):
         """p(x) -> p(scale*x + offset) with integer scale and offset."""
@@ -558,4 +562,33 @@ def falling_factorial_poly(shift, j, domain=QQ, var="n"):
     result = Poly([domain.one], domain, var)
     for i in range(j):
         result = result * Poly([domain.coerce(shift - i), domain.one], domain, var)
+    return result
+
+
+# -- Newton's forward-difference form -----------------------------------------
+
+
+def difference_rows(values):
+    """The rows of the forward-difference table of ``values``, lazily: the
+    values, their first differences, and so on down to a single entry."""
+    row = list(values)
+    while row:
+        yield row
+        row = [b - a for a, b in zip(row, row[1:])]
+
+
+def forward_differences(values):
+    """The leading entries (Delta^j v)(0) of the difference table of ``values``:
+    the Newton coefficients of the polynomial of degree < len(values)
+    through them."""
+    return [row[0] for row in difference_rows(values)]
+
+
+def newton_poly(diffs, start=0, var="n"):
+    """sum_j diffs[j] C(n - start, j) as a QQ polynomial, by Horner's rule
+    on C(m, j + 1) = C(m, j) (m - j) / (j + 1)."""
+    result = Poly([], QQ, var)
+    for j in range(len(diffs) - 1, -1, -1):
+        step = Poly([Fraction(-start - j, j + 1), Fraction(1, j + 1)], QQ, var)
+        result = result * step + diffs[j]
     return result

@@ -374,6 +374,21 @@ class TestCliCommands:
         assert code == 0
         assert capsys.readouterr().out.strip() == "[1, 2, 4, 8] (from n=2)"
 
+    def test_fetch_file_comma_list_two_per_line(self, tmp_path, capsys):
+        # two tokens per line, but b-file lines never hold commas
+        path = tmp_path / "terms.txt"
+        path.write_text("1, 2\n3, 5\n")
+        code = main(["fetch", "--file", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "[1, 2, 3, 5] (from n=0)"
+
+    def test_fetch_file_comma_list_skips_comments(self, tmp_path, capsys):
+        path = tmp_path / "terms.txt"
+        path.write_text("# squares\n0, 1, 4,\n9, 16\n")
+        code = main(["fetch", "--file", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "[0, 1, 4, 9, 16] (from n=0)"
+
     def test_fetch_file_bfile(self, tmp_path, capsys):
         path = tmp_path / "b000045.txt"
         path.write_text("# Fibonacci\n3 2\n4 3\n5 5\n6 8\n")

@@ -36,6 +36,8 @@ class TestBinomialForm:
     def test_constant(self):
         form = poly_binomial_form(Sequence([7, 7, 7]), 0)
         assert list(form.coeffs) == [7]
+        # a negative degree reads as degree 0
+        assert str(poly_binomial_form(Sequence([7, 7, 7]), -1)) == "7"
 
     def test_squares(self):
         form = poly_binomial_form(Sequence([n * n for n in range(12)]), 2)
@@ -55,6 +57,8 @@ class TestBinomialForm:
         seq = expand_terms(corpus.fibonacci_system(), 12)
         with pytest.raises(NotPolynomial):
             poly_binomial_form(seq, 4)
+        with pytest.raises(NotPolynomial, match="fails at n=1"):
+            poly_binomial_form(Sequence([1, 2, 3]), -1)
 
 
 class TestCFiniteClosedForm:

@@ -183,6 +183,30 @@ class TestPolynomialClosures:
                 )
                 assert c.evaluate(F(n)) == direct
 
+    def test_sums_match_direct_summation_beyond_window(self):
+        # degrees 0-5 and the zero polynomial, checked at n up to three times
+        # the interpolation window of degree bound + 1 points
+        rng = random.Random(11)
+        polys = [Poly([], QQ, "n")]
+        for d in range(6):
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+            polys.append(Poly(coeffs + [F(1, d + 1)], QQ, "n"))
+
+        def value(p, i):
+            return p.evaluate(F(i))
+
+        for a in polys:
+            k = max(a.degree, 0)
+            sums = poly_closure(PARTIAL_SUM, a)
+            for n in range(3 * (k + 2)):
+                assert value(sums, n) == sum(value(a, i) for i in range(n + 1))
+            for b in polys:
+                l = max(b.degree, 0)
+                cauchy = poly_closure(CAUCHY, a, b)
+                for n in range(3 * (k + l + 2)):
+                    direct = sum(value(a, i) * value(b, n - i) for i in range(n + 1))
+                    assert value(cauchy, n) == direct
+
 
 class TestHolonomicClosures:
     def setup_method(self):

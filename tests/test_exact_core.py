@@ -8,6 +8,8 @@ from math import isqrt, lcm
 import pytest
 
 from ansatzkit import (
+    CAUCHY,
+    PARTIAL_SUM,
     ExpPoly,
     ExpPolyFraction,
     NumberField,
@@ -15,11 +17,17 @@ from ansatzkit import (
     QQ,
     RATIONAL_FIELD,
     RationalFunction,
+    Sequence,
+    guess_polynomial,
     left_null_space,
+    linalg,
+    poly_binomial_form,
+    poly_closure,
     rank,
     rref,
 )
 from ansatzkit.errors import InternalError, UnsupportedField
+from ansatzkit.genfun import falling_basis_constants
 from ansatzkit.linalg import (
     PRIME,
     clear_denominators,
@@ -29,7 +37,9 @@ from ansatzkit.linalg import (
     solve_linear,
 )
 from ansatzkit.polynomials import (
+    forward_differences,
     largest_natural_root,
+    newton_poly,
     rational_roots,
     squarefree_decomposition,
 )
@@ -353,6 +363,44 @@ class TestRationalRoots:
         )
         assert parts[3] == Poly([-1, 1], QQ, "N")
         assert parts[1] == Poly([1, 1], QQ, "N")
+
+
+class TestNewtonLayer:
+    def test_differences_of_a_cubic(self):
+        assert forward_differences([n**3 for n in range(5)]) == [0, 1, 6, 6, 0]
+        assert forward_differences([]) == []
+
+    def test_newton_form_reproduces_values(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            values = [F(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(rng.randint(0, 8))]
+            start = rng.randint(-3, 3)
+            poly = newton_poly(forward_differences(values), start, "m")
+            assert poly.var == "m" and poly.domain == QQ
+            assert not poly or poly.degree < len(values)
+            assert [poly.evaluate(F(start + i)) for i in range(len(values))] == values
+
+    def test_polynomial_paths_run_no_elimination(self, monkeypatch):
+        calls = []
+        eliminate = linalg._eliminate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        squares = Sequence([n * n for n in range(2, 12)], 2)
+        assert guess_polynomial(squares, 4).shape == ("polynomial", 3, 2)
+        assert guess_polynomial(Sequence([2**n for n in range(12)]), 6).result is None
+        a, b = Poly([1, 2, 3], QQ, "n"), Poly([F(1, 2), 0, 0, 1], QQ, "n")
+        assert poly_closure(PARTIAL_SUM, a).degree == 3
+        assert poly_closure(CAUCHY, a, b).degree == 6
+        assert poly_binomial_form(squares, 2).coeffs == (4, 5, 2)
+        assert falling_basis_constants.__wrapped__(5, 3)[-1] == 1
+        assert calls == []
+        # the counter sees the field kernel's entry points
+        assert solve_linear([[F(2)]], [F(1)], QFIELD) == [F(1, 2)]
+        assert len(calls) == 1
 
 
 class TestNumberField:

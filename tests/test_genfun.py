@@ -123,8 +123,8 @@ class TestFallingBasisConstants:
     def test_basis_change_identity(self):
         from ansatzkit.polynomials import falling_factorial_poly
 
-        for s in range(5):
-            for t in range(4):
+        for s in range(9):
+            for t in range(7):
                 constants = falling_basis_constants(s, t)
                 total = Poly([], QQ, "n")
                 for j, c in enumerate(constants):

@@ -19,7 +19,7 @@ from ansatzkit import (
 from ansatzkit import guess as guess_module
 from ansatzkit.errors import InsufficientData
 from ansatzkit.guess import holonomic_fit_length
-from ansatzkit.linalg import PRIME
+from ansatzkit.linalg import PRIME, rational_adapter, solve_linear
 
 import conftest as corpus
 
@@ -78,6 +78,57 @@ class TestGuessPolynomial:
     def test_insufficient(self):
         with pytest.raises(InsufficientData):
             guess_polynomial(Sequence([1]), 3)
+
+    def test_matches_vandermonde_reference(self):
+        rng = random.Random(2028)
+        seen = {"hit": 0, "none": 0, "proven": 0, "zero": 0}
+        for k in range(378):
+            degree, margin = k % 7, rng.randint(1, 3)
+            coeffs = [F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])) for _ in range(degree + 1)]
+            if k % 9 == 0:
+                coeffs = [F(0)]
+            # exactly the fit + margin for the true degree, one below it, or longer
+            length = max(degree + 1 + margin - rng.choice([0, 1, -rng.randint(1, 12)]), 2)
+            offset = rng.randint(0, 3)
+            terms = [Poly(coeffs, QQ, "n").evaluate(F(n)) for n in range(offset, offset + length)]
+            place = (None, 0, length // 2, length - 1)[k % 4]
+            if place is not None:
+                terms[place] += F(1, rng.randint(1, 5))
+            seq = Sequence(terms, offset)
+            max_degree, assume_bound = rng.randint(0, 7), rng.random() < 0.5
+            report = guess_polynomial(seq, max_degree, margin, assume_bound)
+            summary = (report.shape, report.poly, report.terms_used_for_fit, report.terms_verified,
+                       report.proven)
+            if report.result is not None:
+                system = report.result
+                summary += (system.operator.coeffs, system.initials, system.offset,
+                            system.validity_offset, verify_annihilates(system.operator, seq, offset))
+            assert summary == vandermonde_guess_polynomial(seq, max_degree, margin, assume_bound)
+            seen["hit"] += report.result is not None
+            seen["none"] += report.result is None
+            seen["proven"] += report.proven
+            seen["zero"] += report.poly is not None and not report.poly
+        assert seen["hit"] >= 40 and seen["none"] >= 40, seen
+        assert seen["proven"] >= 10 and seen["zero"] >= 5, seen
+
+
+def vandermonde_guess_polynomial(seq, max_degree, margin, assume_bound):
+    """Reference polynomial guesser: solve the Vandermonde system on the
+    first degree + 1 terms for degree 0, 1, ... and check every term."""
+    length, offset = len(seq), seq.offset
+    for degree in range(max_degree + 1):
+        fit = degree + 1
+        if length < fit + margin:
+            break
+        points = range(offset, offset + fit)
+        rows = [[F(n) ** j for j in range(fit)] for n in points]
+        poly = Poly(solve_linear(rows, [seq.value(n) for n in points], rational_adapter()), QQ, "n")
+        if all(poly.evaluate(F(n)) == seq.value(n) for n in range(offset, seq.end)):
+            annihilator = (Poly([-1, 1], QQ, "N") ** fit).coeffs
+            proven = assume_bound and length >= max_degree + 1
+            return (("polynomial", fit, degree), poly, fit, length - fit, proven,
+                    annihilator, seq.terms[:fit], offset, offset, None)
+    return (("polynomial", None, None), None, 0, 0, False)
 
 
 class TestGuessCFinite:
