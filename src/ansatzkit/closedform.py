@@ -19,14 +19,7 @@ from .errors import (
 from .exppoly import ExpPoly
 from .fields import RATIONAL_FIELD, common_field, quadratic_field
 from .linalg import numberfield_adapter, solve_linear
-from .polynomials import (
-    Poly,
-    QQ,
-    binomial,
-    forward_differences,
-    rational_roots,
-    squarefree_decomposition,
-)
+from .polynomials import Poly, QQ, binomial, forward_differences, rational_roots, squarefree_decomposition
 from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator
 
 

@@ -32,7 +32,7 @@ from .linalg import (
     residue,
     solve_linear,
 )
-from .polynomials import Poly, QQ, difference_rows, newton_poly, rational_content
+from .polynomials import Poly, QQ, difference_rows, forward_differences, newton_poly, rational_content
 from .sequences import (
     CoeffRing,
     RecurrenceSystem,
@@ -47,7 +47,8 @@ class GuessReport:
     """Outcome of a guessing run.
 
     ``terms_used_for_fit`` is the minimal determining window for the
-    returned shape (the fit system itself uses every supplied term);
+    returned shape (the C-finite and holonomic fit systems use every
+    supplied term, and the polynomial difference test checks every term);
     ``terms_verified`` counts the data beyond that window.  ``proven`` is
     set when the caller asserted a shape bound and supplied at least the
     fit length for that bound, which turns the guess into a proof.
@@ -83,14 +84,19 @@ def guess_polynomial(sequence, max_degree, margin=1, assume_bound=False):
     length = len(sequence)
     if length < 2 or max_degree < 0:
         raise InsufficientData("need at least two terms to guess a polynomial")
-    rows = difference_rows(sequence.terms)
-    leading = []
+    rows = enumerate(difference_rows(sequence.terms))
+    depth, row = next(rows)
     for degree in range(0, max_degree + 1):
         fit = polynomial_fit_length(degree)
         if length < fit + max(margin, 1):
             break
-        row = next(rows)
-        leading.append(row[0])
+        # Row d, over every term, is built and checked to be constant only
+        # when the leading entry of row d + 1, from d + 2 terms, is zero.
+        leading = forward_differences(sequence.terms[: degree + 2])
+        if leading.pop():
+            continue
+        while depth < degree:
+            depth, row = next(rows)
         if any(entry != row[0] for entry in row):
             continue
         annihilator = Poly([-1, 1], QQ, "N") ** (degree + 1)

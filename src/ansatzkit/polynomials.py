@@ -578,17 +578,16 @@ def difference_rows(values):
 
 
 def forward_differences(values):
-    """The leading entries (Delta^j v)(0) of the difference table of ``values``:
-    the Newton coefficients of the polynomial of degree < len(values)
-    through them."""
+    """The leading entries (Delta^j v)(0) of the difference table of ``values``,
+    the Newton coefficients of the polynomial of degree < len(values) through them."""
     return [row[0] for row in difference_rows(values)]
 
 
-def newton_poly(diffs, start=0, var="n"):
-    """sum_j diffs[j] C(n - start, j) as a QQ polynomial, by Horner's rule
-    on C(m, j + 1) = C(m, j) (m - j) / (j + 1)."""
-    result = Poly([], QQ, var)
+def newton_poly(diffs, start=0):
+    """sum_j diffs[j] C(n - start, j) as a QQ polynomial in n, by Horner's
+    rule on C(m, j + 1) = C(m, j) (m - j) / (j + 1)."""
+    result = Poly([], QQ, "n")
     for j in range(len(diffs) - 1, -1, -1):
-        step = Poly([Fraction(-start - j, j + 1), Fraction(1, j + 1)], QQ, var)
+        step = Poly([Fraction(-start - j, j + 1), Fraction(1, j + 1)], QQ, "n")
         result = result * step + diffs[j]
     return result

@@ -375,8 +375,8 @@ class TestNewtonLayer:
         for _ in range(60):
             values = [F(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(rng.randint(0, 8))]
             start = rng.randint(-3, 3)
-            poly = newton_poly(forward_differences(values), start, "m")
-            assert poly.var == "m" and poly.domain == QQ
+            poly = newton_poly(forward_differences(values), start)
+            assert poly.var == "n" and poly.domain == QQ
             assert not poly or poly.degree < len(values)
             assert [poly.evaluate(F(start + i)) for i in range(len(values))] == values
 

@@ -111,6 +111,28 @@ class TestGuessPolynomial:
         assert seen["hit"] >= 40 and seen["none"] >= 40, seen
         assert seen["proven"] >= 10 and seen["zero"] >= 5, seen
 
+    def test_long_no_fit_builds_no_full_difference_row(self, monkeypatch):
+        # Each degree is rejected on the leading entry of row degree + 1,
+        # from degree + 2 terms; only a zero leading entry costs a row over
+        # all the terms.
+        taken = []
+        difference_rows = guess_module.difference_rows
+
+        def counted(values):
+            for row in difference_rows(values):
+                taken.append(len(row))
+                yield row
+
+        monkeypatch.setattr(guess_module, "difference_rows", counted)
+        rng = random.Random(8)
+        noise = Sequence([rng.randint(-10**6, 10**6) for _ in range(2000)])
+        assert guess_polynomial(noise, 3).result is None
+        assert sum(taken) == 2000  # row 0, the terms themselves
+        taken.clear()
+        cubes = Sequence([n**3 - n for n in range(2000)])
+        assert guess_polynomial(cubes, 6).shape == ("polynomial", 4, 3)
+        assert taken == [2000, 1999, 1998, 1997]
+
 
 def vandermonde_guess_polynomial(seq, max_degree, margin, assume_bound):
     """Reference polynomial guesser: solve the Vandermonde system on the
