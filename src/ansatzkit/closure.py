@@ -7,10 +7,11 @@ coefficients in the ring's function field), then read a recurrence off the
 left null space of the resulting matrix.  One driver, ``_closure``, does
 this for all kinds and rings; a per-ring record ``_RINGS`` supplies the
 field, the coefficient lift, the normalised null vectors and the size
-tie-break.  Over constants and exponential polynomials the null space comes
-from Gauss-Jordan over the function field.  Polynomial-coefficient
-relations are read off minors over Z[n] by the fraction-free kernel
-``least_null_vector``, which finds the least-order one directly.  Cauchy
+tie-break.  Constant and polynomial-coefficient relations are read off
+minors over Z and Z[n] by the fraction-free kernel ``least_null_vector``,
+which finds the least-order one directly.  Over exponential polynomials,
+whose fractions have zero divisors, the null space comes from Gauss-Jordan
+over the function field.  Cauchy
 products go through generating functions: rational arithmetic for
 constant coefficients, an ODE null-space construction otherwise.
 ``poly_closure`` combines polynomial sequences in closed form; its partial
@@ -48,8 +49,6 @@ from .linalg import (
 from .polynomials import (
     Poly,
     QQ,
-    _over_common_denominator,
-    _zx_primitive,
     forward_differences,
     newton_poly,
 )
@@ -100,9 +99,10 @@ def _check_bound(order, bound):
 # per-ring rules
 
 
-def _poly_relations(matrix, var="n"):
-    """The least-order left null vector of a matrix over Q(var) as coprime
-    polynomials, read off minors over Z[var]; empty when there is none."""
+def _poly_relations(matrix, field=None, var="n"):
+    """The least-order left null vector of a matrix over Q or Q(var) as
+    coprime polynomials, read off minors over Z[var]; empty when there is
+    none."""
     vector = least_null_vector(matrix)
     return [] if vector is None else [[Poly(c, QQ, var) for c in vector]]
 
@@ -147,18 +147,13 @@ _RINGS = {
     CoeffRing.CONSTANT: _RingRules(
         adapter=lambda op: rational_adapter(),
         lift=lambda c: c,
-        # a null vector read as a polynomial in N: coprime integers with a
-        # positive last entry are its primitive part
-        relations=lambda matrix, field: (
-            _zx_primitive(_over_common_denominator(Poly(v).coeffs)[0])
-            for v in left_null_space(matrix, field)
-        ),
+        relations=_poly_relations,  # coprime integers, a positive last one
         size=lambda coeffs: 0,
     ),
     CoeffRing.POLY_N: _RingRules(
         adapter=lambda op: _ratfunc_field(),
         lift=RationalFunction,
-        relations=lambda matrix, field: _poly_relations(matrix),
+        relations=_poly_relations,
         size=lambda coeffs: 0,  # one candidate: the least-order vector
     ),
     CoeffRing.EXPPOLY: _RingRules(
@@ -388,7 +383,7 @@ def holonomic_cauchy(eq_a, eq_b):
             raise ValueError("homogeneous single-base equations required")
     bound = ORDER_BOUNDS[TERMWISE](eq_a.order, eq_b.order)
     rows = _cauchy_matrix(eq_a, eq_b, bound + 1)
-    polys, _ = _least_relation(_poly_relations(rows, "x"), _RINGS[CoeffRing.POLY_N], bound)
+    polys, _ = _least_relation(_poly_relations(rows, var="x"), _RINGS[CoeffRing.POLY_N], bound)
     return DiffEquation(RATIONAL_FIELD, [(1, polys)], None)
 
 

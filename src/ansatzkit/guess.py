@@ -10,29 +10,25 @@ exactly when row d of the forward-difference table of the terms is
 constant, so that row d + 1 vanishes, and the leading entries of rows
 0..d are its Newton coefficients.
 
-The C-finite and holonomic guessers solve their fit systems over the
-rationals by exact linear algebra, using every available term.  They
-first reduce the terms modulo the prime ``linalg.PRIME`` and reject every
-shape whose fit rows are linearly independent mod p: that is an exact
-proof that no relation of the shape exists (see
-``linalg.independent_mod_p``).  Only the surviving shapes, and every shape
-when some term's denominator is divisible by p, run exact elimination
-over Q, so the answers are those of the exact search.
+The C-finite and holonomic guessers fit over the rationals, using every
+available term: a relation of a shape is a left null vector of its fit
+rows, one row per unknown coefficient and one column per window start.
+The fraction-free ring kernel ``linalg.null_vectors`` yields these
+vectors lazily as coprime integers, and the first one that gives an
+operator of the shape wins.  Before that, the guessers reduce the terms
+modulo the prime ``linalg.PRIME`` and reject every shape whose fit rows
+are linearly independent mod p: that is an exact proof that no relation of
+the shape exists (see ``linalg.independent_mod_p``).  Only the surviving
+shapes, and every shape when some term's denominator is divisible by p,
+run exact elimination, so the answers are those of the exact search.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientData, InternalError
-from .linalg import (
-    PRIME,
-    independent_mod_p,
-    left_null_space,
-    rational_adapter,
-    residue,
-    solve_linear,
-)
-from .polynomials import Poly, QQ, difference_rows, forward_differences, newton_poly, rational_content
+from .linalg import PRIME, independent_mod_p, null_vectors, residue
+from .polynomials import Poly, QQ, difference_rows, forward_differences, newton_poly
 from .sequences import (
     CoeffRing,
     RecurrenceSystem,
@@ -82,7 +78,7 @@ def guess_polynomial(sequence, max_degree, margin=1, assume_bound=False):
     (N-1)^(degree+1) and the matching initial values.
     """
     length = len(sequence)
-    if length < 2 or max_degree < 0:
+    if length < 2:
         raise InsufficientData("need at least two terms to guess a polynomial")
     rows = enumerate(difference_rows(sequence.terms))
     depth, row = next(rows)
@@ -146,7 +142,6 @@ def guess_cfinite(sequence, max_order, margin=5, assume_bound=False):
         raise InsufficientData("need at least three terms to guess a recurrence")
     if not any(sequence.terms):
         return _degenerate_zero_report(sequence, "cfinite")
-    field = rational_adapter()
     terms = sequence.terms
     residues = _residues(terms)
     for order in range(1, max_order + 1):
@@ -159,14 +154,13 @@ def guess_cfinite(sequence, max_order, margin=5, assume_bound=False):
             [residues[i : i + windows] for i in range(order + 1)]
         ):
             continue
-        rows = [
-            [terms[j + i] for i in range(order)] for j in range(windows)
-        ]
-        rhs = [-terms[j + order] for j in range(windows)]
-        coeffs = solve_linear(rows, rhs, field)
-        if coeffs is None:
+        # a monic relation exists exactly when the last unknown is free
+        rows = [terms[i : i + windows] for i in range(order + 1)]
+        vector = next((v for v in null_vectors(rows) if len(v) == order + 1), None)
+        if vector is None:
             continue
-        operator = ShiftOperator(CoeffRing.CONSTANT, list(coeffs) + [Fraction(1)])
+        coeffs = [Fraction(c[0] if c else 0, vector[-1][0]) for c in vector]
+        operator = ShiftOperator(CoeffRing.CONSTANT, coeffs)
         if verify_annihilates(operator, sequence, sequence.offset) is not None:
             raise InternalError("fitted recurrence fails on its own data")
         system = RecurrenceSystem(
@@ -204,7 +198,6 @@ def guess_holonomic(sequence, max_order, max_degree, margin=5, assume_bound=Fals
         raise InsufficientData("need at least four terms to guess a recurrence")
     if not any(sequence.terms):
         return _degenerate_zero_report(sequence, "holonomic")
-    field = rational_adapter()
     terms = sequence.terms
     offset = sequence.offset
     residues = _residues(terms)
@@ -228,17 +221,12 @@ def guess_holonomic(sequence, max_order, max_degree, margin=5, assume_bound=Fals
         ):
             continue
         # rows indexed by unknown c_{i,j}, columns by window start n
-        rows = []
-        for i in range(order + 1):
-            for j in range(degree + 1):
-                rows.append(
-                    [
-                        Fraction(offset + w) ** j * terms[w + i]
-                        for w in range(windows)
-                    ]
-                )
-        basis = left_null_space(rows, field)
-        for vector in basis:
+        rows = [
+            [(offset + w) ** j * terms[w + i] for w in range(windows)]
+            for i in range(order + 1)
+            for j in range(degree + 1)
+        ]
+        for vector in null_vectors(rows):
             report = _holonomic_candidate(
                 vector, order, degree, sequence, fit, assume_bound, max_order, max_degree
             )
@@ -248,20 +236,20 @@ def guess_holonomic(sequence, max_order, max_degree, margin=5, assume_bound=Fals
 
 
 def _holonomic_candidate(vector, order, degree, sequence, fit, assume_bound, max_order, max_degree):
+    # coprime integers (constant integer polynomials); the last one, positive,
+    # leads the coefficient of N^order when that is nonzero
+    coeffs = [c[0] if c else 0 for c in vector]
     polys = [
-        Poly(vector[i * (degree + 1) : (i + 1) * (degree + 1)], QQ, "n")
+        Poly(coeffs[i * (degree + 1) : (i + 1) * (degree + 1)], QQ, "n")
         for i in range(order + 1)
     ]
     if not polys[order]:
         return None
-    content = rational_content([c for p in polys for c in p.coeffs])
-    polys = [p.scale(Fraction(1) / content) for p in polys]
-    if polys[order].leading < 0:
-        polys = [-p for p in polys]
     operator = ShiftOperator(CoeffRing.POLY_N, polys)
     validity = max(sequence.offset, leading_validity_offset(operator))
+    # the fit rows are the relation at every n that verify_annihilates checks
     if verify_annihilates(operator, sequence, sequence.offset) is not None:
-        return None
+        raise InternalError("fitted recurrence fails on its own data")
     needed = validity - sequence.offset + order
     if len(sequence) < needed:
         return None

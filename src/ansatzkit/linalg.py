@@ -1,21 +1,21 @@
-"""Exact linear algebra: one field kernel and one ring kernel.
+"""Exact linear algebra: one ring kernel and one field kernel.
+
+The ring kernel, ``null_vectors``, finds the left null vectors of a matrix
+over Q or Q(x) without forming a fraction: each equation is cleared to
+integer polynomials and a fraction-free (Bareiss) Gauss-Jordan over Z[x]
+reads one vector off minors at each free column, normalised once, on
+integers.  The guessers and the constant and polynomial-coefficient
+closures use it; its integer-polynomial arithmetic comes from
+``polynomials``.
 
 The field kernel, ``_eliminate``, is Gauss-Jordan over a pluggable field:
 ``rref``, ``rank``, ``solve_linear`` and ``left_null_space`` all read
-their answers off its reduced matrix and pivot list.  A small adapter
-carries the field's zero/one and a pivot-quality hook.  Over honest fields
-(rationals, number fields) every nonzero entry is an equally good pivot.
-Over the formal fraction ring of exponential polynomials some nonzero
-entries vanish at infinitely many indices; the null-space routine there
-prefers unit pivots, which is what steers degenerate combinations towards
-relations with a usable leading coefficient.
-
-The ring kernel, ``least_null_vector``, finds the least-order left null
-vector of a matrix of rational functions without forming a fraction: each
-equation is cleared to integer polynomials and a fraction-free
-(Bareiss) Gauss-Jordan over Z[x] reads the vector off minors, which are
-normalised once, on integers.  Its integer-polynomial arithmetic comes
-from ``polynomials``.
+their answers off its reduced matrix and pivot list.  The library needs it
+only over number fields and over the formal fraction ring of exponential
+polynomials, whose zero divisors rule out exact fraction-free division;
+there some nonzero entries vanish at infinitely many indices, and the
+adapter's pivot hook prefers unit pivots, which steers degenerate
+combinations towards relations with a usable leading coefficient.
 
 Beside the exact kernels sits one modular test, ``independent_mod_p``: it
 decides whether rows of residues are linearly independent modulo the
@@ -277,50 +277,51 @@ def _primitive_vector(vector):
 
 def _cleared(entries):
     """Rational functions num/den over Q, times one common factor, as
-    integer polynomials.
+    integer polynomials; a ``Fraction`` entry reads as a constant function.
 
     The factor is the lcm L of the primitive parts D of the denominators,
     then the lcm of the remaining coefficient denominators: num/den with
     den = D/D[-1] times L is D[-1] num (L/D).
     """
+    parts = [  # (numerator, denominator) coefficients per entry
+        ((e,) if e else (), (1,)) if isinstance(e, Fraction) else (e.num.coeffs, e.den.coeffs)
+        for e in entries
+    ]
     denominators = {
-        den: _zx_primitive(_over_common_denominator(den.coeffs)[0])
-        for den in dict.fromkeys(e.den for e in entries if e)
+        den: _zx_primitive(_over_common_denominator(den)[0])
+        for den in dict.fromkeys(den for _, den in parts)
     }
     lcd = [1]
     for d in denominators.values():
         lcd = _zx_mul(lcd, _zx_exact_div(d, _zx_gcd(lcd, d)))
     scaled = []  # (integer polynomial, integer denominator) per entry
-    for e in entries:
-        if not e:
-            scaled.append(([], 1))
-            continue
-        d = denominators[e.den]
-        factor = [c * d[-1] for c in _zx_exact_div(lcd, d)]
-        num, den = _over_common_denominator(e.num.coeffs)
-        scaled.append((_zx_mul(num, factor), den))
+    for num, den in parts:
+        d = denominators[den]
+        num, scale = _over_common_denominator(num)
+        scaled.append((_zx_mul(num, [c * d[-1] for c in _zx_exact_div(lcd, d)]), scale))
     scale = lcm(*(den for _, den in scaled))
     return [[c * (scale // den) for c in p] for p, den in scaled]
 
 
-def least_null_vector(rows):
-    """The left null vector of least order of a matrix of rational
-    functions (``num``/``den`` over Q), or None when the null space is
-    trivial.  Entries are integer polynomials: coprime, with a positive
-    leading coefficient in the last entry, which is nonzero.
+def null_vectors(rows):
+    """The left null vectors of a matrix over Q or Q(x), one per free
+    column, in free-column order: the basis ``left_null_space`` returns, up
+    to scale.  Entries are rationals or rational functions (``num``/``den``
+    over Q).  Each vector is truncated after its free column f, so it has
+    order exactly f, and its entries are integer polynomials: coprime, with
+    a positive leading coefficient in the last entry.
 
     A fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on the
     transposed, cleared matrix, with the pivot rule of ``_eliminate``
     (leftmost column, first unused row), so the pivot columns are those of
-    the reduced form over Q(x).  Each step sets M[i][j] = (piv M[i][j] -
-    M[i][c] M[p][j]) / prev for every other row, an exact division because
-    every entry is a minor.  The basis vector of the first free column f
-    has order exactly f, so it is the least-order one: the elimination
-    stops at f and reads it off as v[f] = prev, v[c] = -M[r][f] for each
-    pivot (r, c).
+    the reduced form over the field.  Each step sets M[i][j] = (piv M[i][j]
+    - M[i][c] M[p][j]) / prev for every other row, an exact division
+    because every entry is a minor.  At a free column f the vector is read
+    off as v[f] = prev, v[c] = -M[r][f] for each pivot (r, c); the
+    elimination runs on only when the caller asks for the next vector.
     """
     if not rows:
-        return None
+        return
     n_rows = len(rows)
     # each column is one equation; scaling equations keeps the null space
     m = [_cleared([row[col] for row in rows]) for col in range(len(rows[0]))]
@@ -334,7 +335,8 @@ def least_null_vector(rows):
             vector[col] = prev
             for r, c in pivots:
                 vector[c] = [-x for x in m[r][col]]
-            return _primitive_vector(vector)
+            yield _primitive_vector(vector)
+            continue
         unused.remove(p)
         pivot_row = m[p]
         piv = pivot_row[col]
@@ -348,4 +350,8 @@ def least_null_vector(rows):
                 )
         pivots.append((p, col))
         prev = piv
-    return None
+
+
+def least_null_vector(rows):
+    """The first of ``null_vectors``, of least order; None when there is none."""
+    return next(null_vectors(rows), None)

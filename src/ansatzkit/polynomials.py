@@ -337,6 +337,8 @@ def _zx_mul(a, b):
     multiplied once and unpacked as signed k-bit digits."""
     if not a or not b:
         return []
+    if len(a) == 1 or len(b) == 1:  # a constant factor scales the other
+        return [x * y for x in a for y in b]
     k = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()

@@ -195,6 +195,13 @@ class TestCliCommands:
         assert code == 1
         assert "no cfinite recurrence" in out
 
+    def test_guess_negative_max_degree_is_no_fit(self, capsys):
+        code = main(["guess", "--class", "poly", "--max-degree", "-1", "--terms", "1,2,3,4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "no poly recurrence with degree <= -1 fits the data\n"
+        assert captured.err == ""
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["guess", "--class", "bogus", "--terms", "1,2,3"])

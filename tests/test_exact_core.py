@@ -3,7 +3,7 @@
 import operator
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -32,6 +32,7 @@ from ansatzkit.linalg import (
     PRIME,
     clear_denominators,
     independent_mod_p,
+    null_vectors,
     rational_adapter,
     residue,
     solve_linear,
@@ -173,6 +174,100 @@ class TestLeftNullSpace:
         vec = basis[0]
         scale = target[0] / vec[0]
         assert [v * scale for v in vec] == target
+
+
+class TestNullVectors:
+    """``null_vectors`` against the field kernel's ``left_null_space``: one
+    vector per basis vector, in the same order, each the basis vector's
+    primitive integer form cut after its free column."""
+
+    @staticmethod
+    def primitive(vector):
+        """A rational vector as coprime integers with a positive last entry,
+        cut after its last nonzero entry, in integer-polynomial form."""
+        vector = vector[: max(i for i, x in enumerate(vector) if x) + 1]
+        scale = lcm(*(x.denominator for x in vector))
+        ints = [x.numerator * (scale // x.denominator) for x in vector]
+        content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+        return [[c // content] if c else [] for c in ints]
+
+    def check_rational(self, rows):
+        expected = [self.primitive(v) for v in left_null_space(rows, QFIELD)]
+        assert list(null_vectors(rows)) == expected
+        return len(expected)
+
+    def test_seeded_rational_matrices(self):
+        rng = random.Random(1968)
+        dimensions = set()
+        for k in range(80):
+            n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [
+                [F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 5])) for _ in range(n_cols)]
+                for _ in range(n_rows)
+            ]
+            if k % 4 == 1:  # a duplicated row, scaled
+                rows.insert(rng.randrange(n_rows + 1), [F(-3, 2) * x for x in rng.choice(rows)])
+            elif k % 4 == 2:  # a duplicated column
+                col = rng.randrange(n_cols)
+                rows = [row + [row[col]] for row in rows]
+            elif k % 4 == 3:  # a zero column
+                col = rng.randrange(n_cols + 1)
+                rows = [row[:col] + [F(0)] + row[col:] for row in rows]
+            dimensions.add(self.check_rational(rows))
+        assert {0, 1, 2, 3} <= dimensions, dimensions
+
+    def test_guess_shaped_matrices(self):
+        rng = random.Random(7)
+        dimensions = []
+        for k in range(12):
+            terms = [F(rng.randint(-9, 9), rng.randint(1, 2)) for _ in range(3)]
+            for n in range(3, 30):  # a(n) = n a(n-1) - a(n-3) / 2, or noise
+                terms.append(n * terms[-1] - terms[-3] / 2 if k % 3 else F(rng.randint(-99, 99)))
+            order, degree = rng.randint(1, 4), rng.randint(0, 2)
+            windows = len(terms) - order
+            dimensions.append(self.check_rational(
+                [[F(w) ** j * terms[w + i] for w in range(windows)]
+                 for i in range(order + 1) for j in range(degree + 1)]
+            ))
+            dimensions.append(self.check_rational(
+                [terms[i : i + windows] for i in range(order + 1)]
+            ))
+        assert 0 in dimensions and max(dimensions) >= 2, dimensions
+
+    def test_empty_null_space(self):
+        rows = frac_rows([[1, 2, 0], [3, 4, 0]])
+        assert list(null_vectors(rows)) == []
+        assert left_null_space(rows, QFIELD) == []
+        assert linalg.least_null_vector(rows) is None
+
+    def test_combination_matrices_over_ratfunc(self):
+        from ansatzkit.closure import ADD, SUBSEQUENCE, TERMWISE, combination_matrix
+        from ansatzkit.sequences import CoeffRing, ShiftOperator
+
+        one = RationalFunction(Poly([1], QQ, "n"))
+        field = linalg.FieldAdapter(one - one, one)
+        rng = random.Random(11)
+
+        def operator():
+            coeffs = [[rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+                      for _ in range(rng.randint(1, 2))]
+            coeffs.append([rng.randint(1, 4), 1])
+            return ShiftOperator(CoeffRing.POLY_N, [Poly(c, QQ, "n") for c in coeffs])
+
+        for _ in range(4):
+            a, b = operator(), operator()
+            for matrix in (
+                combination_matrix(ADD, a, b, rows=a.order + b.order + 2),
+                combination_matrix(TERMWISE, a, b, rows=a.order * b.order + 2),
+                combination_matrix(SUBSEQUENCE, a, mult=2, rows=a.order + 2),
+            ):
+                expected = []
+                for vector in left_null_space(matrix, field):
+                    free = max(i for i, x in enumerate(vector) if x)
+                    expected.append(clear_denominators(vector[: free + 1]))
+                found = [[Poly(c, QQ, "n") for c in v] for v in null_vectors(matrix)]
+                assert found == expected
+                assert len(found) >= 2  # one row past the bound
 
 
 class TestModularIndependence:

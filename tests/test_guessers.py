@@ -17,9 +17,11 @@ from ansatzkit import (
     verify_annihilates,
 )
 from ansatzkit import guess as guess_module
-from ansatzkit.errors import InsufficientData
-from ansatzkit.guess import holonomic_fit_length
-from ansatzkit.linalg import PRIME, rational_adapter, solve_linear
+from ansatzkit.errors import InsufficientData, InternalError
+from ansatzkit.guess import GuessReport, holonomic_fit_length
+from ansatzkit.linalg import PRIME, left_null_space, rational_adapter, solve_linear
+from ansatzkit.polynomials import rational_content
+from ansatzkit.sequences import RecurrenceSystem, ShiftOperator, leading_validity_offset
 
 import conftest as corpus
 
@@ -78,6 +80,16 @@ class TestGuessPolynomial:
     def test_insufficient(self):
         with pytest.raises(InsufficientData):
             guess_polynomial(Sequence([1]), 3)
+
+    def test_negative_max_degree_is_no_fit(self):
+        # like an empty search of the other guessers: no shape, no fit
+        seq = Sequence([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+        report = guess_polynomial(seq, -1)
+        assert report == GuessReport(None, ("polynomial", None, None), 0, 0)
+        assert guess_cfinite(seq, 0).result is None
+        assert guess_holonomic(seq, 1, -1).result is None
+        with pytest.raises(InsufficientData):
+            guess_polynomial(Sequence([1]), -1)
 
     def test_matches_vandermonde_reference(self):
         rng = random.Random(2028)
@@ -311,18 +323,16 @@ class TestModularPrefilter:
     def test_no_fit_runs_no_exact_elimination(self, monkeypatch):
         rng = random.Random(4)
         seq = Sequence([rng.randint(-10**6, 10**6) for _ in range(80)])
-        null_calls = count_calls(monkeypatch, "left_null_space")
-        solve_calls = count_calls(monkeypatch, "solve_linear")
+        null_calls = count_calls(monkeypatch, "null_vectors")
         assert guess_holonomic(seq, 3, 3).result is None
         assert guess_cfinite(seq, 10).result is None
         assert null_calls == []
-        assert solve_calls == []
 
     def test_multiples_of_p_take_exact_path(self, monkeypatch):
         # every residue is 0, so every shape is dependent mod p
         seq = expand_terms(corpus.catalan_system(), 20)
         scaled = Sequence([PRIME * t for t in seq.terms])
-        null_calls = count_calls(monkeypatch, "left_null_space")
+        null_calls = count_calls(monkeypatch, "null_vectors")
         report = guess_holonomic(seq, 2, 2)
         # shapes (1, 0) and (2, 0) are rejected mod p, (1, 1) fits
         assert len(null_calls) == 1
@@ -334,11 +344,11 @@ class TestModularPrefilter:
     def test_multiples_of_p_cfinite(self, monkeypatch):
         seq = expand_terms(corpus.fibonacci_system(), 20)
         scaled = Sequence([PRIME * t for t in seq.terms])
-        solve_calls = count_calls(monkeypatch, "solve_linear")
+        null_calls = count_calls(monkeypatch, "null_vectors")
         report = guess_cfinite(seq, 3)
-        assert len(solve_calls) == 1
+        assert len(null_calls) == 1
         scaled_report = guess_cfinite(scaled, 3)
-        assert len(solve_calls) == 1 + 2
+        assert len(null_calls) == 1 + 2
         assert list(scaled_report.result.operator.coeffs) == [-1, -1, 1]
         assert report.result.operator.coeffs == scaled_report.result.operator.coeffs
 
@@ -347,7 +357,7 @@ class TestModularPrefilter:
         seq = expand_terms(corpus.catalan_system(), 20)
         shrunk = Sequence([t / PRIME for t in seq.terms])
         assert all(t.denominator == PRIME for t in shrunk.terms)
-        null_calls = count_calls(monkeypatch, "left_null_space")
+        null_calls = count_calls(monkeypatch, "null_vectors")
         report = guess_holonomic(shrunk, 2, 2)
         assert len(null_calls) == 3
         assert report.shape == ("holonomic", 1, 1)
@@ -377,7 +387,7 @@ class TestModularPrefilter:
                 for seq in sequences
             ]
 
-        null_calls = count_calls(monkeypatch, "left_null_space")
+        null_calls = count_calls(monkeypatch, "null_vectors")
         filtered = run_all()
         filtered_calls = len(null_calls)
         monkeypatch.setattr(guess_module, "independent_mod_p", lambda rows: False)
@@ -385,3 +395,129 @@ class TestModularPrefilter:
         assert len(null_calls) - filtered_calls > 2 * filtered_calls
         assert any(holonomic[1] is None for holonomic, _ in filtered)
         assert any(cfinite[1] is not None for _, cfinite in filtered)
+
+
+def field_guess_cfinite(seq, max_order, margin=5, assume_bound=False):
+    """Reference C-finite guesser on the field kernel: the solution of the
+    shifted-window system with the last coefficient one, by ``solve_linear``."""
+    length, terms = len(seq), seq.terms
+    for order in range(1, max_order + 1):
+        fit = 2 * order
+        if length < fit + max(margin, 1):
+            break
+        windows = length - order
+        rows = [[terms[j + i] for i in range(order)] for j in range(windows)]
+        rhs = [-terms[j + order] for j in range(windows)]
+        coeffs = solve_linear(rows, rhs, rational_adapter())
+        if coeffs is not None:
+            operator = ShiftOperator(CoeffRing.CONSTANT, coeffs + [F(1)])
+            system = RecurrenceSystem(operator, terms[:order], seq.offset, seq.offset)
+            proven = assume_bound and length >= 2 * max_order
+            return GuessReport(system, ("cfinite", order, 0), fit, length - fit, proven=proven)
+    return GuessReport(None, ("cfinite", None, None), 0, 0)
+
+
+def field_guess_holonomic(seq, max_order, max_degree, margin=5, assume_bound=False):
+    """Reference holonomic guesser on the field kernel: every
+    ``left_null_space`` vector of each shape, scaled to coprime integers
+    with a positive leading coefficient of the N^order coefficient."""
+    length, terms, offset = len(seq), seq.terms, seq.offset
+    shapes = sorted(
+        ((r, d) for r in range(1, max_order + 1) for d in range(max_degree + 1)),
+        key=lambda s: ((s[0] + 1) * (s[1] + 1), s[0]),
+    )
+    for order, degree in shapes:
+        fit = holonomic_fit_length(order, degree)
+        if length < fit + max(margin, 1):
+            continue
+        windows = length - order
+        rows = [
+            [F(offset + w) ** j * terms[w + i] for w in range(windows)]
+            for i in range(order + 1)
+            for j in range(degree + 1)
+        ]
+        for vector in left_null_space(rows, rational_adapter()):
+            polys = [Poly(vector[i * (degree + 1) : (i + 1) * (degree + 1)], QQ, "n")
+                     for i in range(order + 1)]
+            if not polys[order]:
+                continue
+            content = rational_content([c for p in polys for c in p.coeffs])
+            polys = [p.scale(1 / content) for p in polys]
+            if polys[order].leading < 0:
+                polys = [-p for p in polys]
+            operator = ShiftOperator(CoeffRing.POLY_N, polys)
+            validity = max(offset, leading_validity_offset(operator))
+            needed = validity - offset + order
+            if verify_annihilates(operator, seq, offset) is not None or length < needed:
+                continue
+            system = RecurrenceSystem(operator, terms[:needed], validity, offset)
+            proven = assume_bound and length >= holonomic_fit_length(max_order, max_degree)
+            return GuessReport(system, ("holonomic", order, degree), fit, length - fit,
+                               proven=proven)
+    return GuessReport(None, ("holonomic", None, None), 0, 0)
+
+
+class TestFieldKernelReference:
+    """The guessers against their fits on the field kernel."""
+
+    @staticmethod
+    def sequences():
+        rng = random.Random(2031)
+        for k in range(40):
+            if k % 2:
+                seq = expand_terms(corpus.random_holonomic(rng, max_order=2, max_degree=2), 28)
+            else:
+                seq = expand_terms(corpus.random_cfinite(rng, max_order=3), 24)
+            if k % 5 == 1:  # rational terms
+                scale = F(rng.randint(1, 9), rng.randint(2, 9))
+                seq = Sequence([scale * t for t in seq.terms])
+            elif k % 5 == 2:  # a later start
+                start = rng.randint(1, 4)
+                seq = Sequence(seq.terms[start:], start)
+            elif k % 5 == 3:  # one perturbed term
+                terms = list(seq.terms)
+                terms[rng.randrange(len(terms))] += F(1, rng.randint(1, 4))
+                seq = Sequence(terms, seq.offset)
+            elif k % 5 == 4:  # no relation at all
+                seq = Sequence([F(rng.randint(-50, 50), rng.randint(1, 3)) for _ in range(26)])
+            if any(seq.terms):
+                yield seq, k % 3 == 0
+
+    def compare(self):
+        found = {"cfinite": 0, "holonomic": 0, "none": 0}
+        for seq, assume_bound in self.sequences():
+            cfinite = guess_cfinite(seq, 4, assume_bound=assume_bound)
+            assert cfinite == field_guess_cfinite(seq, 4, assume_bound=assume_bound)
+            holonomic = guess_holonomic(seq, 2, 2, assume_bound=assume_bound)
+            assert holonomic == field_guess_holonomic(seq, 2, 2, assume_bound=assume_bound)
+            found["cfinite"] += cfinite.result is not None
+            found["holonomic"] += holonomic.result is not None
+            found["none"] += holonomic.result is None and cfinite.result is None
+        return found
+
+    def test_reports_match(self):
+        found = self.compare()
+        assert min(found.values()) >= 6, found
+
+    def test_reports_match_without_prefilter(self, monkeypatch):
+        # every shape, no-fits included, then runs exact elimination
+        calls = count_calls(monkeypatch, "null_vectors")
+        monkeypatch.setattr(guess_module, "independent_mod_p", lambda rows: False)
+        found = self.compare()
+        assert min(found.values()) >= 6, found
+        assert len(calls) > 40 * 4
+
+    def test_failing_candidate_is_internal_error(self, monkeypatch):
+        original = guess_module.null_vectors
+
+        def corrupted(rows):
+            for vector in original(rows):
+                yield vector[:-1] + [[2 * vector[-1][0]]]
+
+        monkeypatch.setattr(guess_module, "null_vectors", corrupted)
+        catalan = expand_terms(corpus.catalan_system(), 20)
+        with pytest.raises(InternalError, match="fails on its own data"):
+            guess_holonomic(catalan, 2, 2)
+        fibonacci = expand_terms(corpus.fibonacci_system(), 20)
+        with pytest.raises(InternalError, match="fails on its own data"):
+            guess_cfinite(fibonacci, 3)
