@@ -11,7 +11,10 @@ tie-break.  Constant and polynomial-coefficient relations are read off
 minors over Z and Z[n] by the fraction-free kernel ``least_null_vector``,
 which finds the least-order one directly.  Over exponential polynomials,
 whose fractions have zero divisors, the null space comes from Gauss-Jordan
-over the function field.  Cauchy
+over the function field, and the zeros of each candidate's leading
+coefficient are decided exactly (``exppoly.validity_offset``): a candidate
+vanishing on a residue class of n is dropped, the others hold from one
+past their last zero.  Cauchy
 products go through generating functions: rational arithmetic for
 constant coefficients, an ODE null-space construction otherwise.
 ``poly_closure`` combines polynomial sequences in closed form; its partial
@@ -35,7 +38,7 @@ from .errors import (
     UnboundableExpression,
     UnsupportedCase,
 )
-from .exppoly import ExpPolyFraction
+from .exppoly import ExpPolyFraction, validity_offset
 from .fields import RATIONAL_FIELD, as_rational_poly, common_field
 from .genfun import DiffEquation, cfinite_from_rational
 from .linalg import (
@@ -79,9 +82,8 @@ ORDER_BOUNDS = {
 }
 
 # extra rows tried when every exponential-polynomial candidate has a
-# degenerate leading coefficient, and the window of the degeneracy probe
+# leading coefficient that vanishes on a residue class
 MAX_BUMP = 3
-PROBE = 200
 
 
 def _order_bound(kind, op_a, op_b=None):
@@ -300,7 +302,7 @@ def _closure(kind, op_a, op_b=None, mult=1):
     index from which it holds.
 
     Exponential-polynomial candidates whose leading coefficient vanishes on
-    an arithmetic tail are dropped, and the matrix grows by a row, up to
+    a residue class of n are dropped, and the matrix grows by a row, up to
     ``MAX_BUMP`` times, until one is left."""
     ring = op_a.ring
     rules = _RINGS[ring]
@@ -450,25 +452,20 @@ class _DerivativeRep:
 
 
 def probe_leading_coefficient(coefficient):
-    """Scan n = 0..PROBE for zeros of the leading coefficient.
-
-    Returns the validity offset when the zeros stop early, or None when
-    they persist to the end of the window (structural vanishing, e.g. on a
-    parity class)."""
-    zeros = [n for n in range(PROBE + 1) if not coefficient.evaluate(n)]
-    if not zeros:
-        return 0
-    if zeros[-1] >= PROBE - 2:
-        return None
-    return zeros[-1] + 1
+    """The validity offset of a candidate's leading coefficient: one past
+    its last natural zero, or None when it vanishes on a residue class of n.
+    Raises ValidityUnproven when its zeros are undecided."""
+    return validity_offset(coefficient)
 
 
 def c2_combine(kind, op_a, op_b=None, mult=1):
     """Solution-space closure for exponential-polynomial coefficients.
 
-    Candidates whose leading coefficient vanishes on an arithmetic tail
+    Candidates whose leading coefficient vanishes on a residue class of n
     (the degenerate case) are rejected and the order is bumped by one, up
-    to ``MAX_BUMP`` times.  Returns (operator, validity_offset)."""
+    to ``MAX_BUMP`` times.  Returns (operator, validity_offset), the offset
+    one past the last natural zero of the leading coefficient; raises
+    ValidityUnproven when those zeros are undecided."""
     return _closure(kind, *_common_ring(op_a, op_b, CoeffRing.EXPPOLY), mult=mult)
 
 

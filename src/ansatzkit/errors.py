@@ -30,7 +30,14 @@ class UnsupportedField(AnsatzError):
 
 
 class UnsupportedCase(AnsatzError):
-    """Asymptotic template outside the implemented subclass."""
+    """Input outside the implemented subclass: an asymptotic template, an
+    exponential-polynomial Cauchy product or an undecided validity."""
+
+
+class ValidityUnproven(UnsupportedCase):
+    """The zeros of an exponential-polynomial leading coefficient are not
+    decided: its two largest terms have equal modulus and degree, and their
+    base ratio is no root of unity (the Skolem-Mahler-Lech obstacle)."""
 
 
 class InconsistentSystem(AnsatzError):
@@ -50,7 +57,9 @@ class NullSpaceEmpty(InternalError):
 
 
 class LeadingAlwaysZero(AnsatzError):
-    """Every candidate combination has a leading coefficient with infinitely many zeros."""
+    """A leading coefficient vanishes on a whole residue class of n, so the
+    relation determines no tail; a closure raises it when every candidate
+    does."""
 
 
 class UnboundableExpression(AnsatzError):

@@ -11,13 +11,30 @@ The ring has zero divisors once roots of unity appear among base ratios
 fractions.  :class:`ExpPolyFraction` keeps formal numerator/denominator
 factor lists instead, cancelling only structurally equal factors; that is
 all the null-space elimination needs.
+
+:func:`validity_offset` decides the natural zeros of an exponential
+polynomial exactly.  A base ratio that is a root of unity has order 1, 2,
+3, 4 or 6 in Q or a quadratic field, so with L the lcm of those orders each
+residue class e(L m + j) has no such ratio left.  A class that is the zero
+ExpPoly vanishes for good; on any other the term of greatest (modulus,
+degree) outgrows the rest from an index bounded in rational arithmetic,
+and the values below it are checked exactly.  Two top terms of equal
+modulus and degree, like conjugate bases of an imaginary quadratic field,
+are the Skolem-Mahler-Lech obstacle: :class:`ValidityUnproven`.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import InternalError
-from .fields import NumberField, NumberFieldElement, RATIONAL_FIELD, common_field
-from .polynomials import NEG_INFINITY, Poly
+from .errors import InternalError, ValidityUnproven
+from .fields import (
+    NumberField,
+    NumberFieldElement,
+    RATIONAL_FIELD,
+    common_field,
+    compare_modulus,
+)
+from .polynomials import NEG_INFINITY, QQ, Poly, largest_natural_root, poly_gcd
 
 
 class ExpPoly:
@@ -227,6 +244,119 @@ class ExpPoly:
 def deg(expression):
     """Highest polynomial degree across the terms of an ExpPoly."""
     return expression.deg
+
+
+# -- natural zeros ----------------------------------------------------------------
+
+
+def validity_offset(e):
+    """One past the largest n >= 0 with e(n) = 0, 0 when there is none, or
+    None when e vanishes on a whole residue class of n.
+
+    Raises ValidityUnproven when a class's two largest terms tie."""
+    bases = [base for base, _ in e.terms]
+    period = 1
+    for i, first in enumerate(bases):
+        for second in bases[i + 1:]:
+            ratio = first / second
+            period = lcm(period, next((k for k in (2, 3, 4, 6) if ratio ** k == 1), 1))
+    last = -1
+    for j in range(period):
+        part = e.compose_arg(period, j) if period > 1 else e
+        if not part:
+            return None
+        zero = _last_zero(part)
+        if zero is not None:
+            last = max(last, period * zero + j)
+    return last + 1
+
+
+def _last_zero(e):
+    """The largest m >= 0 with e(m) = 0, or None; no base ratio of e is a
+    root of unity."""
+    if len(e.terms) == 1:
+        return _last_poly_zero(e.terms[0][1])
+    top = e.terms[0]
+    for term in e.terms[1:]:
+        if (compare_modulus(term[0], top[0]), term[1].degree - top[1].degree) > (0, 0):
+            top = term
+    rest = [term for term in e.terms if term is not top]
+    for base, poly in rest:
+        if poly.degree == top[1].degree and not compare_modulus(base, top[0]):
+            raise ValidityUnproven(
+                f"validity unproven: the terms {ExpPoly(e.field, [top])} and"
+                f" {ExpPoly(e.field, [(base, poly)])} tie in modulus and degree,"
+                " so the zeros of the leading coefficient are not decided"
+            )
+    # scan exactly until the tail test shows top outgrowing the rest
+    tail_holds = _tail_test(top, rest)
+    powers = [e.field.one for _ in e.terms]
+    last, m = None, 0
+    while True:
+        if not sum((poly.evaluate(m) * power for (_, poly), power in zip(e.terms, powers)), 0):
+            last = m
+        powers = [power * base for (base, _), power in zip(e.terms, powers)]
+        m += 1
+        if tail_holds(m):
+            return last
+
+
+def _last_poly_zero(poly):
+    """The largest natural root of a polynomial over a number field, or None."""
+    if poly.degree < 1:
+        return None
+    coords = [Poly([c.coords[i] for c in poly.coeffs], QQ, "n") for i in range(poly.domain.degree)]
+    # a root of poly is a root of every coordinate
+    return largest_natural_root(poly_gcd(*coords) if len(coords) > 1 else coords[0])
+
+
+def _tail_test(top, rest):
+    """A test of m >= 1 that, when true, shows |top(x)| > sum |rest(x)| for
+    every x >= m; it turns true for all large m.
+
+    With rationals lo <= |coefficient|, |base| <= hi, write d = deg top and
+    theta_i >= |b_i|/|b_top| (1 for a base of equal modulus, whose degree is
+    then lower).  For x >= m >= 1, |top(x)| >= P(m) x^d |b_top|^x with
+    P(m) = lo(lead) - sum_k hi(c_k)/m^(d-k) increasing in m, and
+    |q_i(x)| <= U_i(m) x^(d_i) with U_i(m) = sum_k hi(c_k)/m^(d_i-k)
+    decreasing.  Once x^(d_i-d) theta_i^x decreases from m on, the tail
+    condition sum_i U_i(m) m^(d_i-d) theta_i^m < P(m) holds for all x >= m.
+    """
+    base, poly = top
+    d = poly.degree
+    bits = 16
+    while True:  # refine the brackets until they separate the moduli
+        lead = poly.leading.abs_bounds(bits)[0]
+        floor = base.abs_bounds(bits)[0]
+        thetas = []
+        for other, _ in rest:
+            if not compare_modulus(other, base):
+                thetas.append(Fraction(1))
+                continue
+            ceiling = other.abs_bounds(bits)[1]
+            if ceiling >= floor:
+                break
+            thetas.append(ceiling / floor)
+        if lead and len(thetas) == len(rest):
+            break
+        bits *= 2
+    top_his = [c.abs_bounds(bits)[1] for c in poly.coeffs[:-1]]
+    rest_his = [[c.abs_bounds(bits)[1] for c in q.coeffs] for _, q in rest]
+
+    def holds(m):
+        bound = lead - sum(h / m ** (d - k) for k, h in enumerate(top_his))
+        if bound <= 0:
+            return False
+        total = 0
+        for (_, q), his, theta in zip(rest, rest_his, thetas):
+            gap = q.degree - d
+            if gap > 0 and (m + 1) ** gap * theta > m ** gap:
+                return False
+            size = sum(h / m ** (q.degree - k) for k, h in enumerate(his))
+            total += size * Fraction(m) ** gap * theta ** m
+        return total < bound
+
+    return holds
 
 
 def _multiset_subtract(big, small):

@@ -10,6 +10,11 @@ discriminant c1^2 - 4*c0 is not a rational square; any other modulus raises
 Elements are coordinate tuples (a0,) or (a0, a1) standing for a0 + a1*t.
 They multiply by closed formulas with t^2 = -c1*t - c0 and invert as the
 conjugate over the norm; in degree 1 they are plain ``Fraction`` arithmetic.
+
+Moduli are compared exactly (``compare_modulus``) and bracketed by
+rationals (``abs_bounds``).  A real quadratic field is embedded with
+t = (-c1 + sqrt(D))/2, D = c1^2 - 4*c0; in an imaginary one |z|^2 is the
+norm, the same in both embeddings.
 """
 
 from fractions import Fraction
@@ -186,6 +191,13 @@ class NumberFieldElement:
 
     __rmul__ = __mul__
 
+    def norm(self):
+        """The product of the conjugates, a rational."""
+        if self.field.degree == 1:
+            return self.coords[0]
+        (a0, a1), (c0, c1) = self.coords, self.field.low
+        return a0 * a0 - c1 * a0 * a1 + c0 * a1 * a1
+
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
@@ -194,8 +206,8 @@ class NumberFieldElement:
             return NumberFieldElement(field, (1 / self.coords[0],))
         # the conjugate a0 + a1*t' (t' = -c1 - t) over the norm, which is
         # nonzero because the modulus is irreducible
-        (a0, a1), (c0, c1) = self.coords, field.low
-        norm = a0 * a0 - c1 * a0 * a1 + c0 * a1 * a1
+        (a0, a1), c1 = self.coords, field.low[1]
+        norm = self.norm()
         return NumberFieldElement(field, ((a0 - c1 * a1) / norm, -a1 / norm))
 
     def __truediv__(self, other):
@@ -224,6 +236,40 @@ class NumberFieldElement:
             exponent >>= 1
         return result
 
+    # -- size ------------------------------------------------------------------
+
+    def surd(self):
+        """(x, y, D) with self = x + y*sqrt(D) for t = (-c1 + sqrt(D))/2;
+        (a0, 0, 0) in degree 1."""
+        if self.field.degree == 1:
+            return self.coords[0], Fraction(0), Fraction(0)
+        (a0, a1), (c0, c1) = self.coords, self.field.low
+        return a0 - a1 * c1 / 2, a1 / 2, c1 * c1 - 4 * c0
+
+    def real_sign(self):
+        """The sign of a real element (degree 1 or a real quadratic field)."""
+        x, y, disc = self.surd()
+        sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+        if not sy or sx == sy:
+            return sx
+        if not sx:
+            return sy
+        # opposite signs; x^2 = y^2 D is impossible since D is no square
+        return sx if x * x > y * y * disc else sy
+
+    def abs_bounds(self, bits):
+        """Rationals lo <= |self| <= hi whose gap shrinks like 2**-bits."""
+        x, y, disc = self.surd()
+        if disc < 0:
+            return _sqrt_bounds(self.norm(), bits)
+        root_lo, root_hi = _sqrt_bounds(disc, bits)
+        low, high = sorted((x + y * root_lo, x + y * root_hi))
+        if low >= 0:
+            return low, high
+        if high <= 0:
+            return -high, -low
+        return Fraction(0), max(-low, high)
+
     # -- printing --------------------------------------------------------------
 
     def __str__(self):
@@ -236,6 +282,21 @@ class NumberFieldElement:
 
 
 RATIONAL_FIELD = NumberField(Poly([0, 1], QQ, "t"))
+
+
+def _sqrt_bounds(q, bits):
+    """Rationals lo <= sqrt(q) <= hi, q >= 0, with hi - lo = 2**-bits / den(q)."""
+    scale = q.denominator << bits
+    root = isqrt(q.numerator * q.denominator << 2 * bits)
+    return Fraction(root, scale), Fraction(root + 1, scale)
+
+
+def compare_modulus(a, b):
+    """The sign of |a| - |b| for two elements of one field, exactly."""
+    if a.surd()[2] < 0:
+        diff = a.norm() - b.norm()
+        return (diff > 0) - (diff < 0)
+    return (a * a - b * b).real_sign()
 
 
 def common_field(first, second):

@@ -391,7 +391,7 @@ def diff_to_holonomic(equation):
         CoeffRing.POLY_N,
         [as_rational_poly(c.terms[0][1]) if c else 0 for c in operator.coeffs],
     )
-    return operator, max(v, leading_validity_offset(operator))
+    return operator, v
 
 
 def c2_to_diff(system):
@@ -445,7 +445,8 @@ def c2_to_diff(system):
 def diff_to_c2(equation):
     """Recurrence with exponential-polynomial coefficients for the series
     coefficients of a homogeneous dilation equation; returns
-    (operator, validity_offset)."""
+    (operator, validity_offset), the offset past both the dropped low
+    shifts and the last natural zero of the leading coefficient."""
     if not equation.is_homogeneous:
         raise ValueError("homogeneous equation required")
     from .exppoly import ExpPoly
@@ -480,4 +481,4 @@ def diff_to_c2(equation):
     if v:
         exppolys = [e.shift(-v) for e in exppolys]
     operator = ShiftOperator(CoeffRing.EXPPOLY, exppolys)
-    return operator, v
+    return operator, max(v, leading_validity_offset(operator))

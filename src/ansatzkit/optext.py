@@ -11,7 +11,13 @@ holds structurally for everything this module prints.
 import re
 from fractions import Fraction
 
-from .errors import MixedRing, OperatorSyntaxError, UnknownCoefficient, UnsupportedField
+from .errors import (
+    MixedRing,
+    OperatorSyntaxError,
+    UnknownCoefficient,
+    UnsupportedField,
+    ValidityUnproven,
+)
 from .exppoly import ExpPoly
 from .fields import as_rational_poly
 from .polynomials import Poly, QQ
@@ -351,7 +357,9 @@ def parse_recurrence_spec(spec, declarations=None):
 
     Supplying more than ``order`` initial values moves the validity offset
     forward, which is how relations with early leading-coefficient zeros
-    (like a leading coefficient of n) are written down.
+    (like a leading coefficient of n or 2^n - 1) are written down.  A
+    leading coefficient that vanishes on a residue class of n raises
+    LeadingAlwaysZero; one whose zeros are undecided is taken as written.
     """
     from .sequences import RecurrenceSystem, leading_validity_offset
 
@@ -373,7 +381,11 @@ def parse_recurrence_spec(spec, declarations=None):
             " initial values",
             len(spec),
         )
-    if operator.ring is CoeffRing.POLY_N and validity < leading_validity_offset(operator):
+    try:
+        needed = leading_validity_offset(operator)
+    except ValidityUnproven:
+        needed = 0
+    if validity < needed:
         raise OperatorSyntaxError(
             "leading coefficient vanishes at an index the initial values do"
             " not cover; supply more of them",

@@ -12,8 +12,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InsufficientData, LeadingCoefficientZero
-from .exppoly import ExpPoly
+from .errors import InsufficientData, LeadingAlwaysZero, LeadingCoefficientZero
+from .exppoly import ExpPoly, validity_offset
 from .fields import RATIONAL_FIELD, common_field
 from .polynomials import Poly, QQ, largest_natural_root
 
@@ -245,14 +245,25 @@ def verify_annihilates(operator, sequence, from_n=None):
 
 
 def leading_validity_offset(operator):
-    """n0 + 1 for the largest nonnegative integer root n0 of the leading
-    coefficient, or 0 when there is none."""
+    """n0 + 1 for the largest nonnegative integer n0 at which the leading
+    coefficient vanishes, or 0 when there is none; decided exactly in every
+    ring.
+
+    An exponential-polynomial leading coefficient that vanishes on a whole
+    residue class of n raises LeadingAlwaysZero, and one whose zeros no
+    method decides raises ValidityUnproven (see ``exppoly.validity_offset``).
+    """
     if operator.ring is CoeffRing.CONSTANT:
         return 0
     if operator.ring is CoeffRing.POLY_N:
         root = largest_natural_root(operator.leading)
         return 0 if root is None else root + 1
-    raise ValueError("exponential leading coefficients are probed, not solved")
+    offset = validity_offset(operator.leading)
+    if offset is None:
+        raise LeadingAlwaysZero(
+            f"leading coefficient {operator.leading} vanishes on a residue class of n"
+        )
+    return offset
 
 
 def advanced_system(system, steps):

@@ -26,6 +26,7 @@ from ansatzkit import (
 from ansatzkit.cli import main
 from ansatzkit.errors import (
     BFileParseError,
+    LeadingAlwaysZero,
     MixedRing,
     NotFound,
     OperatorSyntaxError,
@@ -240,6 +241,32 @@ class TestCliCommands:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("no result: no supported field")
+
+    def test_exponential_lead_zero_needs_initials(self, capsys):
+        # 2^n - 1 vanishes at n = 0, as n - 1 does at n = 1
+        for spec in ("c2:(2^n - 1)*N + 1;5", "holonomic:(n - 1)*N + 1;5"):
+            code = main(["closure", "--kind", "parsum", spec])
+            assert code == 2
+            assert "initial values do not cover" in capsys.readouterr().err
+        system = parse_recurrence_spec("c2:(2^n - 1)*N + 1;5,-5")
+        assert system.validity_offset == 1
+
+    def test_class_vanishing_lead_is_rejected(self):
+        with pytest.raises(LeadingAlwaysZero):
+            parse_recurrence_spec("c2:(1 + (-1)^n)*N + 1;5,1,2")
+
+    def test_unproven_validity_exit_1(self, capsys):
+        from ansatzkit import register_coefficient
+
+        coeff = "H=cfinite:N^2-2*N+5;1,1"
+        # H(n) = ((1+2i)^n + (1-2i)^n)/2 as a leading coefficient parses as written
+        h = register_coefficient(parse_recurrence_spec(coeff[2:]))
+        system = parse_recurrence_spec("c2:H(n)*N - 1;1", {"H": h})
+        assert system.validity_offset == 0
+        code = main(["closure", "--kind", "parsum", "--coeff", coeff, "c2:N - H(n);1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("no result: validity unproven")
 
     def test_prove_identity(self, capsys):
         code = main(

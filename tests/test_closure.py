@@ -409,6 +409,67 @@ class TestC2Closures:
         assert list(seq.terms) == expected
 
 
+class TestExactValidity:
+    """The validity of a C2 closure is one past the last natural zero of
+    its leading coefficient, decided exactly."""
+
+    @staticmethod
+    def shifted_factorial_plus_fibonacci(r):
+        # a(n+1) = (n - r) a(n) added to the Fibonacci numbers
+        falling = ShiftOperator(
+            CoeffRing.EXPPOLY, [-ExpPoly.from_poly(Poly([-r, 1], QQ, "n")), ExpPoly.constant(1)]
+        )
+        fibonacci = ShiftOperator(
+            CoeffRing.EXPPOLY, [ExpPoly.constant(-1), ExpPoly.constant(-1), ExpPoly.constant(1)]
+        )
+        return c2_combine(ADD, falling, fibonacci)
+
+    @pytest.mark.parametrize("r", [197, 199])
+    def test_late_zeros_are_not_structural(self, r):
+        operator, validity = self.shifted_factorial_plus_fibonacci(r)
+        assert operator.order == 3
+        assert validity == r + 2
+
+    @pytest.mark.parametrize("r", [5, 260])
+    def test_validity_passes_the_last_zero(self, r):
+        operator, validity = self.shifted_factorial_plus_fibonacci(r)
+        assert validity == r + 2
+        lead = operator.leading
+        assert not lead.evaluate(r - 1) and not lead.evaluate(r + 1)
+        assert all(lead.evaluate(n) for n in range(r + 2, r + 40))
+
+    def test_validity_holds_on_the_combined_system(self):
+        a = RecurrenceSystem(
+            ShiftOperator(
+                CoeffRing.EXPPOLY, [-ExpPoly.from_poly(Poly([-260, 1], QQ, "n")), ExpPoly.constant(1)]
+            ),
+            [1],
+        )
+        system = combine(ADD, a, corpus.fibonacci_system())
+        assert system.validity_offset == 262
+        direct_a = expand_terms(a, 280)
+        direct_b = expand_terms(corpus.fibonacci_system(), 280)
+        sequence = Sequence([x + y for x, y in zip(direct_a.terms, direct_b.terms)])
+        assert verify_annihilates(system.operator, sequence, from_n=262) is None
+
+    def test_degenerate_pair_result_and_validity(self):
+        a, b = corpus.alternating_sign_pair()
+        operator, validity = c2_combine(ADD, a.operator, b.operator)
+        assert operator.order == 3
+        assert validity == 0
+        assert operator.leading == ExpPoly.constant(1, operator.leading.field)
+
+    def test_conjugate_leading_terms_are_unproven(self):
+        from ansatzkit import register_coefficient
+        from ansatzkit.errors import ValidityUnproven
+        from ansatzkit.optext import parse_recurrence_spec
+
+        h = register_coefficient(parse_recurrence_spec("cfinite:N^2-2*N+5;1,1"))
+        geometric = ShiftOperator(CoeffRing.EXPPOLY, [-h, ExpPoly.constant(1, h.field)])
+        with pytest.raises(ValidityUnproven, match="unproven"):
+            c2_combine(PARTIAL_SUM, geometric)
+
+
 class TestProveIdentity:
     def setup_method(self):
         self.floor = corpus.floor_square_system()

@@ -26,7 +26,10 @@ from ansatzkit import (
     rank,
     rref,
 )
-from ansatzkit.errors import InternalError, UnsupportedField
+from ansatzkit import exppoly
+from ansatzkit.errors import InternalError, UnsupportedField, ValidityUnproven
+from ansatzkit.exppoly import validity_offset
+from ansatzkit.fields import compare_modulus
 from ansatzkit.genfun import falling_basis_constants
 from ansatzkit.linalg import (
     PRIME,
@@ -523,6 +526,34 @@ class TestNumberField:
                 assert element * element.inverse() == field.one
                 assert element ** -3 == element.inverse() ** 3
 
+    def test_modulus_brackets_and_comparison(self):
+        # the real fields embed t as the larger root of the modulus
+        rng = random.Random(11)
+        for modulus in self.MODULI:
+            field = NumberField(modulus)
+            c0, c1 = modulus[0], modulus[1]
+            root = complex(-c1, 0) / 2 + (complex(c1 * c1 - 4 * c0) ** 0.5) / 2
+            values = []
+            for _ in range(30):
+                coords = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)]
+                element = field.element(coords)
+                if not element:
+                    continue
+                size = abs(float(coords[0]) + float(coords[1]) * root)
+                for bits in (4, 16, 40):
+                    low, high = element.abs_bounds(bits)
+                    assert low <= high
+                    assert float(low) <= size * (1 + 1e-12) and size <= float(high) * (1 + 1e-12)
+                    assert high - low <= F(2, 2 ** bits) * (1 + abs(coords[1]))
+                values.append((element, size))
+            for a, size_a in values:
+                for b, size_b in values:
+                    sign = compare_modulus(a, b)
+                    if abs(size_a - size_b) > 1e-9:
+                        assert sign == (1 if size_a > size_b else -1)
+                    elif a == b or a == -b:
+                        assert sign == 0
+
     def test_reducible_modulus_rejected(self):
         # t^2 - 1, t^2 - 4 have rational roots; (t^2 + 1)(t^2 + 2) has none
         # and is square-free
@@ -632,3 +663,133 @@ class TestExpPolyFraction:
         assert ExpPolyFraction(field, [ExpPoly.geometric(2)]).is_unit_value()
         two_term = ExpPoly.geometric(2) + ExpPoly.constant(1)
         assert not ExpPolyFraction(field, [two_term]).is_unit_value()
+
+
+def _planted(field, rng):
+    """c * (n - r1) ... (n - rk) with natural roots r below 30."""
+    poly = Poly([rng.choice([1, -1, 2, F(-1, 3), F(5, 2)])], field, "n")
+    for _ in range(rng.randint(0, 2)):
+        poly = poly * Poly([-rng.randint(0, 29), 1], field, "n")
+    return poly
+
+
+def _random_validity_case(rng):
+    """Bases over Q, Q(sqrt 5) or Q(i), some paired with a root-of-unity
+    multiple, times a planted common factor."""
+    kind = rng.choice(["rational", "rational", "golden", "imaginary"])
+    if kind == "rational":
+        field = RATIONAL_FIELD
+        pool = [field.from_rational(q) for q in (1, 2, 3, F(1, 2), F(3, 2))]
+        units = [-field.one]
+    elif kind == "golden":
+        field = NumberField([-1, -1, 1])
+        phi = field.generator()
+        pool = [field.one, phi, 1 - phi, phi * phi, field.from_rational(2)]
+        units = [-field.one]
+    else:
+        field = NumberField([5, -2, 1])  # t = 1 + 2i
+        t = field.generator()
+        pool = [field.one, t, 2 - t, field.from_rational(3), t * t]
+        units = [-field.one, (t - 1) / 2]  # -1 and i
+    paired = rng.random() < 0.3
+    unit = rng.choice(units)
+    terms = []
+    for base in rng.sample(pool, rng.randint(1, 3)):
+        terms.append((base, _planted(field, rng)))
+        if paired:  # vanishes on a residue class when the unit is -1
+            terms.append((base * unit, -terms[-1][1]))
+        elif rng.random() < 0.4:
+            terms.append((base * rng.choice(units), _planted(field, rng)))
+    return ExpPoly(field, terms) * ExpPoly.from_poly(_planted(field, rng), field)
+
+
+def _period(e):
+    """The lcm of the root-of-unity orders of the base ratios of e."""
+    bases = [base for base, _ in e.terms]
+    orders = [
+        next((k for k in (2, 3, 4, 6) if (a / b) ** k == 1), 1)
+        for a in bases
+        for b in bases
+        if a != b
+    ]
+    return lcm(1, *orders)
+
+
+class TestValidityOffset:
+    def test_matches_a_direct_scan_past_the_tail_index(self, monkeypatch):
+        starts = []  # the indices the tail test was asked about
+        tail_test = exppoly._tail_test
+
+        def recorded(top, rest):
+            holds = tail_test(top, rest)
+
+            def recording(m):
+                starts.append(m)
+                return holds(m)
+
+            return recording
+
+        monkeypatch.setattr(exppoly, "_tail_test", recorded)
+        rng = random.Random(20261018)
+        decided = vanishing = multi = unproven = late = 0
+        for _ in range(60):
+            e = _random_validity_case(rng)
+            del starts[:]
+            try:
+                offset = validity_offset(e)
+            except ValidityUnproven:
+                unproven += 1
+                assert e.field.minpoly.coeffs[0] > 0  # only the imaginary field ties
+                continue
+            multi += bool(starts)
+            classes = [e.compose_arg(12, j) for j in range(12)]
+            if offset is None:
+                vanishing += 1
+                assert not all(classes)
+                continue
+            assert all(classes)
+            window = 2 * _period(e) * (max(starts, default=0) + 1) + 40
+            zeros = [n for n in range(window) if not e.evaluate(n)]
+            assert offset == (zeros[-1] + 1 if zeros else 0), str(e)
+            decided += 1
+            late += offset > 10
+        assert decided >= 30 and vanishing >= 5 and multi >= 10 and unproven >= 1 and late >= 10
+
+    def test_planted_cancellations(self):
+        two, one = ExpPoly.geometric(2), ExpPoly.constant(1)
+        n = ExpPoly.from_poly(Poly([0, 1], QQ, "n"))
+        assert validity_offset(two - n.scale(2)) == 3  # 2^n = 2n at n = 1, 2
+        assert validity_offset(two - one.scale(4)) == 3
+        half, quarter = ExpPoly.geometric(F(1, 2)), ExpPoly.geometric(F(1, 4))
+        assert validity_offset(half - quarter.scale(8)) == 4  # equal at n = 3
+        assert validity_offset(one + ExpPoly.geometric(-1)) is None
+        # zero at n = 5 on the odd class only: 2^n (1 - (-1)^n) (n - 5)
+        alternating = (two - ExpPoly.geometric(-2)) * (n - 5)
+        assert validity_offset(alternating) is None
+        assert validity_offset(alternating + ExpPoly.geometric(4)) == 0
+
+    def test_roots_of_unity_of_order_three_four_and_six(self):
+        gaussian = NumberField([1, 0, 1])  # t = i
+        eisenstein = NumberField([1, 1, 1])  # t = a primitive cube root of 1
+        i, omega = gaussian.generator(), eisenstein.generator()
+        for unit, order in ((i, 4), (omega, 3), (-omega, 6)):
+            field = unit.field
+            one = ExpPoly.constant(1, field)
+            # unit^n - 1 vanishes exactly on the multiples of the order
+            assert validity_offset(ExpPoly.geometric(unit, field) - one) is None
+            # 3^n (unit^n - 1) + 2^n vanishes nowhere
+            three = ExpPoly.geometric(3, field)
+            mixed = three * ExpPoly.geometric(unit, field) - three + ExpPoly.geometric(2, field)
+            assert validity_offset(mixed) == 0
+            assert all(mixed.evaluate(n) for n in range(4 * order))
+
+    def test_conjugate_top_terms_are_unproven(self):
+        from ansatzkit import register_coefficient
+        from ansatzkit.optext import parse_recurrence_spec
+
+        h = register_coefficient(parse_recurrence_spec("cfinite:N^2-2*N+5;1,1"))
+        assert len(h.terms) == 2
+        with pytest.raises(ValidityUnproven, match="unproven"):
+            validity_offset(h)
+        # a larger third base settles it: |3| > |1 + 2i|
+        assert validity_offset(h + ExpPoly.geometric(3).to_field(h.field)) == 0

@@ -303,6 +303,20 @@ class TestC2ToDiff:
             assert all(not r for r in equation.series_residual(terms, 20))
 
 
+class TestDiffToC2Validity:
+    def test_exponential_lead_zero_moves_the_validity(self):
+        # (2^n - 4) a(n+1) + a(n) = 0: the leading coefficient vanishes at n = 2
+        operator = ShiftOperator(
+            CoeffRing.EXPPOLY,
+            [ExpPoly.constant(1), ExpPoly.geometric(2) - ExpPoly.constant(4)],
+        )
+        equation = c2_to_diff(RecurrenceSystem(operator, [0]))
+        assert equation.is_homogeneous
+        recovered, validity = diff_to_c2(equation)
+        assert not recovered.leading.evaluate(2)
+        assert validity == 3
+
+
 class TestC2Homogenize:
     def test_fibonorial(self):
         equation = c2_homogenize(c2_to_diff(corpus.fibonorial_system()))
