@@ -5,16 +5,18 @@ the same solution-space construction for every coefficient ring: write the
 shifted combination over a finite basis of operand shifts (with
 coefficients in the ring's function field), then read a recurrence off the
 left null space of the resulting matrix.  One driver, ``_closure``, does
-this for all kinds and rings; a per-ring record ``_RINGS`` supplies the
-field, the coefficient lift, the normalised null vectors and the size
-tie-break.  Constant and polynomial-coefficient relations are read off
-minors over Z and Z[n] by the fraction-free kernel ``least_null_vector``,
-which finds the least-order one directly.  Over exponential polynomials,
-whose fractions have zero divisors, the null space comes from Gauss-Jordan
-over the function field, and the zeros of each candidate's leading
-coefficient are decided exactly (``exppoly.validity_offset``): a candidate
-vanishing on a residue class of n is dropped, the others hold from one
-past their last zero.  Cauchy
+this for all kinds and rings.  Constant and polynomial-coefficient
+relations are read off minors over Z and Z[n] by the fraction-free kernel:
+``_ring_relation``, shared with the holonomic Cauchy product, takes the
+least-order vector from ``least_null_vector`` and checks its order bound.
+Over exponential polynomials, whose fractions have zero divisors,
+``_closure`` takes one explicit branch: the null space comes from
+Gauss-Jordan over the function field, and the zeros of each candidate's
+leading coefficient are decided exactly (``exppoly.validity_offset``): a
+candidate vanishing on a residue class of n is dropped, the others hold
+from one past their last zero, and when none is left the matrix grows by a
+row, up to ``MAX_BUMP`` times.  Operands may hold from an index v > 0;
+the result then holds from v on as well (see ``combine``).  Cauchy
 products go through generating functions: rational arithmetic for
 constant coefficients, an ODE null-space construction otherwise.
 ``poly_closure`` combines polynomial sequences in closed form; its partial
@@ -42,12 +44,10 @@ from .exppoly import ExpPolyFraction, validity_offset
 from .fields import RATIONAL_FIELD, as_rational_poly, common_field
 from .genfun import DiffEquation, cfinite_from_rational
 from .linalg import (
-    FieldAdapter,
     clear_exppoly_denominators,
     exppoly_fraction_adapter,
     least_null_vector,
     left_null_space,
-    rational_adapter,
 )
 from .polynomials import (
     Poly,
@@ -97,24 +97,6 @@ def _check_bound(order, bound):
         raise BoundViolated(f"result order {order} exceeds the closure bound {bound}")
 
 
-# ---------------------------------------------------------------------------
-# per-ring rules
-
-
-def _poly_relations(matrix, field=None, var="n"):
-    """The least-order left null vector of a matrix over Q or Q(var) as
-    coprime polynomials, read off minors over Z[var]; empty when there is
-    none."""
-    vector = least_null_vector(matrix)
-    return [] if vector is None else [[Poly(c, QQ, var) for c in vector]]
-
-
-def _ratfunc_field():
-    """Q(n), the field of polynomial-coefficient shift vectors."""
-    one = RationalFunction(Poly([1], QQ, "n"))
-    return FieldAdapter(one - one, one)
-
-
 def _exppoly_sign(e):
     """Canonical sign of an exponential polynomial: the sign of the last
     nonzero rational coordinate of the leading term's leading coefficient."""
@@ -135,36 +117,10 @@ def _exppoly_coeffs(vector):
     return cleared
 
 
-@dataclass(frozen=True)
-class _RingRules:
-    """How the solution-space construction works over one coefficient ring."""
+def _exppoly_size(coeffs):
+    """Tie-break between exponential-polynomial relations of equal order."""
+    return sum(max(c.deg, 0) + len(c.terms) for c in coeffs if c)
 
-    adapter: object  # operator -> FieldAdapter of the ring's function field
-    lift: object  # ShiftOperator.shifted_coeff value -> field element
-    relations: object  # (matrix, field) -> canonical coefficient lists of null vectors
-    size: object  # coefficient list -> tie-break between equal orders
-
-
-_RINGS = {
-    CoeffRing.CONSTANT: _RingRules(
-        adapter=lambda op: rational_adapter(),
-        lift=lambda c: c,
-        relations=_poly_relations,  # coprime integers, a positive last one
-        size=lambda coeffs: 0,
-    ),
-    CoeffRing.POLY_N: _RingRules(
-        adapter=lambda op: _ratfunc_field(),
-        lift=RationalFunction,
-        relations=_poly_relations,
-        size=lambda coeffs: 0,  # one candidate: the least-order vector
-    ),
-    CoeffRing.EXPPOLY: _RingRules(
-        adapter=lambda op: exppoly_fraction_adapter(op.leading.field),
-        lift=ExpPolyFraction.from_exppoly,
-        relations=lambda matrix, field: map(_exppoly_coeffs, left_null_space(matrix, field)),
-        size=lambda coeffs: sum(max(c.deg, 0) + len(c.terms) for c in coeffs if c),
-    ),
-}
 
 def _common_ring(op_a, op_b=None, ring=None):
     """The operands viewed in ``ring`` (default: the larger of their rings);
@@ -188,6 +144,14 @@ def _common_ring(op_a, op_b=None, ring=None):
 # shift representations over the operand basis
 
 
+# each ring's coefficients lifted into its function field
+_LIFTS = {
+    CoeffRing.CONSTANT: lambda c: c,
+    CoeffRing.POLY_N: RationalFunction,
+    CoeffRing.EXPPOLY: ExpPolyFraction.from_exppoly,
+}
+
+
 class _ShiftRep:
     """Vectors expressing a(mult*n + t) over the basis a(mult*n + i), i < r,
     with entries in the function field of the operator's ring."""
@@ -196,10 +160,10 @@ class _ShiftRep:
         self.operator = operator
         self.mult = mult
         self.order = operator.order
-        self.lift = _RINGS[operator.ring].lift
-        field = _RINGS[operator.ring].adapter(operator)
-        self.zero = field.zero
-        self.one = field.one
+        self.lift = _LIFTS[operator.ring]
+        # the field's zero and one, in the coefficients' own number field
+        self.zero = self.lift(operator.leading * 0)
+        self.one = self.lift(operator.leading ** 0)
         self._cache = {}
 
     def _coeff(self, i, shift):
@@ -272,54 +236,47 @@ def combination_matrix(kind, op_a, op_b=None, mult=1, rows=None):
 # the solution-space driver
 
 
-def _least_relation(candidates, rules, bound, probe=None):
-    """The candidate coefficient list of least (order, size).
-
-    Returns (coefficients, validity offset).  ``probe`` maps a candidate's
-    leading coefficient to its validity offset, or None to drop it; without
-    it every candidate counts as valid from 0 and an empty null space is an
-    error.  Returns None when the probe drops every candidate.
-    """
-    best = None
-    for coeffs in candidates:
-        validity = probe(coeffs[-1]) if probe else 0
-        if validity is None:
-            continue
-        key = (len(coeffs) - 1, rules.size(coeffs))
-        if best is None or key < best[0]:
-            best = key, coeffs, validity
-    if best is None:
-        if probe:
-            return None
+def _ring_relation(matrix, bound, var="n"):
+    """The least-order left null vector of a matrix over Q or Q(var) as
+    coprime polynomials in var, read off minors over Z[var] by the ring
+    kernel ``least_null_vector``; its order is checked against ``bound``."""
+    vector = least_null_vector(matrix)
+    if vector is None:
         raise NullSpaceEmpty("no usable null vector (internal shape bug)")
-    (order, _), coeffs, validity = best
-    _check_bound(order, bound)
-    return coeffs, validity
+    _check_bound(len(vector) - 1, bound)
+    return [Poly(c, QQ, var) for c in vector]
 
 
 def _closure(kind, op_a, op_b=None, mult=1):
     """Least annihilator of a combination of same-ring operators and the
     index from which it holds.
 
-    Exponential-polynomial candidates whose leading coefficient vanishes on
-    a residue class of n are dropped, and the matrix grows by a row, up to
-    ``MAX_BUMP`` times, until one is left."""
+    Over constants and polynomials in n the ring kernel gives the relation
+    directly.  Over exponential polynomials the null space comes from the
+    field kernel; candidates whose leading coefficient vanishes on a residue
+    class of n are dropped, the least (order, size) of the others wins, and
+    the matrix grows by a row, up to ``MAX_BUMP`` times, until one is left."""
     ring = op_a.ring
-    rules = _RINGS[ring]
     bound = _order_bound(kind, op_a, op_b)
-    probing = ring is CoeffRing.EXPPOLY
-    field = rules.adapter(op_a)
-    for extra in range(MAX_BUMP + 1 if probing else 1):
+    if ring is not CoeffRing.EXPPOLY:
+        matrix = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1)
+        operator = ShiftOperator(ring, _ring_relation(matrix, bound))
+        return operator, leading_validity_offset(operator)
+    field = exppoly_fraction_adapter(op_a.leading.field)
+    for extra in range(MAX_BUMP + 1):
         matrix = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1 + extra)
-        found = _least_relation(
-            rules.relations(matrix, field), rules, bound + extra,
-            probe_leading_coefficient if probing else None,
-        )
-        if found is not None:
-            operator = ShiftOperator(ring, found[0])
-            if ring is CoeffRing.POLY_N:
-                return operator, leading_validity_offset(operator)
-            return operator, found[1]
+        best = None
+        for coeffs in map(_exppoly_coeffs, left_null_space(matrix, field)):
+            validity = probe_leading_coefficient(coeffs[-1])
+            if validity is None:
+                continue
+            key = (len(coeffs) - 1, _exppoly_size(coeffs))
+            if best is None or key < best[0]:
+                best = key, coeffs, validity
+        if best is not None:
+            (order, _), coeffs, validity = best
+            _check_bound(order, bound + extra)
+            return ShiftOperator(ring, coeffs), validity
     raise LeadingAlwaysZero(
         f"no combination up to order +{MAX_BUMP} has a usable leading coefficient"
     )
@@ -385,7 +342,7 @@ def holonomic_cauchy(eq_a, eq_b):
             raise ValueError("homogeneous single-base equations required")
     bound = ORDER_BOUNDS[TERMWISE](eq_a.order, eq_b.order)
     rows = _cauchy_matrix(eq_a, eq_b, bound + 1)
-    polys, _ = _least_relation(_poly_relations(rows, var="x"), _RINGS[CoeffRing.POLY_N], bound)
+    polys = _ring_relation(rows, bound, var="x")
     return DiffEquation(RATIONAL_FIELD, [(1, polys)], None)
 
 
@@ -541,13 +498,27 @@ def combine(kind, sys_a, sys_b=None, mult=1):
     Operands of different classes are promoted upward (polynomial and
     constant coefficients into whatever the other operand needs); initial
     values come from combining directly computed operand terms.
+
+    Operands may hold only from their validity offsets v_a and v_b, past
+    the last zero of their leading coefficients.  Row t of the combination
+    matrix at index n writes the combination at n + t over a(n + i), i < r,
+    by the operand relations at n .. n + t - r, and a subsequence row over
+    a(mult*n + i) by those at mult*n and later: every row uses the operand
+    relations only at indices >= n (>= mult*n).  So a null vector relates
+    the combined values at every n >= v_a, v_b (for a subsequence, every
+    n >= ceil(v_a / mult)), and the result holds from the largest of these
+    and its own leading coefficient's validity offset.  The Cauchy product
+    goes through generating functions, which need validity offset 0.
     """
     if kind in (PARTIAL_SUM, SUBSEQUENCE):
         sys_b = None
     if sys_a.offset != 0 or (sys_b is not None and sys_b.offset != 0):
         raise ValueError("combinations require offset-0 operands")
-    if sys_a.validity_offset != 0 or (sys_b is not None and sys_b.validity_offset != 0):
-        raise ValueError("combinations require validity offset 0")
+    delays = [sys_a.validity_offset, sys_b.validity_offset if sys_b is not None else 0]
+    if kind == CAUCHY and any(delays):
+        raise ValueError("Cauchy products require validity offset 0")
+    if kind == SUBSEQUENCE:
+        delays[0] = -(-delays[0] // mult)
     op_a = sys_a.operator
     op_b = sys_b.operator if sys_b is not None else None
     if op_b is not None:
@@ -555,6 +526,7 @@ def combine(kind, sys_a, sys_b=None, mult=1):
     ring = op_a.ring
     if kind != CAUCHY:
         operator, validity = _closure(kind, op_a, op_b, mult=mult)
+        validity = max(validity, *delays)
     elif ring is CoeffRing.CONSTANT:
         from .genfun import genfun_cfinite
 

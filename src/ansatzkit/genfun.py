@@ -13,7 +13,7 @@ the linear ODE of a polynomial-coefficient recurrence is the case b = 1:
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .errors import DenominatorVanishesAtZero, UnsupportedField
 from .fields import as_rational_poly
@@ -99,21 +99,12 @@ class RationalGF:
 
 
 def genfun_polynomial(poly):
-    """Generating function of the polynomial sequence a_n = poly(n).
-
-    Returns P(x)/(1-x)^(k+1) with P built from the alternating binomial
-    sums of the first k+1 values.
-    """
+    """Generating function of the polynomial sequence a_n = poly(n): that of
+    its annihilator (N - 1)^(k+1) with the values at n = 0..k."""
     k = poly.degree if poly else 0
+    annihilator = ShiftOperator(CoeffRing.CONSTANT, (Poly([-1, 1], QQ, "N") ** (k + 1)).coeffs)
     values = [poly.evaluate(Fraction(n)) for n in range(k + 1)]
-    num = [
-        sum(
-            (comb(k + 1, i) * (-1) ** i) * values[n - i]
-            for i in range(0, n + 1)
-        )
-        for n in range(k + 1)
-    ]
-    return RationalGF(Poly(num, QQ, "x"), Poly([1, -1], QQ, "x") ** (k + 1))
+    return genfun_cfinite(RecurrenceSystem(annihilator, values))
 
 
 def genfun_cfinite(system):

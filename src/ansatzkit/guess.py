@@ -10,21 +10,24 @@ exactly when row d of the forward-difference table of the terms is
 constant, so that row d + 1 vanishes, and the leading entries of rows
 0..d are its Newton coefficients.
 
-The C-finite and holonomic guessers fit over the rationals, using every
-available term: a relation of a shape is a left null vector of its fit
-rows, one row per unknown coefficient and one column per window start.
-The fraction-free ring kernel ``linalg.null_vectors`` yields these
-vectors lazily as coprime integers, and the first one that gives an
-operator of the shape wins.  Before that, the guessers reduce the terms
-modulo the prime ``linalg.PRIME`` and reject every shape whose fit rows
-are linearly independent mod p: that is an exact proof that no relation of
-the shape exists (see ``linalg.independent_mod_p``).  Only the surviving
-shapes, and every shape when some term's denominator is divisible by p,
-run exact elimination, so the answers are those of the exact search.
+C-finite recurrences are the holonomic ones whose coefficients have
+degree 0, so one shape search, ``_fit_search``, serves both guessers: the
+C-finite guesser tries the degree-0 shapes (order, 0) with fit length
+2 * order and scales its relation to a monic constant-coefficient
+operator.  The search fits over the rationals, using every available term:
+a relation of a shape is a left null vector of its fit rows, one row per
+unknown coefficient and one column per window start.  The fraction-free
+ring kernel ``linalg.null_vectors`` yields these vectors lazily as coprime
+integers, and the first one that gives an operator of the shape wins.
+Before that, the search reduces the terms modulo the prime
+``linalg.PRIME`` and rejects every shape whose fit rows are linearly
+independent mod p: that is an exact proof that no relation of the shape
+exists (see ``linalg.independent_mod_p``).  Only the surviving shapes, and
+every shape when some term's denominator is divisible by p, run exact
+elimination, so the answers are those of the exact search.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InsufficientData, InternalError
 from .linalg import PRIME, independent_mod_p, null_vectors, residue
@@ -136,55 +139,12 @@ def _degenerate_zero_report(sequence, class_name):
 
 
 def guess_cfinite(sequence, max_order, margin=5, assume_bound=False):
-    """Smallest-order constant-coefficient recurrence fitting all terms."""
-    length = len(sequence)
-    if length < 3:
+    """Smallest-order constant-coefficient recurrence fitting all terms:
+    the holonomic search over the degree-0 shapes, scaled to be monic."""
+    if len(sequence) < 3:
         raise InsufficientData("need at least three terms to guess a recurrence")
-    if not any(sequence.terms):
-        return _degenerate_zero_report(sequence, "cfinite")
-    terms = sequence.terms
-    residues = _residues(terms)
-    for order in range(1, max_order + 1):
-        fit = cfinite_fit_length(order)
-        if length < fit + max(margin, 1):
-            break
-        windows = length - order
-        # a relation of this order makes the order + 1 shifted windows dependent
-        if residues is not None and independent_mod_p(
-            [residues[i : i + windows] for i in range(order + 1)]
-        ):
-            continue
-        # a monic relation exists exactly when the last unknown is free
-        rows = [terms[i : i + windows] for i in range(order + 1)]
-        vector = next((v for v in null_vectors(rows) if len(v) == order + 1), None)
-        if vector is None:
-            continue
-        coeffs = [Fraction(c[0] if c else 0, vector[-1][0]) for c in vector]
-        operator = ShiftOperator(CoeffRing.CONSTANT, coeffs)
-        if verify_annihilates(operator, sequence, sequence.offset) is not None:
-            raise InternalError("fitted recurrence fails on its own data")
-        system = RecurrenceSystem(
-            operator, terms[:order], sequence.offset, sequence.offset
-        )
-        proven = assume_bound and length >= cfinite_fit_length(max_order)
-        return GuessReport(
-            result=system,
-            shape=("cfinite", order, 0),
-            terms_used_for_fit=fit,
-            terms_verified=length - fit,
-            proven=proven,
-        )
-    return GuessReport(None, ("cfinite", None, None), 0, 0)
-
-
-def _holonomic_shapes(max_order, max_degree):
-    shapes = [
-        (order, degree)
-        for order in range(1, max_order + 1)
-        for degree in range(0, max_degree + 1)
-    ]
-    shapes.sort(key=lambda s: ((s[0] + 1) * (s[1] + 1), s[0]))
-    return shapes
+    shapes = [(order, 0, cfinite_fit_length(order)) for order in range(1, max_order + 1)]
+    return _fit_search(sequence, "cfinite", shapes, margin, assume_bound, _monic_constant)
 
 
 def guess_holonomic(sequence, max_order, max_degree, margin=5, assume_bound=False):
@@ -193,74 +153,84 @@ def guess_holonomic(sequence, max_order, max_degree, margin=5, assume_bound=Fals
     Shapes are searched by increasing number of unknowns with ties broken
     towards smaller order, so the most parsimonious relation wins.
     """
-    length = len(sequence)
-    if length < 4:
+    if len(sequence) < 4:
         raise InsufficientData("need at least four terms to guess a recurrence")
+    shapes = [
+        (order, degree, holonomic_fit_length(order, degree))
+        for order in range(1, max_order + 1)
+        for degree in range(0, max_degree + 1)
+    ]
+    shapes.sort(key=lambda s: ((s[0] + 1) * (s[1] + 1), s[0]))
+    return _fit_search(sequence, "holonomic", shapes, margin, assume_bound, _poly_coefficients)
+
+
+def _monic_constant(coeffs, degree):
+    operator = ShiftOperator(CoeffRing.CONSTANT, coeffs)
+    return operator.scaled(1 / operator.leading)
+
+
+def _poly_coefficients(coeffs, degree):
+    # one block of degree + 1 coefficients per power of N
+    step = degree + 1
+    return ShiftOperator(
+        CoeffRing.POLY_N,
+        [Poly(coeffs[i : i + step], QQ, "n") for i in range(0, len(coeffs), step)],
+    )
+
+
+def _fit_rows(values, powers, order, degree, prime=None):
+    """The fit rows of a shape, one per unknown c_{i,j} in coefficient
+    order: n^j a(n + i) at every window start n.  The degree-0 rows are the
+    value slices themselves; ``prime`` reduces the others."""
+    windows = len(values) - order
+    rows = []
+    for i in range(order + 1):
+        window = values[i : i + windows]
+        rows.append(window)
+        for j in range(1, degree + 1):
+            if prime is None:
+                rows.append([p * t for p, t in zip(powers[j], window)])
+            else:
+                rows.append([p * t % prime for p, t in zip(powers[j], window)])
+    return rows
+
+
+def _fit_search(sequence, class_name, shapes, margin, assume_bound, operator_of):
+    """The first of ``shapes`` (order, degree, fit length) with a relation
+    sum_{i,j} c_{i,j} n^j a(n + i) = 0 at every window start n, as a report;
+    ``operator_of`` turns the coefficient vector into the operator."""
     if not any(sequence.terms):
-        return _degenerate_zero_report(sequence, "holonomic")
-    terms = sequence.terms
-    offset = sequence.offset
+        return _degenerate_zero_report(sequence, class_name)
+    terms, offset, length = sequence.terms, sequence.offset, len(sequence)
     residues = _residues(terms)
-    if residues is not None:
-        powers = [
-            [pow(offset + w, j, PRIME) for w in range(length)]
-            for j in range(max_degree + 1)
-        ]
-    for order, degree in _holonomic_shapes(max_order, max_degree):
-        fit = holonomic_fit_length(order, degree)
+    top = max((degree for _, degree, _ in shapes), default=0)
+    powers = [[(offset + w) ** j for w in range(length)] for j in range(top + 1)]
+    residue_powers = [[p % PRIME for p in row] for row in powers]
+    proof_length = max((fit for _, _, fit in shapes), default=0)
+    for order, degree, fit in shapes:
         if length < fit + max(margin, 1):
             continue
-        windows = length - order
-        # the residues of the exact rows below; independent rows have no null vector
+        # independent rows mod p have no null vector, so no relation
         if residues is not None and independent_mod_p(
-            [
-                [p * t % PRIME for p, t in zip(powers[j], residues[i : i + windows])]
-                for i in range(order + 1)
-                for j in range(degree + 1)
-            ]
+            _fit_rows(residues, residue_powers, order, degree, PRIME)
         ):
             continue
-        # rows indexed by unknown c_{i,j}, columns by window start n
-        rows = [
-            [(offset + w) ** j * terms[w + i] for w in range(windows)]
-            for i in range(order + 1)
-            for j in range(degree + 1)
-        ]
-        for vector in null_vectors(rows):
-            report = _holonomic_candidate(
-                vector, order, degree, sequence, fit, assume_bound, max_order, max_degree
+        for vector in null_vectors(_fit_rows(terms, powers, order, degree)):
+            if len(vector) <= order * (degree + 1):
+                continue  # the coefficient of N^order vanishes
+            operator = operator_of([c[0] if c else 0 for c in vector], degree)
+            validity = max(offset, leading_validity_offset(operator))
+            # the fit rows are the relation at every n that verify_annihilates checks
+            if verify_annihilates(operator, sequence, offset) is not None:
+                raise InternalError("fitted recurrence fails on its own data")
+            needed = validity - offset + order
+            if length < needed:
+                continue
+            return GuessReport(
+                result=RecurrenceSystem(operator, terms[:needed], validity, offset),
+                shape=(class_name, order, degree),
+                terms_used_for_fit=fit,
+                terms_verified=length - fit,
+                proven=assume_bound and length >= proof_length,
             )
-            if report is not None:
-                return report
-    return GuessReport(None, ("holonomic", None, None), 0, 0)
-
-
-def _holonomic_candidate(vector, order, degree, sequence, fit, assume_bound, max_order, max_degree):
-    # coprime integers (constant integer polynomials); the last one, positive,
-    # leads the coefficient of N^order when that is nonzero
-    coeffs = [c[0] if c else 0 for c in vector]
-    polys = [
-        Poly(coeffs[i * (degree + 1) : (i + 1) * (degree + 1)], QQ, "n")
-        for i in range(order + 1)
-    ]
-    if not polys[order]:
-        return None
-    operator = ShiftOperator(CoeffRing.POLY_N, polys)
-    validity = max(sequence.offset, leading_validity_offset(operator))
-    # the fit rows are the relation at every n that verify_annihilates checks
-    if verify_annihilates(operator, sequence, sequence.offset) is not None:
-        raise InternalError("fitted recurrence fails on its own data")
-    needed = validity - sequence.offset + order
-    if len(sequence) < needed:
-        return None
-    system = RecurrenceSystem(
-        operator, sequence.terms[:needed], validity, sequence.offset
-    )
-    proven = assume_bound and len(sequence) >= holonomic_fit_length(max_order, max_degree)
-    return GuessReport(
-        result=system,
-        shape=("holonomic", order, degree),
-        terms_used_for_fit=fit,
-        terms_verified=len(sequence) - fit,
-        proven=proven,
-    )
+    return GuessReport(None, (class_name, None, None), 0, 0)

@@ -228,10 +228,6 @@ class Poly:
             acc = acc * point + c
         return acc
 
-    def shift_arg(self, offset):
-        """p(x) -> p(x + offset) for an integer or field offset."""
-        return self.compose_linear(1, offset)
-
     def compose_linear(self, scale, offset):
         """p(x) -> p(scale*x + offset) with integer scale and offset."""
         arg = Poly(

@@ -251,6 +251,13 @@ class TestCliCommands:
         system = parse_recurrence_spec("c2:(2^n - 1)*N + 1;5,-5")
         assert system.validity_offset == 1
 
+    def test_delayed_operand_closure(self, capsys):
+        code = main(["closure", "--kind", "add", "c2:(2^n - 1)*N + 1;5,-5", "c2:N-1;1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "initials: 6, -4" in out
+        assert "valid from n = 1" in out.splitlines()
+
     def test_class_vanishing_lead_is_rejected(self):
         with pytest.raises(LeadingAlwaysZero):
             parse_recurrence_spec("c2:(1 + (-1)^n)*N + 1;5,1,2")

@@ -566,6 +566,92 @@ class TestCombineDispatch:
             combine(ADD, silver_sys, corpus.fibonorial_system())
 
 
+class TestDelayedOperands:
+    """Operands whose relation holds only from n = v > 0: the combination
+    holds from max(own offset, v_a, v_b), with ceil(v_a / m) for a
+    subsequence, and reproduces the directly combined terms."""
+
+    @staticmethod
+    def operands():
+        from ansatzkit.optext import parse_recurrence_spec
+
+        constant = ShiftOperator(CoeffRing.CONSTANT, [-1, -1, 1])
+        geometric = ShiftOperator(CoeffRing.CONSTANT, [-2, 1])
+        return [
+            RecurrenceSystem(constant, [7, 1, 1], 1),  # Fibonacci after a(0) = 7
+            RecurrenceSystem(geometric, [3, -1, 4], 2),
+            parse_recurrence_spec("(n - 1)*N + 1;5,1,2"),
+            parse_recurrence_spec("(n - 3)*N - n;1,2,-1,3,2"),
+            parse_recurrence_spec("c2:(2^n - 1)*N + 1;5,-5"),
+            parse_recurrence_spec("c2:(2^n - 2)*N - 3^n;1,2,3"),
+        ]
+
+    @staticmethod
+    def direct(kind, a, b, count, mult):
+        if kind == SUBSEQUENCE:
+            return [a[mult * n] for n in range(count)]
+        if kind == PARTIAL_SUM:
+            return [sum(a[: n + 1], F(0)) for n in range(count)]
+        if kind == ADD:
+            return [x + y for x, y in zip(a[:count], b)]
+        return [x * y for x, y in zip(a[:count], b)]
+
+    def test_combinations_match_direct_expansion(self):
+        operands = self.operands()
+        assert sorted(s.operator.ring.value for s in operands) == sorted(
+            ["constant", "poly", "exppoly"] * 2
+        )
+        assert all(s.validity_offset > 0 for s in operands)
+        cases = [
+            (kind, i, j, 1)
+            for kind in (ADD, TERMWISE)
+            for i in range(len(operands))
+            for j in range(i, len(operands))
+        ]
+        cases += [
+            (kind, i, None, mult)
+            for i in range(len(operands))
+            for kind, mult in ((PARTIAL_SUM, 1), (SUBSEQUENCE, 2), (SUBSEQUENCE, 3))
+        ]
+        count = 45
+        for kind, i, j, mult in cases:
+            sys_a = operands[i]
+            sys_b = operands[j] if j is not None else None
+            result = combine(kind, sys_a, sys_b, mult=mult)
+            delay = -(-sys_a.validity_offset // mult)
+            if sys_b is not None:
+                delay = max(delay, sys_b.validity_offset)
+            assert result.validity_offset >= delay, (kind, i, j, mult)
+            a = expand_terms(sys_a, mult * count).terms
+            b = expand_terms(sys_b, count).terms if sys_b is not None else None
+            expanded = expand_terms(result, max(count, len(result.initials)))
+            assert list(expanded.terms[:count]) == self.direct(kind, a, b, count, mult), (
+                kind, i, j, mult
+            )
+
+    def test_result_holds_from_the_operand_delay(self):
+        from ansatzkit.optext import parse_recurrence_spec
+
+        a = parse_recurrence_spec("c2:(2^n - 1)*N + 1;5,-5")
+        b = parse_recurrence_spec("c2:N-1;1")
+        assert combine(ADD, a, b).validity_offset == 1
+        # a(2n) needs the relation of a only from n = 1 on
+        late = RecurrenceSystem(ShiftOperator(CoeffRing.CONSTANT, [-2, 1]), [3, -1, 4, 5], 3)
+        assert combine(SUBSEQUENCE, late, mult=2).validity_offset == 2
+        assert combine(SUBSEQUENCE, late, mult=3).validity_offset == 1
+
+    def test_cauchy_still_requires_offset_zero(self):
+        from ansatzkit.optext import parse_recurrence_spec
+
+        pairs = [
+            (parse_recurrence_spec("(n - 1)*N + 1;5,1,2"), corpus.catalan_system()),
+            (corpus.fibonacci_system(), self.operands()[0]),
+        ]
+        for a, b in pairs:
+            with pytest.raises(ValueError, match="validity offset 0"):
+                combine(CAUCHY, a, b)
+
+
 class TestPromotion:
     def test_constant_plus_holonomic(self):
         system = combine(ADD, corpus.fibonacci_system(), corpus.catalan_system())

@@ -198,6 +198,37 @@ class TestGuessCFinite:
         report = guess_cfinite(seq, 5)
         assert verify_annihilates(report.result.operator, seq, 0) is None
 
+    def test_is_the_degree_zero_holonomic_search(self):
+        rng = random.Random(4217)
+        found = misses = 0
+        for k in range(48):
+            if k % 4 == 3:  # no relation at all
+                seq = Sequence([F(rng.randint(-40, 40), rng.randint(1, 3)) for _ in range(26)])
+            else:
+                seq = expand_terms(corpus.random_cfinite(rng, max_order=4), 26)
+                if k % 4 == 1:
+                    seq = Sequence(seq.terms[3:], 3)
+                elif k % 4 == 2:
+                    seq = Sequence([F(rng.randint(1, 9), rng.randint(2, 9)) * t for t in seq.terms])
+            if not any(seq.terms):
+                continue
+            cfinite = guess_cfinite(seq, 4)
+            holonomic = guess_holonomic(seq, 4, 0)
+            if cfinite.result is None:
+                assert holonomic.result is None
+                misses += 1
+                continue
+            found += 1
+            assert holonomic.shape == ("holonomic",) + cfinite.shape[1:]
+            assert all(p.degree <= 0 for p in holonomic.result.operator.coeffs)
+            constants = [p.coefficient(0) for p in holonomic.result.operator.coeffs]
+            assert proportional(list(cfinite.result.operator.coeffs), constants)
+            assert cfinite.result.operator.leading == 1
+            assert cfinite.result.initials == holonomic.result.initials
+            assert cfinite.result.validity_offset == holonomic.result.validity_offset
+            assert cfinite.result.offset == holonomic.result.offset == seq.offset
+        assert found >= 20 and misses >= 10, (found, misses)
+
 
 class TestGuessHolonomic:
     def test_harmonic(self):
