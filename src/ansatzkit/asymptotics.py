@@ -9,17 +9,21 @@ anything else raises UnsupportedCase).  The shift ratio
 is expanded exactly in u = 1/n, the recurrence residual is collected by
 powers of u, and successive coefficients determine mu0 and lambda (top
 order), theta (next order) and then the series corrections one at a time.
-No floating point enters anywhere; corroboration against numeric data
-lives in the test suite.
+The growth constants lambda are the nonzero roots ``fields.split_roots``
+finds for the top-order balance; a repeated one, or one outside Q and a
+quadratic field (``UnsupportedFactorization``), is an UnsupportedCase.  The
+series products and inverses are ``polynomials.series_mul`` and
+``series_inv``.  No floating point enters anywhere; corroboration against
+numeric data lives in the test suite.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InconsistentSystem, InternalError, UnsupportedCase
-from .fields import RATIONAL_FIELD, quadratic_field
-from .polynomials import NEG_INFINITY, Poly, QQ, binomial, rational_roots
+from .fields import split_roots
+from .polynomials import NEG_INFINITY, Poly, QQ, binomial, series_inv, series_mul
 from .sequences import CoeffRing
 
 
@@ -59,20 +63,7 @@ def _poly_coeffs(operator):
     return list(operator.promoted(CoeffRing.POLY_N).coeffs)
 
 
-# -- truncated power series helpers (dense lists over a number field) --------
-
-
-def _ser_mul(a, b, length, zero):
-    out = [zero] * length
-    for i, x in enumerate(a):
-        if i >= length or not x:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= length:
-                break
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return out
+# -- truncated power series (dense lists over a number field) ----------------
 
 
 def _ser_exp(a, length, field):
@@ -82,26 +73,12 @@ def _ser_exp(a, length, field):
     result[0] = field.one
     term = list(result)
     for m in range(1, length):
-        term = _ser_mul(term, a, length, field.zero)
+        term = series_mul(term, a, length, field.zero)
         term = [t / m for t in term]
         result = [x + y for x, y in zip(result, term)]
         if not any(term):
             break
     return result
-
-
-def _ser_inv(a, length, field):
-    if a[0] != field.one:
-        raise InternalError("series inverse needs constant term one")
-    out = [field.zero] * length
-    out[0] = field.one
-    for m in range(1, length):
-        acc = field.zero
-        for i in range(1, m + 1):
-            if i < len(a) and a[i]:
-                acc = acc + a[i] * out[m - i]
-        out[m] = field.zero - acc
-    return out
 
 
 def _ratio_series(k, mu0, theta, series, length, field):
@@ -118,7 +95,7 @@ def _ratio_series(k, mu0, theta, series, length, field):
         field.coerce(binomial(theta, j)) * field.coerce(Fraction(k) ** j)
         for j in range(length)
     ]
-    result = _ser_mul(result, binom, length, field.zero)
+    result = series_mul(result, binom, length, field.zero)
     if any(series):
         # S(u/(1+ku)) / S(u) with S(u) = 1 + sum_m c_m u^m
         s_plain = [field.one] + [field.coerce(c) for c in series]
@@ -131,12 +108,12 @@ def _ratio_series(k, mu0, theta, series, length, field):
         w_power = [field.zero] * length
         w_power[0] = field.one
         for m, c in enumerate(series, start=1):
-            w_power = _ser_mul(w_power, w, length, field.zero)
+            w_power = series_mul(w_power, w, length, field.zero)
             if c:
                 cf = field.coerce(c)
                 s_comp = [x + cf * y for x, y in zip(s_comp, w_power)]
-        result = _ser_mul(result, s_comp, length, field.zero)
-        result = _ser_mul(result, _ser_inv(s_plain[:length], length, field), length, field.zero)
+        result = series_mul(result, s_comp, length, field.zero)
+        result = series_mul(result, series_inv(s_plain[:length], length), length, field.zero)
     return result
 
 
@@ -153,7 +130,7 @@ def _residual_series(polys, mu0, lam, theta, series, length, field):
             continue
         reversed_poly = [field.coerce(c) for c in reversed(p.coeffs)]
         ratio = _ratio_series(i, mu0, theta, series, length, field)
-        piece = _ser_mul(reversed_poly, ratio, length, field.zero)
+        piece = series_mul(reversed_poly, ratio, length, field.zero)
         weight = lam ** i
         for j, value in enumerate(piece):
             if j + gap < length and value:
@@ -201,29 +178,14 @@ def leading_forms(operator):
         char_coeffs = [Fraction(0)] * (max(i for i, _ in participants) + 1)
         for i, lead in participants:
             char_coeffs[i] = lead
-        char = Poly(char_coeffs, QQ, "L")
-        while char.coefficient(0) == 0:
-            char = char.spawn(char.coeffs[1:])
-        roots, cofactor = rational_roots(char)
-        field = RATIONAL_FIELD
-        lams = []
-        for root, mult in roots:
-            if mult > 1:
+        field, roots = split_roots(Poly(char_coeffs, QQ, "L"))
+        lams = [lam for lam, _ in roots if lam]  # a zero root is no growth rate
+        for lam, multiplicity in roots:
+            if lam and multiplicity > 1:
                 raise UnsupportedCase(
-                    f"repeated growth root {root}; template needs logarithmic terms"
+                    f"repeated growth root {lam}; template needs logarithmic terms"
                 )
-            lams.append(("rational", root))
-        if cofactor.degree == 2:
-            field = quadratic_field(cofactor)
-            gen = field.generator()
-            other = field.from_rational(-cofactor.monic().coefficient(1)) - gen
-            lams.extend([("element", gen), ("element", other)])
-        elif cofactor.degree > 0:
-            raise UnsupportedCase(
-                f"growth roots of {cofactor} need an unsupported field"
-            )
-        for kind, value in lams:
-            lam = field.from_rational(value) if kind == "rational" else value
+        for lam in lams:
             theta = _solve_linear_coefficient(
                 lambda th: _residual_series(polys, mu0, lam, th, (), 2, field)[1],
                 field,
@@ -233,7 +195,7 @@ def leading_forms(operator):
                     "next-order balance does not determine the power of n"
                 )
             forms.append(AsymptoticForm(mu0=mu0, lam=lam, theta=theta, field=field))
-    forms.sort(key=lambda f: (f.mu0, f.lam.sort_key(), f.theta.sort_key()))
+    forms.sort(key=AsymptoticForm.sort_key)
     return forms
 
 
@@ -260,15 +222,7 @@ def refine_series(form, operator, count):
                 f"series coefficient {j} has no solution; leading form is wrong"
             )
         series.append(solution)
-    return AsymptoticForm(
-        mu0=form.mu0,
-        lam=form.lam,
-        theta=form.theta,
-        field=field,
-        rho=form.rho,
-        beta=form.beta,
-        series=tuple(series),
-    )
+    return replace(form, series=tuple(series))
 
 
 def residual_coefficients(form, operator, count):

@@ -25,10 +25,9 @@ from .errors import (
     OperatorSyntaxError,
     UnknownCoefficient,
     UnsupportedCase,
-    UnsupportedFactorization,
     UnsupportedField,
 )
-from .genfun import c2_to_diff, genfun_cfinite, genfun_polynomial, holonomic_to_diff
+from .genfun import c2_to_diff, genfun_cfinite, genfun_polynomial, holonomic_to_diff, homogenize
 from .optext import (
     operator_to_text,
     parse_claim_terms,
@@ -53,7 +52,6 @@ _MATH_FAILURES = (
     LeadingAlwaysZero,
     NotPolynomial,
     UnsupportedCase,
-    UnsupportedFactorization,
     UnsupportedField,
 )
 
@@ -186,8 +184,6 @@ def _cmd_genfun(args):
     else:
         return EXIT_USAGE
     if args.homogeneous and args.klass in ("holonomic", "c2"):
-        from .genfun import homogenize
-
         result = homogenize(result)
     print(result)
     _write_json(args, result)

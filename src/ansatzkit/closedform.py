@@ -1,25 +1,22 @@
 """Closed-form solutions of polynomial and constant-coefficient recurrences.
 
 A constant-coefficient recurrence whose characteristic polynomial splits
-into rational roots and irreducible quadratics has an exponential
-polynomial solution; the reverse construction recovers a recurrence of
-order exactly the number of roots counted with multiplicity.
+into rational roots and the roots of one irreducible quadratic has an
+exponential polynomial solution: ``fields.split_roots`` finds the roots
+(and raises UnsupportedFactorization for any other factorization), and the
+initial values fix the polynomial coefficient of each base.  The reverse
+construction recovers a recurrence of order exactly the number of roots
+counted with multiplicity.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InsufficientData,
-    InternalError,
-    NotPolynomial,
-    UnsupportedFactorization,
-    UnsupportedField,
-)
+from .errors import InsufficientData, InternalError, NotPolynomial, UnsupportedFactorization
 from .exppoly import ExpPoly
-from .fields import RATIONAL_FIELD, common_field, quadratic_field
+from .fields import split_roots
 from .linalg import numberfield_adapter, solve_linear
-from .polynomials import Poly, QQ, binomial, forward_differences, rational_roots, squarefree_decomposition
+from .polynomials import Poly, QQ, binomial, forward_differences
 from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator
 
 
@@ -67,55 +64,6 @@ def poly_binomial_form(sequence, degree):
     return form
 
 
-def factor_characteristic(operator):
-    """Factor the characteristic polynomial of a constant operator.
-
-    Returns ``(zero_multiplicity, field, roots)`` where roots is a list of
-    ``(base, multiplicity)`` over ``field``.  Square-free parts of degree
-    two land in one shared quadratic field; anything of degree >= 3 (or two
-    distinct quadratic fields) raises UnsupportedFactorization.
-    """
-    if operator.ring is not CoeffRing.CONSTANT:
-        raise ValueError("constant-coefficient operator required")
-    char = Poly(operator.coeffs, QQ, "N")
-    zero_mult = 0
-    while char.coefficient(0) == 0:
-        char = char.spawn(char.coeffs[1:])
-        zero_mult += 1
-    field = RATIONAL_FIELD
-    pending = []  # (rational root | quadratic poly, multiplicity, kind)
-    if char.degree >= 1:
-        for part, multiplicity in squarefree_decomposition(char):
-            roots, cofactor = rational_roots(part)
-            for root, _ in roots:
-                pending.append(("rational", root, multiplicity))
-            if cofactor.degree == 0:
-                continue
-            if cofactor.degree != 2:
-                raise UnsupportedFactorization(
-                    f"irreducible factor {cofactor} of degree {cofactor.degree}"
-                )
-            quad = quadratic_field(cofactor)
-            try:
-                field = common_field(field, quad)
-            except UnsupportedField:
-                raise UnsupportedFactorization(
-                    "characteristic roots span two distinct quadratic fields"
-                ) from None
-            pending.append(("quadratic", cofactor.monic(), multiplicity))
-    roots = []
-    for kind, data, multiplicity in pending:
-        if kind == "rational":
-            roots.append((field.from_rational(data), multiplicity))
-        else:
-            # monic t^2 + b t + c with roots t and -b - t in the field
-            b = data.coefficient(1)
-            gen = field.generator()
-            roots.append((gen, multiplicity))
-            roots.append((field.from_rational(-b) - gen, multiplicity))
-    return zero_mult, field, roots
-
-
 @dataclass(frozen=True)
 class CFiniteClosedForm:
     """Exponential-polynomial form of a recurrence solution.
@@ -150,24 +98,23 @@ def cfinite_closed_form(system):
     divisible by N)."""
     if system.validity_offset != 0 or system.offset != 0:
         raise ValueError("recurrence must be valid from n=0")
-    zero_mult, field, roots = factor_characteristic(system.operator)
+    if system.operator.ring is not CoeffRing.CONSTANT:
+        raise ValueError("constant-coefficient operator required")
+    field, roots = split_roots(Poly(system.operator.coeffs, QQ, "N"))
+    # a root at zero only delays the closed form by its multiplicity
+    zero_mult = roots.pop(0)[1] if roots and not roots[0][0] else 0
     reduced_order = system.order - zero_mult
     values = system.initials[zero_mult:]
-    unknowns = []
-    for base, multiplicity in roots:
-        for j in range(multiplicity):
-            unknowns.append((base, j))
+    unknowns = [(base, j) for base, multiplicity in roots for j in range(multiplicity)]
     if len(unknowns) != reduced_order:
         raise InternalError("root multiplicities do not add up to the order")
     if reduced_order == 0:
         return CFiniteClosedForm(
             ExpPoly.zero(field), zero_mult, system.initials[:zero_mult]
         )
-    rows = []
-    for n in range(reduced_order):
-        rows.append(
-            [field.coerce(n) ** j * base ** n for base, j in unknowns]
-        )
+    rows = [
+        [field.coerce(n) ** j * base ** n for base, j in unknowns] for n in range(reduced_order)
+    ]
     rhs = [field.from_rational(v) for v in values]
     solution = solve_linear(rows, rhs, numberfield_adapter(field))
     if solution is None:

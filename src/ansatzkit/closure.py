@@ -15,12 +15,17 @@ Gauss-Jordan over the function field, and the zeros of each candidate's
 leading coefficient are decided exactly (``exppoly.validity_offset``): a
 candidate vanishing on a residue class of n is dropped, the others hold
 from one past their last zero, and when none is left the matrix grows by a
-row, up to ``MAX_BUMP`` times.  Operands may hold from an index v > 0;
-the result then holds from v on as well (see ``combine``).  Cauchy
-products go through generating functions: rational arithmetic for
-constant coefficients, an ODE null-space construction otherwise.
-``poly_closure`` combines polynomial sequences in closed form; its partial
-sums and Cauchy products interpolate the combined values in Newton's form.
+row, up to ``MAX_BUMP`` times.  Operands may start at an index o > 0 and
+hold from an index v >= o; the result then starts at the larger o and
+holds from the larger v on as well (see ``combine``).  Cauchy products go
+through generating functions: rational arithmetic for constant
+coefficients, an ODE null-space construction otherwise.
+
+``_combined_values`` is the one place that combines operand values, by
+kind: ``combine`` takes the initial values of its result from it, and
+``poly_closure``, which combines polynomial sequences in closed form,
+interpolates its partial sums and Cauchy products in Newton's form from
+it.  A Cauchy product of values is ``polynomials.series_mul``.
 
 ``ORDER_BOUNDS`` is the one table of closure order bounds.  It sizes the
 matrices, checks every result (``BoundViolated``) and is composed over an
@@ -42,23 +47,26 @@ from .errors import (
 )
 from .exppoly import ExpPolyFraction, validity_offset
 from .fields import RATIONAL_FIELD, as_rational_poly, common_field
-from .genfun import DiffEquation, cfinite_from_rational
+from .genfun import (
+    DiffEquation,
+    cfinite_from_rational,
+    diff_to_holonomic,
+    genfun_cfinite,
+    holonomic_to_diff,
+    homogenize,
+)
 from .linalg import (
     clear_exppoly_denominators,
     exppoly_fraction_adapter,
     least_null_vector,
     left_null_space,
 )
-from .polynomials import (
-    Poly,
-    QQ,
-    forward_differences,
-    newton_poly,
-)
+from .polynomials import Poly, QQ, forward_differences, newton_poly, series_mul
 from .ratfunc import RationalFunction
 from .sequences import (
     CoeffRing,
     RecurrenceSystem,
+    Sequence,
     ShiftOperator,
     expand_terms,
     join_rings,
@@ -446,12 +454,12 @@ def poly_closure(kind, poly_a, poly_b=None, mult=1):
         bound = max(poly_a.degree, 0) + 1
         if kind == CAUCHY:
             bound += max(poly_b.degree, 0)
-        a = [poly_a.evaluate(Fraction(n)) for n in range(bound + 1)]
-        if kind == PARTIAL_SUM:
-            values = list(accumulate(a))
-        else:
-            b = [poly_b.evaluate(Fraction(n)) for n in range(bound + 1)]
-            values = [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(bound + 1)]
+        points = range(bound + 1)
+        a, b = (
+            None if poly is None else Sequence(poly.evaluate(Fraction(n)) for n in points)
+            for poly in (poly_a, poly_b)
+        )
+        values = _combined_values(kind, a, b, 0, bound + 1)
         return newton_poly(forward_differences(values))
     raise ValueError(f"unsupported polynomial closure kind {kind!r}")
 
@@ -460,35 +468,22 @@ def poly_closure(kind, poly_a, poly_b=None, mult=1):
 # combined systems with initial values
 
 
-def _combined_values(kind, sys_a, sys_b, count, mult=1):
-    def expanded(system, wanted):
-        return expand_terms(system, max(wanted, len(system.initials)))
-
+def _combined_values(kind, a, b, start, count, mult=1):
+    """The values at n = start, ..., start + count - 1 of the combination of
+    the operand sequences ``a`` and ``b`` (None for the one-operand kinds),
+    read with ``Sequence.value``; a partial sum adds ``a`` up from start,
+    its first index, and a Cauchy product starts at 0."""
+    indices = range(start, start + count)
     if kind == SUBSEQUENCE:
-        inner = expanded(sys_a, mult * max(count - 1, 0) + 1)
-        return [inner.value(mult * n) for n in range(count)]
+        return [a.value(mult * n) for n in indices]
     if kind == PARTIAL_SUM:
-        inner = expanded(sys_a, count)
-        acc = Fraction(0)
-        out = []
-        for v in inner.terms[:count]:
-            acc += v
-            out.append(acc)
-        return out
-    a = expanded(sys_a, count)
-    b = expanded(sys_b, count)
+        return list(accumulate(a.value(n) for n in indices))
     if kind == ADD:
-        return [a.value(n) + b.value(n) for n in range(count)]
+        return [a.value(n) + b.value(n) for n in indices]
     if kind == TERMWISE:
-        return [a.value(n) * b.value(n) for n in range(count)]
+        return [a.value(n) * b.value(n) for n in indices]
     if kind == CAUCHY:
-        return [
-            sum(
-                (a.value(i) * b.value(n - i) for i in range(n + 1)),
-                Fraction(0),
-            )
-            for n in range(count)
-        ]
+        return series_mul(a.terms, b.terms, count, Fraction(0))
     raise ValueError(f"unsupported kind {kind!r}")
 
 
@@ -507,18 +502,25 @@ def combine(kind, sys_a, sys_b=None, mult=1):
     relations only at indices >= n (>= mult*n).  So a null vector relates
     the combined values at every n >= v_a, v_b (for a subsequence, every
     n >= ceil(v_a / mult)), and the result holds from the largest of these
-    and its own leading coefficient's validity offset.  The Cauchy product
-    goes through generating functions, which need validity offset 0.
+    and its own leading coefficient's validity offset.
+
+    Operands may also start at an index o > 0 (``offset``; o <= v).  The
+    result starts at max(o_a, o_b), at ceil(o_a / mult) for a subsequence,
+    and a partial sum adds up from o_a; its initial values are the
+    combined operand terms from there.  The Cauchy product goes through
+    generating functions, which need offset and validity offset 0.
     """
     if kind in (PARTIAL_SUM, SUBSEQUENCE):
         sys_b = None
-    if sys_a.offset != 0 or (sys_b is not None and sys_b.offset != 0):
+    operands = [sys_a] if sys_b is None else [sys_a, sys_b]
+    if kind == CAUCHY and any(system.offset for system in operands):
         raise ValueError("combinations require offset-0 operands")
-    delays = [sys_a.validity_offset, sys_b.validity_offset if sys_b is not None else 0]
+    delays = [system.validity_offset for system in operands]
     if kind == CAUCHY and any(delays):
         raise ValueError("Cauchy products require validity offset 0")
-    if kind == SUBSEQUENCE:
-        delays[0] = -(-delays[0] // mult)
+    step = mult if kind == SUBSEQUENCE else 1
+    delays[0] = -(-delays[0] // step)
+    start = -(-max(system.offset for system in operands) // step)
     op_a = sys_a.operator
     op_b = sys_b.operator if sys_b is not None else None
     if op_b is not None:
@@ -528,15 +530,11 @@ def combine(kind, sys_a, sys_b=None, mult=1):
         operator, validity = _closure(kind, op_a, op_b, mult=mult)
         validity = max(validity, *delays)
     elif ring is CoeffRing.CONSTANT:
-        from .genfun import genfun_cfinite
-
         _, system = cfinite_combine_gf(
             CAUCHY, genfun_cfinite(sys_a), genfun_cfinite(sys_b)
         )
         return system
     elif ring is CoeffRing.POLY_N:
-        from .genfun import diff_to_holonomic, holonomic_to_diff, homogenize
-
         equation = holonomic_cauchy(
             homogenize(holonomic_to_diff(sys_a)),
             homogenize(holonomic_to_diff(sys_b)),
@@ -547,8 +545,15 @@ def combine(kind, sys_a, sys_b=None, mult=1):
             "no constructive Cauchy-product procedure exists for"
             " exponential-polynomial coefficients"
         )
-    initials = _combined_values(kind, sys_a, sys_b, validity + operator.order, mult)
-    return RecurrenceSystem(operator, initials, validity, 0)
+    end = validity + operator.order  # one past the last initial value
+    last = step * (end - 1)  # the last operand index the initial values read
+    a, b = (
+        None if system is None
+        else expand_terms(system, max(last + 1 - system.offset, len(system.initials)))
+        for system in (sys_a, sys_b)
+    )
+    initials = _combined_values(kind, a, b, start, end - start, mult)
+    return RecurrenceSystem(operator, initials, validity, start)
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,20 @@ class NotPolynomial(AnsatzError):
     """Sequence data is not matched by a polynomial of the requested degree."""
 
 
-class UnsupportedFactorization(AnsatzError):
-    """A characteristic polynomial has an irreducible factor of degree >= 3."""
-
-
 class UnsupportedField(AnsatzError):
     """An algebraic number cannot be represented in the supported fields."""
 
 
 class UnsupportedCase(AnsatzError):
     """Input outside the implemented subclass: an asymptotic template, an
-    exponential-polynomial Cauchy product or an undecided validity."""
+    exponential-polynomial Cauchy product, roots outside Q and one quadratic
+    field or an undecided validity."""
+
+
+class UnsupportedFactorization(UnsupportedCase):
+    """A characteristic polynomial has roots the closed forms do not cover:
+    an irreducible factor of degree >= 3, two quadratic fields, or a root
+    at zero in a coefficient sequence."""
 
 
 class ValidityUnproven(UnsupportedCase):

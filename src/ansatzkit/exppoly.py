@@ -34,7 +34,7 @@ from .fields import (
     common_field,
     compare_modulus,
 )
-from .polynomials import NEG_INFINITY, QQ, Poly, largest_natural_root, poly_gcd
+from .polynomials import NEG_INFINITY, QQ, Poly, largest_natural_root, poly_gcd, power
 
 
 class ExpPoly:
@@ -165,14 +165,7 @@ class ExpPoly:
     def __pow__(self, exponent):
         if exponent < 0:
             raise ValueError("negative ExpPoly power")
-        result = self.one_like()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(self, exponent, self.one_like())
 
     def scale(self, value):
         value = self.field.coerce(value)

@@ -1,11 +1,14 @@
 """The number fields the toolkit supports: Q and quadratic fields.
 
 Characteristic roots are rational or conjugate pairs from one irreducible
-quadratic factor (closed forms and asymptotics reject higher-degree
-factors), so a field is presented by a monic modulus t + c0 or
+quadratic factor, so a field is presented by a monic modulus t + c0 or
 t^2 + c1*t + c0.  A quadratic modulus is irreducible exactly when its
 discriminant c1^2 - 4*c0 is not a rational square; any other modulus raises
-:class:`UnsupportedField`.
+:class:`UnsupportedField`.  ``split_roots`` is the one place that finds the
+roots of a rational polynomial in such a field: the closed forms of
+constant-coefficient recurrences and the growth constants of asymptotic
+templates both take them from it, and it raises
+:class:`UnsupportedFactorization` for everything else.
 
 Elements are coordinate tuples (a0,) or (a0, a1) standing for a0 + a1*t.
 They multiply by closed formulas with t^2 = -c1*t - c0 and invert as the
@@ -15,13 +18,16 @@ Moduli are compared exactly (``compare_modulus``) and bracketed by
 rationals (``abs_bounds``).  A real quadratic field is embedded with
 t = (-c1 + sqrt(D))/2, D = c1^2 - 4*c0; in an imaginary one |z|^2 is the
 norm, the same in both embeddings.
+
+``common_ratio`` is the one test that two coefficient lists agree up to a
+single factor; operator printing and equation comparison use it.
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from .errors import UnsupportedField
-from .polynomials import QQ, Poly
+from .errors import UnsupportedFactorization, UnsupportedField
+from .polynomials import QQ, Poly, power, rational_roots, squarefree_decomposition
 
 
 def _is_rational_square(q):
@@ -227,14 +233,7 @@ class NumberFieldElement:
             return NumberFieldElement(self.field, (self.coords[0] ** exponent,))
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.field.one
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(self, exponent, self.field.one)
 
     # -- size ------------------------------------------------------------------
 
@@ -324,3 +323,54 @@ def quadratic_field(poly):
         raise UnsupportedField("expected a quadratic modulus")
     monic = poly.monic()
     return NumberField(Poly(monic.coeffs, QQ, "t"))
+
+
+def split_roots(poly):
+    """The roots of a nonzero rational polynomial in Q or in one quadratic
+    field: ``(field, [(root, multiplicity), ...])``, the rational roots first
+    (zero, then ascending), then the pair t, -c1 - t of a quadratic factor
+    t^2 + c1*t + c0, t the field's generator.
+
+    ``rational_roots`` splits off the rational roots; only a cofactor of
+    degree > 2 is split further, by multiplicity.  An irreducible factor of
+    degree >= 3, or quadratic factors in two fields, raise
+    UnsupportedFactorization."""
+    rational, cofactor = rational_roots(poly)
+    parts = [(cofactor, 1)] if cofactor.degree == 2 else squarefree_decomposition(cofactor)
+    field = RATIONAL_FIELD
+    for part, _ in parts:
+        if part.degree != 2:
+            raise UnsupportedFactorization(f"irreducible factor {part} of degree {part.degree}")
+        try:
+            field = common_field(field, quadratic_field(part))
+        except UnsupportedField:
+            raise UnsupportedFactorization(
+                "characteristic roots span two distinct quadratic fields"
+            ) from None
+    roots = [(field.from_rational(root), multiplicity) for root, multiplicity in rational]
+    for part, multiplicity in parts:
+        gen = field.generator()
+        conjugate = field.from_rational(-part.coefficient(1)) - gen
+        roots += [(gen, multiplicity), (conjugate, multiplicity)]
+    return field, roots
+
+
+def common_ratio(pairs):
+    """The one q with a = q*b coefficient by coefficient for every pair
+    (a, b) of coefficient lists, or None: when two lists differ in length
+    or in where they vanish, when the ratios differ, or when every
+    coefficient is zero."""
+    ratio = None
+    for a, b in pairs:
+        if len(a) != len(b):
+            return None
+        for x, y in zip(a, b):
+            if bool(x) != bool(y):
+                return None
+            if x:
+                r = x / y
+                if ratio is None:
+                    ratio = r
+                elif r != ratio:
+                    return None
+    return ratio

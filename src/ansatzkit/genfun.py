@@ -16,7 +16,8 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import DenominatorVanishesAtZero, UnsupportedField
-from .fields import as_rational_poly
+from .exppoly import ExpPoly
+from .fields import as_rational_poly, common_ratio
 from .polynomials import (
     Poly,
     QQ,
@@ -25,6 +26,8 @@ from .polynomials import (
     forward_differences,
     poly_gcd,
     rational_content,
+    series_inv,
+    series_mul,
 )
 from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator, leading_validity_offset
 
@@ -70,14 +73,7 @@ class RationalGF:
 
     def series(self, count):
         """First ``count`` power series coefficients."""
-        out = []
-        den = self.den.coeffs
-        for m in range(count):
-            value = self.num.coefficient(m)
-            for i in range(1, min(m, len(den) - 1) + 1):
-                value -= den[i] * out[m - i]
-            out.append(value)
-        return out
+        return series_mul(self.num.coeffs, series_inv(self.den.coeffs, count), count, Fraction(0))
 
     def __add__(self, other):
         return RationalGF(
@@ -230,46 +226,25 @@ class DiffEquation:
         for base, coeffs in self.terms:
             powers = [base ** p for p in range(len(a))]
             for j, q in enumerate(coeffs):
-                if not q:
-                    continue
                 # d^j/dx^j f(bx) has m-th coefficient (m+j)_j a_{m+j} b^(m+j)
                 g = [
                     falling_factorial(m + j, j) * a[m + j] * powers[m + j]
                     for m in range(len(a) - j)
                 ]
-                for s, qc in enumerate(q.coeffs):
-                    if not qc:
-                        continue
-                    for m in range(count - s):
-                        if m < len(g):
-                            residual[m + s] = residual[m + s] + qc * g[m]
+                piece = series_mul(q.coeffs, g, count, field.zero)
+                residual = [x + y for x, y in zip(residual, piece)]
         return residual
 
     def scalar_multiple_of(self, other):
-        """True when the two equations agree up to one nonzero rational."""
+        """True when the two equations agree up to one nonzero constant factor."""
         if self.field != other.field or len(self.terms) != len(other.terms):
             return False
-        ratio = None
-        pairs = []
+        pairs = [(self.rhs.coeffs, other.rhs.coeffs)]
         for (b1, c1), (b2, c2) in zip(self.terms, other.terms):
             if b1 != b2 or len(c1) != len(c2):
                 return False
-            pairs.extend(zip(c1, c2))
-        pairs.append((self.rhs, other.rhs))
-        for p, q in pairs:
-            if bool(p) != bool(q) or len(p.coeffs) != len(q.coeffs):
-                return False
-            if p:
-                for c_self, c_other in zip(p.coeffs, q.coeffs):
-                    if bool(c_self) != bool(c_other):
-                        return False
-                    if c_self:
-                        r = c_self / c_other
-                        if ratio is None:
-                            ratio = r
-                        elif r != ratio:
-                            return False
-        return ratio is not None
+            pairs.extend((p.coeffs, q.coeffs) for p, q in zip(c1, c2))
+        return common_ratio(pairs) is not None
 
     def __str__(self):
         parts = []
@@ -440,8 +415,6 @@ def diff_to_c2(equation):
     shifts and the last natural zero of the leading coefficient."""
     if not equation.is_homogeneous:
         raise ValueError("homogeneous equation required")
-    from .exppoly import ExpPoly
-
     field = equation.field
     r = equation.order
     k = equation.degree

@@ -29,6 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InternalError
+from .exppoly import ExpPolyFraction, _multiset_union_max
 from .polynomials import (
     Poly,
     QQ,
@@ -58,8 +59,6 @@ def numberfield_adapter(field):
 
 
 def exppoly_fraction_adapter(field):
-    from .exppoly import ExpPolyFraction
-
     return FieldAdapter(
         ExpPolyFraction.zero(field),
         ExpPolyFraction.one(field),
@@ -234,8 +233,6 @@ def clear_exppoly_denominators(vector):
     denominator multisets, so structural cancellation removes every
     denominator and no ring division is ever attempted.
     """
-    from .exppoly import _multiset_union_max
-
     entries = list(vector)
     if not any(entries):
         raise ValueError("cannot normalize the zero vector")

@@ -19,9 +19,16 @@ from .errors import (
     ValidityUnproven,
 )
 from .exppoly import ExpPoly
-from .fields import as_rational_poly
+from .fields import as_rational_poly, common_ratio
 from .polynomials import Poly, QQ
-from .sequences import CoeffRing, ShiftOperator, coerce_coeff, join_rings
+from .sequences import (
+    CoeffRing,
+    RecurrenceSystem,
+    ShiftOperator,
+    coerce_coeff,
+    join_rings,
+    leading_validity_offset,
+)
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<symbol>[-+*/^(),;]))"
@@ -238,25 +245,10 @@ def parse_operator(text, declarations=None):
 
 def _exppoly_rational_ratio(a, b):
     """Fraction q with a == q*b (structurally), or None."""
-    if len(a.terms) != len(b.terms):
+    if [base for base, _ in a.terms] != [base for base, _ in b.terms]:
         return None
-    ratio = None
-    for (base_a, poly_a), (base_b, poly_b) in zip(a.terms, b.terms):
-        if base_a != base_b or len(poly_a.coeffs) != len(poly_b.coeffs):
-            return None
-        for ca, cb in zip(poly_a.coeffs, poly_b.coeffs):
-            if bool(ca) != bool(cb):
-                return None
-            if ca:
-                r = ca / cb
-                if not r.is_rational():
-                    return None
-                r = r.as_rational()
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return None
-    return ratio
+    ratio = common_ratio((pa.coeffs, pb.coeffs) for (_, pa), (_, pb) in zip(a.terms, b.terms))
+    return ratio.as_rational() if ratio is not None and ratio.is_rational() else None
 
 
 def _exppoly_text(coeff, declarations):
@@ -361,8 +353,6 @@ def parse_recurrence_spec(spec, declarations=None):
     leading coefficient that vanishes on a residue class of n raises
     LeadingAlwaysZero; one whose zeros are undecided is taken as written.
     """
-    from .sequences import RecurrenceSystem, leading_validity_offset
-
     match = re.match(r"^\s*(poly|cfinite|holonomic|c2)\s*:(.*)$", spec, re.S)
     body = spec
     if match:

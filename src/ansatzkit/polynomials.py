@@ -20,6 +20,12 @@ sum_j d_j C(n - start, j).  Its users are the polynomial guesser (degree d
 fits when row d + 1 of the table vanishes), the partial-sum and Cauchy
 closures of polynomial sequences, ``poly_binomial_form`` and the
 falling-factorial basis change of the generating-function translations.
+
+Two more routines serve every coefficient ring: ``power``, the repeated
+squaring behind the ``__pow__`` of ``Poly``, ``ExpPoly`` and number-field
+elements, and the truncated power series ``series_mul`` and
+``series_inv``, which expand rational generating functions, form Cauchy
+products of values and carry the asymptotic series in 1/n.
 """
 
 from fractions import Fraction
@@ -167,14 +173,7 @@ class Poly:
     def __pow__(self, exponent):
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = self.spawn([self.domain.one])
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(self, exponent, self.spawn([self.domain.one]))
 
     def scale(self, factor):
         factor = self.domain.coerce(factor)
@@ -272,6 +271,52 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def power(base, exponent, one):
+    """base ** exponent for an integer exponent >= 0 by repeated squaring,
+    starting from ``one``; every ring's ``__pow__`` goes through it."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
+
+
+# -- truncated power series ----------------------------------------------------
+#
+# Dense coefficient lists, lowest power first, over any field.
+
+
+def series_mul(a, b, length, zero):
+    """The first ``length`` coefficients of the product of two series."""
+    out = [zero] * length
+    for i, x in enumerate(a[:length]):
+        if not x:
+            continue
+        for j, y in enumerate(b[: length - i]):
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def series_inv(a, length):
+    """The first ``length`` coefficients of 1/a for a series a whose
+    constant term is one."""
+    one = a[0]
+    if one != 1:
+        raise InternalError("series inverse needs constant term one")
+    zero = one - one
+    out = [one] + [zero] * (length - 1)
+    for m in range(1, length):
+        acc = zero
+        for i in range(1, min(m, len(a) - 1) + 1):
+            if a[i]:
+                acc = acc + a[i] * out[m - i]
+        out[m] = -acc
+    return out[:length]
 
 
 # -- gcd machinery ---------------------------------------------------------

@@ -452,6 +452,73 @@ class TestCliCommands:
         assert code == 3
         assert capsys.readouterr().err.startswith("i/o error: bad b-file line")
 
+    def test_genfun_each_class(self, capsys):
+        cases = [
+            (["--class", "poly", "n^2+1"], "(2*x^2 - x + 1) / (-x^3 + 3*x^2 - 3*x + 1)"),
+            (["--class", "cfinite", "N^2-N-1;0,1"], "(x) / (-x^2 - x + 1)"),
+            (["--class", "cfinite", "--homogeneous", "N^2-N-1;0,1"], "(x) / (-x^2 - x + 1)"),
+            (["--class", "holonomic", "N-(n+1);1"], "(x - 1)*f(x) + (x^2)*f'(x) = -1"),
+            (
+                ["--class", "holonomic", "--homogeneous", "N-(n+1);1"],
+                "(1)*f(x) + (3*x - 1)*f'(x) + (x^2)*f''(x) = 0",
+            ),
+            (["--class", "c2", "c2:N-2^n;1"], "(-1)*f(x) + (x)*f((2)*x) = -1"),
+            (
+                ["--class", "c2", "--homogeneous", "c2:N-2^n;1"],
+                "(-1)*f'(x) + (1)*f((2)*x) + (x)*f'((2)*x) = 0",
+            ),
+        ]
+        for args, expected in cases:
+            assert main(["genfun", *args]) == 0, args
+            assert capsys.readouterr().out == expected + "\n", args
+
+    def test_genfun_poly_needs_a_polynomial(self, capsys):
+        assert main(["genfun", "--class", "poly", "N"]) == 2
+        assert capsys.readouterr().err == "expected a polynomial in n\n"
+
+    def test_closedform_poly(self, capsys):
+        code = main(
+            ["closedform", "--class", "poly", "--max-degree", "2", "--terms", "1,4,9,16,25"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "1 + 3*C(n,1) + 2*C(n,2)\n"
+
+    def test_closedform_usage_errors(self, capsys):
+        assert main(["closedform", "--class", "poly"]) == 2
+        assert capsys.readouterr().err == "--class poly needs sequence input\n"
+        assert main(["closedform", "--class", "cfinite"]) == 2
+        assert capsys.readouterr().err == "--class cfinite needs an operator;initials spec\n"
+
+    def test_prove_apply(self, capsys):
+        # a(n+1) - a(n) = a(n-1) is no zero sequence, but N^2 - N - 1 annihilates it
+        args = ["prove", "--seq", "a=cfinite:N^2-N-1;0,1", "--expr", "a(n+1) - a(n)"]
+        assert main(args) == 1
+        assert capsys.readouterr().out.startswith("REFUTED at n = 0")
+        assert main([*args, "--apply", "N^2 - N - 1"]) == 0
+        assert capsys.readouterr().out == "PROVEN (checked 4 values)\n"
+        assert main([*args, "--apply", "n*N"]) == 2
+        assert capsys.readouterr().err == "--apply takes a constant-coefficient operator\n"
+
+    def test_asymptotics_without_template(self, capsys):
+        assert main(["asymptotics", "holonomic:(n+1)*N;1"]) == 1
+        assert capsys.readouterr().out == "no growth template applies\n"
+
+    def test_asymptotics_cubic_growth_root(self, capsys):
+        assert main(["asymptotics", "cfinite:N^3-2;1,1,1"]) == 1
+        assert capsys.readouterr().err.startswith("no result: irreducible factor L^3 - 2")
+
+    def test_guess_c2_is_a_usage_error(self, capsys):
+        assert main(["guess", "--class", "c2", "--terms", "1,2,3"]) == 2
+        assert capsys.readouterr().err == "guessing for class c2 is not supported\n"
+
+    def test_closure_operand_counts(self, capsys):
+        for kind in ("add", "termwise", "cauchy"):
+            assert main(["closure", "--kind", kind, "cfinite:N-1;1"]) == 2
+            assert capsys.readouterr().err == f"{kind} needs two operands\n"
+        for kind in ("parsum", "subseq"):
+            assert main(["closure", "--kind", kind, "cfinite:N-1;1", "cfinite:N-2;1"]) == 2
+            assert capsys.readouterr().err == f"{kind} takes one operand\n"
+
     def test_closedform_eleven_digit_roots(self, capsys):
         code = main(
             ["closedform", "--class", "cfinite",

@@ -43,6 +43,7 @@ from ansatzkit import (
 from ansatzkit.closure import combination_matrix
 from ansatzkit.errors import UnboundableExpression
 from ansatzkit.linalg import clear_denominators
+from ansatzkit.optext import parse_recurrence_spec
 from ansatzkit.ratfunc import RationalFunction
 
 import conftest as corpus
@@ -650,6 +651,87 @@ class TestDelayedOperands:
         for a, b in pairs:
             with pytest.raises(ValueError, match="validity offset 0"):
                 combine(CAUCHY, a, b)
+
+
+class TestOffsetOperands:
+    """Operands whose terms start at n = o > 0: the combination starts at
+    max(o_a, o_b), at ceil(o_a / m) for a subsequence, and reproduces the
+    directly combined terms from there."""
+
+    @staticmethod
+    def operands():
+        from ansatzkit import guess_cfinite, parse_operator
+
+        fib = [0, 1]
+        while len(fib) < 20:
+            fib.append(fib[-1] + fib[-2])
+        return [
+            guess_cfinite(Sequence(fib[3:], 3), 3).result,  # Fibonacci from n = 3
+            RecurrenceSystem(ShiftOperator(CoeffRing.CONSTANT, [-2, 1]), [3, 5], 3, 2),
+            RecurrenceSystem(parse_operator("N - (n + 1)"), [1], 1, 1),  # n! from n = 1
+            RecurrenceSystem(parse_operator("(n - 3)*N - n"), [1, 2, -1], 4, 2),
+            RecurrenceSystem(parse_operator("N - 2^n"), [3], 1, 1),
+            RecurrenceSystem(parse_operator("(2^n - 8)*N + 1"), [2, -1, 4], 4, 2),
+        ]
+
+    @staticmethod
+    def direct(kind, a, b, start, count, mult):
+        indices = range(start, start + count)
+        if kind == SUBSEQUENCE:
+            return [a.value(mult * n) for n in indices]
+        if kind == PARTIAL_SUM:
+            return [sum(a.terms[: n - a.offset + 1], F(0)) for n in indices]
+        if kind == ADD:
+            return [a.value(n) + b.value(n) for n in indices]
+        return [a.value(n) * b.value(n) for n in indices]
+
+    def test_combinations_match_direct_expansion(self):
+        operands = self.operands()
+        assert sorted(s.operator.ring.value for s in operands) == sorted(
+            ["constant", "poly", "exppoly"] * 2
+        )
+        assert all(s.offset > 0 for s in operands)
+        plain = [corpus.fibonacci_system(), parse_recurrence_spec("cfinite:N-2;1")]
+        cases = [
+            (kind, a, b, 1)
+            for kind in (ADD, TERMWISE)
+            for i, a in enumerate(operands)
+            for b in operands[i:] + plain
+        ]
+        cases += [
+            (kind, a, None, mult)
+            for a in operands
+            for kind, mult in ((PARTIAL_SUM, 1), (SUBSEQUENCE, 2), (SUBSEQUENCE, 3))
+        ]
+        count = 30
+        for kind, sys_a, sys_b, mult in cases:
+            result = combine(kind, sys_a, sys_b, mult=mult)
+            start = -(-sys_a.offset // mult)
+            if sys_b is not None:
+                start = max(start, sys_b.offset)
+            assert result.offset == start, (kind, sys_a, sys_b, mult)
+            a = expand_terms(sys_a, mult * (start + count) - sys_a.offset)
+            b = expand_terms(sys_b, start + count - sys_b.offset) if sys_b else None
+            expanded = expand_terms(result, max(count, len(result.initials)))
+            assert list(expanded.terms[:count]) == self.direct(
+                kind, a, b, start, count, mult
+            ), (kind, sys_a, sys_b, mult)
+
+    def test_offsets(self):
+        fib_from_3, late, *_ = self.operands()
+        two = parse_recurrence_spec("cfinite:N-2;1")
+        for kind in (ADD, TERMWISE):
+            assert combine(kind, fib_from_3, two).offset == 3
+            assert combine(kind, two, late).offset == 2
+        assert combine(PARTIAL_SUM, fib_from_3).offset == 3
+        assert [combine(SUBSEQUENCE, fib_from_3, mult=m).offset for m in (1, 2, 3, 4)] == [
+            3, 2, 1, 1
+        ]
+
+    def test_cauchy_keeps_its_error(self):
+        fib_from_3 = self.operands()[0]
+        with pytest.raises(ValueError, match="offset-0 operands"):
+            combine(CAUCHY, fib_from_3, corpus.fibonacci_system())
 
 
 class TestPromotion:

@@ -27,9 +27,15 @@ from ansatzkit import (
     rref,
 )
 from ansatzkit import exppoly
-from ansatzkit.errors import InternalError, UnsupportedField, ValidityUnproven
+from ansatzkit.errors import (
+    InternalError,
+    UnsupportedCase,
+    UnsupportedFactorization,
+    UnsupportedField,
+    ValidityUnproven,
+)
 from ansatzkit.exppoly import validity_offset
-from ansatzkit.fields import compare_modulus
+from ansatzkit.fields import common_ratio, compare_modulus, split_roots
 from ansatzkit.genfun import falling_basis_constants
 from ansatzkit.linalg import (
     PRIME,
@@ -44,7 +50,10 @@ from ansatzkit.polynomials import (
     forward_differences,
     largest_natural_root,
     newton_poly,
+    power,
     rational_roots,
+    series_inv,
+    series_mul,
     squarefree_decomposition,
 )
 
@@ -793,3 +802,115 @@ class TestValidityOffset:
             validity_offset(h)
         # a larger third base settles it: |3| > |1 + 2i|
         assert validity_offset(h + ExpPoly.geometric(3).to_field(h.field)) == 0
+
+
+class TestSplitRoots:
+    """``fields.split_roots``: the one root finder in Q or a quadratic field."""
+
+    @staticmethod
+    def rebuild(field, roots, var="N"):
+        product = Poly([field.one], field, var)
+        for root, multiplicity in roots:
+            product = product * Poly([-root, field.one], field, var) ** multiplicity
+        return product
+
+    def test_seeded_products_rebuild(self):
+        rng = random.Random(1201)
+        quadratics = [[-1, -1, 1], [-2, 0, 1], [1, 0, 1], [5, -4, 1], [1, 1, 1], [F(-1, 3), 0, 1]]
+        for trial in range(60):
+            candidates = [F(k, d) for k in range(-6, 7) for d in (1, 2, 3)]
+            roots = rng.sample(candidates, rng.randint(0, 3))
+            poly = Poly([rng.choice([1, -2, F(3, 4)])], QQ, "N")
+            for root in set(roots):
+                poly = poly * Poly([-root, 1], QQ, "N") ** rng.randint(1, 3)
+            quadratic = rng.choice(quadratics + [None] * 3)
+            if quadratic is not None:
+                poly = poly * Poly(quadratic, QQ, "N") ** rng.randint(1, 2)
+            field, found = split_roots(poly)
+            assert (field.degree == 2) == (quadratic is not None), trial
+            assert len({root for root, _ in found}) == len(found), trial
+            rebuilt = self.rebuild(field, found)
+            assert rebuilt == Poly(list(poly.monic().coeffs), field, "N"), trial
+            rational = [root.as_rational() for root, _ in found if root.is_rational()]
+            assert rational == sorted(rational, key=lambda r: (r != 0, r)), trial
+
+    def test_unsupported_factors(self):
+        cubic = Poly([-2, 0, 0, 1], QQ, "N") * Poly([-1, 1], QQ, "N")
+        two_fields = Poly([-2, 0, 1], QQ, "N") * Poly([-3, 0, 1], QQ, "N") ** 2
+        quartic = Poly([-2, 0, 1], QQ, "N") * Poly([-3, 0, 1], QQ, "N")
+        for poly in (cubic, two_fields, quartic):
+            with pytest.raises(UnsupportedFactorization) as info:
+                split_roots(poly)
+            assert isinstance(info.value, UnsupportedCase)
+
+
+class TestSeries:
+    """Truncated power series against a truncated Poly product."""
+
+    @staticmethod
+    def truncated(poly, length, zero):
+        return (list(poly.coeffs) + [zero] * length)[:length]
+
+    def test_mul_and_inverse_over_q(self):
+        rng = random.Random(1202)
+        for _ in range(40):
+            a = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(0, 6))]
+            b = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(0, 6))]
+            length = rng.randint(0, 9)
+            product = Poly(a, QQ, "x") * Poly(b, QQ, "x")
+            assert series_mul(a, b, length, F(0)) == self.truncated(product, length, F(0))
+            unit = [F(1)] + a
+            inverse = series_inv(unit, length)
+            assert len(inverse) == length
+            identity = Poly(unit, QQ, "x") * Poly(inverse, QQ, "x")
+            assert self.truncated(identity, length, F(0)) == [F(1), *[F(0)] * length][:length]
+
+    def test_mul_and_inverse_over_a_quadratic_field(self):
+        field = NumberField([-1, -1, 1])
+        t = field.generator()
+        a = [field.one, t, field.zero, 3 - t]
+        b = [t, field.zero, 2 * t + 1]
+        product = Poly(a, field, "x") * Poly(b, field, "x")
+        assert series_mul(a, b, 5, field.zero) == self.truncated(product, 5, field.zero)
+        identity = Poly(a, field, "x") * Poly(series_inv(a, 6), field, "x")
+        assert self.truncated(identity, 6, field.zero) == [field.one] + [field.zero] * 5
+
+    def test_inverse_needs_constant_term_one(self):
+        with pytest.raises(InternalError):
+            series_inv([F(2), F(1)], 3)
+
+
+class TestPower:
+    """One repeated-squaring routine behind every ``__pow__``."""
+
+    def test_against_repeated_products(self):
+        field = NumberField([-2, 0, 1])
+        x = Poly([1, 2, F(1, 3)], QQ, "n")
+        e = ExpPoly(field, [(field.generator(), Poly([1, 1], field, "n")), (3, 2)])
+        z = field.element([F(1, 2), -1])
+        cases = ((x, Poly([1], QQ, "n")), (e, e.one_like()), (z, field.one), (F(-2, 3), 1))
+        for value, one in cases:
+            expected = one
+            for exponent in range(10):
+                assert power(value, exponent, one) == expected
+                if not isinstance(value, Fraction):
+                    assert value ** exponent == expected
+                expected = expected * value
+        assert z ** -3 * z ** 3 == field.one
+
+
+class TestCommonRatio:
+    def test_ratio_and_mismatches(self):
+        def pair(a, b):
+            return tuple(map(F, a)), tuple(map(F, b))
+
+        t = NumberField([-1, -1, 1]).generator()
+        assert common_ratio([pair((2, 0, 4), (F(2, 5), 0, F(4, 5))), pair((1,), (F(1, 5),))]) == 5
+        assert common_ratio([((3 * t, F(0)), (t, F(0))), pair((6,), (2,))]) == 3
+        assert common_ratio([((t, 2 * t), pair((1, 2), ())[0])]) == t
+        assert common_ratio([pair((1, 2), (2, 4)), pair((3,), (1,))]) is None  # ratios differ
+        assert common_ratio([pair((1, 0, 2), (2, 1, 4))]) is None  # zero patterns differ
+        assert common_ratio([pair((1, 2, 0), (2, 4, 1))]) is None
+        assert common_ratio([pair((1, 2), (2, 4)), pair((0, 3), (1, 6))]) is None
+        assert common_ratio([pair((1, 2), (1, 2, 3))]) is None  # lengths differ
+        assert common_ratio([pair((0, 0), (0, 0)), pair((), ())]) is None  # nothing to compare
