@@ -2,16 +2,23 @@
 
 Addition, term-wise product, partial sum and linear subsequences all use
 the same solution-space construction for every coefficient ring: write the
-shifted combination over a finite basis of operand shifts (with
-coefficients in the ring's function field), then read a recurrence off the
-left null space of the resulting matrix.  One driver, ``_closure``, does
-this for all kinds and rings.  Constant and polynomial-coefficient
-relations are read off minors over Z and Z[n] by the fraction-free kernel:
+shifted combination over a finite basis of operand shifts, then read a
+recurrence off the left null space of the resulting matrix.  One driver,
+``_closure``, does this for all kinds and rings.  Over constants and
+polynomials in n the matrix is built fraction-free, as integer
+polynomials: a shift of an operand is a vector over the nested
+denominator D_t, a product of shifted leading coefficients, and each
+column is scaled by the last row's denominator, which leaves the null
+space unchanged (``_RingShiftRep``; the holonomic Cauchy product's
+derivative rows do the same with powers of the ODE's leading
+coefficient).  No rational function is formed before the kernel.  The
+relation is read off minors over Z[n] by the fraction-free kernel:
 ``_ring_relation``, shared with the holonomic Cauchy product, takes the
 least-order vector from ``least_null_vector`` and checks its order bound.
-Over exponential polynomials, whose fractions have zero divisors,
-``_closure`` takes one explicit branch: the null space comes from
-Gauss-Jordan over the function field, and the zeros of each candidate's
+Over exponential polynomials, whose fractions have zero divisors, the
+entries are formal fractions (``_FieldShiftRep``) and ``_closure`` takes
+one explicit branch: the null space comes from Gauss-Jordan over the
+function field, and the zeros of each candidate's
 leading coefficient are decided exactly (``exppoly.validity_offset``): a
 candidate vanishing on a residue class of n is dropped, the others hold
 from one past their last zero, and when none is left the matrix grows by a
@@ -34,6 +41,7 @@ many initial values -- a complete proof for constant-coefficient operands.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -61,8 +69,19 @@ from .linalg import (
     least_null_vector,
     left_null_space,
 )
-from .polynomials import Poly, QQ, forward_differences, newton_poly, series_mul
-from .ratfunc import RationalFunction
+from .polynomials import (
+    Poly,
+    QQ,
+    _zx_add,
+    _zx_cleared,
+    _zx_compose_linear,
+    _zx_derivative,
+    _zx_mul,
+    _zx_sub,
+    forward_differences,
+    newton_poly,
+    series_mul,
+)
 from .sequences import (
     CoeffRing,
     RecurrenceSystem,
@@ -152,40 +171,86 @@ def _common_ring(op_a, op_b=None, ring=None):
 # shift representations over the operand basis
 
 
-# each ring's coefficients lifted into its function field
-_LIFTS = {
-    CoeffRing.CONSTANT: lambda c: c,
-    CoeffRing.POLY_N: RationalFunction,
-    CoeffRing.EXPPOLY: ExpPolyFraction.from_exppoly,
-}
-
-
-class _ShiftRep:
+class _RingShiftRep:
     """Vectors expressing a(mult*n + t) over the basis a(mult*n + i), i < r,
-    with entries in the function field of the operator's ring."""
+    for constant and polynomial coefficients, as integer polynomials in n
+    over one denominator each; the operator's rational coefficients are
+    cleared by one integer scale.
 
-    def __init__(self, operator, mult=1):
-        self.operator = operator
+    With the shifted leads L_k = c_r(mult*n + k) and the nested
+    denominators D_t = L_0 ... L_{t-r} (D_t = 1 for t < r), a(mult*n + t)
+    is p_t / D_t over the basis, where p_t is the unit vector e_t for t < r
+    and, by the relation at mult*n + t - r,
+    p_t = -sum_i c_i(mult*n + t - r) p_{t-r+i} (D_{t-1} / D_{t-r+i}).
+    The quotient is a product of shifted leads, so the build takes no gcd
+    and no division."""
+
+    zero = []
+    one = [1]
+    add = staticmethod(_zx_add)
+    mul = staticmethod(_zx_mul)
+
+    def __init__(self, op, mult=1):
+        if op.ring is CoeffRing.CONSTANT:
+            coeffs = [(c,) if c else () for c in op.coeffs]
+        else:
+            coeffs = [c.coeffs for c in op.coeffs]
+        self.coeffs = _zx_cleared(coeffs)
         self.mult = mult
-        self.order = operator.order
-        self.lift = _LIFTS[operator.ring]
-        # the field's zero and one, in the coefficients' own number field
-        self.zero = self.lift(operator.leading * 0)
-        self.one = self.lift(operator.leading ** 0)
-        self._cache = {}
+        self.order = r = op.order
+        self.numerators = [[[1] if i == t else [] for i in range(r)] for t in range(r)]
+        self.leads = []  # L_0, L_1, ...
+
+    def vectors(self, shifts):
+        """p_t (D_last / D_t) for each t of the ascending ``shifts``: the
+        rows of a(mult*n + t), all over the last one's denominator."""
+        r, last = self.order, shifts[-1]
+        for t in range(len(self.numerators), last + 1):
+            k = t - r
+            shifted = [_zx_compose_linear(c, self.mult, k) for c in self.coeffs]
+            self.leads.append(shifted[r])
+            vec = [[] for _ in range(r)]
+            factor = [1]  # D_{t-1} / D_{k+i}, for i from r - 1 down
+            for i in reversed(range(r)):
+                if i < r - 1 and k + i - r + 1 >= 0:
+                    factor = _zx_mul(factor, self.leads[k + i - r + 1])
+                if shifted[i]:
+                    c = _zx_mul(shifted[i], factor)
+                    vec = [_zx_sub(a, _zx_mul(c, b)) for a, b in zip(vec, self.numerators[k + i])]
+            self.numerators.append(vec)
+        out = []
+        scale, j = [1], last - r  # scale = L_{j+1} ... L_{last-r}
+        for t in reversed(shifts):
+            while j > t - r and j >= 0:
+                scale = _zx_mul(scale, self.leads[j])
+                j -= 1
+            out.append([_zx_mul(scale, p) for p in self.numerators[t]])
+        return out[::-1]
+
+
+class _FieldShiftRep:
+    """Vectors expressing a(mult*n + t) over the basis a(mult*n + i), i < r,
+    for exponential-polynomial coefficients, over their formal fractions."""
+
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+
+    def __init__(self, op, mult=1):
+        self.operator = op
+        self.mult = mult
+        self.order = op.order
+        field = op.leading.field
+        self.zero = ExpPolyFraction.zero(field)
+        self.one = ExpPolyFraction.one(field)
 
     def _coeff(self, i, shift):
         """c_i evaluated at argument mult*n + shift, as a field element."""
-        return self.lift(self.operator.shifted_coeff(i, shift, self.mult))
+        return ExpPolyFraction.from_exppoly(self.operator.shifted_coeff(i, shift, self.mult))
 
-    def vector(self, t):
-        if t in self._cache:
-            return self._cache[t]
+    def vectors(self, shifts):
         r = self.order
-        if t < r:
-            vec = [self.zero] * r
-            vec[t] = self.one
-        else:
+        vecs = [[self.one if i == t else self.zero for i in range(r)] for t in range(r)]
+        for t in range(r, shifts[-1] + 1):
             # a(m n + t) = -sum_i c_i(m n + t - r)/c_r(m n + t - r) a(m n + t - r + i)
             lead = self._coeff(r, t - r)
             vec = [self.zero] * r
@@ -194,10 +259,9 @@ class _ShiftRep:
                 if not c:
                     continue
                 factor = (-c) / lead
-                sub = self.vector(t - r + i)
-                vec = [a + factor * b for a, b in zip(vec, sub)]
-        self._cache[t] = vec
-        return vec
+                vec = [a + factor * b for a, b in zip(vec, vecs[t - r + i])]
+            vecs.append(vec)
+        return [vecs[t] for t in shifts]
 
 
 def combination_matrix(kind, op_a, op_b=None, mult=1, rows=None):
@@ -205,7 +269,11 @@ def combination_matrix(kind, op_a, op_b=None, mult=1, rows=None):
 
     Row t represents the combined sequence shifted by t over the operand
     basis; ``rows`` overrides the number of shifts (defaults to the
-    closure order bound plus one).
+    closure order bound plus one).  Over constants and polynomials in n
+    the entries are integer polynomials (``_RingShiftRep``): each column is
+    the true one times the last row's denominator, a scaling of one
+    equation that leaves the left null space unchanged.  Over exponential
+    polynomials they are formal fractions (``_FieldShiftRep``).
     """
     if kind in (ADD, TERMWISE) and op_b is None:
         raise ValueError(f"{kind} needs two operands")
@@ -215,29 +283,25 @@ def combination_matrix(kind, op_a, op_b=None, mult=1, rows=None):
         raise ValueError("subsequence multiplier must be >= 1")
     if rows is None:
         rows = _order_bound(kind, op_a, op_b) + 1
+    rep_type = _FieldShiftRep if op_a.ring is CoeffRing.EXPPOLY else _RingShiftRep
     if kind == SUBSEQUENCE:
-        rep = _ShiftRep(op_a, mult)
-        return [rep.vector(mult * t) for t in range(rows)]
+        return rep_type(op_a, mult).vectors([mult * t for t in range(rows)])
     if kind == PARTIAL_SUM:
-        rep = _ShiftRep(op_a)
+        rep = rep_type(op_a)
         matrix = []
         acc = [rep.zero] * op_a.order
-        for t in range(rows):
+        for t, vec in enumerate(rep.vectors(range(rows))):
             if t > 0:
-                acc = [a + b for a, b in zip(acc, rep.vector(t))]
-            matrix.append([rep.one] + list(acc))
+                acc = list(map(rep.add, acc, vec))
+            matrix.append([rep.one] + acc)
         return matrix
-    rep_a = _ShiftRep(op_a)
-    rep_b = _ShiftRep(op_b)
+    if kind not in (ADD, TERMWISE):
+        raise ValueError(f"unsupported combination kind {kind!r}")
+    rep_a, rep_b = rep_type(op_a), rep_type(op_b)
+    pairs = zip(rep_a.vectors(range(rows)), rep_b.vectors(range(rows)))
     if kind == ADD:
-        return [rep_a.vector(t) + rep_b.vector(t) for t in range(rows)]
-    if kind == TERMWISE:
-        matrix = []
-        for t in range(rows):
-            u, w = rep_a.vector(t), rep_b.vector(t)
-            matrix.append([ui * wj for ui in u for wj in w])
-        return matrix
-    raise ValueError(f"unsupported combination kind {kind!r}")
+        return [u + w for u, w in pairs]
+    return [[rep_a.mul(ui, wj) for ui in u for wj in w] for u, w in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -356,60 +420,64 @@ def holonomic_cauchy(eq_a, eq_b):
 
 def _cauchy_matrix(eq_a, eq_b, rows):
     """Row t expresses the t-th derivative of the product over the products
-    of the operands' derivative bases (Leibniz rule), over Q(x)."""
+    of the operands' derivative bases (Leibniz rule), as integer
+    polynomials in x: the rows over Q(x) times one common denominator."""
     r1, r2 = eq_a.order, eq_b.order
-    rep_a = _DerivativeRep(eq_a)
-    rep_b = _DerivativeRep(eq_b)
+    va = _derivative_vectors(eq_a, rows)
+    vb = _derivative_vectors(eq_b, rows)
     matrix = []
     for t in range(rows):
-        row = [rep_a.zero] * (r1 * r2)
+        row = [[] for _ in range(r1 * r2)]
         for u in range(t + 1):
             factor = math.comb(t, u)
-            va, vb = rep_a.vector(u), rep_b.vector(t - u)
+            a, b = va[u], vb[t - u]
             for i in range(r1):
-                if not va[i]:
+                if not a[i]:
                     continue
-                left = va[i] * factor
+                left = [factor * c for c in a[i]]
                 for j in range(r2):
-                    if vb[j]:
-                        row[i * r2 + j] = row[i * r2 + j] + left * vb[j]
+                    if b[j]:
+                        row[i * r2 + j] = _zx_add(row[i * r2 + j], _zx_mul(left, b[j]))
         matrix.append(row)
     return matrix
 
 
-class _DerivativeRep:
-    """Vectors expressing the u-th derivative of a generating function over
-    the basis of its first r derivatives, via its homogeneous ODE."""
+def _derivative_vectors(equation, count):
+    """The u-th derivatives of a generating function, u < count, over the
+    basis of its first r derivatives, via its homogeneous ODE
+    c_r f^(r) = -(c_0 f + ... + c_{r-1} f^(r-1)), all over one common
+    denominator c_r^E, as integer polynomials in x; the coefficients are
+    cleared by one integer scale.
 
-    def __init__(self, equation):
-        _, coeffs = equation.terms[0]
-        lead = RationalFunction(as_rational_poly(coeffs[-1]))
-        self.reduction = [
-            RationalFunction(as_rational_poly(c)) / lead * Fraction(-1) for c in coeffs[:-1]
-        ]
-        self.order = len(coeffs) - 1
-        one = RationalFunction(Poly([1], QQ, "x"))
-        self.one = one
-        self.zero = one - one
-        self._cache = {}
-
-    def vector(self, u):
-        if u in self._cache:
-            return self._cache[u]
-        r = self.order
-        if u < r:
-            vec = [self.zero] * r
-            vec[u] = self.one
-        else:
-            prev = self.vector(u - 1)
-            vec = [f.derivative() for f in prev]
-            for i in range(r - 1):
-                vec[i + 1] = vec[i + 1] + prev[i]
-            top = prev[r - 1]
-            if top:
-                vec = [a + top * b for a, b in zip(vec, self.reduction)]
-        self._cache[u] = vec
-        return vec
+    The u-th vector is q_u / c_r^e_u with integer polynomials q_u, where
+    e_u = 0 for u < r and e_u = u - r + 1 after: the derivative of an entry
+    is d/dx (q / c^e) = (q' c - e q c') / c^(e + 1), and the top basis
+    derivative reduces by the ODE over one more factor c = c_r.  The
+    vectors returned are q_u c_r^(E - e_u), with E = e_{count-1}."""
+    _, coeffs = equation.terms[0]
+    *low, lead = _zx_cleared([as_rational_poly(c).coeffs for c in coeffs])
+    r = len(low)
+    lead_prime = _zx_derivative(lead)
+    numerators = [[[1] if i == u else [] for i in range(r)] for u in range(min(r, count))]
+    for u in range(r, count):
+        e, prev = u - r, numerators[-1]
+        scaled_lead_prime = [e * c for c in lead_prime]
+        vec = []
+        for i in range(r):
+            q = prev[i]
+            entry = _zx_sub(_zx_mul(_zx_derivative(q), lead), _zx_mul(q, scaled_lead_prime))
+            if i:
+                entry = _zx_add(entry, _zx_mul(prev[i - 1], lead))
+            vec.append(_zx_sub(entry, _zx_mul(prev[r - 1], low[i])))
+        numerators.append(vec)
+    powers = [[1]]  # c_r^0 .. c_r^E
+    for _ in range(max(count - r, 0)):
+        powers.append(_zx_mul(powers[-1], lead))
+    top = len(powers) - 1
+    return [
+        [_zx_mul(powers[top - max(u - r + 1, 0)], q) for q in vec]
+        for u, vec in enumerate(numerators)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,9 @@ def _normalize_equation(field, terms, rhs):
     content = rational_content(coords)
     if content and content != 1:
         scale = field.from_rational(Fraction(1) / content)
+        # tuples from lists, as in sequences.Sequence
         terms = [
-            (b, tuple(p.scale(scale) for p in coeffs)) for b, coeffs in terms
+            (b, tuple([p.scale(scale) for p in coeffs])) for b, coeffs in terms
         ]
         rhs = rhs.scale(scale)
     top_base, top_coeffs = terms[-1]
@@ -283,7 +284,7 @@ def _normalize_equation(field, terms, rhs):
     if lead_coord < 0:
         minus = field.from_rational(Fraction(-1))
         terms = [
-            (b, tuple(p.scale(minus) for p in coeffs)) for b, coeffs in terms
+            (b, tuple([p.scale(minus) for p in coeffs])) for b, coeffs in terms
         ]
         rhs = rhs.scale(minus)
     return terms, rhs

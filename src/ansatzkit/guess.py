@@ -16,9 +16,11 @@ C-finite guesser tries the degree-0 shapes (order, 0) with fit length
 2 * order and scales its relation to a monic constant-coefficient
 operator.  The search fits over the rationals, using every available term:
 a relation of a shape is a left null vector of its fit rows, one row per
-unknown coefficient and one column per window start.  The fraction-free
-ring kernel ``linalg.null_vectors`` yields these vectors lazily as coprime
-integers, and the first one that gives an operator of the shape wins.
+unknown coefficient and one column per window start.  The terms are scaled
+by one common denominator, which scales every row alike and keeps the null
+vectors, and the fraction-free ring kernel ``linalg.null_vectors`` yields
+these vectors lazily as coprime integers; the first one that gives an
+operator of the shape wins.
 Before that, the search reduces the terms modulo the prime
 ``linalg.PRIME`` and rejects every shape whose fit rows are linearly
 independent mod p: that is an exact proof that no relation of the shape
@@ -31,7 +33,14 @@ from dataclasses import dataclass
 
 from .errors import InsufficientData, InternalError
 from .linalg import PRIME, independent_mod_p, null_vectors, residue
-from .polynomials import Poly, QQ, difference_rows, forward_differences, newton_poly
+from .polynomials import (
+    Poly,
+    QQ,
+    _zx_cleared,
+    difference_rows,
+    forward_differences,
+    newton_poly,
+)
 from .sequences import (
     CoeffRing,
     RecurrenceSystem,
@@ -203,6 +212,8 @@ def _fit_search(sequence, class_name, shapes, margin, assume_bound, operator_of)
         return _degenerate_zero_report(sequence, class_name)
     terms, offset, length = sequence.terms, sequence.offset, len(sequence)
     residues = _residues(terms)
+    # one common denominator for every term scales every fit row alike
+    integers = _zx_cleared([terms])[0]
     top = max((degree for _, degree, _ in shapes), default=0)
     powers = [[(offset + w) ** j for w in range(length)] for j in range(top + 1)]
     residue_powers = [[p % PRIME for p in row] for row in powers]
@@ -215,7 +226,8 @@ def _fit_search(sequence, class_name, shapes, margin, assume_bound, operator_of)
             _fit_rows(residues, residue_powers, order, degree, PRIME)
         ):
             continue
-        for vector in null_vectors(_fit_rows(terms, powers, order, degree)):
+        rows = _fit_rows(integers, powers, order, degree)
+        for vector in null_vectors([[[x] if x else [] for x in row] for row in rows]):
             if len(vector) <= order * (degree + 1):
                 continue  # the coefficient of N^order vanishes
             operator = operator_of([c[0] if c else 0 for c in vector], degree)

@@ -1,12 +1,14 @@
 """Exact linear algebra: one ring kernel and one field kernel.
 
 The ring kernel, ``null_vectors``, finds the left null vectors of a matrix
-over Q or Q(x) without forming a fraction: each equation is cleared to
-integer polynomials and a fraction-free (Bareiss) Gauss-Jordan over Z[x]
-reads one vector off minors at each free column, normalised once, on
-integers.  The guessers and the constant and polynomial-coefficient
-closures use it; its integer-polynomial arithmetic comes from
-``polynomials``.
+of integer polynomials, the one form it takes: callers clear their
+fractions before, by one scale per equation (the guessers scale the terms
+by one common denominator, the closures build their matrices over Z[n]).
+Each equation is divided by its content, and a fraction-free (Bareiss)
+Gauss-Jordan over Z[x] reads one vector off minors at each free column,
+normalised once, on integers.  The guessers and the constant and
+polynomial-coefficient closures use it; its integer-polynomial arithmetic
+comes from ``polynomials``.
 
 The field kernel, ``_eliminate``, is Gauss-Jordan over a pluggable field:
 ``rref``, ``rank``, ``solve_linear`` and ``left_null_space`` all read
@@ -26,19 +28,20 @@ they try have no relation at all.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InternalError
 from .exppoly import ExpPolyFraction, _multiset_union_max
 from .polynomials import (
     Poly,
     QQ,
-    _over_common_denominator,
+    _zx_cleared,
     _zx_exact_div,
     _zx_gcd,
     _zx_mul,
     _zx_primitive,
     _zx_sub,
+    poly_gcd,
 )
 
 
@@ -223,7 +226,11 @@ def clear_denominators(vector):
     if not any(entries):
         raise ValueError("cannot normalize the zero vector")
     var = entries[0].num.var
-    return [Poly(c, QQ, var) for c in _primitive_vector(_cleared(entries))]
+    common = Poly([1], QQ, var)  # the lcm of the (monic) denominators
+    for e in entries:
+        common = common * e.den.exact_div(poly_gcd(common, e.den))
+    numerators = [(e.num * common.exact_div(e.den)).coeffs for e in entries]
+    return [Poly(c, QQ, var) for c in _primitive_vector(_zx_cleared(numerators))]
 
 
 def clear_exppoly_denominators(vector):
@@ -266,50 +273,26 @@ def _primitive_vector(vector):
             break
         shared = _zx_gcd(shared, part)
     vector = [_zx_exact_div(v, shared) if v else v for v in vector]
-    content = gcd(*(c for v in vector for c in v))
+    # star arguments from a list: see sequences.Sequence
+    content = gcd(*[c for v in vector for c in v])
     if next(v for v in reversed(vector) if v)[-1] < 0:
         content = -content
     return [[c // content for c in v] for v in vector]
 
 
-def _cleared(entries):
-    """Rational functions num/den over Q, times one common factor, as
-    integer polynomials; a ``Fraction`` entry reads as a constant function.
-
-    The factor is the lcm L of the primitive parts D of the denominators,
-    then the lcm of the remaining coefficient denominators: num/den with
-    den = D/D[-1] times L is D[-1] num (L/D).
-    """
-    parts = [  # (numerator, denominator) coefficients per entry
-        ((e,) if e else (), (1,)) if isinstance(e, Fraction) else (e.num.coeffs, e.den.coeffs)
-        for e in entries
-    ]
-    denominators = {
-        den: _zx_primitive(_over_common_denominator(den)[0])
-        for den in dict.fromkeys(den for _, den in parts)
-    }
-    lcd = [1]
-    for d in denominators.values():
-        lcd = _zx_mul(lcd, _zx_exact_div(d, _zx_gcd(lcd, d)))
-    scaled = []  # (integer polynomial, integer denominator) per entry
-    for num, den in parts:
-        d = denominators[den]
-        num, scale = _over_common_denominator(num)
-        scaled.append((_zx_mul(num, [c * d[-1] for c in _zx_exact_div(lcd, d)]), scale))
-    scale = lcm(*(den for _, den in scaled))
-    return [[c * (scale // den) for c in p] for p, den in scaled]
-
-
 def null_vectors(rows):
-    """The left null vectors of a matrix over Q or Q(x), one per free
-    column, in free-column order: the basis ``left_null_space`` returns, up
-    to scale.  Entries are rationals or rational functions (``num``/``den``
-    over Q).  Each vector is truncated after its free column f, so it has
-    order exactly f, and its entries are integer polynomials: coprime, with
-    a positive leading coefficient in the last entry.
+    """The left null vectors of a matrix over Z[x], one per free column, in
+    free-column order: the basis ``left_null_space`` returns over Q(x), up
+    to scale.  Entries are integer polynomials (lists of ints, lowest power
+    first, ``[]`` for zero); callers with rational entries scale each
+    column (each equation) by a common denominator first, which leaves the
+    null space unchanged.  Each vector is truncated after its free column
+    f, so it has order exactly f, and its entries are integer polynomials:
+    coprime, with a positive leading coefficient in the last entry.
 
-    A fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on the
-    transposed, cleared matrix, with the pivot rule of ``_eliminate``
+    Each equation is first divided by its integer and polynomial content.
+    Then a fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on the
+    transposed matrix, with the pivot rule of ``_eliminate``
     (leftmost column, first unused row), so the pivot columns are those of
     the reduced form over the field.  Each step sets M[i][j] = (piv M[i][j]
     - M[i][c] M[p][j]) / prev for every other row, an exact division
@@ -321,7 +304,8 @@ def null_vectors(rows):
         return
     n_rows = len(rows)
     # each column is one equation; scaling equations keeps the null space
-    m = [_cleared([row[col] for row in rows]) for col in range(len(rows[0]))]
+    m = [[row[col] for row in rows] for col in range(len(rows[0]))]
+    m = [_primitive_vector(equation) if any(equation) else equation for equation in m]
     unused = list(range(len(m)))
     pivots = []
     prev = [1]

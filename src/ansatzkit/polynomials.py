@@ -7,11 +7,12 @@ the zero polynomial is the ``NEG_INFINITY`` sentinel so degree bounds can
 be compared with ``max``/``<=`` directly.
 
 Polynomials over Q have a second form: integer coefficient lists (the
-``_zx_*`` helpers), which the fraction-free ring kernel of ``linalg`` and
-the root search share.  ``rational_roots`` and ``largest_natural_root``
-run one root search, by p-adic lifting on the squarefree part, in time
-polynomial in the degree and the coefficients' bit size: its lifts stop
-above twice Cauchy's bound on a times a root, a the leading coefficient.
+``_zx_*`` helpers), which the fraction-free ring kernel of ``linalg``, the
+integer combination matrices of ``closure`` and the root search share.
+``rational_roots`` and ``largest_natural_root`` run one root search, by
+p-adic lifting on the squarefree part, in time polynomial in the degree
+and the coefficients' bit size: its lifts stop above twice Cauchy's bound
+on a times a root, a the leading coefficient.
 
 Every polynomial interpolation goes through Newton's forward-difference
 form: ``forward_differences`` reads the coefficients d_j off the leading
@@ -274,15 +275,19 @@ class Poly:
 
 
 def power(base, exponent, one):
-    """base ** exponent for an integer exponent >= 0 by repeated squaring,
-    starting from ``one``; every ring's ``__pow__`` goes through it."""
-    result = one
-    while exponent:
+    """base ** exponent for an integer exponent >= 0 by repeated squaring;
+    every ring's ``__pow__`` goes through it.  ``one`` is the answer for
+    exponent 0; otherwise the product starts from ``base`` itself and the
+    last bit takes no squaring, so base ** 1 costs no multiplication and
+    base ** 2 one."""
+    result = None
+    while True:
         if exponent & 1:
-            result = result * base
-        base = base * base
+            result = base if result is None else result * base
         exponent >>= 1
-    return result
+        if not exponent:
+            return one if result is None else result
+        base = base * base
 
 
 # -- truncated power series ----------------------------------------------------
@@ -408,6 +413,15 @@ def _zx_pack(a, k):
     return value
 
 
+def _zx_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)] + a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _zx_sub(a, b):
     if len(a) < len(b):
         a = a + [0] * (len(b) - len(a))
@@ -449,6 +463,23 @@ def _zx_exact_div(a, b):
     return quotient
 
 
+def _zx_compose_linear(a, scale, offset):
+    """a(scale*x + offset) for integers scale and offset, by a Taylor shift
+    (repeated synthetic division by x - offset) and a scaling of x."""
+    a = list(a)
+    if offset:
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += offset * a[j + 1]
+    if scale != 1:
+        a = [c * scale**j for j, c in enumerate(a)]
+    return a
+
+
+def _zx_derivative(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
 def _zx_primitive(a):
     """The primitive part of a nonzero a, with a positive leading coefficient."""
     content = gcd(*a)
@@ -457,10 +488,12 @@ def _zx_primitive(a):
     return a if content == 1 else [c // content for c in a]
 
 
-def _over_common_denominator(coeffs):
-    """Rational coefficients as (integer coefficients, common denominator)."""
-    scale = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+def _zx_cleared(polys):
+    """Rational coefficient lists, all times one common integer, as integer
+    polynomials."""
+    # star arguments from a list: see sequences.Sequence
+    scale = lcm(*[c.denominator for p in polys for c in p])
+    return [[c.numerator * (scale // c.denominator) for c in p] for p in polys]
 
 
 def _heuristic_gcd(a, b):
@@ -503,7 +536,7 @@ def _zx_gcd(a, b):
         return [1]
     found = _heuristic_gcd(a, b)
     if found is None:
-        found = _zx_primitive(_over_common_denominator(poly_gcd(Poly(a), Poly(b)).coeffs)[0])
+        found = _zx_primitive(_zx_cleared([poly_gcd(Poly(a), Poly(b)).coeffs])[0])
     return found
 
 
@@ -528,8 +561,8 @@ def _zx_roots(f):
     roots = [(Fraction(0), zeros)] if zeros else []
     if len(f) == 1:
         return roots, f
-    s = _zx_exact_div(f, _zx_gcd(f, _zx_primitive([i * c for i, c in enumerate(f)][1:])))
-    ds = [i * c for i, c in enumerate(s)][1:]
+    s = _zx_exact_div(f, _zx_gcd(f, _zx_primitive(_zx_derivative(f))))
+    ds = _zx_derivative(s)
     lead = s[-1]
     bound = 2 * (lead + max(map(abs, s)))
     ell = 1
@@ -568,14 +601,14 @@ def rational_roots(p):
     """
     if not p:
         raise ValueError("zero polynomial has every root")
-    roots, cofactor = _zx_roots(_over_common_denominator(p.coeffs)[0])
+    roots, cofactor = _zx_roots(_zx_cleared([p.coeffs])[0])
     return roots, p.spawn(cofactor).monic()
 
 
 def largest_natural_root(p):
     """The largest nonnegative integer root of a nonzero QQ polynomial, or
     None when it has none."""
-    roots = _zx_roots(_over_common_denominator(p.coeffs)[0])[0]
+    roots = _zx_roots(_zx_cleared([p.coeffs])[0])[0]
     naturals = [r for r, _ in roots if r >= 0 and r.denominator == 1]
     return int(max(naturals)) if naturals else None
 

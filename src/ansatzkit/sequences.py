@@ -132,7 +132,10 @@ class Sequence:
     def __init__(self, terms, offset=0):
         if offset < 0:
             raise ValueError("sequence offset must be >= 0")
-        object.__setattr__(self, "terms", tuple(Fraction(t) for t in terms))
+        # a tuple from a list: tuple() of a generator allocates it oversized
+        # and shrinks it, and CPython's tuple free lists keep each shrunk
+        # block, so the memory held would grow with the number of calls
+        object.__setattr__(self, "terms", tuple([Fraction(t) for t in terms]))
         object.__setattr__(self, "offset", offset)
 
     def __len__(self):
@@ -172,7 +175,7 @@ class RecurrenceSystem:
     offset: int = 0
 
     def __init__(self, operator, initials, validity_offset=0, offset=0):
-        initials = tuple(Fraction(v) for v in initials)
+        initials = tuple([Fraction(v) for v in initials])  # see Sequence
         if validity_offset < offset:
             raise ValueError("validity offset cannot precede the sequence start")
         expected = validity_offset - offset + operator.order

@@ -1,6 +1,7 @@
 """Closure constructions and the rigorous identity prover."""
 
 import ast
+import math
 import os
 import random
 import subprocess
@@ -238,7 +239,10 @@ class TestHolonomicClosures:
         matrix = combination_matrix(
             ADD, self.catalan.operator, self.harmonic.operator
         )
-        cleared_rows = [clear_denominators(row) for row in matrix]
+        cleared_rows = [
+            clear_denominators([RationalFunction(Poly(e, QQ, "n")) for e in row])
+            for row in matrix
+        ]
         v = max(
             max((p.degree for p in row if p), default=0) for row in cleared_rows
         )
@@ -853,12 +857,13 @@ class TestFractionFreeKernel:
     """``least_null_vector`` against the field kernel over Q(n) and Q(x)."""
 
     @staticmethod
-    def reference(matrix):
-        """clear_denominators of the least-order ``left_null_space`` vector."""
+    def reference(matrix, var="n"):
+        """clear_denominators of the least-order ``left_null_space`` vector
+        of the integer-polynomial matrix, read over Q(var)."""
         from ansatzkit.linalg import FieldAdapter, left_null_space
 
-        sample = next(e for row in matrix for e in row)
-        one = RationalFunction(Poly([1], QQ, sample.num.var))
+        one = RationalFunction(Poly([1], QQ, var))
+        matrix = [[RationalFunction(Poly(e, QQ, var)) for e in row] for row in matrix]
         basis = left_null_space(matrix, FieldAdapter(one - one, one))
         if not basis:
             return None
@@ -908,20 +913,16 @@ class TestFractionFreeKernel:
                 systems.append(RecurrenceSystem(op, [rng.randint(1, 5)]))
             eq_a, eq_b = (homogenize(holonomic_to_diff(s)) for s in systems)
             matrix = _cauchy_matrix(eq_a, eq_b, eq_a.order * eq_b.order + 1)
-            expected = self.reference(matrix)
+            expected = self.reference(matrix, "x")
             assert expected is not None
             assert self.kernel(matrix, "x") == expected
 
     def test_empty_null_space(self):
         from ansatzkit.linalg import least_null_vector
 
-        n = Poly([0, 1], QQ, "n")
-        one = RationalFunction(Poly([1], QQ, "n"))
-        zero = one - one
-        matrix = [
-            [RationalFunction(n + 1), zero, one],
-            [RationalFunction(Poly([1], QQ, "n"), n + 2), one, zero],
-        ]
+        # the rows [n + 1, 0, 1] and [1/(n + 2), 1, 0], the first column
+        # (one equation) times n + 2
+        matrix = [[[2, 3, 1], [], [1]], [[1], [1], []]]
         assert least_null_vector(matrix) is None
         assert self.reference(matrix) is None
         short = combination_matrix(
@@ -1015,3 +1016,204 @@ class TestLargeHolonomicProducts:
             _poly_n([2, 1], [3], [-1], [1, 1]),
             _poly_n([-1, 2], [1], [2], [3, 1]),
         )
+
+
+class TestIntegerCombinationMatrices:
+    """The integer-polynomial combination matrices against a Q(n) reference
+    (Q for constant coefficients): every column is the reference column
+    times one polynomial, the last row's nested denominator, and the
+    nested denominators grow by one shifted lead per row."""
+
+    class ReferenceRep:
+        """a(mult*n + t) over the basis a(mult*n + i), i < r, with entries
+        in Q(n) (or Q), one operator relation at a time."""
+
+        def __init__(self, op, mult=1):
+            self.op, self.mult, self.cache = op, mult, {}
+            if op.ring is CoeffRing.POLY_N:
+                self.lift, self.one = RationalFunction, RationalFunction(Poly([1], QQ, "n"))
+            else:
+                self.lift, self.one = Fraction, Fraction(1)
+            self.zero = self.one * 0
+
+        def vector(self, t):
+            if t not in self.cache:
+                r = self.op.order
+                vec = [self.zero] * r
+                if t < r:
+                    vec[t] = self.one
+                else:
+                    coeff = [self.lift(self.op.shifted_coeff(i, t - r, self.mult))
+                             for i in range(r + 1)]
+                    for i in range(r):
+                        sub = self.vector(t - r + i)
+                        vec = [a - coeff[i] / coeff[r] * b for a, b in zip(vec, sub)]
+                self.cache[t] = vec
+            return self.cache[t]
+
+    def reference(self, kind, a, b, mult, rows):
+        if kind == SUBSEQUENCE:
+            rep = self.ReferenceRep(a, mult)
+            return [rep.vector(mult * t) for t in range(rows)]
+        rep_a = self.ReferenceRep(a)
+        if kind == PARTIAL_SUM:
+            matrix, acc = [], [rep_a.zero] * a.order
+            for t in range(rows):
+                if t:
+                    acc = [x + y for x, y in zip(acc, rep_a.vector(t))]
+                matrix.append([rep_a.one] + acc)
+            return matrix
+        rep_b = self.ReferenceRep(b)
+        u, w = [rep_a.vector(t) for t in range(rows)], [rep_b.vector(t) for t in range(rows)]
+        if kind == ADD:
+            return [x + y for x, y in zip(u, w)]
+        return [[p * q for p in x for q in y] for x, y in zip(u, w)]
+
+    @staticmethod
+    def column_factors(matrix, reference, var):
+        """For each column, the one factor P with column = reference * P;
+        None for a zero column."""
+        factors = []
+        for j in range(len(reference[0])):
+            factor = None
+            for row, ref_row in zip(matrix, reference):
+                entry, ref = Poly(row[j], QQ, var), ref_row[j]
+                if not ref:
+                    assert not entry
+                    continue
+                ratio = RationalFunction(entry) / ref
+                assert ratio == (factor if factor is not None else ratio)
+                factor = ratio
+            if factor is not None:
+                assert factor.den == Poly([1], QQ, var)
+                factor = factor.num
+            factors.append(factor)
+        return factors
+
+    @staticmethod
+    def leads(op, mult, count):
+        """c_r(mult*n + k) for k < count, as QQ polynomials."""
+        lead = op.leading if isinstance(op.leading, Poly) else Poly([op.leading], QQ, "n")
+        return [lead.compose_linear(mult, k) for k in range(count)]
+
+    def nested(self, op, mult, t):
+        """D_t: the product of the shifted leads up to the relation at t - r."""
+        product = Poly([1], QQ, "n")
+        for lead in self.leads(op, mult, t - op.order + 1):
+            product = product * lead
+        return product
+
+    @staticmethod
+    def proportional(p, q):
+        return p.degree == q.degree and p.monic() == q.monic()
+
+    @staticmethod
+    def random_operator(rng, ring, order):
+        def coeff(top):
+            if ring is CoeffRing.CONSTANT:
+                low = -5 if not top else 1
+                return F(rng.randint(low, 5), rng.randint(1, 4))
+            coeffs = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+            if top:
+                coeffs.append(F(rng.randint(1, 5), rng.randint(1, 6)))
+            return Poly(coeffs, QQ, "n")
+
+        return ShiftOperator(ring, [coeff(False) for _ in range(order)] + [coeff(True)])
+
+    def test_columns_against_the_reference(self):
+        rng = random.Random(1968)
+        checked = set()
+        for _ in range(10):
+            for ring in (CoeffRing.POLY_N, CoeffRing.CONSTANT):
+                a = self.random_operator(rng, ring, rng.randint(1, 3))
+                b = self.random_operator(rng, ring, rng.randint(1, 2))
+                cases = [(ADD, b, 1), (TERMWISE, b, 1), (PARTIAL_SUM, None, 1),
+                         (SUBSEQUENCE, None, 2), (SUBSEQUENCE, None, 3)]
+                for kind, other, mult in cases:
+                    matrix = combination_matrix(kind, a, other, mult=mult)
+                    rows = len(matrix)
+                    reference = self.reference(kind, a, other, mult, rows)
+                    if ring is CoeffRing.CONSTANT:
+                        reference = [[RationalFunction(Poly([x], QQ, "n")) for x in row]
+                                     for row in reference]
+                    factors = self.column_factors(matrix, reference, "n")
+                    last = mult * (rows - 1)
+                    d_a = self.nested(a, mult, last)
+                    expected = {
+                        ADD: [d_a] * a.order + [self.nested(b, 1, last)] * b.order,
+                        TERMWISE: [d_a * self.nested(b, 1, last)] * (a.order * b.order),
+                        PARTIAL_SUM: [Poly([1], QQ, "n")] + [d_a] * a.order,
+                        SUBSEQUENCE: [d_a] * a.order,
+                    }[kind]
+                    assert len(factors) == len(expected)
+                    for factor, want in zip(factors, expected):
+                        assert factor is None or self.proportional(factor, want)
+                    checked.add((ring, kind, mult))
+        assert len(checked) == 10
+
+    def test_nested_denominators_are_shifted_leads(self):
+        from ansatzkit.closure import _RingShiftRep
+
+        rng = random.Random(31)
+        for _ in range(12):
+            mult = rng.randint(1, 3)
+            op = self.random_operator(rng, CoeffRing.POLY_N, rng.randint(1, 3))
+            rep = _RingShiftRep(op, mult)
+            reference = self.ReferenceRep(op, mult)
+            top = op.order + 5
+            for t in range(top + 1):
+                # with t as the last shift, the row is p_t itself, over D_t
+                (p_t,) = rep.vectors([t])
+                d_t = Poly([1], QQ, "n")
+                for lead in rep.leads[: t - op.order + 1]:
+                    d_t = d_t * Poly(lead, QQ, "n")
+                assert [Poly(p, QQ, "n") for p in p_t] == [
+                    (x * d_t).num for x in reference.vector(t)
+                ]
+            # D_{t+1} / D_t is the next shifted lead c_r(mult*n + t + 1 - r)
+            shifted = self.leads(op, mult, top - op.order + 1)
+            assert len(rep.leads) == len(shifted)
+            for lead, want in zip(rep.leads, shifted):
+                assert self.proportional(Poly(lead, QQ, "n"), want)
+
+    def test_cauchy_rows_against_the_reference(self):
+        from ansatzkit.closure import _cauchy_matrix
+        from ansatzkit.fields import as_rational_poly
+
+        def reference_vectors(eq, count):
+            """The old construction over Q(x): f^(u) over f, ..., f^(r-1)."""
+            _, coeffs = eq.terms[0]
+            polys = [RationalFunction(as_rational_poly(c)) for c in coeffs]
+            r = len(polys) - 1
+            one = RationalFunction(Poly([1], QQ, "x"))
+            vectors = [[one if i == u else one * 0 for i in range(r)] for u in range(r)]
+            while len(vectors) < count:
+                prev = vectors[-1]
+                vec = [f.derivative() for f in prev]
+                for i in range(r - 1):
+                    vec[i + 1] = vec[i + 1] + prev[i]
+                vectors.append([v - prev[-1] * c / polys[-1] for v, c in zip(vec, polys)])
+            return vectors, as_rational_poly(coeffs[-1])
+
+        rng = random.Random(5)
+        for _ in range(4):
+            systems = []
+            for _ in range(2):
+                op = self.random_operator(rng, CoeffRing.POLY_N, 1)
+                systems.append(RecurrenceSystem(op, [F(rng.randint(1, 5), rng.randint(1, 3))]))
+            eq_a, eq_b = (homogenize(holonomic_to_diff(s)) for s in systems)
+            rows = eq_a.order * eq_b.order + 1
+            (va, lead_a), (vb, lead_b) = (reference_vectors(eq, rows) for eq in (eq_a, eq_b))
+            reference = []
+            for t in range(rows):
+                row = [va[0][0] * 0] * (eq_a.order * eq_b.order)
+                for u in range(t + 1):
+                    for i in range(eq_a.order):
+                        for j in range(eq_b.order):
+                            row[i * eq_b.order + j] += math.comb(t, u) * va[u][i] * vb[t - u][j]
+                reference.append(row)
+            factors = self.column_factors(_cauchy_matrix(eq_a, eq_b, rows), reference, "x")
+            # one common denominator: the leads to the power of the last derivative's
+            expected = lead_a ** max(rows - eq_a.order, 0) * lead_b ** max(rows - eq_b.order, 0)
+            for factor in factors:
+                assert factor is None or self.proportional(factor, expected)
