@@ -58,8 +58,9 @@ class ExpPoly:
                 merged[key] = (prev_base, prev_poly + poly)
             else:
                 merged[key] = (base, poly)
+        # a tuple from a list, as in sequences.Sequence
         cleaned = tuple(
-            (base, poly) for _, (base, poly) in sorted(merged.items()) if poly
+            [(base, poly) for _, (base, poly) in sorted(merged.items()) if poly]
         )
         self.field = field
         self.terms = cleaned
@@ -309,14 +310,22 @@ def _tail_test(top, rest):
 
     With rationals lo <= |coefficient|, |base| <= hi, write d = deg top and
     theta_i >= |b_i|/|b_top| (1 for a base of equal modulus, whose degree is
-    then lower).  For x >= m >= 1, |top(x)| >= P(m) x^d |b_top|^x with
-    P(m) = lo(lead) - sum_k hi(c_k)/m^(d-k) increasing in m, and
-    |q_i(x)| <= U_i(m) x^(d_i) with U_i(m) = sum_k hi(c_k)/m^(d_i-k)
-    decreasing.  Once x^(d_i-d) theta_i^x decreases from m on, the tail
-    condition sum_i U_i(m) m^(d_i-d) theta_i^m < P(m) holds for all x >= m.
+    then lower).  Centred at s >= 0, top(x) = sum_k t_k y^k with y = x - s;
+    for x >= m > s, y >= m - s and y/x >= (m - s)/m, so
+    |top(x)| >= P_s(m) x^d |b_top|^x with
+    P_s(m) = (lo(t_d) - sum_k hi(t_k)/(m - s)^(d-k)) ((m - s)/m)^d
+    increasing in m.  That holds for any s; P(m) is the larger of P_0 and
+    P_s at s the largest natural root of top and of its derivative, a
+    centre that keeps the roots' cancellation out of the bound.
+    |q_i(x)| <= U_i(m) x^(d_i) with
+    U_i(m) = sum_k hi(c_k)/m^(d_i-k) decreasing.  Once x^(d_i-d) theta_i^x
+    decreases from m on, the tail condition
+    sum_i U_i(m) m^(d_i-d) theta_i^m < P(m) holds for all x >= m.
     """
     base, poly = top
     d = poly.degree
+    roots = [_last_poly_zero(poly), _last_poly_zero(poly.derivative())]
+    centres = {0, max([r for r in roots if r is not None], default=0)}
     bits = 16
     while True:  # refine the brackets until they separate the moduli
         lead = poly.leading.abs_bounds(bits)[0]
@@ -333,12 +342,22 @@ def _tail_test(top, rest):
         if lead and len(thetas) == len(rest):
             break
         bits *= 2
-    top_his = [c.abs_bounds(bits)[1] for c in poly.coeffs[:-1]]
+    top_his = [
+        (s, [c.abs_bounds(bits)[1] for c in poly.compose_linear(1, s).coeffs[:-1]])
+        for s in centres
+    ]
     rest_his = [[c.abs_bounds(bits)[1] for c in q.coeffs] for _, q in rest]
 
+    def lower(m, s, his):
+        """P_s(m) when m > s and it is positive, else 0."""
+        if m <= s:
+            return 0
+        bound = lead - sum(h / (m - s) ** (d - k) for k, h in enumerate(his))
+        return max(bound, 0) * Fraction(m - s, m) ** d
+
     def holds(m):
-        bound = lead - sum(h / m ** (d - k) for k, h in enumerate(top_his))
-        if bound <= 0:
+        bound = max(lower(m, s, his) for s, his in top_his)
+        if not bound:
             return False
         total = 0
         for (_, q), his, theta in zip(rest, rest_his, thetas):

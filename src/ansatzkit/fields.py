@@ -162,21 +162,22 @@ class NumberFieldElement:
         same = self._same(other)
         if same is None:
             return self._lifted(other, "__add__")
+        # tuples from lists, as in sequences.Sequence
         return NumberFieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, same.coords))
+            self.field, tuple([a + b for a, b in zip(self.coords, same.coords)])
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.field, tuple(-a for a in self.coords))
+        return NumberFieldElement(self.field, tuple([-a for a in self.coords]))
 
     def __sub__(self, other):
         same = self._same(other)
         if same is None:
             return self._lifted(other, "__sub__")
         return NumberFieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coords, same.coords))
+            self.field, tuple([a - b for a, b in zip(self.coords, same.coords)])
         )
 
     def __rsub__(self, other):

@@ -16,23 +16,31 @@ C-finite guesser tries the degree-0 shapes (order, 0) with fit length
 2 * order and scales its relation to a monic constant-coefficient
 operator.  The search fits over the rationals, using every available term:
 a relation of a shape is a left null vector of its fit rows, one row per
-unknown coefficient and one column per window start.  The terms are scaled
-by one common denominator, which scales every row alike and keeps the null
-vectors, and the fraction-free ring kernel ``linalg.null_vectors`` yields
-these vectors lazily as coprime integers; the first one that gives an
-operator of the shape wins.
-Before that, the search reduces the terms modulo the prime
-``linalg.PRIME`` and rejects every shape whose fit rows are linearly
-independent mod p: that is an exact proof that no relation of the shape
-exists (see ``linalg.independent_mod_p``).  Only the surviving shapes, and
-every shape when some term's denominator is divisible by p, run exact
-elimination, so the answers are those of the exact search.
+unknown coefficient and one column (one equation) per window start.  The
+terms are scaled by one common denominator, which scales every row alike
+and keeps the null vectors, and the fraction-free ring kernel
+``linalg.null_vectors`` yields these vectors lazily as coprime integers;
+the first one that gives an operator of the shape wins.
+
+The modular rank profile ``linalg.rank_profile_mod_p`` chooses the
+equations the kernel sees.  It reduces the fit rows modulo
+``linalg.PRIME`` one equation at a time.  When the rank reaches the number
+of unknowns the rows are independent over Q and the shape has no
+relation, a proof after about as many equations as unknowns.  Otherwise
+the kernel runs on the equations that raised the rank, and each vector it
+yields is checked against every equation by exact integer dot products:
+that check is the proof over all the data.  A failed check shows a rank
+mod p below the rank over Q, and the shape runs again on all equations,
+as it does when the residues say nothing (rank 0, or a denominator
+divisible by p).  A vector that passes is the one the kernel gives on all
+equations at the same free column, so the answers are those of the exact
+search.
 """
 
 from dataclasses import dataclass
 
 from .errors import InsufficientData, InternalError
-from .linalg import PRIME, independent_mod_p, null_vectors, residue
+from .linalg import PRIME, null_vectors, rank_profile_mod_p, residue
 from .polynomials import (
     Poly,
     QQ,
@@ -46,7 +54,6 @@ from .sequences import (
     RecurrenceSystem,
     ShiftOperator,
     leading_validity_offset,
-    verify_annihilates,
 )
 
 
@@ -221,20 +228,17 @@ def _fit_search(sequence, class_name, shapes, margin, assume_bound, operator_of)
     for order, degree, fit in shapes:
         if length < fit + max(margin, 1):
             continue
-        # independent rows mod p have no null vector, so no relation
-        if residues is not None and independent_mod_p(
-            _fit_rows(residues, residue_powers, order, degree, PRIME)
-        ):
-            continue
+        picks = []
+        if residues is not None:
+            picks = rank_profile_mod_p(
+                _fit_rows(residues, residue_powers, order, degree, PRIME)
+            )
+            if picks is None:  # independent rows mod p: no relation
+                continue
         rows = _fit_rows(integers, powers, order, degree)
-        for vector in null_vectors([[[x] if x else [] for x in row] for row in rows]):
-            if len(vector) <= order * (degree + 1):
-                continue  # the coefficient of N^order vanishes
-            operator = operator_of([c[0] if c else 0 for c in vector], degree)
+        for coeffs in _relations(rows, picks, order * (degree + 1)):
+            operator = operator_of(coeffs, degree)
             validity = max(offset, leading_validity_offset(operator))
-            # the fit rows are the relation at every n that verify_annihilates checks
-            if verify_annihilates(operator, sequence, offset) is not None:
-                raise InternalError("fitted recurrence fails on its own data")
             needed = validity - offset + order
             if length < needed:
                 continue
@@ -246,3 +250,33 @@ def _fit_search(sequence, class_name, shapes, margin, assume_bound, operator_of)
                 proven=assume_bound and length >= proof_length,
             )
     return GuessReport(None, (class_name, None, None), 0, 0)
+
+
+def _relations(rows, picks, lower):
+    """The coefficient vectors of the null vectors of the integer fit
+    ``rows`` that reach past index ``lower`` (so the coefficient of N^order
+    is nonzero), in free-column order.
+
+    The kernel runs on the equations ``picks`` only, or on all of them when
+    ``picks`` is empty.  Each vector is checked against every equation by
+    exact dot products: that is the relation at every window start.  A
+    vector of the picked equations that fails shows a rank mod p below the
+    rank over Q, and the search starts again on all equations; a vector of
+    all equations that fails is an internal error.
+    """
+    picked = [[row[w] for w in picks] for row in rows] if picks else rows
+    for vector in null_vectors([[[x] if x else [] for x in row] for row in picked]):
+        if len(vector) <= lower:
+            continue  # the coefficient of N^order vanishes
+        coeffs = [c[0] if c else 0 for c in vector]
+        totals = [0] * len(rows[0])
+        for c, row in zip(coeffs, rows):
+            if c:
+                totals = [t + c * x for t, x in zip(totals, row)]
+        if not any(totals):
+            yield coeffs
+        elif picks:
+            yield from _relations(rows, [], lower)
+            return
+        else:
+            raise InternalError("fitted recurrence fails on its own data")

@@ -19,16 +19,20 @@ there some nonzero entries vanish at infinitely many indices, and the
 adapter's pivot hook prefers unit pivots, which steers degenerate
 combinations towards relations with a usable leading coefficient.
 
-Beside the exact kernels sits one modular test, ``independent_mod_p``: it
-decides whether rows of residues are linearly independent modulo the
-fixed prime ``PRIME``.  The guessers run it before exact elimination,
-because independence mod p proves independence over Q and most shapes
-they try have no relation at all.
+Beside the exact kernels sits one modular routine, ``rank_profile_mod_p``:
+it reduces rows of residues modulo the fixed prime ``PRIME`` one column
+(one equation) at a time.  When their rank reaches the number of rows it
+stops and proves the rows independent over Q; otherwise it returns the
+equations that raised the rank.  The guessers use it both ways: most
+shapes they try have no relation and are rejected after a few equations,
+and the others run the exact kernel on the picked equations and check its
+vectors on all of them.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import InternalError
 from .exppoly import ExpPolyFraction, _multiset_union_max
@@ -130,27 +134,43 @@ def residue(value):
     return value.numerator * pow(den, -1, PRIME) % PRIME
 
 
-def independent_mod_p(rows):
-    """True when the rows of residues are linearly independent mod PRIME.
+def rank_profile_mod_p(rows):
+    """The equations (columns) that raise the rank of the rows of residues
+    mod PRIME, reduced one at a time in order; None once that rank reaches
+    the number of rows.
 
     Reduction mod PRIME is a ring homomorphism on the rationals whose
-    denominators are prime to PRIME, so a maximal minor that is nonzero mod
-    PRIME is nonzero over Q: True proves the rows independent over Q (their
-    left null space is trivial).  False proves nothing; callers then decide
-    by exact elimination.
+    denominators are prime to PRIME, so a minor that is nonzero mod PRIME
+    is nonzero over Q: None proves the rows independent over Q (no left
+    null vector), and the kept equations are independent over Q.  When the
+    rank over Q is no larger, they span every equation and have its left
+    null space; a smaller rank mod PRIME shows only when a vector is
+    checked on all equations, which callers do.  An empty list (rank 0)
+    says nothing.
     """
-    basis = []  # (pivot column, row scaled to a pivot of one)
-    for row in rows:
-        for col, pivot_row in basis:
-            factor = row[col]
-            if factor:
-                row = [(a - factor * b) % PRIME for a, b in zip(row, pivot_row)]
-        col = next((c for c, a in enumerate(row) if a), None)
-        if col is None:
-            return False
-        inverse = pow(row[col], -1, PRIME)
-        basis.append((col, [a * inverse % PRIME for a in row]))
-    return True
+    # Gauss-Jordan on the kept equations: each is one at its own pivot row
+    # and zero at the others', so the pivot rows of a new equation give its
+    # factors, and only the other rows are stored, as the entries there of
+    # each kept equation in turn
+    pivots, rest, picks = [], [(t, []) for t in range(len(rows))], []
+    for index in range(len(rows[0])):
+        factors = [rows[p][index] for p in pivots]
+        values = [(rows[t][index] - sum(map(mul, factors, kept))) % PRIME for t, kept in rest]
+        first = next((i for i, a in enumerate(values) if a), None)
+        if first is None:
+            continue
+        inverse = pow(values.pop(first), -1, PRIME)
+        pivot, at_pivot = rest.pop(first)
+        for (_, kept), value in zip(rest, values):
+            value = value * inverse % PRIME
+            if value:  # clear the new pivot row from the kept equations
+                kept[:] = [(a - b * value) % PRIME for a, b in zip(kept, at_pivot)]
+            kept.append(value)
+        pivots.append(pivot)
+        picks.append(index)
+        if len(picks) == len(rows):
+            return None
+    return picks
 
 
 def rref(rows, field):

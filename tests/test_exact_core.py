@@ -40,8 +40,8 @@ from ansatzkit.genfun import falling_basis_constants
 from ansatzkit.linalg import (
     PRIME,
     clear_denominators,
-    independent_mod_p,
     null_vectors,
+    rank_profile_mod_p,
     rational_adapter,
     residue,
     solve_linear,
@@ -302,24 +302,34 @@ class TestModularIndependence:
         assert residue(F(PRIME, 7)) == 0
 
     def test_independent_rows(self):
-        assert independent_mod_p([[1, 2, 3], [0, 1, 4]])
-        assert independent_mod_p([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        assert rank_profile_mod_p([[1, 2, 3], [0, 1, 4]]) is None
+        assert rank_profile_mod_p([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) is None
 
     def test_dependent_rows(self):
-        assert not independent_mod_p([[1, 2, 3], [2, 4, 6]])
-        assert not independent_mod_p([[1, 2], [3, 4], [5, 6]])
-        assert not independent_mod_p([[0, 0, 0]])
+        # the equations (columns) that raise the rank, in order
+        assert rank_profile_mod_p([[1, 2, 3], [2, 4, 6]]) == [0]
+        assert rank_profile_mod_p([[1, 2], [3, 4], [5, 6]]) == [0, 1]
+        assert rank_profile_mod_p([[0, 0, 0]]) == []
+        assert rank_profile_mod_p([[0, 1, 1], [0, 2, 3], [0, 3, 4]]) == [1, 2]
         # independent over Q, dependent mod p: the test only ever says "independent"
-        assert not independent_mod_p([[1, 1], [1, 1 + PRIME]])
+        assert rank_profile_mod_p([[1, 1], [1, 1 + PRIME]]) == [0]
 
     def test_agrees_with_exact_rank(self):
         rng = random.Random(11)
         for _ in range(60):
             n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 6)
             rows = [[rng.randint(-2, 2) for _ in range(n_cols)] for _ in range(n_rows)]
-            exact = rank(frac_rows(rows), QFIELD) == n_rows
+            exact = rank(frac_rows(rows), QFIELD)
             residues = [[residue(F(x)) for x in row] for row in rows]
-            assert independent_mod_p(residues) == exact
+            picks = rank_profile_mod_p(residues)
+            assert (picks is None) == (exact == n_rows)
+            if picks is not None:
+                # the picked equations keep the left null space of all of them
+                assert len(picks) == exact
+                picked = [[row[c] for c in picks] for row in rows]
+                assert left_null_space(frac_rows(picked), QFIELD) == left_null_space(
+                    frac_rows(rows), QFIELD
+                )
 
 
 class TestExactDivision:
@@ -776,6 +786,24 @@ class TestValidityOffset:
             late += offset > 10
         assert decided >= 30 and vanishing >= 5 and multi >= 10 and unproven >= 1 and late >= 10
 
+    def test_scan_stops_near_the_roots(self, monkeypatch):
+        # (n - 259)(n - 261): the tail bound centred at the roots ends the
+        # scan just past 261; uncentred it needs m near 630
+        asked = []
+        tail_test = exppoly._tail_test
+
+        def recorded(top, rest):
+            holds = tail_test(top, rest)
+            return lambda m: asked.append(m) or holds(m)
+
+        monkeypatch.setattr(exppoly, "_tail_test", recorded)
+        p = ExpPoly.from_poly(Poly([67599, -520, 1], QQ, "n"))
+        two = ExpPoly.geometric(2)
+        for e, offset in ((p * (two + ExpPoly.constant(1)), 262), (two + p * ExpPoly.geometric(3), 0)):
+            del asked[:]
+            assert validity_offset(e) == offset
+            assert max(asked) == 264
+
     def test_planted_cancellations(self):
         two, one = ExpPoly.geometric(2), ExpPoly.constant(1)
         n = ExpPoly.from_poly(Poly([0, 1], QQ, "n"))
@@ -783,6 +811,9 @@ class TestValidityOffset:
         assert validity_offset(two - one.scale(4)) == 3
         half, quarter = ExpPoly.geometric(F(1, 2)), ExpPoly.geometric(F(1, 4))
         assert validity_offset(half - quarter.scale(8)) == 4  # equal at n = 3
+        # (n - 100) 2^n = 5 * 2^105 at n = 105 only, just past the root 100
+        late = (n - 100) * two - one.scale(5 * 2**105)
+        assert validity_offset(late) == 106
         assert validity_offset(one + ExpPoly.geometric(-1)) is None
         # zero at n = 5 on the odd class only: 2^n (1 - (-1)^n) (n - 5)
         alternating = (two - ExpPoly.geometric(-2)) * (n - 5)

@@ -396,6 +396,36 @@ class TestModularPrefilter:
         assert report.result.operator.coeffs == expected
         assert list(report.result.initials) == [F(1, PRIME)]
 
+    def test_unlucky_prime_reruns_on_all_equations(self, monkeypatch):
+        # a term moved by PRIME keeps every residue, so mod p the fit rows
+        # still show the Catalan relation and pick too few equations; the
+        # exact check over all equations rejects its vector
+        seq = expand_terms(corpus.catalan_system(), 24)
+        n = Poly([0, 1], QQ, "n")
+        for index, validity in ((3, 2), (20, 19)):
+            terms = list(seq.terms)
+            terms[index] += PRIME
+            bad = Sequence(terms)
+            null_calls = count_calls(monkeypatch, "null_vectors")
+            report = guess_holonomic(bad, 2, 2)
+            cfinite = guess_cfinite(bad, 4)
+            # (1, 1), (2, 1), (1, 2) and (2, 2): a few picked equations, then all
+            equations = [len(args[0][0]) for args in null_calls]
+            assert equations[:8] == [3, 23, 4, 23, 4, 22, 5, 22]
+            assert report.shape == ("holonomic", 2, 2)
+            assert report.result.validity_offset == validity
+            assert report == field_guess_holonomic(bad, 2, 2)
+            if index == 3:
+                assert report.result.operator.coeffs == (
+                    28 * n**2 - 70 * n - 42,
+                    -15 * n**2 + 3 * n + 54,
+                    2 * n**2 + 4 * n - 6,
+                )
+            monkeypatch.setattr(guess_module, "rank_profile_mod_p", lambda rows: [])
+            assert guess_holonomic(bad, 2, 2) == report
+            assert guess_cfinite(bad, 4) == cfinite
+            monkeypatch.undo()
+
     def test_reports_match_exact_search(self, monkeypatch):
         rng = random.Random(2027)
         sequences = []
@@ -421,7 +451,7 @@ class TestModularPrefilter:
         null_calls = count_calls(monkeypatch, "null_vectors")
         filtered = run_all()
         filtered_calls = len(null_calls)
-        monkeypatch.setattr(guess_module, "independent_mod_p", lambda rows: False)
+        monkeypatch.setattr(guess_module, "rank_profile_mod_p", lambda rows: [])
         assert run_all() == filtered
         assert len(null_calls) - filtered_calls > 2 * filtered_calls
         assert any(holonomic[1] is None for holonomic, _ in filtered)
@@ -533,7 +563,7 @@ class TestFieldKernelReference:
     def test_reports_match_without_prefilter(self, monkeypatch):
         # every shape, no-fits included, then runs exact elimination
         calls = count_calls(monkeypatch, "null_vectors")
-        monkeypatch.setattr(guess_module, "independent_mod_p", lambda rows: False)
+        monkeypatch.setattr(guess_module, "rank_profile_mod_p", lambda rows: [])
         found = self.compare()
         assert min(found.values()) >= 6, found
         assert len(calls) > 40 * 4
