@@ -8,6 +8,7 @@ internal error, 2 usage error, 3 I/O error (download, cache, file problems).
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import closure, guess, jsonio, oeis
 from .asymptotics import leading_forms, refine_series
@@ -287,7 +288,10 @@ def _cmd_prove(args):
     return EXIT_NO_RESULT
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process; ``main`` finds each
+    command's handler by name, ``_cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="ansatzkit",
         description="guess, convert, combine and prove linear recurrences",
@@ -297,7 +301,6 @@ def build_parser():
     p = sub.add_parser("fetch", help="download or load a sequence")
     _add_input_arguments(p)
     _add_common(p)
-    p.set_defaults(handler=_cmd_fetch)
 
     p = sub.add_parser("guess", help="fit a recurrence to data")
     _add_input_arguments(p)
@@ -309,7 +312,6 @@ def build_parser():
     p.add_argument("--margin", type=int, default=None)
     p.add_argument("--assume-bound", action="store_true",
                    help="treat the bounds as known, making the fit a proof")
-    p.set_defaults(handler=_cmd_guess)
 
     p = sub.add_parser("genfun", help="generating function equation of a recurrence")
     p.add_argument("--class", dest="klass", required=True,
@@ -317,7 +319,6 @@ def build_parser():
     p.add_argument("--homogeneous", action="store_true")
     _add_common(p)
     p.add_argument("spec", help="operator;initials (or a polynomial in n for --class poly)")
-    p.set_defaults(handler=_cmd_genfun)
 
     p = sub.add_parser("closedform", help="closed-form solution")
     p.add_argument("--class", dest="klass", required=True, choices=["poly", "cfinite"])
@@ -328,20 +329,17 @@ def build_parser():
     group.add_argument("--oeis", metavar="AXXXXXX")
     group.add_argument("--terms", metavar="CSV")
     group.add_argument("--file", metavar="PATH")
-    p.set_defaults(handler=_cmd_closedform)
 
     p = sub.add_parser("closure", help="combine recurrences")
     p.add_argument("--kind", required=True, choices=sorted(_KINDS))
     p.add_argument("--m", type=int, default=2, help="subsequence multiplier")
     _add_common(p)
     p.add_argument("spec", nargs="+", help="operand operator;initials specs")
-    p.set_defaults(handler=_cmd_closure)
 
     p = sub.add_parser("asymptotics", help="growth templates of a recurrence")
     p.add_argument("--series-terms", type=int, default=2)
     _add_common(p)
     p.add_argument("spec", help="operator;initials")
-    p.set_defaults(handler=_cmd_asymptotics)
 
     p = sub.add_parser("prove", help="prove an identity by closure bounds")
     p.add_argument("--seq", metavar="NAME=SPEC", action="append", default=[],
@@ -351,15 +349,14 @@ def build_parser():
                    help="shift operator applied to the whole expression")
     p.add_argument("--from", dest="from_n", type=int, default=0)
     p.add_argument("--bound-report", action="store_true")
-    p.set_defaults(handler=_cmd_prove)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except _IO_ERRORS as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

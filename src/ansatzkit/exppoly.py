@@ -12,6 +12,14 @@ fractions.  :class:`ExpPolyFraction` keeps formal numerator/denominator
 factor lists instead, cancelling only structurally equal factors; that is
 all the null-space elimination needs.
 
+The canonical form makes every order of evaluation give the same terms.
+So sums, products, scalings and argument changes merge their terms by base
+coordinates within the one field and skip the public constructor's
+coercion, and a fraction's cached expansions are exact: it expands each
+factor list once, a product or quotient in which no factor cancelled
+multiplies its operands' expansions, and a zero test reads only the
+numerator.
+
 :func:`validity_offset` decides the natural zeros of an exponential
 polynomial exactly.  A base ratio that is a root of unity has order 1, 2,
 3, 4 or 6 in Q or a quadratic field, so with L the lcm of those orders each
@@ -37,12 +45,26 @@ from .fields import (
 from .polynomials import NEG_INFINITY, QQ, Poly, largest_natural_root, poly_gcd, power
 
 
+def _canonical_terms(pairs):
+    """Sorted terms with distinct bases and no zero polynomial, from (base,
+    poly) pairs of one field; bases of one field compare by coordinates."""
+    if len(pairs) == 1:
+        return (pairs[0],) if pairs[0][1] else ()
+    merged = {}
+    for base, poly in pairs:
+        key = base.coords
+        prev = merged.get(key)
+        merged[key] = (base, poly) if prev is None else (base, prev[1] + poly)
+    # a tuple from a list, as in sequences.Sequence
+    return tuple([term for _, term in sorted(merged.items()) if term[1]])
+
+
 class ExpPoly:
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms):
         """Build from (base, poly) pairs; merges duplicate bases, drops zeros."""
-        merged = {}
+        pairs = []
         for base, poly in terms:
             base = field.coerce(base)
             if not base:
@@ -52,18 +74,18 @@ class ExpPoly:
                     poly = Poly(list(poly.coeffs), field, "n")
             else:
                 poly = Poly([field.coerce(poly)], field, "n")
-            key = base.sort_key()
-            if key in merged:
-                prev_base, prev_poly = merged[key]
-                merged[key] = (prev_base, prev_poly + poly)
-            else:
-                merged[key] = (base, poly)
-        # a tuple from a list, as in sequences.Sequence
-        cleaned = tuple(
-            [(base, poly) for _, (base, poly) in sorted(merged.items()) if poly]
-        )
+            pairs.append((base, poly))
         self.field = field
-        self.terms = cleaned
+        self.terms = _canonical_terms(pairs)
+
+    @classmethod
+    def _of(cls, field, pairs):
+        """The canonical ExpPoly of (base, poly) pairs already in ``field``:
+        the public constructor without its coercion."""
+        e = object.__new__(cls)
+        e.field = field
+        e.terms = _canonical_terms(pairs)
+        return e
 
     # -- constructors -------------------------------------------------------
 
@@ -135,12 +157,12 @@ class ExpPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return ExpPoly(self.field, list(self.terms) + list(other.terms))
+        return ExpPoly._of(self.field, self.terms + other.terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPoly(self.field, [(b, -p) for b, p in self.terms])
+        return ExpPoly._of(self.field, [(b, -p) for b, p in self.terms])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -159,7 +181,7 @@ class ExpPoly:
         for base_a, poly_a in self.terms:
             for base_b, poly_b in other.terms:
                 products.append((base_a * base_b, poly_a * poly_b))
-        return ExpPoly(self.field, products)
+        return ExpPoly._of(self.field, products)
 
     __rmul__ = __mul__
 
@@ -170,7 +192,7 @@ class ExpPoly:
 
     def scale(self, value):
         value = self.field.coerce(value)
-        return ExpPoly(self.field, [(b, p.scale(value)) for b, p in self.terms])
+        return ExpPoly._of(self.field, [(b, p.scale(value)) for b, p in self.terms])
 
     # -- sequence view --------------------------------------------------------------
 
@@ -189,7 +211,7 @@ class ExpPoly:
                 out.append((base, new_poly))
             else:
                 out.append((base ** mult, new_poly.scale(base ** offset)))
-        return ExpPoly(self.field, out)
+        return ExpPoly._of(self.field, out)
 
     def evaluate(self, n):
         """Exact value at integer n as a field element."""
@@ -401,7 +423,8 @@ def _multiset_union_max(first, second):
 class ExpPolyFraction:
     """Formal quotient of ExpPoly products; no GCD reduction, only
     cancellation of structurally equal factors.  Equality is tested by
-    cross-multiplying the expanded products."""
+    cross-multiplying the expanded products; against zero, by the
+    numerator alone."""
 
     __slots__ = ("field", "num_factors", "den_factors", "_expanded_num", "_expanded_den")
 
@@ -455,30 +478,71 @@ class ExpPolyFraction:
 
     # -- expansion ------------------------------------------------------------
 
+    def _product(self, factors):
+        """The product of ``factors``, in the join of their fields and ours."""
+        if factors and factors[0].field == self.field:
+            product = factors[0]
+            factors = factors[1:]
+        else:
+            product = ExpPoly.constant(1, self.field)
+        for f in factors:
+            product = product * f
+        return product
+
     def expanded_num(self):
         if self._expanded_num is None:
-            product = ExpPoly.constant(1, self.field)
-            for f in self.num_factors:
-                product = product * f
-            self._expanded_num = product
+            self._expanded_num = self._product(self.num_factors)
         return self._expanded_num
 
     def expanded_den(self):
         if self._expanded_den is None:
-            product = ExpPoly.constant(1, self.field)
-            for f in self.den_factors:
-                product = product * f
-            self._expanded_den = product
+            self._expanded_den = self._product(self.den_factors)
         return self._expanded_den
+
+    def _carry(self, other, n_nums, n_dens, num_parts, den_parts):
+        """Take the expansions as products of known ones: the parts multiply
+        to the products of the factor lists, of lengths ``n_nums`` and
+        ``n_dens``, that built this fraction from ``other`` and a fraction
+        of our field.  When no factor was dropped or cancelled those lists
+        are ours, and as the form is canonical the product of the parts is
+        our expansion, term for term."""
+        if (
+            other.field != self.field
+            or len(self.num_factors) != n_nums
+            or len(self.den_factors) != n_dens
+        ):
+            return
+        for attr, parts in (("_expanded_num", num_parts), ("_expanded_den", den_parts)):
+            if None not in parts:
+                product = parts[0]
+                for part in parts[1:]:
+                    product = product * part
+                setattr(self, attr, product)
 
     # -- predicates --------------------------------------------------------------
 
     def __bool__(self):
-        return all(bool(f) for f in self.num_factors)
+        """Whether the value is nonzero.  A zero factor decides it, and so
+        does a product of units with at most one other factor, which is no
+        zero divisor of the rest; only a product of two or more non-units
+        (which may be zero divisors) is expanded."""
+        if self._expanded_num is not None:
+            return bool(self._expanded_num)
+        non_units = 0
+        for f in self.num_factors:
+            if not f:
+                return False
+            non_units += not f.is_unit()
+        return non_units <= 1 or bool(self.expanded_num())
 
     def is_unit_value(self):
         """True when the value is c * b^n, safe to divide by everywhere."""
-        return bool(self) and all(f.is_unit() for f in self.num_factors) and not self.den_factors
+        return not self.den_factors and all(f.is_unit() for f in self.num_factors) and bool(self)
+
+    def _is_zero_form(self):
+        """Whether the factor list is the zero fraction's (a zero factor
+        replaces the whole numerator)."""
+        return bool(self.num_factors) and not self.num_factors[0]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -487,6 +551,11 @@ class ExpPolyFraction:
             )
         if not isinstance(other, ExpPolyFraction):
             return NotImplemented
+        # against zero only the numerator counts
+        if other._is_zero_form():
+            return not self
+        if self._is_zero_form():
+            return not other
         return (
             self.expanded_num() * other.expanded_den()
             == other.expanded_num() * self.expanded_den()
@@ -511,11 +580,17 @@ class ExpPolyFraction:
             return NotImplemented
         if not self or not other:
             return ExpPolyFraction.zero(self.field)
-        return ExpPolyFraction(
-            self.field,
-            self.num_factors + other.num_factors,
-            self.den_factors + other.den_factors,
+        nums = self.num_factors + other.num_factors
+        dens = self.den_factors + other.den_factors
+        product = ExpPolyFraction(self.field, nums, dens)
+        product._carry(
+            other,
+            len(nums),
+            len(dens),
+            (self._expanded_num, other._expanded_num),
+            (self._expanded_den, other._expanded_den),
         )
+        return product
 
     __rmul__ = __mul__
 
@@ -525,11 +600,29 @@ class ExpPolyFraction:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero fraction")
-        return ExpPolyFraction(
-            self.field,
-            self.num_factors + other.den_factors,
-            self.den_factors + other.num_factors,
-        )
+        nums = self.num_factors + other.den_factors
+        dens = self.den_factors + other.num_factors
+        quotient = ExpPolyFraction(self.field, nums, dens)
+        units = sum(f.is_unit() for f in other.num_factors)
+        if not units:
+            quotient._carry(
+                other,
+                len(nums),
+                len(dens),
+                (self._expanded_num, other._expanded_den),
+                (self._expanded_den, other._expanded_num),
+            )
+        elif units == len(other.num_factors):
+            # unit denominators move up inverted, after the other factors
+            inverted = quotient.num_factors[len(nums):]
+            quotient._carry(
+                other,
+                len(nums) + units,
+                len(self.den_factors),
+                (self._expanded_num, other._expanded_den, *inverted),
+                (self._expanded_den,),
+            )
+        return quotient
 
     def __neg__(self):
         # scale an existing rational-constant factor when possible so the
@@ -541,7 +634,12 @@ class ExpPolyFraction:
                 break
         else:
             nums.insert(0, ExpPoly.constant(-1, self.field))
-        return ExpPolyFraction(self.field, nums, self.den_factors)
+        negated = ExpPolyFraction(self.field, nums, self.den_factors)
+        # only a unit factor changed, so nothing new cancels
+        if self._expanded_num is not None:
+            negated._expanded_num = -self._expanded_num
+        negated._expanded_den = self._expanded_den
+        return negated
 
     def __add__(self, other):
         other = self._coerce(other)

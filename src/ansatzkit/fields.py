@@ -69,7 +69,7 @@ class NumberField:
 
     def coerce(self, value):
         if isinstance(value, NumberFieldElement):
-            if value.field == self:
+            if value.field is self or value.field == self:
                 return value
             if value.is_rational():
                 return self.from_rational(value.as_rational())
@@ -110,7 +110,7 @@ class NumberFieldElement:
 
     def _same(self, other):
         if isinstance(other, NumberFieldElement):
-            if other.field == self.field:
+            if other.field is self.field or other.field == self.field:
                 return other
             if other.is_rational():
                 return self.field.from_rational(other.as_rational())

@@ -23,6 +23,7 @@ from ansatzkit import (
     parse_bfile,
     parse_operator,
 )
+from ansatzkit import cli
 from ansatzkit.cli import main
 from ansatzkit.errors import (
     BFileParseError,
@@ -498,6 +499,26 @@ class TestCliCommands:
         assert capsys.readouterr().out == "PROVEN (checked 4 values)\n"
         assert main([*args, "--apply", "n*N"]) == 2
         assert capsys.readouterr().err == "--apply takes a constant-coefficient operator\n"
+
+    def test_parser_is_reused_without_state(self, monkeypatch, capsys):
+        # the parser is built once per process; a second run must see only
+        # its own --seq list, and the handler is looked up on every run
+        seen = []
+        prove = cli._cmd_prove
+
+        def recording(args):
+            seen.append(list(args.seq))
+            return prove(args)
+
+        monkeypatch.setattr(cli, "_cmd_prove", recording)
+        first = ["--seq", "a=cfinite:N^2-N-1;0,1", "--seq", "b=cfinite:N-2;1"]
+        assert main(["prove", *first, "--expr", "a(n+1) - a(n) - b(n)"]) == 1
+        assert capsys.readouterr().out.startswith("REFUTED")
+        second = ["--seq", "a=cfinite:N-2;1"]
+        assert main(["prove", *second, "--expr", "a(n+1) - 2*a(n)"]) == 0
+        assert capsys.readouterr().out.startswith("PROVEN")
+        assert seen == [[first[1], first[3]], [second[1]]]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_asymptotics_without_template(self, capsys):
         assert main(["asymptotics", "holonomic:(n+1)*N;1"]) == 1

@@ -10,6 +10,8 @@ import pytest
 from ansatzkit import (
     CAUCHY,
     PARTIAL_SUM,
+    TERMWISE,
+    CoeffRing,
     ExpPoly,
     ExpPolyFraction,
     NumberField,
@@ -18,6 +20,7 @@ from ansatzkit import (
     RATIONAL_FIELD,
     RationalFunction,
     Sequence,
+    ShiftOperator,
     guess_polynomial,
     left_null_space,
     linalg,
@@ -27,6 +30,7 @@ from ansatzkit import (
     rref,
 )
 from ansatzkit import exppoly
+from ansatzkit.closure import combination_matrix
 from ansatzkit.errors import (
     InternalError,
     UnsupportedCase,
@@ -40,6 +44,7 @@ from ansatzkit.genfun import falling_basis_constants
 from ansatzkit.linalg import (
     PRIME,
     clear_denominators,
+    exppoly_fraction_adapter,
     null_vectors,
     rank_profile_mod_p,
     rational_adapter,
@@ -694,6 +699,55 @@ class TestExpPolyFraction:
         assert ExpPolyFraction(field, [ExpPoly.geometric(2)]).is_unit_value()
         two_term = ExpPoly.geometric(2) + ExpPoly.constant(1)
         assert not ExpPolyFraction(field, [two_term]).is_unit_value()
+
+    def test_zero_product_of_zero_divisors_is_false(self):
+        # (1 - (-1)^n)(1 + (-1)^n) = 0 though neither factor is zero
+        a = ExpPoly(RATIONAL_FIELD, [(1, 1), (-1, -1)])
+        b = ExpPoly(RATIONAL_FIELD, [(1, 1), (-1, 1)])
+        f = ExpPolyFraction(RATIONAL_FIELD, [a, b])
+        assert f == 0
+        assert not f
+        assert not f.is_unit_value()
+        assert not ExpPolyFraction(RATIONAL_FIELD, [a, b], [a + 3])
+        # a product of units and one other factor is no zero divisor
+        assert ExpPolyFraction(RATIONAL_FIELD, [ExpPoly.geometric(-1), a])
+        one = ExpPolyFraction.one(RATIONAL_FIELD)
+        assert (f * one)._is_zero_form()
+        assert (f + one) == one
+        with pytest.raises(ZeroDivisionError):
+            one / f
+
+    def test_zero_test_never_expands_a_denominator(self, monkeypatch):
+        n = Poly([0, 1], QQ, "n")
+        op_a = ShiftOperator(
+            CoeffRing.EXPPOLY,
+            [ExpPoly.geometric(3), ExpPoly.from_poly(n + 1), ExpPoly.geometric(2) + 1],
+        )
+        op_b = ShiftOperator(
+            CoeffRing.EXPPOLY,
+            [-ExpPoly.geometric(2), ExpPoly.constant(-1), ExpPoly.constant(1)],
+        )
+        matrix = combination_matrix(TERMWISE, op_a, op_b)
+        assert any(entry.den_factors for row in matrix for entry in row)
+        calls = {"den": 0, "zero_tests": 0}
+        expanded_den, eq = ExpPolyFraction.expanded_den, ExpPolyFraction.__eq__
+
+        def counted_den(self):
+            calls["den"] += 1
+            return expanded_den(self)
+
+        def counted_eq(self, other):
+            calls["zero_tests"] += isinstance(other, ExpPolyFraction) and other._is_zero_form()
+            return eq(self, other)
+
+        monkeypatch.setattr(ExpPolyFraction, "expanded_den", counted_den)
+        monkeypatch.setattr(ExpPolyFraction, "__eq__", counted_eq)
+        adapter = exppoly_fraction_adapter(RATIONAL_FIELD)
+        columns = [list(column) for column in zip(*matrix)]
+        reduced, pivots = linalg._eliminate(columns, adapter.zero, adapter.is_unit)
+        assert len(pivots) == len(columns)
+        assert calls["zero_tests"] > 0
+        assert calls["den"] == 0
 
 
 def _planted(field, rng):

@@ -2,7 +2,8 @@
 
 Covers the guess/expand round trips, closure annihilation on directly
 computed terms, generating-function series consistency, order/degree
-bound assertions, and closed-form round trips.
+bound assertions, closed-form round trips, and the canonical form of
+exponential polynomials with the cached expansions it makes exact.
 """
 
 import random
@@ -12,9 +13,14 @@ from ansatzkit import (
     ADD,
     CAUCHY,
     PARTIAL_SUM,
+    RATIONAL_FIELD,
     SUBSEQUENCE,
     TERMWISE,
     CoeffRing,
+    ExpPoly,
+    ExpPolyFraction,
+    NumberField,
+    Poly,
     Sequence,
     c2_to_diff,
     cfinite_closed_form,
@@ -206,3 +212,138 @@ class TestClosedFormRoundTrips:
                 start = closed.valid_from
                 assert verify_annihilates(back.operator, seq, start) is None
             done += 1
+
+
+def _field_pools():
+    golden = NumberField([-1, -1, 1])
+    phi = golden.generator()
+    rational = [RATIONAL_FIELD.from_rational(q) for q in (1, -1, 2, -2, F(1, 2), 3)]
+    irrational = [golden.one, -golden.one, phi, -phi, 1 - phi, phi * phi, golden.from_rational(2)]
+    return [(RATIONAL_FIELD, rational), (golden, irrational)]
+
+
+def _random_pairs(rng, field, pool, most=4):
+    """Raw (base, poly) pairs with repeated bases, so terms merge and cancel."""
+    pairs = []
+    for _ in range(rng.randint(0, most)):
+        coeffs = [F(rng.randint(-2, 2), rng.choice([1, 1, 2])) for _ in range(rng.randint(1, 3))]
+        pairs.append((rng.choice(pool), Poly([field.coerce(c) for c in coeffs], field, "n")))
+    return pairs
+
+
+def _assert_canonical(e):
+    coords = [base.coords for base, _ in e.terms]
+    assert coords == sorted(set(coords))
+    assert all(poly for _, poly in e.terms)
+    assert e.terms == ExpPoly(e.field, e.terms).terms
+
+
+def _fresh_product(field, factors):
+    product = ExpPoly.constant(1, field)
+    for f in factors:
+        product = product * f
+    return product
+
+
+def _assert_expansions_exact(x):
+    if x._expanded_num is not None:
+        assert x._expanded_num == _fresh_product(x.field, x.num_factors)
+    if x._expanded_den is not None:
+        assert x._expanded_den == _fresh_product(x.field, x.den_factors)
+
+
+class TestExpPolyCanonicalForm:
+    """Arithmetic results are the terms the public constructor builds from
+    the raw pairs, and cached fraction expansions are the products of the
+    factor lists."""
+
+    def test_results_match_the_public_constructor(self):
+        rng = random.Random(15001)
+        for field, pool in _field_pools():
+            two = field.from_rational(2)
+            minus_one = -field.one
+            fixed = [
+                [(two, 1), (two, -1)],  # 2^n - 2^n
+                [(minus_one, 1), (field.one, 1), (minus_one, -1)],
+            ]
+            for trial in range(80):
+                pairs_a = fixed[trial] if trial < len(fixed) else _random_pairs(rng, field, pool)
+                pairs_b = _random_pairs(rng, field, pool)
+                a, b = ExpPoly(field, pairs_a), ExpPoly(field, pairs_b)
+                value = field.from_rational(F(rng.randint(-3, 3), rng.randint(1, 3)))
+                mult, offset = rng.randint(1, 3), rng.randint(-2, 3)
+                cases = [
+                    (a + b, list(a.terms) + list(b.terms)),
+                    (a - b, list(a.terms) + [(base, -p) for base, p in b.terms]),
+                    (a - a, list(a.terms) + [(base, -p) for base, p in a.terms]),
+                    (-a, [(base, -p) for base, p in a.terms]),
+                    (a * b, [(x * y, p * q) for x, p in a.terms for y, q in b.terms]),
+                    (a.scale(value), [(base, p.scale(value)) for base, p in a.terms]),
+                    (
+                        a.compose_arg(mult, offset),
+                        [
+                            (base**mult, p.compose_linear(mult, offset).scale(base**offset))
+                            for base, p in a.terms
+                        ],
+                    ),
+                ]
+                for result, raw in cases:
+                    _assert_canonical(result)
+                    assert result.terms == ExpPoly(field, raw).terms
+                composed = a.compose_arg(mult, offset)
+                for k in range(4):
+                    if mult * k + offset >= 0:
+                        assert composed.evaluate(k) == a.evaluate(mult * k + offset)
+            assert not ExpPoly(field, fixed[0])
+
+    def test_cached_expansions_are_fresh_products(self):
+        rng = random.Random(15002)
+        carried = 0
+        for field, pool in _field_pools():
+            for _ in range(6):
+                fractions = []
+                while len(fractions) < 4:
+                    e = ExpPoly(field, _random_pairs(rng, field, pool, most=2))
+                    if e:
+                        fractions.append(ExpPolyFraction.from_exppoly(e))
+                for _ in range(14):
+                    x, y = rng.choice(fractions), rng.choice(fractions)
+                    for z in (x, y):
+                        if rng.random() < 0.6:
+                            z.expanded_num()
+                        if rng.random() < 0.4:
+                            z.expanded_den()
+                    op = rng.choice(["mul", "div", "add", "sub", "neg"])
+                    if op == "div" and not y:
+                        continue
+                    result = {
+                        "mul": lambda: x * y,
+                        "div": lambda: x / y,
+                        "add": lambda: x + y,
+                        "sub": lambda: x - y,
+                        "neg": lambda: -x,
+                    }[op]()
+                    carried += result._expanded_num is not None
+                    _assert_expansions_exact(result)
+                    if len(result.num_factors) + len(result.den_factors) <= 6:
+                        fractions.append(result)
+        assert carried > 20
+        # a chain in which a factor cancels: the product of the cached
+        # expansions is not the expansion of what is left
+        field, pool = _field_pools()[1]
+        a, b, c = (ExpPoly(field, [(pool[2], 1), (pool[i], 1)]) for i in (0, 4, 6))
+        x = ExpPolyFraction(field, [a], [b])
+        y = ExpPolyFraction(field, [b, c])
+        for z in (x, y):
+            z.expanded_num()
+            z.expanded_den()
+        product = x * y
+        assert product.num_factors == (a, c) and product.den_factors == ()
+        _assert_expansions_exact(product)
+        quotient = product / ExpPolyFraction(field, [a])
+        assert quotient.num_factors == (c,)
+        _assert_expansions_exact(quotient)
+        assert quotient.expanded_num() == c
+        total = quotient + x
+        _assert_expansions_exact(total)
+        _assert_expansions_exact(total * product)
