@@ -72,12 +72,12 @@ from .linalg import (
 from .polynomials import (
     Poly,
     QQ,
-    _zx_add,
+    _add,
+    _compose_linear,
+    _derivative,
+    _sub,
     _zx_cleared,
-    _zx_compose_linear,
-    _zx_derivative,
     _zx_mul,
-    _zx_sub,
     forward_differences,
     newton_poly,
     series_mul,
@@ -187,7 +187,7 @@ class _RingShiftRep:
 
     zero = []
     one = [1]
-    add = staticmethod(_zx_add)
+    add = staticmethod(_add)
     mul = staticmethod(_zx_mul)
 
     def __init__(self, op, mult=1):
@@ -207,7 +207,7 @@ class _RingShiftRep:
         r, last = self.order, shifts[-1]
         for t in range(len(self.numerators), last + 1):
             k = t - r
-            shifted = [_zx_compose_linear(c, self.mult, k) for c in self.coeffs]
+            shifted = [_compose_linear(c, self.mult, k) for c in self.coeffs]
             self.leads.append(shifted[r])
             vec = [[] for _ in range(r)]
             factor = [1]  # D_{t-1} / D_{k+i}, for i from r - 1 down
@@ -216,7 +216,7 @@ class _RingShiftRep:
                     factor = _zx_mul(factor, self.leads[k + i - r + 1])
                 if shifted[i]:
                     c = _zx_mul(shifted[i], factor)
-                    vec = [_zx_sub(a, _zx_mul(c, b)) for a, b in zip(vec, self.numerators[k + i])]
+                    vec = [_sub(a, _zx_mul(c, b)) for a, b in zip(vec, self.numerators[k + i])]
             self.numerators.append(vec)
         out = []
         scale, j = [1], last - r  # scale = L_{j+1} ... L_{last-r}
@@ -437,7 +437,7 @@ def _cauchy_matrix(eq_a, eq_b, rows):
                 left = [factor * c for c in a[i]]
                 for j in range(r2):
                     if b[j]:
-                        row[i * r2 + j] = _zx_add(row[i * r2 + j], _zx_mul(left, b[j]))
+                        row[i * r2 + j] = _add(row[i * r2 + j], _zx_mul(left, b[j]))
         matrix.append(row)
     return matrix
 
@@ -457,7 +457,7 @@ def _derivative_vectors(equation, count):
     _, coeffs = equation.terms[0]
     *low, lead = _zx_cleared([as_rational_poly(c).coeffs for c in coeffs])
     r = len(low)
-    lead_prime = _zx_derivative(lead)
+    lead_prime = _derivative(lead)
     numerators = [[[1] if i == u else [] for i in range(r)] for u in range(min(r, count))]
     for u in range(r, count):
         e, prev = u - r, numerators[-1]
@@ -465,10 +465,10 @@ def _derivative_vectors(equation, count):
         vec = []
         for i in range(r):
             q = prev[i]
-            entry = _zx_sub(_zx_mul(_zx_derivative(q), lead), _zx_mul(q, scaled_lead_prime))
+            entry = _sub(_zx_mul(_derivative(q), lead), _zx_mul(q, scaled_lead_prime))
             if i:
-                entry = _zx_add(entry, _zx_mul(prev[i - 1], lead))
-            vec.append(_zx_sub(entry, _zx_mul(prev[r - 1], low[i])))
+                entry = _add(entry, _zx_mul(prev[i - 1], lead))
+            vec.append(_sub(entry, _zx_mul(prev[r - 1], low[i])))
         numerators.append(vec)
     powers = [[1]]  # c_r^0 .. c_r^E
     for _ in range(max(count - r, 0)):

@@ -69,11 +69,8 @@ class ExpPoly:
             base = field.coerce(base)
             if not base:
                 raise ValueError("exponential base must be nonzero")
-            if isinstance(poly, Poly):
-                if poly.domain != field:
-                    poly = Poly(list(poly.coeffs), field, "n")
-            else:
-                poly = Poly([field.coerce(poly)], field, "n")
+            if not (isinstance(poly, Poly) and poly.domain == field):
+                poly = Poly(poly.coeffs if isinstance(poly, Poly) else [poly], field, "n")
             pairs.append((base, poly))
         self.field = field
         self.terms = _canonical_terms(pairs)
@@ -95,7 +92,7 @@ class ExpPoly:
 
     @classmethod
     def constant(cls, value, field=RATIONAL_FIELD):
-        return cls(field, [(field.one, Poly([field.coerce(value)], field, "n"))])
+        return cls(field, [(field.one, value)])
 
     @classmethod
     def geometric(cls, base, field=RATIONAL_FIELD, poly=1):
@@ -119,10 +116,11 @@ class ExpPoly:
     def __eq__(self, other):
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        return self.field == other.field and self.terms == other.terms
+        # bases and polynomials compare and hash by value, across fields too
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.field, tuple((b.coords, p.coeffs) for b, p in self.terms)))
+        return hash(self.terms)
 
     @property
     def deg(self):
@@ -145,19 +143,22 @@ class ExpPoly:
     # -- arithmetic -------------------------------------------------------------
 
     def _coerce(self, other):
+        """``self`` and ``other`` in one field, the smaller lifted into the
+        larger, or (None, None) for a foreign operand."""
         if isinstance(other, ExpPoly):
-            if common_field(self.field, other.field) != self.field:
-                return None  # the reflected operation works in the larger field
-            return other.to_field(self.field)
+            if other.field is self.field:
+                return self, other
+            field = common_field(self.field, other.field)
+            return self.to_field(field), other.to_field(field)
         if isinstance(other, (int, Fraction, NumberFieldElement)):
-            return ExpPoly.constant(self.field.coerce(other), self.field)
-        return None
+            return self, ExpPoly.constant(other, self.field)
+        return None, None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b = self._coerce(other)
+        if a is None:
             return NotImplemented
-        return ExpPoly._of(self.field, self.terms + other.terms)
+        return ExpPoly._of(a.field, a.terms + b.terms)
 
     __radd__ = __add__
 
@@ -165,23 +166,23 @@ class ExpPoly:
         return ExpPoly._of(self.field, [(b, -p) for b, p in self.terms])
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b = self._coerce(other)
+        if a is None:
             return NotImplemented
-        return self + (-other)
+        return a + (-b)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b = self._coerce(other)
+        if a is None:
             return NotImplemented
         products = []
-        for base_a, poly_a in self.terms:
-            for base_b, poly_b in other.terms:
+        for base_a, poly_a in a.terms:
+            for base_b, poly_b in b.terms:
                 products.append((base_a * base_b, poly_a * poly_b))
-        return ExpPoly._of(self.field, products)
+        return ExpPoly._of(a.field, products)
 
     __rmul__ = __mul__
 

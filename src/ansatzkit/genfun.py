@@ -21,14 +21,15 @@ from .fields import as_rational_poly, common_ratio
 from .polynomials import (
     Poly,
     QQ,
+    _trimmed,
     falling_factorial,
     falling_factorial_poly,
     forward_differences,
-    poly_gcd,
     rational_content,
     series_inv,
     series_mul,
 )
+from .ratfunc import RationalFunction
 from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator, leading_validity_offset
 
 
@@ -46,22 +47,14 @@ class RationalGF:
             num = Poly(num, QQ, "x")
         if isinstance(den, (list, tuple)):
             den = Poly(den, QQ, "x")
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        else:
-            den = Poly([1], QQ, "x")
-        at_zero = den.coefficient(0)
+        reduced = RationalFunction(num, den)
+        at_zero = reduced.den.coefficient(0)
         if not at_zero:
             raise DenominatorVanishesAtZero(
                 "denominator vanishes at x=0; no power series expansion"
             )
-        self.num = num.scale(Fraction(1) / at_zero)
-        self.den = den.scale(Fraction(1) / at_zero)
+        self.num = reduced.num.scale(Fraction(1) / at_zero)
+        self.den = reduced.den.scale(Fraction(1) / at_zero)
 
     def __eq__(self, other):
         if not isinstance(other, RationalGF):
@@ -113,12 +106,8 @@ def genfun_cfinite(system):
     c = system.operator.coeffs
     r = system.operator.order
     a = system.initials
-    den = Poly(list(reversed(c)), QQ, "x")
-    num = [
-        sum(c[i] * a[n - r + i] for i in range(r - n, r + 1))
-        for n in range(r)
-    ]
-    return RationalGF(Poly(num, QQ, "x"), den)
+    den = list(reversed(c))
+    return RationalGF(series_mul(den, a, r, Fraction(0)), den)
 
 
 def cfinite_from_rational(gf):
@@ -163,27 +152,13 @@ class DiffEquation:
         cleaned = []
         for base, coeffs in terms:
             base = field.coerce(base)
-            polys = [
-                c if isinstance(c, Poly) and c.domain == field
-                else Poly(list(c.coeffs), field, "x") if isinstance(c, Poly)
-                else Poly([field.coerce(c)], field, "x")
-                for c in coeffs
-            ]
-            while polys and not polys[-1]:
-                polys.pop()
+            polys = _trimmed([_over(field, c) for c in coeffs])
             if polys:
                 cleaned.append((base, tuple(polys)))
         if not cleaned:
             raise ValueError("differential equation with no left side")
         cleaned.sort(key=lambda item: item[0].sort_key())
-        if rhs is None:
-            rhs = Poly([], field, "x")
-        elif not (isinstance(rhs, Poly) and rhs.domain == field):
-            rhs = (
-                Poly(list(rhs.coeffs), field, "x")
-                if isinstance(rhs, Poly)
-                else Poly([field.coerce(rhs)], field, "x")
-            )
+        rhs = _over(field, 0 if rhs is None else rhs)
         cleaned, rhs = _normalize_equation(field, cleaned, rhs)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", tuple(cleaned))
@@ -260,6 +235,13 @@ class DiffEquation:
         lhs = " + ".join(parts)
         rhs = str(self.rhs) if self.rhs else "0"
         return f"{lhs} = {rhs}"
+
+
+def _over(field, value):
+    """A polynomial or a constant as one in x over ``field``, coerced once."""
+    if isinstance(value, Poly) and value.domain == field:
+        return value
+    return Poly(value.coeffs if isinstance(value, Poly) else [value], field, "x")
 
 
 def _normalize_equation(field, terms, rhs):

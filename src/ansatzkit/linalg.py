@@ -39,12 +39,12 @@ from .exppoly import ExpPolyFraction, _multiset_union_max
 from .polynomials import (
     Poly,
     QQ,
+    _sub,
     _zx_cleared,
     _zx_exact_div,
     _zx_gcd,
     _zx_mul,
     _zx_primitive,
-    _zx_sub,
     poly_gcd,
 )
 
@@ -347,7 +347,7 @@ def null_vectors(rows):
             factor = row[col]
             for j in range(col + 1, n_rows):
                 row[j] = _zx_exact_div(
-                    _zx_sub(_zx_mul(piv, row[j]), _zx_mul(factor, pivot_row[j])), prev
+                    _sub(_zx_mul(piv, row[j]), _zx_mul(factor, pivot_row[j])), prev
                 )
         pivots.append((p, col))
         prev = piv

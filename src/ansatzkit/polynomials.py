@@ -6,9 +6,16 @@ singleton and algebraic extensions plug in a ``NumberField``.  Degree of
 the zero polynomial is the ``NEG_INFINITY`` sentinel so degree bounds can
 be compared with ``max``/``<=`` directly.
 
-Polynomials over Q have a second form: integer coefficient lists (the
-``_zx_*`` helpers), which the fraction-free ring kernel of ``linalg``, the
-integer combination matrices of ``closure`` and the root search share.
+One list arithmetic serves every coefficient ring: ``_add``, ``_sub``,
+``series_mul`` (truncated, or in full for a product), ``_derivative``,
+``_value`` (Horner) and ``_compose_linear`` (Taylor shift) use only +, -
+and *, so ints, ``Fraction``s and number-field elements share each body:
+``Poly``, the integer polynomials and the power series.  ``Poly`` builds its
+results by ``_of``, which trims trailing zeros and does not coerce; an
+operand over a smaller field is lifted into the other's domain once.  The
+``_zx_`` prefix marks only the integer-only helpers, which the
+fraction-free ring kernel of ``linalg``, the integer combination matrices
+of ``closure`` and the root search share.
 ``rational_roots`` and ``largest_natural_root`` run one root search, by
 p-adic lifting on the squarefree part, in time polynomial in the degree
 and the coefficients' bit size: its lifts stop above twice Cauchy's bound
@@ -22,11 +29,10 @@ fits when row d + 1 of the table vanishes), the partial-sum and Cauchy
 closures of polynomial sequences, ``poly_binomial_form`` and the
 falling-factorial basis change of the generating-function translations.
 
-Two more routines serve every coefficient ring: ``power``, the repeated
-squaring behind the ``__pow__`` of ``Poly``, ``ExpPoly`` and number-field
-elements, and the truncated power series ``series_mul`` and
-``series_inv``, which expand rational generating functions, form Cauchy
-products of values and carry the asymptotic series in 1/n.
+``power``, the repeated squaring behind every ``__pow__``, and
+``series_inv`` serve every ring too; with ``series_mul`` it expands rational
+generating functions, forms Cauchy products of values and carries the
+asymptotic series in 1/n.
 """
 
 from fractions import Fraction
@@ -70,12 +76,19 @@ class Poly:
     __slots__ = ("coeffs", "domain", "var")
 
     def __init__(self, coeffs, domain=QQ, var="n"):
-        coerced = [domain.coerce(c) for c in coeffs]
-        while coerced and not coerced[-1]:
-            coerced.pop()
-        object.__setattr__(self, "coeffs", tuple(coerced))
+        self._fill([domain.coerce(c) for c in coeffs], domain, var)
+
+    def _fill(self, coeffs, domain, var):
+        object.__setattr__(self, "coeffs", tuple(_trimmed(coeffs)))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "var", var)
+
+    def _of(self, coeffs):
+        """Our domain's polynomial of a fresh list of its elements: the public
+        constructor without its coercion, for every arithmetic result."""
+        result = object.__new__(Poly)
+        result._fill(coeffs, self.domain, self.var)
+        return result
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -92,10 +105,11 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.domain == other.domain
+        # coefficients compare and hash by value, across domains too
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.coeffs, self.domain))
+        return hash(self.coeffs)
 
     def coefficient(self, power):
         if 0 <= power < len(self.coeffs):
@@ -125,71 +139,69 @@ class Poly:
     # -- arithmetic ------------------------------------------------------
 
     def _coerce_operand(self, other):
+        """``self`` and ``other`` over one domain, the one over the smaller
+        field coerced once, or (None, None) for a foreign operand."""
         if isinstance(other, Poly):
-            return other
+            if other.domain is self.domain or other.domain == self.domain:
+                return self, other
+            # QQ has no degree: it sits below every NumberField
+            if getattr(self.domain, "degree", 0) < getattr(other.domain, "degree", 0):
+                return Poly(self.coeffs, other.domain, self.var), other
+            return self, Poly(other.coeffs, self.domain, self.var)
         try:
-            return Poly([self.domain.coerce(other)], self.domain, self.var)
+            return self, self._of([self.domain.coerce(other)])
         except TypeError:
-            return None
+            return None, None
 
     def __add__(self, other):
-        other = self._coerce_operand(other)
-        if other is None:
+        a, b = self._coerce_operand(other)
+        if a is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return self.spawn(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        return a._of(_add(a.coeffs, b.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.spawn([-c for c in self.coeffs])
+        return self._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        other = self._coerce_operand(other)
-        if other is None:
+        a, b = self._coerce_operand(other)
+        if a is None:
             return NotImplemented
-        return self + (-other)
+        return a._of(_sub(a.coeffs, b.coeffs))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce_operand(other)
-        if other is None:
+        a, b = self._coerce_operand(other)
+        if a is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return self.spawn([])
-        out = [self.domain.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return self.spawn(out)
+        length = len(a.coeffs) + len(b.coeffs) - 1
+        return a._of(series_mul(a.coeffs, b.coeffs, length, a.domain.zero))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        return power(self, exponent, self.spawn([self.domain.one]))
+        return power(self, exponent, self._of([self.domain.one]))
 
     def scale(self, factor):
         factor = self.domain.coerce(factor)
-        return self.spawn([c * factor for c in self.coeffs])
+        return self._of([c * factor for c in self.coeffs])
 
     def __divmod__(self, other):
-        if not isinstance(other, Poly):
-            other = self._coerce_operand(other)
-        if not other:
+        a, b = self._coerce_operand(other)
+        if a is None:
+            return NotImplemented
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        den = other.coeffs
+        rem = list(a.coeffs)
+        den = b.coeffs
         dd = len(den) - 1
         lead = den[-1]
-        quot = [self.domain.zero] * max(0, len(rem) - dd)
+        quot = [a.domain.zero] * max(0, len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             if not rem[i]:
                 continue
@@ -197,7 +209,7 @@ class Poly:
             quot[i - dd] = q
             for j, d in enumerate(den):
                 rem[i - dd + j] = rem[i - dd + j] - q * d
-        return self.spawn(quot), self.spawn(rem)
+        return a._of(quot), a._of(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -215,31 +227,20 @@ class Poly:
         if not self.coeffs:
             return self
         lead = self.coeffs[-1]
-        return self.spawn([c / lead for c in self.coeffs])
+        return self._of([c / lead for c in self.coeffs])
 
     # -- evaluation and composition ---------------------------------------
 
     def evaluate(self, point):
         """Horner evaluation; works for any value supporting + and *."""
-        if not self.coeffs:
-            return self.domain.zero
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * point + c
-        return acc
+        return _value(self.coeffs, point) if self.coeffs else self.domain.zero
 
     def compose_linear(self, scale, offset):
         """p(x) -> p(scale*x + offset) with integer scale and offset."""
-        arg = Poly(
-            [self.domain.coerce(offset), self.domain.coerce(scale)], self.domain, self.var
-        )
-        result = self.spawn([])
-        for c in reversed(self.coeffs):
-            result = result * arg + Poly([c], self.domain, self.var)
-        return result
+        return self._of(_compose_linear(self.coeffs, scale, offset))
 
     def derivative(self):
-        return self.spawn([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        return self._of(_derivative(self.coeffs))
 
     # -- printing ----------------------------------------------------------
 
@@ -290,21 +291,71 @@ def power(base, exponent, one):
         base = base * base
 
 
-# -- truncated power series ----------------------------------------------------
+# -- coefficient lists and truncated power series ------------------------------
 #
-# Dense coefficient lists, lowest power first, over any field.
+# Dense lists or tuples, lowest power first, over any ring; each result is a
+# fresh list.  Sums and differences end in a concatenation, which sizes the
+# list exactly: the integer kernel keeps many of them.
+
+
+def _trimmed(coeffs):
+    """``coeffs`` without its trailing zeros, in place."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trimmed([x + y for x, y in zip(a, b)] + [*a[len(b):]])
+
+
+def _sub(a, b):
+    head = [x - y for x, y in zip(a, b)]
+    if len(a) < len(b):
+        return _trimmed(head + [-y for y in b[len(a):]])
+    return _trimmed(head + [*a[len(b):]])
 
 
 def series_mul(a, b, length, zero):
-    """The first ``length`` coefficients of the product of two series."""
+    """The first ``length`` coefficients of the product of two series; with
+    ``length`` len(a) + len(b) - 1, the product of two polynomials."""
     out = [zero] * length
+    terms = [(j, y) for j, y in enumerate(b[:length]) if y]
     for i, x in enumerate(a[:length]):
         if not x:
             continue
-        for j, y in enumerate(b[: length - i]):
-            if y:
-                out[i + j] = out[i + j] + x * y
+        for j, y in terms:
+            if i + j >= length:
+                break
+            out[i + j] = out[i + j] + x * y
     return out
+
+
+def _derivative(a):
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _value(a, point):
+    """a(point) by Horner's rule, for a nonzero a."""
+    acc = a[-1]
+    for c in reversed(a[:-1]):
+        acc = acc * point + c
+    return acc
+
+
+def _compose_linear(a, scale, offset):
+    """a(scale*x + offset) for integers scale and offset, by a Taylor shift
+    (repeated synthetic division by x - offset) and a scaling of x."""
+    a = list(a)
+    if offset:
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += offset * a[j + 1]
+    if scale != 1:
+        a = [c * scale**j for j, c in enumerate(a)]
+    return a
 
 
 def series_inv(a, length):
@@ -401,9 +452,7 @@ def _zx_mul(a, b):
             digit -= 1 << k
             product += 1
         out.append(digit)
-    while not out[-1]:
-        out.pop()
-    return out
+    return _trimmed(out)
 
 
 def _zx_pack(a, k):
@@ -411,24 +460,6 @@ def _zx_pack(a, k):
     for c in reversed(a):
         value = (value << k) + c
     return value
-
-
-def _zx_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = [x + y for x, y in zip(a, b)] + a[len(b):]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zx_sub(a, b):
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    out = [x - y for x, y in zip(a, b)] + a[len(b):]
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _zx_quotient(a, b):
@@ -463,23 +494,6 @@ def _zx_exact_div(a, b):
     return quotient
 
 
-def _zx_compose_linear(a, scale, offset):
-    """a(scale*x + offset) for integers scale and offset, by a Taylor shift
-    (repeated synthetic division by x - offset) and a scaling of x."""
-    a = list(a)
-    if offset:
-        for i in range(len(a) - 1):
-            for j in range(len(a) - 2, i - 1, -1):
-                a[j] += offset * a[j + 1]
-    if scale != 1:
-        a = [c * scale**j for j, c in enumerate(a)]
-    return a
-
-
-def _zx_derivative(a):
-    return [i * c for i, c in enumerate(a)][1:]
-
-
 def _zx_primitive(a):
     """The primitive part of a nonzero a, with a positive leading coefficient."""
     content = gcd(*a)
@@ -507,7 +521,7 @@ def _heuristic_gcd(a, b):
     """
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     for _ in range(6):
-        h = gcd(_zx_value(a, xi), _zx_value(b, xi))
+        h = gcd(_value(a, xi), _value(b, xi))
         digits = []
         while h:
             digit = h % xi
@@ -520,13 +534,6 @@ def _heuristic_gcd(a, b):
             return candidate
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
     return None
-
-
-def _zx_value(a, point):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * point + c
-    return acc
 
 
 def _zx_gcd(a, b):
@@ -561,8 +568,8 @@ def _zx_roots(f):
     roots = [(Fraction(0), zeros)] if zeros else []
     if len(f) == 1:
         return roots, f
-    s = _zx_exact_div(f, _zx_gcd(f, _zx_primitive(_zx_derivative(f))))
-    ds = _zx_derivative(s)
+    s = _zx_exact_div(f, _zx_gcd(f, _zx_primitive(_derivative(f))))
+    ds = _derivative(s)
     lead = s[-1]
     bound = 2 * (lead + max(map(abs, s)))
     ell = 1
@@ -570,15 +577,15 @@ def _zx_roots(f):
         ell += 1
         if not lead % ell or any(not ell % q for q in range(2, isqrt(ell) + 1)):
             continue
-        residues = [r for r in range(ell) if not _zx_value(s, r) % ell]
-        if all(_zx_value(ds, r) % ell for r in residues):
+        residues = [r for r in range(ell) if not _value(s, r) % ell]
+        if all(_value(ds, r) % ell for r in residues):
             break
     candidates = []
     for r in residues:
         modulus = ell
         while modulus <= bound:
             modulus *= modulus
-            r = (r - _zx_value(s, r) * pow(_zx_value(ds, r), -1, modulus)) % modulus
+            r = (r - _value(s, r) * pow(_value(ds, r), -1, modulus)) % modulus
         y = lead * r % modulus
         candidates.append(Fraction(y - modulus if 2 * y > modulus else y, lead))
     for root in sorted(candidates):
@@ -637,7 +644,7 @@ def falling_factorial_poly(shift, j, domain=QQ, var="n"):
     """(n + shift)_j as a polynomial in n over the given domain."""
     result = Poly([domain.one], domain, var)
     for i in range(j):
-        result = result * Poly([domain.coerce(shift - i), domain.one], domain, var)
+        result = result * Poly([shift - i, 1], domain, var)
     return result
 
 

@@ -39,7 +39,7 @@ from ansatzkit.errors import (
     ValidityUnproven,
 )
 from ansatzkit.exppoly import validity_offset
-from ansatzkit.fields import common_ratio, compare_modulus, split_roots
+from ansatzkit.fields import NumberFieldElement, common_ratio, compare_modulus, split_roots
 from ansatzkit.genfun import falling_basis_constants
 from ansatzkit.linalg import (
     PRIME,
@@ -975,6 +975,209 @@ class TestSeries:
     def test_inverse_needs_constant_term_one(self):
         with pytest.raises(InternalError):
             series_inv([F(2), F(1)], 3)
+
+
+class TestPolyArithmetic:
+    """Poly arithmetic over Q and Q(sqrt 5) against values at sample points,
+    computed with plain Fraction and field-element arithmetic."""
+
+    GOLDEN = NumberField([-1, -1, 1])
+
+    @staticmethod
+    def value(coeffs, x, zero):
+        return sum((c * x**i for i, c in enumerate(coeffs)), zero)
+
+    def polys(self, domain, draw, rng):
+        """Seeded polynomials with zero coefficients, the zero polynomial
+        and pairs whose leading terms cancel in a sum or a difference."""
+        out = [Poly([], domain, "n")]
+        for _ in range(10):
+            coeffs = [draw() if rng.random() < 0.7 else 0 for _ in range(rng.randint(1, 5))]
+            out.append(Poly(coeffs, domain, "n"))
+        for p in out[1:4]:
+            if p:
+                tail = [draw() for _ in range(p.degree)]
+                out.append(Poly(tail, domain, "n") - p)  # p + this drops the top
+                out.append(p + Poly(tail[:1], domain, "n"))  # this - p too
+        return out
+
+    def cases(self):
+        rng = random.Random(1616)
+        t = self.GOLDEN.generator()
+
+        def rational():
+            return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+        def golden():
+            return rational() + rational() * t
+
+        yield QQ, F, rational, [F(k, 2) for k in range(-3, 4)], self.polys(QQ, rational, rng)
+        points = [self.GOLDEN.from_rational(k) for k in (-2, 0, 3)] + [t, 1 - t, 2 * t + 1]
+        yield self.GOLDEN, NumberFieldElement, golden, points, self.polys(self.GOLDEN, golden, rng)
+
+    def check_form(self, poly, domain, kind):
+        assert poly.domain == domain
+        assert not poly.coeffs or poly.coeffs[-1]
+        assert all(type(c) is kind for c in poly.coeffs)
+        if kind is NumberFieldElement:
+            assert all(c.field is domain for c in poly.coeffs)
+
+    def test_against_values(self):
+        for domain, kind, draw, points, polys in self.cases():
+            zero = domain.zero
+
+            def at(poly, x):
+                return self.value(poly.coeffs, x, zero)
+
+            for p in polys:
+                c = draw()
+                results = [-p, p.scale(c), p.derivative(), p.compose_linear(3, -2), p.monic()]
+                for r in results:
+                    self.check_form(r, domain, kind)
+                if p:
+                    assert p.monic().leading == domain.one
+                for x in points:
+                    assert p.evaluate(x) == at(p, x)
+                    assert at(-p, x) == -at(p, x)
+                    assert at(p.scale(c), x) == c * at(p, x)
+                    derivative = sum(
+                        (i * a * x ** (i - 1) for i, a in enumerate(p.coeffs) if i), zero
+                    )
+                    assert at(p.derivative(), x) == derivative
+                    for scale, offset in ((1, 0), (1, 5), (3, -2), (-2, 1)):
+                        assert at(p.compose_linear(scale, offset), x) == at(p, scale * x + offset)
+                    if p:
+                        assert at(p.monic(), x) * p.leading == at(p, x)
+                for q in polys:
+                    for r in (p + q, p - q, p * q):
+                        self.check_form(r, domain, kind)
+                    for x in points:
+                        assert at(p + q, x) == at(p, x) + at(q, x)
+                        assert at(p - q, x) == at(p, x) - at(q, x)
+                        assert at(p * q, x) == at(p, x) * at(q, x)
+                    if not q:
+                        continue
+                    quotient, remainder = divmod(p, q)
+                    self.check_form(quotient, domain, kind)
+                    self.check_form(remainder, domain, kind)
+                    assert remainder.degree < q.degree
+                    for x in points:
+                        assert at(p, x) == at(quotient, x) * at(q, x) + at(remainder, x)
+
+    def test_cancelling_leading_terms_are_trimmed(self):
+        for domain, _, draw, *_ in self.cases():
+            p = Poly([draw(), draw(), 1], domain, "n")
+            q = Poly([draw(), 3], domain, "n") - p
+            assert (p + q).degree <= 1
+            assert not p - p and (p - p).coeffs == ()
+            assert not p * Poly([], domain, "n")
+            assert p.scale(0).coeffs == ()
+            assert (p ** 3).degree == 6
+
+
+class TestMixedFields:
+    """A rational operand meets one over Q(sqrt 5): the rational one is
+    lifted into the field, in either order."""
+
+    GOLDEN = NumberField([-1, -1, 1])
+    ROOT2 = NumberField([-2, 0, 1])
+
+    def test_poly_in_both_orders(self):
+        t = self.GOLDEN.generator()
+        for rational in (Poly([1, 2], QQ, "n"), Poly([1, 2], RATIONAL_FIELD, "n")):
+            golden = Poly([t, 1], self.GOLDEN, "n")
+            lifted = Poly([1, 2], self.GOLDEN, "n")
+            for op in (operator.add, operator.sub, operator.mul):
+                forward, backward = op(rational, golden), op(golden, rational)
+                assert forward.domain == backward.domain == self.GOLDEN
+                assert forward == op(lifted, golden)
+                assert backward == op(golden, lifted)
+            assert rational == lifted and lifted == rational
+            assert hash(rational) == hash(lifted)
+            assert rational != golden and golden != rational
+        assert Poly([1, 2], QQ, "n") + Poly([t, 1], self.GOLDEN, "n") == Poly(
+            [t + 1, 3], self.GOLDEN, "n"
+        )
+
+    def test_poly_over_two_quadratic_fields(self):
+        golden = Poly([1, self.GOLDEN.generator()], self.GOLDEN, "n")
+        root2 = Poly([1, self.ROOT2.generator()], self.ROOT2, "n")
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(UnsupportedField):
+                op(golden, root2)
+            with pytest.raises(UnsupportedField):
+                op(root2, golden)
+        assert golden != root2 and root2 != golden
+
+    def test_exppoly_in_both_orders(self):
+        t = self.GOLDEN.generator()
+        a = ExpPoly.geometric(2)
+        b = a.to_field(self.GOLDEN)
+        assert a * b == b * a == ExpPoly.geometric(4, self.GOLDEN)
+        assert a + b == b + a == ExpPoly.geometric(2, self.GOLDEN, 2)
+        assert not a - b and not b - a
+        for op in (operator.add, operator.sub, operator.mul):
+            assert op(a, b).field == op(b, a).field == self.GOLDEN
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        fa, fb = ExpPolyFraction.from_exppoly(a), ExpPolyFraction.from_exppoly(b)
+        assert fa == fb and fb == fa
+        c = ExpPoly.geometric(t, self.GOLDEN, Poly([1, 1], self.GOLDEN, "n")) + 1
+        for op in (operator.add, operator.sub, operator.mul):
+            forward, backward = op(a, c), op(c, a)
+            for n in range(6):
+                assert forward.evaluate(n) == op(a.evaluate(n), c.evaluate(n))
+                assert backward.evaluate(n) == op(c.evaluate(n), a.evaluate(n))
+        assert a != c and c != a
+
+    def test_exppoly_over_two_quadratic_fields(self):
+        golden = ExpPoly.geometric(self.GOLDEN.generator(), self.GOLDEN)
+        root2 = ExpPoly.geometric(self.ROOT2.generator(), self.ROOT2)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(UnsupportedField):
+                op(golden, root2)
+            with pytest.raises(UnsupportedField):
+                op(root2, golden)
+        assert golden != root2 and root2 != golden
+
+
+def test_arithmetic_results_are_never_coerced(monkeypatch):
+    """Same-domain Poly arithmetic and ExpPoly products build their results
+    without a single ``coerce`` call."""
+    golden = NumberField([-1, -1, 1])
+    t = golden.generator()
+    polys = {
+        QQ: (Poly([1, F(-2, 3), 0, 5], QQ, "n"), Poly([F(1, 2), 3], QQ, "n")),
+        golden: (Poly([t, 0, 1 - t, 2], golden, "n"), Poly([2, t], golden, "n")),
+    }
+    e = ExpPoly(golden, [(t, polys[golden][0]), (2, polys[golden][1]), (1, 3)])
+    f = ExpPoly(golden, [(1 - t, polys[golden][1]), (2, 1)])
+    calls = []
+    number_field_coerce, rational_coerce = NumberField.coerce, type(QQ).coerce
+
+    def counted(self, value):
+        calls.append(value)
+        return number_field_coerce(self, value)
+
+    def counted_rational(value):
+        calls.append(value)
+        return rational_coerce(value)
+
+    monkeypatch.setattr(NumberField, "coerce", counted)
+    monkeypatch.setattr(type(QQ), "coerce", staticmethod(counted_rational))
+    for p, q in polys.values():
+        results = [p + q, p - q, q - p, -p, p * q, p ** 3, p.derivative(), p.monic()]
+        results += [p.compose_linear(2, -3), *divmod(p, q), p // q, p % q]
+        assert p.evaluate(t) == p.evaluate(t)
+        assert all(isinstance(r, Poly) for r in results)
+        assert p == p and p != q
+    assert e * f == f * e
+    assert (e * f) * e == e * (f * e)
+    assert e + f - e == f
+    assert calls == []
+    p, q = polys[QQ]
+    assert (p * 3).coeffs == p.scale(3).coeffs  # a scalar operand is coerced once
+    assert calls == [3, 3]
 
 
 class TestPower:
