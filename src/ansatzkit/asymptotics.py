@@ -15,6 +15,16 @@ quadratic field (``UnsupportedFactorization``), is an UnsupportedCase.  The
 series products and inverses are ``polynomials.series_mul`` and
 ``series_inv``.  No floating point enters anywhere; corroboration against
 numeric data lives in the test suite.
+
+Only the factor S(u/(1+ku)) / S(u) of the ratio depends on the series
+S(u) = 1 + c_1 u + ...  The rest is built once per form and residual
+length by ``_shift_parts``: for each shift k, the reversed coefficient
+p_k times the exponential part and the binomial (1 + k u)^theta, and the
+powers of u/(1+ku).  ``refine_series`` builds them at its final length and
+reads their leading coefficients at every shorter one, which is exact: the
+first L coefficients of a product or of exp depend only on the first L
+coefficients of the inputs.  1/S(u) is built once per residual and shared
+by every k.
 """
 
 import math
@@ -23,7 +33,7 @@ from fractions import Fraction
 
 from .errors import InconsistentSystem, InternalError, UnsupportedCase
 from .fields import split_roots
-from .polynomials import NEG_INFINITY, Poly, QQ, binomial, series_inv, series_mul
+from .polynomials import NEG_INFINITY, Poly, QQ, series_inv, series_mul
 from .sequences import CoeffRing
 
 
@@ -74,66 +84,77 @@ def _ser_exp(a, length, field):
     term = list(result)
     for m in range(1, length):
         term = series_mul(term, a, length, field.zero)
-        term = [t / m for t in term]
+        inverse_m = Fraction(1, m)
+        term = [t * inverse_m for t in term]
         result = [x + y for x, y in zip(result, term)]
         if not any(term):
             break
     return result
 
 
-def _ratio_series(k, mu0, theta, series, length, field):
-    """y(n+k)/y(n) divided by n^(mu0 k) lambda^k, as a series in u = 1/n."""
-    # exponential part: exp(mu0 * sum_j (-1)^(j+1) k^(j+1)/(j(j+1)) u^j)
-    expo = [field.zero] * length
-    for j in range(1, length):
-        expo[j] = field.coerce(
-            Fraction(mu0) * Fraction((-1) ** (j + 1) * k ** (j + 1), j * (j + 1))
-        )
-    result = _ser_exp(expo, length, field)
-    # (1 + k u)^theta
-    binom = [
-        field.coerce(binomial(theta, j)) * field.coerce(Fraction(k) ** j)
-        for j in range(length)
-    ]
-    result = series_mul(result, binom, length, field.zero)
-    if any(series):
-        # S(u/(1+ku)) / S(u) with S(u) = 1 + sum_m c_m u^m
-        s_plain = [field.one] + [field.coerce(c) for c in series]
-        s_plain += [field.zero] * (length - len(s_plain))
-        w = [field.zero] * length
-        for j in range(1, length):
-            w[j] = field.coerce(Fraction((-k) ** (j - 1)))
-        s_comp = [field.zero] * length
-        s_comp[0] = field.one
-        w_power = [field.zero] * length
-        w_power[0] = field.one
-        for m, c in enumerate(series, start=1):
-            w_power = series_mul(w_power, w, length, field.zero)
-            if c:
-                cf = field.coerce(c)
-                s_comp = [x + cf * y for x, y in zip(s_comp, w_power)]
-        result = series_mul(result, s_comp, length, field.zero)
-        result = series_mul(result, series_inv(s_plain[:length], length), length, field.zero)
-    return result
-
-
-def _residual_series(polys, mu0, lam, theta, series, length, field):
-    """Recurrence residual divided by n^E, expanded to u^length."""
+def _shift_parts(polys, mu0, theta, length, field):
+    """The series-free factors of the residual to u^length, built once per
+    form: for each coefficient p_k that reaches u^length, the tuple (k,
+    gap, plain, powers).  The residual term of p_k starts at u^gap; plain
+    is p_k reversed times exp(mu0 * sum_j (-1)^(j+1) k^(j+1)/(j(j+1)) u^j)
+    times (1 + k u)^theta, and powers are w, w^2, ... with w = u/(1+ku),
+    all to u^(length - gap).  A shorter residual reads their leading
+    coefficients, which a truncated product or exp leaves unchanged."""
     degs = [p.degree for p in polys]
     top = max(d + mu0 * i for i, d in enumerate(degs) if d is not NEG_INFINITY)
-    residual = [field.zero] * length
-    for i, p in enumerate(polys):
+    parts = []
+    for k, p in enumerate(polys):
         if not p:
             continue
-        gap = top - degs[i] - mu0 * i
-        if gap >= length:
+        gap = top - degs[k] - mu0 * k
+        size = length - gap
+        if size <= 0:
             continue
+        expo = [field.zero] * size
+        for j in range(1, size):
+            expo[j] = field.coerce(
+                Fraction(mu0) * Fraction((-1) ** (j + 1) * k ** (j + 1), j * (j + 1))
+            )
+        binom = [field.one]  # C(theta, j) k^j, each from the one before
+        for j in range(1, size):
+            binom.append(binom[-1] * (theta - (j - 1)) * Fraction(k, j))
+        plain = series_mul(_ser_exp(expo, size, field), binom, size, field.zero)
         reversed_poly = [field.coerce(c) for c in reversed(p.coeffs)]
-        ratio = _ratio_series(i, mu0, theta, series, length, field)
-        piece = series_mul(reversed_poly, ratio, length, field.zero)
-        weight = lam ** i
+        plain = series_mul(reversed_poly, plain, size, field.zero)
+        w = [field.zero] + [field.coerce(Fraction((-k) ** (j - 1))) for j in range(1, size)]
+        powers = [w]
+        for _ in range(2, size):
+            powers.append(series_mul(powers[-1], w, size, field.zero))
+        parts.append((k, gap, plain, powers))
+    return parts
+
+
+def _residual_series(parts, lam, series, length, field):
+    """Recurrence residual divided by n^E, expanded to u^length, from the
+    factors ``_shift_parts`` built to at least that length.  The shift
+    ratio y(n+k)/y(n) over n^(mu0 k) lambda^k multiplies them by
+    S(u/(1+ku)) / S(u) with S(u) = 1 + sum_m c_m u^m."""
+    residual = [field.zero] * length
+    # c_m with m >= length vanish to u^length in both S(u) and S(u/(1+ku))
+    series = [field.coerce(c) for c in series[: length - 1]]
+    scaled = any(series)
+    if scaled:
+        inverse = series_inv([field.one] + series, length)
+    for k, gap, plain, powers in parts:
+        size = length - gap
+        if size <= 0:
+            continue
+        piece = plain[:size]
+        if scaled:
+            s_comp = [field.one] + [field.zero] * (size - 1)
+            for c, w_power in zip(series, powers):
+                if c:
+                    s_comp = [x + c * y for x, y in zip(s_comp, w_power)]
+            piece = series_mul(piece, s_comp, size, field.zero)
+            piece = series_mul(piece, inverse, size, field.zero)
+        weight = lam ** k
         for j, value in enumerate(piece):
-            if j + gap < length and value:
+            if value:
                 residual[j + gap] = residual[j + gap] + weight * value
     return residual
 
@@ -187,7 +208,9 @@ def leading_forms(operator):
                 )
         for lam in lams:
             theta = _solve_linear_coefficient(
-                lambda th: _residual_series(polys, mu0, lam, th, (), 2, field)[1],
+                lambda th: _residual_series(
+                    _shift_parts(polys, mu0, th, 2, field), lam, (), 2, field
+                )[1],
                 field,
             )
             if theta is None:
@@ -204,17 +227,15 @@ def refine_series(form, operator, count):
 
     Each c_j comes from the u^(1+j) residual coefficient, which is linear
     in c_j once the earlier ones are fixed."""
-    polys = _poly_coeffs(operator)
     field = form.field
+    parts = _shift_parts(_poly_coeffs(operator), form.mu0, form.theta, count + 2, field)
     series = list(form.series)
     for j in range(len(series) + 1, count + 1):
         length = j + 2
 
-        def evaluate(value, j=j, length=length):
+        def evaluate(value, length=length):
             trial = series + [value]
-            return _residual_series(
-                polys, form.mu0, form.lam, form.theta, trial, length, field
-            )[length - 1]
+            return _residual_series(parts, form.lam, trial, length, field)[length - 1]
 
         solution = _solve_linear_coefficient(evaluate, field)
         if solution is None:
@@ -228,7 +249,5 @@ def refine_series(form, operator, count):
 def residual_coefficients(form, operator, count):
     """Residual u-coefficients for a refined form; all zero through the
     refined order when the form is consistent."""
-    polys = _poly_coeffs(operator)
-    return _residual_series(
-        polys, form.mu0, form.lam, form.theta, form.series, count, form.field
-    )
+    parts = _shift_parts(_poly_coeffs(operator), form.mu0, form.theta, count, form.field)
+    return _residual_series(parts, form.lam, form.series, count, form.field)

@@ -500,18 +500,14 @@ class ExpPolyFraction:
             self._expanded_den = self._product(self.den_factors)
         return self._expanded_den
 
-    def _carry(self, other, n_nums, n_dens, num_parts, den_parts):
+    def _carry(self, n_nums, n_dens, num_parts, den_parts):
         """Take the expansions as products of known ones: the parts multiply
         to the products of the factor lists, of lengths ``n_nums`` and
-        ``n_dens``, that built this fraction from ``other`` and a fraction
-        of our field.  When no factor was dropped or cancelled those lists
-        are ours, and as the form is canonical the product of the parts is
-        our expansion, term for term."""
-        if (
-            other.field != self.field
-            or len(self.num_factors) != n_nums
-            or len(self.den_factors) != n_dens
-        ):
+        ``n_dens``, that built this fraction from two fractions of our
+        field.  When no factor was dropped or cancelled those lists are
+        ours, and as the form is canonical the product of the parts is our
+        expansion, term for term."""
+        if len(self.num_factors) != n_nums or len(self.den_factors) != n_dens:
             return
         for attr, parts in (("_expanded_num", num_parts), ("_expanded_den", den_parts)):
             if None not in parts:
@@ -565,63 +561,75 @@ class ExpPolyFraction:
     # -- arithmetic -----------------------------------------------------------------
 
     def _coerce(self, other):
+        """``self`` and ``other`` as fractions over one field, the smaller
+        lifted into the larger, or (None, None) for a foreign operand."""
         if isinstance(other, ExpPolyFraction):
-            return other
-        if isinstance(other, ExpPoly):
-            return ExpPolyFraction(self.field, [other.to_field(self.field)])
-        if isinstance(other, (int, Fraction, NumberFieldElement)):
-            return ExpPolyFraction(
-                self.field, [ExpPoly.constant(self.field.coerce(other), self.field)]
-            )
-        return None
+            if other.field is self.field:
+                return self, other
+        elif isinstance(other, (int, Fraction)):
+            return self, ExpPolyFraction(self.field, [ExpPoly.constant(other, self.field)])
+        elif isinstance(other, NumberFieldElement):
+            other = ExpPolyFraction(other.field, [ExpPoly.constant(other, other.field)])
+        elif isinstance(other, ExpPoly):
+            other = ExpPolyFraction.from_exppoly(other)
+        else:
+            return None, None
+        field = common_field(self.field, other.field)
+        return self.to_field(field), other.to_field(field)
+
+    def to_field(self, field):
+        if field == self.field:
+            return self
+        return ExpPolyFraction(
+            field,
+            [f.to_field(field) for f in self.num_factors],
+            [f.to_field(field) for f in self.den_factors],
+        )
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b = self._coerce(other)
+        if a is None:
             return NotImplemented
-        if not self or not other:
-            return ExpPolyFraction.zero(self.field)
-        nums = self.num_factors + other.num_factors
-        dens = self.den_factors + other.den_factors
-        product = ExpPolyFraction(self.field, nums, dens)
+        if not a or not b:
+            return ExpPolyFraction.zero(a.field)
+        nums = a.num_factors + b.num_factors
+        dens = a.den_factors + b.den_factors
+        product = ExpPolyFraction(a.field, nums, dens)
         product._carry(
-            other,
             len(nums),
             len(dens),
-            (self._expanded_num, other._expanded_num),
-            (self._expanded_den, other._expanded_den),
+            (a._expanded_num, b._expanded_num),
+            (a._expanded_den, b._expanded_den),
         )
         return product
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b = self._coerce(other)
+        if a is None:
             return NotImplemented
-        if not other:
+        if not b:
             raise ZeroDivisionError("division by zero fraction")
-        nums = self.num_factors + other.den_factors
-        dens = self.den_factors + other.num_factors
-        quotient = ExpPolyFraction(self.field, nums, dens)
-        units = sum(f.is_unit() for f in other.num_factors)
+        nums = a.num_factors + b.den_factors
+        dens = a.den_factors + b.num_factors
+        quotient = ExpPolyFraction(a.field, nums, dens)
+        units = sum(f.is_unit() for f in b.num_factors)
         if not units:
             quotient._carry(
-                other,
                 len(nums),
                 len(dens),
-                (self._expanded_num, other._expanded_den),
-                (self._expanded_den, other._expanded_num),
+                (a._expanded_num, b._expanded_den),
+                (a._expanded_den, b._expanded_num),
             )
-        elif units == len(other.num_factors):
+        elif units == len(b.num_factors):
             # unit denominators move up inverted, after the other factors
             inverted = quotient.num_factors[len(nums):]
             quotient._carry(
-                other,
                 len(nums) + units,
-                len(self.den_factors),
-                (self._expanded_num, other._expanded_den, *inverted),
-                (self._expanded_den,),
+                len(a.den_factors),
+                (a._expanded_num, b._expanded_den, *inverted),
+                (a._expanded_den,),
             )
         return quotient
 
@@ -643,30 +651,30 @@ class ExpPolyFraction:
         return negated
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b = self._coerce(other)
+        if a is None:
             return NotImplemented
         # keep factor lists intact when one side vanishes
-        if not self:
-            return other
-        if not other:
-            return self
-        den = _multiset_union_max(self.den_factors, other.den_factors)
-        left = self.expanded_num()
-        for f in _multiset_subtract(den, self.den_factors):
+        if not a:
+            return b
+        if not b:
+            return a
+        den = _multiset_union_max(a.den_factors, b.den_factors)
+        left = a.expanded_num()
+        for f in _multiset_subtract(den, a.den_factors):
             left = left * f
-        right = other.expanded_num()
-        for f in _multiset_subtract(den, other.den_factors):
+        right = b.expanded_num()
+        for f in _multiset_subtract(den, b.den_factors):
             right = right * f
-        return ExpPolyFraction(self.field, [left + right], den)
+        return ExpPolyFraction(a.field, [left + right], den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b = self._coerce(other)
+        if a is None:
             return NotImplemented
-        return self + (-other)
+        return a + (-b)
 
     def __rsub__(self, other):
         return -(self - other)

@@ -243,31 +243,40 @@ def parse_operator(text, declarations=None):
 # -- printing -----------------------------------------------------------------
 
 
-def _exppoly_rational_ratio(a, b):
-    """Fraction q with a == q*b (structurally), or None."""
-    if [base for base, _ in a.terms] != [base for base, _ in b.terms]:
-        return None
-    ratio = common_ratio((pa.coeffs, pb.coeffs) for (_, pa), (_, pb) in zip(a.terms, b.terms))
-    return ratio.as_rational() if ratio is not None and ratio.is_rational() else None
+def _bases(e):
+    return [base for base, _ in e.terms]
 
 
 def _exppoly_text(coeff, declarations):
     """Render an exponential polynomial coefficient, preferring declared
-    names, then rational-base exponential terms."""
+    names, then rational-base exponential terms.
+
+    A name prints as q*NAME(n+s) with q rational and 0 <= s <= 23.  A shift
+    keeps the bases, so a name whose bases differ from the coefficient's
+    is never shifted, and shift s+1 is one step from shift s."""
+    bases = _bases(coeff)
     for name, closed in (declarations or {}).items():
+        if _bases(closed) != bases:
+            continue
         try:
             target = closed.to_field(coeff.field)
         except UnsupportedField:
             continue
         for shift in range(0, 24):
-            ratio = _exppoly_rational_ratio(coeff, target.shift(shift))
-            if ratio is not None:
-                argument = "n" if shift == 0 else f"n+{shift}"
-                if ratio == 1:
-                    return f"{name}({argument})", False
-                if ratio == -1:
-                    return f"-{name}({argument})", False
-                return f"{ratio}*{name}({argument})", True
+            if shift:
+                target = target.shift(1)
+            ratio = common_ratio(
+                (pa.coeffs, pb.coeffs) for (_, pa), (_, pb) in zip(coeff.terms, target.terms)
+            )
+            if ratio is None or not ratio.is_rational():
+                continue
+            ratio = ratio.as_rational()
+            argument = "n" if shift == 0 else f"n+{shift}"
+            if ratio == 1:
+                return f"{name}({argument})", False
+            if ratio == -1:
+                return f"-{name}({argument})", False
+            return f"{ratio}*{name}({argument})", True
     if any(not base.is_rational() for base, _ in coeff.terms):
         # no declared name matches and the bases leave the rationals; fall
         # back to the raw closed form (readable, not re-parseable)

@@ -1,6 +1,8 @@
 """Growth templates: leading-form extraction and series refinement."""
 
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -167,3 +169,87 @@ class TestNumericCorroboration:
         # the universal constant is out of the method's reach: the fitted
         # value is only approximately sqrt(2*pi)
         assert abs(math.exp(log_k) - math.sqrt(2 * math.pi)) > 0
+
+
+def hypergeometric_operator(rng):
+    """q(n) N - mu p(n) with p, q products of factors (n + j), 1 <= j <= 4,
+    and a rational mu, as the benchmark's CLI mix draws them."""
+    top = [rng.randint(1, 4) for _ in range(rng.randint(0, 2))]
+    bottom = [rng.randint(1, 4) for _ in range(rng.randint(0, 2))]
+    mu = F(rng.choice([-3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 2))
+    p, q = Poly([mu]), Poly([1])
+    for j in top:
+        p = p * Poly([j, 1])
+    for j in bottom:
+        q = q * Poly([j, 1])
+    return ShiftOperator(CoeffRing.POLY_N, [-p, q])
+
+
+class TestRefinedResiduals:
+    COUNT = 6
+
+    def operators(self):
+        rng = random.Random(20221)
+        yield from (hypergeometric_operator(rng) for _ in range(12))
+        yield ShiftOperator(CoeffRing.POLY_N, [Poly([2, 1]), Poly([2]), Poly([0, -1])])
+
+    def test_residuals_vanish_through_refined_order(self):
+        for operator in self.operators():
+            for form in leading_forms(operator):
+                refined = refine_series(form, operator, self.COUNT)
+                assert len(refined.series) == self.COUNT
+                residuals = residual_coefficients(refined, operator, self.COUNT + 2)
+                assert all(not r for r in residuals)
+
+    def test_pinned_series(self):
+        # (n+3) N - (3/2)(n+1)(n+2) and (n+1)(n+4) N + 2(n+2)
+        cases = [
+            (
+                [Poly([-3, F(-9, 2), F(-3, 2)]), Poly([3, 1])],
+                (1, F(3, 2), F(-1, 2)),
+                ["-23/12", "1105/288", "-397939/51840", "38201573/2488320",
+                 "-1283540077/41803776", "4620749524019/75246796800"],
+            ),
+            (
+                [Poly([4, 2]), Poly([4, 5, 1])],
+                (-1, F(-2), F(-5, 2)),
+                ["-61/12", "5593/288", "-3452441/51840", "538644149/2488320",
+                 "-142709253787/209018880", "159145067668859/75246796800"],
+            ),
+        ]
+        for coeffs, (mu0, lam, theta), series in cases:
+            operator = ShiftOperator(CoeffRing.POLY_N, coeffs)
+            (form,) = leading_forms(operator)
+            assert (form.mu0, form.lam.as_rational(), form.theta.as_rational()) == (mu0, lam, theta)
+            refined = refine_series(form, operator, self.COUNT)
+            assert [c.as_rational() for c in refined.series] == [F(c) for c in series]
+
+    def test_residual_prefixes_with_wrong_series(self):
+        # a shorter residual is the prefix of a longer one, also with series
+        # longer than the residual and nonzero residual coefficients
+        rng = random.Random(7)
+        for operator in self.operators():
+            for form in leading_forms(operator):
+                series = tuple(
+                    form.field.coerce(F(rng.randint(-3, 3), rng.randint(1, 2)))
+                    for _ in range(self.COUNT)
+                )
+                wrong = replace(form, series=series)
+                full = residual_coefficients(wrong, operator, self.COUNT + 2)
+                for length in range(self.COUNT + 2):
+                    assert residual_coefficients(wrong, operator, length) == full[:length]
+
+    def test_pinned_residuals_with_wrong_series(self):
+        operator = ShiftOperator(
+            CoeffRing.POLY_N, [Poly([2, 1]), Poly([2]), Poly([0, -1])]
+        )
+        expected = {
+            F(-1): ["0", "0", "2", "-6", "29", "-99", "715/2", "-1214"],
+            F(1): ["0", "0", "2", "0", "13", "-29", "171/2", "-258"],
+        }
+        for form in leading_forms(operator):
+            series = tuple(form.field.coerce(c) for c in (F(1), F(-1, 2), F(2), F(0), F(3)))
+            residuals = residual_coefficients(replace(form, series=series), operator, 8)
+            assert [r.as_rational() for r in residuals] == [
+                F(c) for c in expected[form.lam.as_rational()]
+            ]

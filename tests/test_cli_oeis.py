@@ -119,6 +119,72 @@ class TestOperatorText:
         printed = operator_to_text(operator, declared)
         assert parse_operator(printed, declared) == operator
 
+    @staticmethod
+    def fibonacci_declaration():
+        from ansatzkit import register_coefficient
+
+        return {"F": register_coefficient(parse_recurrence_spec("cfinite:N^2-N-1;0,1"))}
+
+    @staticmethod
+    def first_order(coeff):
+        return ShiftOperator(CoeffRing.EXPPOLY, [coeff, ExpPoly.constant(1, coeff.field)])
+
+    def test_named_coefficient_at_each_shift(self):
+        declared = self.fibonacci_declaration()
+        for shift in (0, 1, 7, 23):
+            argument = "n" if shift == 0 else f"n+{shift}"
+            expected = {
+                F(1): f"N + F({argument})",
+                F(-1): f"N - F({argument})",
+                F(3, 2): f"N + (3/2*F({argument}))",
+            }
+            for ratio, text in expected.items():
+                operator = self.first_order(declared["F"].shift(shift).scale(ratio))
+                printed = operator_to_text(operator, declared)
+                assert printed == text
+                assert parse_operator(printed, declared) == operator
+
+    def test_named_coefficient_window_ends_at_shift_23(self):
+        declared = self.fibonacci_declaration()
+        operator = self.first_order(declared["F"].shift(24))
+        printed = operator_to_text(operator, declared)
+        assert printed == (
+            "N + ((103682/5*t + 64079/5)*(t)^n + (-103682/5*t + 167761/5)*(-t + 1)^n)"
+        )
+        with pytest.raises(OperatorSyntaxError):
+            parse_operator(printed, declared)
+
+    def test_named_coefficient_shifts_only_on_matching_bases(self, monkeypatch):
+        declared = self.fibonacci_declaration()
+        field = declared["F"].field
+        t = field.generator()
+        other_bases = [
+            ExpPoly.geometric(2),
+            ExpPoly.geometric(2, field),
+            ExpPoly.geometric(t, field),
+            ExpPoly(field, [(t, 1), (1 - t, 1), (2, 1)]),
+        ]
+        matches = {
+            shift: declared["F"].shift(shift).scale(F(-3, 2)) for shift in (0, 1, 7, 23)
+        }
+        calls = []
+        compose_arg = ExpPoly.compose_arg
+
+        def counted(self, mult, offset):
+            calls.append((mult, offset))
+            return compose_arg(self, mult, offset)
+
+        monkeypatch.setattr(ExpPoly, "compose_arg", counted)
+        for coeff in other_bases:
+            operator_to_text(self.first_order(coeff), declared)
+            assert calls == []
+        for shift, coeff in matches.items():
+            calls.clear()
+            printed = operator_to_text(self.first_order(coeff), declared)
+            argument = "n" if shift == 0 else f"n+{shift}"
+            assert printed == f"N - (3/2*F({argument}))"
+            assert len(calls) <= shift
+
     def test_unknown_name(self):
         with pytest.raises(UnknownCoefficient):
             parse_operator("N - G(n+2)")
@@ -571,3 +637,48 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "(10000000019)^n" in out and "(10000000033)^n" in out
+
+
+# stdout pinned byte for byte: C2 closures whose operand has a declared
+# Fibonacci coefficient, and refined growth templates
+GOLDEN_STDOUT = [
+    (
+        ["closure", "--kind", "add", "--coeff", "F=cfinite:N^2-N-1;0,1",
+         "c2:N - F(n+2);1", "c2:N - 3*2^n;2"],
+        "((-3/5*t - 1/5)*(t)^n + (3/5*t - 4/5)*(-t + 1)^n + 3*2^n)*N^2"
+        " + ((-1/5)*(-1)^n + (t + 3/5)*(t + 1)^n + (-t + 8/5)*(-t + 2)^n - 18*4^n)*N"
+        " + ((3/5)*(-2)^n + (54/5*t + 18/5)*(4*t)^n + (-3*t - 9/5)*(2*t + 2)^n"
+        " + (-54/5*t + 72/5)*(-4*t + 4)^n + (3*t - 24/5)*(-2*t + 4)^n)\n"
+        "with t a root of: t^2 - t - 1 = 0\n"
+        "initials: 3, 7\n",
+    ),
+    (
+        ["closure", "--kind", "termwise", "--coeff", "F=cfinite:N^2-N-1;0,1",
+         "c2:N^2 - F(n+1)*N + (-2);1,1", "c2:N + (1/2)^n;1"],
+        "N^2 + ((1/10*t + 1/5)*(1/2*t)^n + (-1/10*t + 3/10)*(-1/2*t + 1/2)^n)*N - (1/4)^n\n"
+        "with t a root of: t^2 - t - 1 = 0\n"
+        "initials: 1, -1\n",
+    ),
+    (
+        ["asymptotics", "--series-terms", "4", "holonomic:N-(n+1);1"],
+        "K * (n/e)^n * (1)^n * n^(1/2) * (1 + (1/12)/n^1 + (1/288)/n^2"
+        " + (-139/51840)/n^3 + (-571/2488320)/n^4)\n",
+    ),
+    (
+        ["asymptotics", "--series-terms", "4", "holonomic:(n+2)+2*N-n*N^2;0,0,1"],
+        "K * (-1)^n * n^(0) * (1)\nK * (1)^n * n^(2) * (1 + (-1/2)/n^2)\n",
+    ),
+    (
+        ["asymptotics", "--series-terms", "4", "holonomic:(n+3)*N - (3/2)*(n+1)*(n+2);1"],
+        "K * (n/e)^n * (3/2)^n * n^(-1/2) * (1 + (-23/12)/n^1 + (1105/288)/n^2"
+        " + (-397939/51840)/n^3 + (38201573/2488320)/n^4)\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", GOLDEN_STDOUT)
+def test_golden_stdout(argv, stdout, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == stdout
+    assert captured.err == ""

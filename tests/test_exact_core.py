@@ -1130,6 +1130,39 @@ class TestMixedFields:
                 assert backward.evaluate(n) == op(c.evaluate(n), a.evaluate(n))
         assert a != c and c != a
 
+    def test_exppoly_fraction_in_both_orders(self):
+        t = self.GOLDEN.generator()
+        a = ExpPolyFraction.from_exppoly(ExpPoly.geometric(2))
+        b = ExpPolyFraction.from_exppoly(ExpPoly.geometric(t, self.GOLDEN))
+        c = ExpPolyFraction(
+            self.GOLDEN,
+            [ExpPoly.geometric(t, self.GOLDEN, Poly([1, 1], self.GOLDEN, "n"))],
+            [ExpPoly.geometric(3, self.GOLDEN) + 1],
+        )
+        values = {
+            id(a): lambda n: self.GOLDEN.coerce(2) ** n,
+            id(b): lambda n: t ** n,
+            id(c): lambda n: (n + 1) * t ** n / (3 ** n + 1),
+        }
+
+        def value(fraction, n):
+            return fraction.expanded_num().evaluate(n) / fraction.expanded_den().evaluate(n)
+
+        for x, y in ((a, b), (b, a), (a, c), (c, a)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                result = op(x, y)
+                assert result.field == self.GOLDEN
+                for factor in result.num_factors + result.den_factors:
+                    assert factor.field == self.GOLDEN
+                for n in range(6):
+                    assert value(result, n) == op(values[id(x)](n), values[id(y)](n))
+            assert x != y and y != x
+        lifted = a.to_field(self.GOLDEN)
+        assert lifted.field == self.GOLDEN
+        assert a == lifted and lifted == a
+        assert a * b == b * a and a + c == c + a
+        assert (a / b) * b == a and b * (a / b) == a
+
     def test_exppoly_over_two_quadratic_fields(self):
         golden = ExpPoly.geometric(self.GOLDEN.generator(), self.GOLDEN)
         root2 = ExpPoly.geometric(self.ROOT2.generator(), self.ROOT2)
