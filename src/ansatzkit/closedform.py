@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import InsufficientData, InternalError, NotPolynomial, UnsupportedFactorization
 from .exppoly import ExpPoly
 from .fields import split_roots
-from .linalg import numberfield_adapter, solve_linear
+from .linalg import FieldAdapter, solve_linear
 from .polynomials import Poly, QQ, binomial, forward_differences
 from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator
 
@@ -116,17 +116,14 @@ def cfinite_closed_form(system):
         [field.coerce(n) ** j * base ** n for base, j in unknowns] for n in range(reduced_order)
     ]
     rhs = [field.from_rational(v) for v in values]
-    solution = solve_linear(rows, rhs, numberfield_adapter(field))
+    solution = solve_linear(rows, rhs, FieldAdapter(field.zero, field.one))
     if solution is None:
         raise InternalError("initial-condition system must be nonsingular")
-    terms = {}
-    for (base, j), c in zip(unknowns, solution):
-        key = base.sort_key()
-        coeffs = terms.setdefault(key, (base, [field.zero] * reduced_order))[1]
-        coeffs[j] = c
-    expression = ExpPoly(
-        field, [(base, Poly(coeffs, field, "n")) for base, coeffs in terms.values()]
-    )
+    monomials = [
+        (base, Poly([field.zero] * j + [c], field, "n"))
+        for (base, j), c in zip(unknowns, solution)
+    ]
+    expression = ExpPoly(field, monomials)  # adds up the monomials of each base
     if zero_mult:
         expression = expression.shift(-zero_mult)
     return CFiniteClosedForm(

@@ -63,12 +63,7 @@ from .genfun import (
     holonomic_to_diff,
     homogenize,
 )
-from .linalg import (
-    clear_exppoly_denominators,
-    exppoly_fraction_adapter,
-    least_null_vector,
-    left_null_space,
-)
+from .linalg import FieldAdapter, clear_exppoly_denominators, least_null_vector, left_null_space
 from .polynomials import (
     Poly,
     QQ,
@@ -191,11 +186,7 @@ class _RingShiftRep:
     mul = staticmethod(_zx_mul)
 
     def __init__(self, op, mult=1):
-        if op.ring is CoeffRing.CONSTANT:
-            coeffs = [(c,) if c else () for c in op.coeffs]
-        else:
-            coeffs = [c.coeffs for c in op.coeffs]
-        self.coeffs = _zx_cleared(coeffs)
+        self.coeffs = _zx_cleared([c.coeffs for c in op.promoted(CoeffRing.POLY_N).coeffs])
         self.mult = mult
         self.order = r = op.order
         self.numerators = [[[1] if i == t else [] for i in range(r)] for t in range(r)]
@@ -334,11 +325,14 @@ def _closure(kind, op_a, op_b=None, mult=1):
         matrix = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1)
         operator = ShiftOperator(ring, _ring_relation(matrix, bound))
         return operator, leading_validity_offset(operator)
-    field = exppoly_fraction_adapter(op_a.leading.field)
+    field = op_a.leading.field
+    fractions = FieldAdapter(
+        ExpPolyFraction.zero(field), ExpPolyFraction.one(field), ExpPolyFraction.is_unit_value
+    )
     for extra in range(MAX_BUMP + 1):
         matrix = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1 + extra)
         best = None
-        for coeffs in map(_exppoly_coeffs, left_null_space(matrix, field)):
+        for coeffs in map(_exppoly_coeffs, left_null_space(matrix, fractions)):
             validity = probe_leading_coefficient(coeffs[-1])
             if validity is None:
                 continue

@@ -37,44 +37,31 @@ from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator, leading_valid
 # rational generating functions
 
 
-class RationalGF:
-    """Reduced rational function P(x)/Q(x) with Q(0) = 1."""
+class RationalGF(RationalFunction):
+    """A rational generating function P(x)/Q(x) over Q: a reduced
+    ``RationalFunction`` scaled to Q(0) = 1 instead of a monic Q, so that
+    it has a power series.  Equality, hashing and arithmetic are those of
+    ``RationalFunction``, whose results keep the class."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
-    def __init__(self, num, den):
+    def __init__(self, num, den=None):
         if isinstance(num, (list, tuple)):
             num = Poly(num, QQ, "x")
         if isinstance(den, (list, tuple)):
             den = Poly(den, QQ, "x")
-        reduced = RationalFunction(num, den)
-        at_zero = reduced.den.coefficient(0)
+        super().__init__(num, den)
+        at_zero = self.den.coefficient(0)
         if not at_zero:
             raise DenominatorVanishesAtZero(
                 "denominator vanishes at x=0; no power series expansion"
             )
-        self.num = reduced.num.scale(Fraction(1) / at_zero)
-        self.den = reduced.den.scale(Fraction(1) / at_zero)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalGF):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
+        self.num = self.num.scale(Fraction(1) / at_zero)
+        self.den = self.den.scale(Fraction(1) / at_zero)
 
     def series(self, count):
         """First ``count`` power series coefficients."""
         return series_mul(self.num.coeffs, series_inv(self.den.coeffs, count), count, Fraction(0))
-
-    def __add__(self, other):
-        return RationalGF(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other):
-        return RationalGF(self.num * other.num, self.den * other.den)
 
     def partial_sum(self):
         """Generating function of the partial sums: multiply by 1/(1-x)."""

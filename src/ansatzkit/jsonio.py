@@ -101,36 +101,32 @@ def to_jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _fraction(value):
-    return Fraction(value)
-
-
 def _field_from(minpoly_list):
-    return NumberField([_fraction(c) for c in minpoly_list])
+    return NumberField([Fraction(c) for c in minpoly_list])
+
+
+def _poly_from(field, data, var):
+    """A polynomial over ``field`` from its coefficients' coordinate lists."""
+    return Poly([field.element(c) for c in data], field, var)
 
 
 def _exppoly_from(data):
     if not data:
         return ExpPoly.zero(RATIONAL_FIELD)
     field = _field_from(data[0]["base"]["minpoly"])
-    terms = []
-    for item in data:
-        base = field.element([_fraction(c) for c in item["base"]["rep"]])
-        poly = Poly(
-            [field.element([_fraction(x) for x in c]) for c in item["poly"]],
-            field,
-            "n",
-        )
-        terms.append((base, poly))
+    terms = [
+        (field.element(item["base"]["rep"]), _poly_from(field, item["poly"], "n"))
+        for item in data
+    ]
     return ExpPoly(field, terms)
 
 
 def _operator_from(data):
     ring = _RING_BY_CLASS[data["class"]]
     if ring is CoeffRing.CONSTANT:
-        coeffs = [_fraction(c) for c in data["coeffs"]]
+        coeffs = [Fraction(c) for c in data["coeffs"]]
     elif ring is CoeffRing.POLY_N:
-        coeffs = [Poly([_fraction(x) for x in c], QQ, "n") for c in data["coeffs"]]
+        coeffs = [Poly([Fraction(x) for x in c], QQ, "n") for c in data["coeffs"]]
     else:
         coeffs = [_exppoly_from(c) for c in data["coeffs"]]
     return ShiftOperator(ring, coeffs)
@@ -139,41 +135,29 @@ def _operator_from(data):
 def from_jsonable(data):
     kind = data.get("type")
     if kind == "sequence":
-        return Sequence([_fraction(t) for t in data["terms"]], data["offset"])
+        return Sequence([Fraction(t) for t in data["terms"]], data["offset"])
     if kind == "operator":
         return _operator_from(data)
     if kind == "recurrence":
         operator = _operator_from(data)
         return RecurrenceSystem(
             operator,
-            [_fraction(v) for v in data["initials"]],
+            [Fraction(v) for v in data["initials"]],
             data.get("validity_offset", 0),
             data.get("offset", 0),
         )
     if kind == "rational_gf":
         return RationalGF(
-            Poly([_fraction(c) for c in data["num"]], QQ, "x"),
-            Poly([_fraction(c) for c in data["den"]], QQ, "x"),
+            Poly([Fraction(c) for c in data["num"]], QQ, "x"),
+            Poly([Fraction(c) for c in data["den"]], QQ, "x"),
         )
     if kind == "diff_equation":
         field = _field_from(data["minpoly"])
-        terms = []
-        for item in data["terms"]:
-            base = field.element([_fraction(c) for c in item["base"]])
-            coeffs = [
-                Poly(
-                    [field.element([_fraction(x) for x in c]) for c in poly],
-                    field,
-                    "x",
-                )
-                for poly in item["coeffs"]
-            ]
-            terms.append((base, coeffs))
-        rhs = Poly(
-            [field.element([_fraction(x) for x in c]) for c in data["rhs"]],
-            field,
-            "x",
-        )
+        terms = [
+            (field.element(item["base"]), [_poly_from(field, p, "x") for p in item["coeffs"]])
+            for item in data["terms"]
+        ]
+        rhs = _poly_from(field, data["rhs"], "x")
         return DiffEquation(field, terms, rhs if rhs else None)
     raise ValueError(f"unknown document type {kind!r}")
 

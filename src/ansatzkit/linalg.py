@@ -12,12 +12,14 @@ comes from ``polynomials``.
 
 The field kernel, ``_eliminate``, is Gauss-Jordan over a pluggable field:
 ``rref``, ``rank``, ``solve_linear`` and ``left_null_space`` all read
-their answers off its reduced matrix and pivot list.  The library needs it
-only over number fields and over the formal fraction ring of exponential
-polynomials, whose zero divisors rule out exact fraction-free division;
-there some nonzero entries vanish at infinitely many indices, and the
-adapter's pivot hook prefers unit pivots, which steers degenerate
-combinations towards relations with a usable leading coefficient.
+their answers off its reduced matrix and pivot list.  Callers describe the
+field by a ``FieldAdapter``: its zero, its one and an optional pivot
+preference.  The library needs the kernel only over number fields and
+over the formal fraction ring of exponential polynomials, whose zero
+divisors rule out exact fraction-free division; there some nonzero
+entries vanish at infinitely many indices, and the preference for unit
+pivots steers degenerate combinations towards relations with a usable
+leading coefficient.
 
 Beside the exact kernels sits one modular routine, ``rank_profile_mod_p``:
 it reduces rows of residues modulo the fixed prime ``PRIME`` one column
@@ -30,12 +32,11 @@ vectors on all of them.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
 from .errors import InternalError
-from .exppoly import ExpPolyFraction, _multiset_union_max
+from .exppoly import _multiset_union_max
 from .polynomials import (
     Poly,
     QQ,
@@ -51,27 +52,15 @@ from .polynomials import (
 
 @dataclass(frozen=True)
 class FieldAdapter:
+    """The field kernel's view of a field: its zero and one, and the one
+    knob ``is_unit``, a pivot preference for a ring with zero divisors.
+    Without a preference the field is honest and null basis vectors are
+    scaled to a first nonzero entry of one; with one they are left as
+    read, since division there is costly."""
+
     zero: object
     one: object
     is_unit: callable = None  # pivot preference; None means "any nonzero"
-    normalize_basis: bool = True  # scale null basis vectors to first entry 1
-
-
-def rational_adapter():
-    return FieldAdapter(Fraction(0), Fraction(1))
-
-
-def numberfield_adapter(field):
-    return FieldAdapter(field.zero, field.one)
-
-
-def exppoly_fraction_adapter(field):
-    return FieldAdapter(
-        ExpPolyFraction.zero(field),
-        ExpPolyFraction.one(field),
-        is_unit=lambda x: x.is_unit_value(),
-        normalize_basis=False,
-    )
 
 
 def _eliminate(rows, zero, prefer=None):
@@ -190,8 +179,8 @@ def rank(rows, field):
 def left_null_space(rows, field):
     """Basis of {P : P . rows = 0}; empty list when the null space is trivial.
 
-    Over honest fields each basis vector is scaled so its first nonzero
-    entry is one; adapters may turn that off when division is costly.
+    Without a pivot preference (over honest fields) each basis vector is
+    scaled so its first nonzero entry is one; with one it is left as read.
     """
     n_rows = len(rows)
     if n_rows == 0:
@@ -209,7 +198,7 @@ def left_null_space(rows, field):
             entry = reduced[row][free]
             if entry != field.zero:
                 vec[col] = field.zero - entry
-        if field.normalize_basis:
+        if field.is_unit is None:
             lead = next(x for x in vec if x != field.zero)
             vec = [x / lead for x in vec]
         basis.append(vec)

@@ -310,18 +310,13 @@ def operator_to_text(operator, declarations=None):
         coeff = operator.coeffs[power]
         if not coeff:
             continue
-        if operator.ring is CoeffRing.CONSTANT:
-            body, needs_parens, negative = str(abs(coeff)), False, coeff < 0
-            if power > 0 and abs(coeff) == 1:
+        if operator.ring is CoeffRing.POLY_N and coeff.degree > 0:
+            body, needs_parens, negative = str(coeff), True, False
+        elif operator.ring is not CoeffRing.EXPPOLY:
+            value = coerce_coeff(CoeffRing.CONSTANT, coeff)
+            body, needs_parens, negative = str(abs(value)), False, value < 0
+            if power > 0 and abs(value) == 1:
                 body = ""
-        elif operator.ring is CoeffRing.POLY_N:
-            if coeff.degree == 0:
-                value = coeff.coefficient(0)
-                body, needs_parens, negative = str(abs(value)), False, value < 0
-                if power > 0 and abs(value) == 1:
-                    body = ""
-            else:
-                body, needs_parens, negative = str(coeff), True, False
         else:
             text, composite = _exppoly_text(coeff, declarations)
             if text.startswith("-"):

@@ -1,6 +1,8 @@
 """Rational functions num/den over an exact coefficient field.
 
 Always kept reduced with a monic denominator, so equality is structural.
+Arithmetic builds the left operand's class, so a subclass with another
+normalisation (``genfun.RationalGF``) keeps it.
 """
 
 from .polynomials import Poly, poly_gcd
@@ -57,14 +59,12 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return type(self)(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -79,7 +79,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return type(self)(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -89,7 +89,7 @@ class RationalFunction:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return type(self)(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -98,7 +98,7 @@ class RationalFunction:
         return other / self
 
     def derivative(self):
-        return RationalFunction(
+        return type(self)(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )

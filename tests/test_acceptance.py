@@ -37,12 +37,10 @@ from ansatzkit import (
     c2_to_diff,
     cfinite_closed_form,
     cfinite_combine_gf,
-    cfinite_from_rational,
     cfinite_subsequence,
     cfinite_termwise,
     combine,
     expand_terms,
-    fetch,
     genfun_cfinite,
     genfun_polynomial,
     growth_probe,

@@ -10,7 +10,6 @@ import pytest
 from ansatzkit import (
     CoeffRing,
     Poly,
-    QQ,
     ShiftOperator,
     expand_terms,
     leading_forms,

@@ -9,12 +9,9 @@ import pytest
 
 from ansatzkit import (
     CoeffRing,
-    DiffEquation,
     ExpPoly,
     Poly,
     QQ,
-    RATIONAL_FIELD,
-    RecurrenceSystem,
     Sequence,
     ShiftOperator,
     expand_terms,
@@ -185,6 +182,24 @@ class TestOperatorText:
             assert printed == f"N - (3/2*F({argument}))"
             assert len(calls) <= shift
 
+    @pytest.mark.parametrize(
+        "ring, coeffs, text",
+        [
+            (CoeffRing.CONSTANT, [F(-1), 0, F(1, 2), 1], "N^3 + 1/2*N^2 - 1"),
+            (CoeffRing.CONSTANT, [1, 0, F(-3, 4), -1], "-N^3 - 3/4*N^2 + 1"),
+            (CoeffRing.CONSTANT, [F(2, 3), -1, 0, 5], "5*N^3 - N + 2/3"),
+            (CoeffRing.POLY_N, [[-1], [], [F(1, 2)], [1]], "N^3 + 1/2*N^2 - 1"),
+            (CoeffRing.POLY_N, [[1], [], [-1], [0, 1], [-1]], "-N^4 + (n)*N^3 - N^2 + 1"),
+            (CoeffRing.POLY_N, [[F(-2, 3)], [1], [], [1, 1]], "(n + 1)*N^3 + N - 2/3"),
+        ],
+    )
+    def test_number_coefficients(self, ring, coeffs, text):
+        if ring is CoeffRing.POLY_N:
+            coeffs = [Poly(c, QQ, "n") for c in coeffs]
+        operator = ShiftOperator(ring, coeffs)
+        assert operator_to_text(operator) == text
+        assert parse_operator(text).promoted(ring) == operator
+
     def test_unknown_name(self):
         with pytest.raises(UnknownCoefficient):
             parse_operator("N - G(n+2)")
@@ -234,6 +249,47 @@ class TestJsonRoundTrips:
         parsed = self._assert_stable(equation)
         assert parsed == equation
 
+    @staticmethod
+    def golden_ratio_system():
+        from ansatzkit import register_coefficient
+
+        fibonacci = register_coefficient(parse_recurrence_spec("cfinite:N^2-N-1;0,1"))
+        return parse_recurrence_spec("c2:N^2 - F(n+1)*N - 1;1,2", {"F": fibonacci})
+
+    def test_golden_documents(self):
+        from ansatzkit import RationalGF, c2_to_diff
+
+        system = self.golden_ratio_system()
+        equation = c2_to_diff(system)
+        assert equation.rhs
+        golden = {
+            Sequence([F(1), F(-3, 2), F(10) ** 30], offset=2): (
+                '{"offset":2,"terms":["1","-3/2","1000000000000000000000000000000"],'
+                '"type":"sequence"}'
+            ),
+            system: (
+                '{"class":"c2","coeffs":[[{"base":{"minpoly":["-1","-1","1"],"rep":["1","0"]},'
+                '"poly":[["-1","0"]]}],[{"base":{"minpoly":["-1","-1","1"],"rep":["0","1"]},'
+                '"poly":[["-2/5","-1/5"]]},{"base":{"minpoly":["-1","-1","1"],"rep":["1","-1"]},'
+                '"poly":[["-3/5","1/5"]]}],[{"base":{"minpoly":["-1","-1","1"],"rep":["1","0"]},'
+                '"poly":[["1","0"]]}]],"initials":["1","2"],"offset":0,"order":2,'
+                '"type":"recurrence","validity_offset":0}'
+            ),
+            RationalGF([2, F(-1, 3)], [1, -1, -1]): (
+                '{"den":["1","-1","-1"],"num":["2","-1/3"],"type":"rational_gf"}'
+            ),
+            equation: (
+                '{"minpoly":["-1","-1","1"],"rhs":[["-5","0"],["-10","0"]],'
+                '"terms":[{"base":["0","1"],"coeffs":[[["0","0"],["-1","2"]]]},'
+                '{"base":["1","-1"],"coeffs":[[["0","0"],["1","-2"]]]},'
+                '{"base":["1","0"],"coeffs":[[["-5","0"],["0","0"],["5","0"]]]}],'
+                '"type":"diff_equation"}'
+            ),
+        }
+        for obj, text in golden.items():
+            assert dumps(obj) == text
+            assert self._assert_stable(obj) == obj
+
     def test_cubic_minpoly_rejected(self):
         from ansatzkit.errors import UnsupportedField
 
@@ -269,6 +325,42 @@ class TestCliCommands:
         assert code == 1
         assert captured.out == "no poly recurrence with degree <= -1 fits the data\n"
         assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "spec, printed, document",
+        [
+            (
+                "N^2 - N - 1;0,1",
+                "(x) / (-x^2 - x + 1)",
+                '{"den":["1","-1","-1"],"num":["0","1"],"type":"rational_gf"}',
+            ),
+            (
+                "2*N^2 - 3*N + 1;2,3",
+                "(2) / (1/2*x^2 - 3/2*x + 1)",
+                '{"den":["1","-3/2","1/2"],"num":["2"],"type":"rational_gf"}',
+            ),
+        ],
+    )
+    def test_genfun_cfinite(self, tmp_path, capsys, spec, printed, document):
+        target = tmp_path / "gf.json"
+        code = main(["genfun", "--class", "cfinite", spec, "--json", str(target)])
+        assert code == 0
+        assert capsys.readouterr().out == printed + "\n"
+        assert target.read_text() == document + "\n"
+
+    @pytest.mark.parametrize(
+        "spec, printed",
+        [
+            ("N^3 - 5*N^2 + 8*N - 4;1,3,10", "2 + (3/2*n - 1)*2^n"),
+            ("N^3 - 3*N^2 + 3*N - 1;1,-2,3", "4*n^2 - 7*n + 1"),
+            ("N^2 - N - 1;0,1", "(2/5*t - 1/5)*(t)^n + (-2/5*t + 1/5)*(-t + 1)^n"),
+            ("N^2 - 2*N - 4;1,3", "(1/5*t + 3/10)*(t)^n + (-1/5*t + 7/10)*(-t + 2)^n"),
+        ],
+    )
+    def test_closedform_cfinite(self, capsys, spec, printed):
+        code = main(["closedform", "--class", "cfinite", spec])
+        assert code == 0
+        assert capsys.readouterr().out == printed + "\n"
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -464,6 +464,46 @@ class TestExactValidity:
         assert validity == 0
         assert operator.leading == ExpPoly.constant(1, operator.leading.field)
 
+    # Sums whose first candidates all vanish on a residue class of n: the
+    # answer needs both the row bump and the skip of such candidates
+    @pytest.mark.parametrize(
+        "coefficient, specs, text, minpoly, initials",
+        [
+            (
+                "cfinite:N^2+N+1;-1,1",
+                ("c2:N + (F(n)+1);3", "c2:N + 2;1"),
+                "((-1/12*t)*(-t - 1)^n + (1/12*t + 1/12)*(t)^n + 5/12)*N^3 + N^2"
+                " + ((-2/3*t)*(-t - 1)^n + (2/3*t + 2/3)*(t)^n - 2/3)",
+                [1, 1, 1],
+                [4, -2, 4],
+            ),
+            (
+                None,
+                ("c2:N + (-1)^n;2", "c2:N^2 + 2*N + (-1)^n;3,1"),
+                "(1/4*(-1)^n + 3/4)*N^4 + N^3 + ((-1)^n + 2)*N + (3/4*(-1)^n + 1/4)",
+                [0, 1],
+                [5, -1, -7, 13],
+            ),
+        ],
+    )
+    def test_degenerate_sums_need_the_bump_and_the_skip(
+        self, coefficient, specs, text, minpoly, initials
+    ):
+        from ansatzkit import register_coefficient
+        from ansatzkit.optext import operator_to_text
+
+        declared = {}
+        if coefficient:
+            declared["F"] = register_coefficient(parse_recurrence_spec(coefficient))
+        a, b = (parse_recurrence_spec(spec, declared) for spec in specs)
+        system = combine(ADD, a, b)
+        assert operator_to_text(system.operator, declared) == text
+        assert list(system.operator.leading.field.minpoly.coeffs) == minpoly
+        assert system.initials == tuple(F(v) for v in initials)
+        assert system.validity_offset == 0
+        direct = [x + y for x, y in zip(expand_terms(a, 60).terms, expand_terms(b, 60).terms)]
+        assert list(expand_terms(system, 60).terms) == direct
+
     def test_conjugate_leading_terms_are_unproven(self):
         from ansatzkit import register_coefficient
         from ansatzkit.errors import ValidityUnproven
@@ -783,21 +823,22 @@ class TestTypedChecks:
         assert offenders == []
 
     def test_no_unused_module_imports(self):
-        package = os.path.join(self.SRC, "ansatzkit")
+        directories = [os.path.join(self.SRC, "ansatzkit"), os.path.dirname(__file__)]
         offenders = []
-        for name in sorted(os.listdir(package)):
-            if not name.endswith(".py") or name == "__init__.py":
-                continue  # the package's __init__ imports to re-export
-            with open(os.path.join(package, name)) as fh:
-                tree = ast.parse(fh.read(), name)
-            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            for node in tree.body:
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    offenders += [
-                        f"{name}:{node.lineno} {alias.asname or alias.name}"
-                        for alias in node.names
-                        if (alias.asname or alias.name.split(".")[0]) not in used
-                    ]
+        for directory in directories:
+            for name in sorted(os.listdir(directory)):
+                if not name.endswith(".py") or name == "__init__.py":
+                    continue  # the package's __init__ imports to re-export
+                with open(os.path.join(directory, name)) as fh:
+                    tree = ast.parse(fh.read(), name)
+                used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                for node in tree.body:
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        offenders += [
+                            f"{name}:{node.lineno} {alias.asname or alias.name}"
+                            for alias in node.names
+                            if (alias.asname or alias.name.split(".")[0]) not in used
+                        ]
         assert offenders == []
 
     def test_bound_violated_under_optimize(self):

@@ -31,6 +31,7 @@ from ansatzkit import (
 )
 from ansatzkit.errors import DenominatorVanishesAtZero, UnsupportedField
 from ansatzkit.genfun import falling_basis_constants
+from ansatzkit.ratfunc import RationalFunction
 
 import conftest as corpus
 
@@ -85,6 +86,66 @@ class TestGenfunCFinite:
     def test_constant_sequence(self):
         system = RecurrenceSystem(ShiftOperator(CoeffRing.CONSTANT, [-1, 1]), [7])
         assert genfun_cfinite(system) == RationalGF(x_poly([7]), x_poly([1, -1]))
+
+
+class TestRationalGF:
+    """Reduced, with the denominator's constant term one."""
+
+    a = RationalGF([0, 1], [1, -1, -1])  # Fibonacci
+    b = RationalGF([1, 1], [1, 0, -1])  # the ones, 1/(1 - x) unreduced
+    c = RationalGF([3], [3, -3])  # the ones again, scaled
+
+    @staticmethod
+    def parts(gf):
+        return list(gf.num.coeffs), list(gf.den.coeffs)
+
+    def test_normalisation(self):
+        assert self.parts(self.b) == self.parts(self.c) == ([1], [1, -1])
+        assert self.parts(RationalGF([0, 2], [2, -2, -2])) == self.parts(self.a)
+        assert str(self.a) == "(x) / (-x^2 - x + 1)"
+
+    def test_equality_and_hash(self):
+        assert self.b == self.c and hash(self.b) == hash(self.c)
+        twice = RationalGF([0, 2], [2, -2, -2])
+        assert self.a == twice and hash(self.a) == hash(twice)
+        assert self.a != self.b
+
+    def test_equality_with_other_types(self):
+        # compared as a RationalFunction: numbers and polynomials are
+        # coerced, anything else is left to the other operand
+        three = RationalGF([3], [1])
+        assert three == 3 and three == x_poly([3])
+        assert self.b != 1 and self.b != x_poly([1])
+        assert self.b.__eq__("1") is NotImplemented and self.b != "1"
+        # a RationalFunction keeps a monic denominator: the same value in
+        # the other normalisation is a different (num, den) pair
+        monic = RationalFunction(x_poly([-1]), x_poly([-1, 1]))
+        assert monic.evaluate(F(1, 2)) == self.b.evaluate(F(1, 2))
+        assert self.b != monic
+
+    def test_arithmetic(self):
+        total = self.a + self.b
+        assert isinstance(total, RationalGF)
+        assert self.parts(total) == ([1, 0, -2], [1, -2, 0, 1])
+        assert total.series(6) == [1, 2, 2, 3, 4, 6]
+        product = self.a * self.b
+        assert isinstance(product, RationalGF)
+        assert self.parts(product) == ([0, 1], [1, -2, 0, 1])
+        assert product.series(6) == [0, 1, 2, 4, 7, 12]
+        assert self.parts(self.b + self.c) == ([2], [1, -1])
+        assert self.parts(self.b * self.c) == ([1], [1, -2, 1])
+        assert self.parts(self.a + self.a) == ([0, 2], [1, -1, -1])
+        assert isinstance(self.a - self.a, RationalGF) and not self.a - self.a
+        assert self.parts(-self.a) == ([0, -1], [1, -1, -1])
+
+    def test_partial_sum(self):
+        assert self.a.partial_sum() == self.a * self.b
+        assert self.parts(self.c.partial_sum()) == ([1], [1, -2, 1])
+        assert self.c.partial_sum().series(6) == [1, 2, 3, 4, 5, 6]
+
+    def test_series(self):
+        assert self.a.series(6) == [0, 1, 1, 2, 3, 5]
+        assert self.b.series(4) == [1, 1, 1, 1]
 
 
 class TestCFiniteFromRational:

@@ -19,13 +19,14 @@ from ansatzkit import (
 from ansatzkit import guess as guess_module
 from ansatzkit.errors import InsufficientData, InternalError
 from ansatzkit.guess import GuessReport, holonomic_fit_length
-from ansatzkit.linalg import PRIME, left_null_space, rational_adapter, solve_linear
+from ansatzkit.linalg import PRIME, FieldAdapter, left_null_space, solve_linear
 from ansatzkit.polynomials import rational_content
 from ansatzkit.sequences import RecurrenceSystem, ShiftOperator, leading_validity_offset
 
 import conftest as corpus
 
 F = Fraction
+RATIONALS = FieldAdapter(Fraction(0), Fraction(1))
 
 
 def proportional(coeffs_a, coeffs_b):
@@ -156,7 +157,7 @@ def vandermonde_guess_polynomial(seq, max_degree, margin, assume_bound):
             break
         points = range(offset, offset + fit)
         rows = [[F(n) ** j for j in range(fit)] for n in points]
-        poly = Poly(solve_linear(rows, [seq.value(n) for n in points], rational_adapter()), QQ, "n")
+        poly = Poly(solve_linear(rows, [seq.value(n) for n in points], RATIONALS), QQ, "n")
         if all(poly.evaluate(F(n)) == seq.value(n) for n in range(offset, seq.end)):
             annihilator = (Poly([-1, 1], QQ, "N") ** fit).coeffs
             proven = assume_bound and length >= max_degree + 1
@@ -469,7 +470,7 @@ def field_guess_cfinite(seq, max_order, margin=5, assume_bound=False):
         windows = length - order
         rows = [[terms[j + i] for i in range(order)] for j in range(windows)]
         rhs = [-terms[j + order] for j in range(windows)]
-        coeffs = solve_linear(rows, rhs, rational_adapter())
+        coeffs = solve_linear(rows, rhs, RATIONALS)
         if coeffs is not None:
             operator = ShiftOperator(CoeffRing.CONSTANT, coeffs + [F(1)])
             system = RecurrenceSystem(operator, terms[:order], seq.offset, seq.offset)
@@ -497,7 +498,7 @@ def field_guess_holonomic(seq, max_order, max_degree, margin=5, assume_bound=Fal
             for i in range(order + 1)
             for j in range(degree + 1)
         ]
-        for vector in left_null_space(rows, rational_adapter()):
+        for vector in left_null_space(rows, RATIONALS):
             polys = [Poly(vector[i * (degree + 1) : (i + 1) * (degree + 1)], QQ, "n")
                      for i in range(order + 1)]
             if not polys[order]:

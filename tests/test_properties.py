@@ -16,7 +16,6 @@ from ansatzkit import (
     RATIONAL_FIELD,
     SUBSEQUENCE,
     TERMWISE,
-    CoeffRing,
     ExpPoly,
     ExpPolyFraction,
     NumberField,

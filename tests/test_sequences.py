@@ -7,7 +7,6 @@ import pytest
 
 from ansatzkit import (
     CoeffRing,
-    ExpPoly,
     Poly,
     QQ,
     RecurrenceSystem,
