@@ -15,10 +15,9 @@ all the null-space elimination needs.
 The canonical form makes every order of evaluation give the same terms.
 So sums, products, scalings and argument changes merge their terms by base
 coordinates within the one field and skip the public constructor's
-coercion, and a fraction's cached expansions are exact: it expands each
-factor list once, a product or quotient in which no factor cancelled
-multiplies its operands' expansions, and a zero test reads only the
-numerator.
+coercion.  A fraction caches one expansion, its numerator's, built the
+first time a sum, a zero test or a cleared vector needs it; the
+denominator is expanded only to cross-multiply in an equality test.
 
 :func:`validity_offset` decides the natural zeros of an exponential
 polynomial exactly.  A base ratio that is a root of unity has order 1, 2,
@@ -425,9 +424,16 @@ class ExpPolyFraction:
     """Formal quotient of ExpPoly products; no GCD reduction, only
     cancellation of structurally equal factors.  Equality is tested by
     cross-multiplying the expanded products; against zero, by the
-    numerator alone."""
+    numerator alone.
 
-    __slots__ = ("field", "num_factors", "den_factors", "_expanded_num", "_expanded_den")
+    Products, quotients and negations only join factor lists; expanding
+    them is the cost.  What keeps it low: the numerator's expansion is
+    cached, as sums and zero tests read it again and again; a zero test
+    with at most one non-unit numerator factor expands nothing; and
+    negation scales a rational constant factor, so sign flips do not
+    lengthen the factor list."""
+
+    __slots__ = ("field", "num_factors", "den_factors", "_expanded_num")
 
     def __init__(self, field, num_factors, den_factors=()):
         nums = []
@@ -461,7 +467,6 @@ class ExpPolyFraction:
         self.num_factors = tuple(nums)
         self.den_factors = tuple(dens)
         self._expanded_num = None
-        self._expanded_den = None
 
     # -- constructors -------------------------------------------------------
 
@@ -496,25 +501,7 @@ class ExpPolyFraction:
         return self._expanded_num
 
     def expanded_den(self):
-        if self._expanded_den is None:
-            self._expanded_den = self._product(self.den_factors)
-        return self._expanded_den
-
-    def _carry(self, n_nums, n_dens, num_parts, den_parts):
-        """Take the expansions as products of known ones: the parts multiply
-        to the products of the factor lists, of lengths ``n_nums`` and
-        ``n_dens``, that built this fraction from two fractions of our
-        field.  When no factor was dropped or cancelled those lists are
-        ours, and as the form is canonical the product of the parts is our
-        expansion, term for term."""
-        if len(self.num_factors) != n_nums or len(self.den_factors) != n_dens:
-            return
-        for attr, parts in (("_expanded_num", num_parts), ("_expanded_den", den_parts)):
-            if None not in parts:
-                product = parts[0]
-                for part in parts[1:]:
-                    product = product * part
-                setattr(self, attr, product)
+        return self._product(self.den_factors)
 
     # -- predicates --------------------------------------------------------------
 
@@ -592,16 +579,9 @@ class ExpPolyFraction:
             return NotImplemented
         if not a or not b:
             return ExpPolyFraction.zero(a.field)
-        nums = a.num_factors + b.num_factors
-        dens = a.den_factors + b.den_factors
-        product = ExpPolyFraction(a.field, nums, dens)
-        product._carry(
-            len(nums),
-            len(dens),
-            (a._expanded_num, b._expanded_num),
-            (a._expanded_den, b._expanded_den),
+        return ExpPolyFraction(
+            a.field, a.num_factors + b.num_factors, a.den_factors + b.den_factors
         )
-        return product
 
     __rmul__ = __mul__
 
@@ -611,27 +591,9 @@ class ExpPolyFraction:
             return NotImplemented
         if not b:
             raise ZeroDivisionError("division by zero fraction")
-        nums = a.num_factors + b.den_factors
-        dens = a.den_factors + b.num_factors
-        quotient = ExpPolyFraction(a.field, nums, dens)
-        units = sum(f.is_unit() for f in b.num_factors)
-        if not units:
-            quotient._carry(
-                len(nums),
-                len(dens),
-                (a._expanded_num, b._expanded_den),
-                (a._expanded_den, b._expanded_num),
-            )
-        elif units == len(b.num_factors):
-            # unit denominators move up inverted, after the other factors
-            inverted = quotient.num_factors[len(nums):]
-            quotient._carry(
-                len(nums) + units,
-                len(a.den_factors),
-                (a._expanded_num, b._expanded_den, *inverted),
-                (a._expanded_den,),
-            )
-        return quotient
+        return ExpPolyFraction(
+            a.field, a.num_factors + b.den_factors, a.den_factors + b.num_factors
+        )
 
     def __neg__(self):
         # scale an existing rational-constant factor when possible so the
@@ -643,12 +605,7 @@ class ExpPolyFraction:
                 break
         else:
             nums.insert(0, ExpPoly.constant(-1, self.field))
-        negated = ExpPolyFraction(self.field, nums, self.den_factors)
-        # only a unit factor changed, so nothing new cancels
-        if self._expanded_num is not None:
-            negated._expanded_num = -self._expanded_num
-        negated._expanded_den = self._expanded_den
-        return negated
+        return ExpPolyFraction(self.field, nums, self.den_factors)
 
     def __add__(self, other):
         a, b = self._coerce(other)

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .errors import InternalError
-from .exppoly import _multiset_union_max
+from .exppoly import _multiset_subtract, _multiset_union_max
 from .polynomials import (
     Poly,
     QQ,
@@ -245,9 +244,10 @@ def clear_denominators(vector):
 def clear_exppoly_denominators(vector):
     """Multiply an ExpPolyFraction vector through by a common denominator.
 
-    The common denominator is the per-factor maximum of the entries'
-    denominator multisets, so structural cancellation removes every
-    denominator and no ring division is ever attempted.
+    The common denominator is the per-factor maximum of the nonzero
+    entries' denominator multisets.  Each nonzero entry's numerator is
+    multiplied by the factors of it that its own denominator lacks (the
+    rule of ``ExpPolyFraction.__add__``), so no ring division is attempted.
     """
     entries = list(vector)
     if not any(entries):
@@ -258,12 +258,11 @@ def clear_exppoly_denominators(vector):
             common = _multiset_union_max(common, e.den_factors)
     out = []
     for e in entries:
-        value = e
-        for factor in common:
-            value = value * factor
-        if value.den_factors:
-            raise InternalError("common denominator failed to clear")
-        out.append(value.expanded_num())
+        value = e.expanded_num()
+        if e:
+            for factor in _multiset_subtract(common, e.den_factors):
+                value = value * factor
+        out.append(value)
     return out
 
 

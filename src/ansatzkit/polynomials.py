@@ -128,14 +128,6 @@ class Poly:
     def spawn(self, coeffs):
         return Poly(coeffs, self.domain, self.var)
 
-    @classmethod
-    def constant(cls, value, domain=QQ, var="n"):
-        return cls([value], domain, var)
-
-    @classmethod
-    def identity(cls, domain=QQ, var="n"):
-        return cls([domain.zero, domain.one], domain, var)
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce_operand(self, other):

@@ -1,11 +1,19 @@
 """Rational functions num/den over an exact coefficient field.
 
-Always kept reduced with a monic denominator, so equality is structural.
-Arithmetic builds the left operand's class, so a subclass with another
-normalisation (``genfun.RationalGF``) keeps it.
+Always kept reduced with a monic denominator.  Arithmetic builds the left
+operand's class, so a subclass with another normalisation
+(``genfun.RationalGF``) keeps it, and equality compares the monic form.
 """
 
 from .polynomials import Poly, poly_gcd
+
+
+def _monic(num, den):
+    """num/den scaled to a monic denominator."""
+    lead = den.leading
+    if lead == den.domain.one:
+        return num, den
+    return num.spawn([c / lead for c in num.coeffs]), den.monic()
 
 
 class RationalFunction:
@@ -21,10 +29,7 @@ class RationalFunction:
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            lead = den.leading
-            if lead != den.domain.one:
-                num = num.spawn([c / lead for c in num.coeffs])
-                den = den.monic()
+            num, den = _monic(num, den)
         else:
             num = num.spawn([])
             den = Poly([1], num.domain, num.var)
@@ -50,10 +55,10 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return _monic(self.num, self.den) == _monic(other.num, other.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(_monic(self.num, self.den))
 
     def __add__(self, other):
         other = self._coerce(other)

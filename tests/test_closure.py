@@ -841,6 +841,36 @@ class TestTypedChecks:
                         ]
         assert offenders == []
 
+    def test_no_unused_private_definitions(self):
+        # a private function, method or class that nothing names is dead;
+        # the ``_cmd_<command>`` handlers are looked up by name in cli.main
+        package = os.path.join(self.SRC, "ansatzkit")
+        defined, referenced = [], []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append((name, node.lineno, node.name))
+                elif isinstance(node, ast.Name):
+                    referenced.append(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.append(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.append(node.name)
+        referenced = set(referenced)
+        offenders = [
+            f"{name}:{lineno} {ident}"
+            for name, lineno, ident in defined
+            if ident.startswith("_")
+            and not ident.endswith("__")
+            and not ident.startswith("_cmd_")
+            and ident not in referenced
+        ]
+        assert offenders == []
+
     def test_bound_violated_under_optimize(self):
         script = textwrap.dedent(
             """

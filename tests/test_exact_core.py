@@ -45,6 +45,7 @@ from ansatzkit.linalg import (
     PRIME,
     FieldAdapter,
     clear_denominators,
+    clear_exppoly_denominators,
     null_vectors,
     rank_profile_mod_p,
     residue,
@@ -748,6 +749,74 @@ class TestExpPolyFraction:
         assert len(pivots) == len(columns)
         assert calls["zero_tests"] > 0
         assert calls["den"] == 0
+
+    def test_clear_denominators_of_a_vector(self):
+        # expected values and printed forms recorded from multiplying each
+        # entry through every factor of the common denominator
+        field = RATIONAL_FIELD
+        n = ExpPoly.from_poly(Poly([0, 1], QQ, "n"))
+        two = ExpPoly.geometric(2)
+        a, b = n + 1, ExpPoly.geometric(-1) + n
+        d, e = two + 1, ExpPoly.geometric(3) - 2
+        zero = ExpPolyFraction.zero(field)
+        # (1 - (-1)^n)(1 + (-1)^n) = 0 over a denominator of its own
+        vanishing = ExpPolyFraction(
+            field, [ExpPoly(field, [(1, 1), (-1, -1)]), ExpPoly(field, [(1, 1), (-1, 1)])], [e]
+        )
+        golden = NumberField([-1, -1, 1])
+        phi = golden.generator()
+        gd = ExpPoly.geometric(phi, golden) - 1
+        ge = ExpPoly.geometric(1 - phi, golden) + ExpPoly.from_poly(Poly([0, 1], golden, "n"))
+        frac = ExpPolyFraction
+        cases = [
+            # a shared denominator factor
+            (
+                [frac(field, [a], [d]), frac(field, [b], [d, e])],
+                [a * e, b],
+                ["-2*n - 2 + (n + 1)*3^n", "(-1)^n + n"],
+            ),
+            # a repeated factor
+            (
+                [frac(field, [a], [d, d]), frac(field, [b], [d]), frac(field, [two])],
+                [a, b * d, two * d * d],
+                ["n + 1", "(-2)^n + (-1)^n + n + n*2^n", "2^n + 2*4^n + 8^n"],
+            ),
+            # zero entries, whose denominators do not count
+            (
+                [zero, frac(field, [a], [e]), frac(field, [b], [d]), vanishing],
+                [ExpPoly.zero(field), a * d, b * e, ExpPoly.zero(field)],
+                ["0", "n + 1 + (n + 1)*2^n", "(-3)^n - 2*(-1)^n - 2*n + n*3^n", "0"],
+            ),
+            # an entry with no denominator
+            (
+                [frac(field, [a]), frac(field, [b], [d])],
+                [a * d, b],
+                ["n + 1 + (n + 1)*2^n", "(-1)^n + n"],
+            ),
+            # over Q(sqrt 5)
+            (
+                [
+                    frac(golden, [ge], [gd]),
+                    frac(golden, [gd], [ge]),
+                    ExpPolyFraction.zero(golden),
+                    frac(golden, [ExpPoly.constant(phi, golden)]),
+                ],
+                [ge * ge, gd * gd, ExpPoly.zero(golden), gd * ge * phi],
+                [
+                    "2*n*(-t + 1)^n + n^2 + (-t + 2)^n",
+                    "-2*(t)^n + 1 + (t + 1)^n",
+                    "0",
+                    "t*(-1)^n + (t)*n*(t)^n - t*(-t + 1)^n + (-t)*n",
+                ],
+            ),
+        ]
+        for vector, values, printed in cases:
+            cleared = clear_exppoly_denominators(vector)
+            assert cleared == values
+            assert [str(entry) for entry in cleared] == printed
+            assert all(entry.field is vector[0].field for entry in cleared)
+        with pytest.raises(ValueError):
+            clear_exppoly_denominators([zero, vanishing])
 
 
 def _planted(field, rng):

@@ -118,10 +118,21 @@ class TestRationalGF:
         assert self.b != 1 and self.b != x_poly([1])
         assert self.b.__eq__("1") is NotImplemented and self.b != "1"
         # a RationalFunction keeps a monic denominator: the same value in
-        # the other normalisation is a different (num, den) pair
+        # the other normalisation is a different (num, den) pair, yet both
+        # classes compare and hash by the monic form
         monic = RationalFunction(x_poly([-1]), x_poly([-1, 1]))
         assert monic.evaluate(F(1, 2)) == self.b.evaluate(F(1, 2))
-        assert self.b != monic
+        assert self.parts(self.b) != self.parts(monic)
+        assert self.b == monic and monic == self.b
+        assert hash(self.b) == hash(monic)
+        assert self.b - monic == 0
+        assert RationalGF([1], [1, -1]) == RationalFunction(
+            Poly([-1], QQ, "x"), Poly([-1, 1], QQ, "x")
+        )
+        fibonacci = RationalFunction(x_poly([0, -1]), x_poly([-1, 1, 1]))
+        assert self.a == fibonacci and fibonacci == self.a
+        assert hash(self.a) == hash(fibonacci)
+        assert self.a != monic and monic != self.a
 
     def test_arithmetic(self):
         total = self.a + self.b
