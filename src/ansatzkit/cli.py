@@ -7,7 +7,6 @@ internal error, 2 usage error, 3 I/O error (download, cache, file problems).
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import closure, guess, jsonio, oeis
@@ -33,6 +32,7 @@ from .optext import (
     operator_to_text,
     parse_claim_terms,
     parse_operator,
+    parse_rational,
     parse_recurrence_spec,
 )
 from .sequences import CoeffRing, Sequence
@@ -80,7 +80,7 @@ def _load_sequence(args):
     if args.oeis:
         return oeis.fetch(args.oeis)
     if args.terms is not None:
-        values = [Fraction(part.strip()) for part in args.terms.split(",") if part.strip()]
+        values = [parse_rational(part) for part in args.terms.split(",") if part.strip()]
         return Sequence(values, args.offset)
     with open(args.file) as fh:
         text = fh.read()
@@ -88,7 +88,7 @@ def _load_sequence(args):
     # b-file lines are "index value" pairs and never contain commas
     if stripped and all(len(line.split()) == 2 and "," not in line for line in stripped):
         return oeis._sequence_from_entries(oeis.parse_bfile(text), args.file)
-    values = [Fraction(tok) for tok in " ".join(stripped).replace(",", " ").split()]
+    values = [parse_rational(tok) for tok in " ".join(stripped).replace(",", " ").split()]
     return Sequence(values, args.offset)
 
 

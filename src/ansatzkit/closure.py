@@ -580,6 +580,8 @@ def combine(kind, sys_a, sys_b=None, mult=1):
     delays = [system.validity_offset for system in operands]
     if kind == CAUCHY and any(delays):
         raise ValueError("Cauchy products require validity offset 0")
+    if kind == SUBSEQUENCE and mult < 1:
+        raise ValueError("subsequence multiplier must be >= 1")
     step = mult if kind == SUBSEQUENCE else 1
     delays[0] = -(-delays[0] // step)
     start = -(-max(system.offset for system in operands) // step)
@@ -689,16 +691,27 @@ def prove_identity(claim):
     The expression is a combination of constant-coefficient sequences, so
     it satisfies some recurrence of order at most the composed bound with
     a nonvanishing leading coefficient; that many consecutive zeros force
-    the whole tail to vanish.
+    the whole tail to vanish.  A claim that reads a sequence below its
+    first index raises ValueError before any sequence is expanded.
     """
     bound, trace = _claim_bound(claim)
     max_index = claim.from_n + bound - 1
-    needed = {}
+    needed, lowest = {}, {}
     for term in claim.terms:
         op_span = len(term.operator) - 1
+        first = next((j for j, w in enumerate(term.operator) if w), 0)
         for name, shift in term.factors:
             idx = max_index + shift + op_span
             needed[name] = max(needed.get(name, 0), idx)
+            low = claim.from_n + first + shift
+            lowest[name] = min(lowest.get(name, low), low)
+    for name, low in lowest.items():
+        start = claim.sequences[name].offset
+        if low < start:
+            raise ValueError(
+                f"the claim reads {name}({low}), but sequence {name!r} starts"
+                f" at n = {start}"
+            )
     expanded = {}
     for name, top in needed.items():
         system = claim.sequences[name]

@@ -23,7 +23,7 @@ and keeps the null vectors, and the fraction-free ring kernel
 the first one that gives an operator of the shape wins.
 
 The modular rank profile ``linalg.rank_profile_mod_p`` chooses the
-equations the kernel sees.  It reduces the fit rows modulo
+equations the kernel sees.  It reduces the integer fit rows modulo
 ``linalg.PRIME`` one equation at a time.  When the rank reaches the number
 of unknowns the rows are independent over Q and the shape has no
 relation, a proof after about as many equations as unknowns.  Otherwise
@@ -31,8 +31,8 @@ the kernel runs on the equations that raised the rank, and each vector it
 yields is checked against every equation by exact integer dot products:
 that check is the proof over all the data.  A failed check shows a rank
 mod p below the rank over Q, and the shape runs again on all equations,
-as it does when the residues say nothing (rank 0, or a denominator
-divisible by p).  A vector that passes is the one the kernel gives on all
+as it does when the residues say nothing (rank 0: every cleared term is a
+multiple of p).  A vector that passes is the one the kernel gives on all
 equations at the same free column, so the answers are those of the exact
 search.
 """
@@ -40,7 +40,7 @@ search.
 from dataclasses import dataclass
 
 from .errors import InsufficientData, InternalError
-from .linalg import PRIME, null_vectors, rank_profile_mod_p, residue
+from .linalg import PRIME, null_vectors, rank_profile_mod_p
 from .polynomials import (
     Poly,
     QQ,
@@ -134,12 +134,6 @@ def guess_polynomial(sequence, max_degree, margin=1, assume_bound=False):
     return GuessReport(None, ("polynomial", None, None), 0, 0)
 
 
-def _residues(terms):
-    """The terms mod PRIME, or None when some term has no residue."""
-    residues = [residue(t) for t in terms]
-    return None if None in residues else residues
-
-
 def _degenerate_zero_report(sequence, class_name):
     operator = ShiftOperator(CoeffRing.CONSTANT, [0, 1])
     system = RecurrenceSystem(
@@ -157,10 +151,14 @@ def _degenerate_zero_report(sequence, class_name):
 def guess_cfinite(sequence, max_order, margin=5, assume_bound=False):
     """Smallest-order constant-coefficient recurrence fitting all terms:
     the holonomic search over the degree-0 shapes, scaled to be monic."""
-    if len(sequence) < 3:
+    length = len(sequence)
+    if length < 3:
         raise InsufficientData("need at least three terms to guess a recurrence")
-    shapes = [(order, 0, cfinite_fit_length(order)) for order in range(1, max_order + 1)]
-    return _fit_search(sequence, "cfinite", shapes, margin, assume_bound, _monic_constant)
+    # a fit length exceeds the order, so larger orders cannot fit
+    orders = range(1, min(max_order, length) + 1)
+    shapes = [(order, 0, cfinite_fit_length(order)) for order in orders]
+    proven = assume_bound and length >= cfinite_fit_length(max_order)
+    return _fit_search(sequence, "cfinite", shapes, margin, proven, _monic_constant)
 
 
 def guess_holonomic(sequence, max_order, max_degree, margin=5, assume_bound=False):
@@ -169,15 +167,18 @@ def guess_holonomic(sequence, max_order, max_degree, margin=5, assume_bound=Fals
     Shapes are searched by increasing number of unknowns with ties broken
     towards smaller order, so the most parsimonious relation wins.
     """
-    if len(sequence) < 4:
+    length = len(sequence)
+    if length < 4:
         raise InsufficientData("need at least four terms to guess a recurrence")
+    # a fit length exceeds the order and the degree, so larger ones cannot fit
     shapes = [
         (order, degree, holonomic_fit_length(order, degree))
-        for order in range(1, max_order + 1)
-        for degree in range(0, max_degree + 1)
+        for order in range(1, min(max_order, length) + 1)
+        for degree in range(0, min(max_degree, length) + 1)
     ]
     shapes.sort(key=lambda s: ((s[0] + 1) * (s[1] + 1), s[0]))
-    return _fit_search(sequence, "holonomic", shapes, margin, assume_bound, _poly_coefficients)
+    proven = assume_bound and length >= holonomic_fit_length(max_order, max_degree)
+    return _fit_search(sequence, "holonomic", shapes, margin, proven, _poly_coefficients)
 
 
 def _monic_constant(coeffs, degree):
@@ -211,30 +212,25 @@ def _fit_rows(values, powers, order, degree, prime=None):
     return rows
 
 
-def _fit_search(sequence, class_name, shapes, margin, assume_bound, operator_of):
+def _fit_search(sequence, class_name, shapes, margin, proven, operator_of):
     """The first of ``shapes`` (order, degree, fit length) with a relation
-    sum_{i,j} c_{i,j} n^j a(n + i) = 0 at every window start n, as a report;
-    ``operator_of`` turns the coefficient vector into the operator."""
+    sum_{i,j} c_{i,j} n^j a(n + i) = 0 at every window start n, as a report
+    marked ``proven`` as given; ``operator_of`` turns the coefficient vector
+    into the operator."""
     if not any(sequence.terms):
         return _degenerate_zero_report(sequence, class_name)
     terms, offset, length = sequence.terms, sequence.offset, len(sequence)
-    residues = _residues(terms)
     # one common denominator for every term scales every fit row alike
     integers = _zx_cleared([terms])[0]
+    residues = [x % PRIME for x in integers]
     top = max((degree for _, degree, _ in shapes), default=0)
     powers = [[(offset + w) ** j for w in range(length)] for j in range(top + 1)]
-    residue_powers = [[p % PRIME for p in row] for row in powers]
-    proof_length = max((fit for _, _, fit in shapes), default=0)
     for order, degree, fit in shapes:
         if length < fit + max(margin, 1):
             continue
-        picks = []
-        if residues is not None:
-            picks = rank_profile_mod_p(
-                _fit_rows(residues, residue_powers, order, degree, PRIME)
-            )
-            if picks is None:  # independent rows mod p: no relation
-                continue
+        picks = rank_profile_mod_p(_fit_rows(residues, powers, order, degree, PRIME))
+        if picks is None:  # independent rows mod p: no relation
+            continue
         rows = _fit_rows(integers, powers, order, degree)
         for coeffs in _relations(rows, picks, order * (degree + 1)):
             operator = operator_of(coeffs, degree)
@@ -247,7 +243,7 @@ def _fit_search(sequence, class_name, shapes, margin, assume_bound, operator_of)
                 shape=(class_name, order, degree),
                 terms_used_for_fit=fit,
                 terms_verified=length - fit,
-                proven=assume_bound and length >= proof_length,
+                proven=proven,
             )
     return GuessReport(None, (class_name, None, None), 0, 0)
 

@@ -22,7 +22,7 @@ pivots steers degenerate combinations towards relations with a usable
 leading coefficient.
 
 Beside the exact kernels sits one modular routine, ``rank_profile_mod_p``:
-it reduces rows of residues modulo the fixed prime ``PRIME`` one column
+it reduces integer rows modulo the fixed prime ``PRIME`` one column
 (one equation) at a time.  When their rank reaches the number of rows it
 stops and proves the rows independent over Q; otherwise it returns the
 equations that raised the rank.  The guessers use it both ways: most
@@ -113,28 +113,18 @@ def _eliminate(rows, zero, prefer=None):
 PRIME = 2**61 - 1  # a Mersenne prime; a product of two residues fits in 122 bits
 
 
-def residue(value):
-    """The rational ``value`` mod PRIME, or None when PRIME divides its
-    denominator (then ``value`` has no residue)."""
-    den = value.denominator % PRIME
-    if not den:
-        return None
-    return value.numerator * pow(den, -1, PRIME) % PRIME
-
-
 def rank_profile_mod_p(rows):
-    """The equations (columns) that raise the rank of the rows of residues
-    mod PRIME, reduced one at a time in order; None once that rank reaches
-    the number of rows.
+    """The equations (columns) that raise the rank mod PRIME of integer
+    rows, given by their residues and reduced one at a time in order; None
+    once that rank reaches the number of rows.
 
-    Reduction mod PRIME is a ring homomorphism on the rationals whose
-    denominators are prime to PRIME, so a minor that is nonzero mod PRIME
-    is nonzero over Q: None proves the rows independent over Q (no left
-    null vector), and the kept equations are independent over Q.  When the
-    rank over Q is no larger, they span every equation and have its left
-    null space; a smaller rank mod PRIME shows only when a vector is
-    checked on all equations, which callers do.  An empty list (rank 0)
-    says nothing.
+    Reduction mod PRIME is a ring homomorphism on the integers, so a minor
+    that is nonzero mod PRIME is nonzero over Z, hence over Q: None proves
+    the rows independent over Q (no left null vector), and the kept
+    equations are independent over Q.  When the rank over Q is no larger,
+    they span every equation and have its left null space; a smaller rank
+    mod PRIME shows only when a vector is checked on all equations, which
+    callers do.  An empty list (rank 0) says nothing.
     """
     # Gauss-Jordan on the kept equations: each is one at its own pivot row
     # and zero at the others', so the pivot rows of a new equation give its

@@ -348,6 +348,15 @@ def operator_to_text(operator, declarations=None):
 # -- recurrence system and claim specs ----------------------------------------
 
 
+def parse_rational(text):
+    """The rational number ``text`` as ``Fraction`` reads it; ValueError on
+    malformed text and on a zero denominator."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def parse_recurrence_spec(spec, declarations=None):
     """Parse ``class:operator;v0,v1,...`` into a RecurrenceSystem.
 
@@ -366,7 +375,7 @@ def parse_recurrence_spec(spec, declarations=None):
     operator_text, initials_text = body.rsplit(";", 1)
     operator = parse_operator(operator_text.strip(), declarations)
     initials = [
-        Fraction(part.strip()) for part in initials_text.split(",") if part.strip()
+        parse_rational(part) for part in initials_text.split(",") if part.strip()
     ]
     validity = len(initials) - operator.order
     if validity < 0:
@@ -418,6 +427,10 @@ def parse_claim_terms(text, known_names):
                     kind2, den, pos2 = parser.advance()
                     if kind2 != "number":
                         raise OperatorSyntaxError("expected denominator", pos2)
+                    if not den:
+                        raise OperatorSyntaxError(
+                            "division only by nonzero numbers", pos2
+                        )
                     number /= den
                 coeff *= number
             elif kind == "name":

@@ -768,6 +768,28 @@ GOLDEN_STDOUT = [
 ]
 
 
+BAD_INPUTS = [
+    ["guess", "--class", "cfinite", "--terms", "1,2,3/0"],
+    ["guess", "--class", "cfinite", "--file", "{terms_file}"],
+    ["genfun", "--class", "cfinite", "N-1;1/0"],
+    ["prove", "--seq", "a=N-1;1", "--expr", "3/0*a(n)"],
+    ["closure", "--kind", "subseq", "--m", "0", "cfinite:N-2;1"],
+    ["prove", "--seq", "a=N-1;1", "--expr", "a(n)-1", "--from", "-3"],
+    ["prove", "--seq", "a=N-1;1", "--expr", "a(n-5)-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
+def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
+    terms_file = tmp_path / "terms.txt"
+    terms_file.write_text("1, 2, 3/0\n")
+    assert main([arg.format(terms_file=terms_file) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+
 @pytest.mark.parametrize("argv, stdout", GOLDEN_STDOUT)
 def test_golden_stdout(argv, stdout, capsys):
     assert main(argv) == 0

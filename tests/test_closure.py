@@ -41,6 +41,7 @@ from ansatzkit import (
     prove_identity,
     verify_annihilates,
 )
+from ansatzkit import closure as closure_module
 from ansatzkit.closure import combination_matrix
 from ansatzkit.errors import UnboundableExpression
 from ansatzkit.linalg import clear_denominators
@@ -569,6 +570,27 @@ class TestProveIdentity:
         with pytest.raises(UnboundableExpression):
             prove_identity(claim)
 
+    def test_index_before_the_sequence_start(self, monkeypatch):
+        fib = corpus.fibonacci_system()
+        # N applied to f(n - 1) reads f from n on
+        shifted = (
+            ClaimTerm(F(1), (("f", -1),), (F(0), F(1))),
+            ClaimTerm(F(-1), (("f", 0),)),
+        )
+        assert prove_identity(IdentityClaim({"f": fib}, shifted)).verdict == "proven"
+        expanded = []
+        monkeypatch.setattr(
+            closure_module, "expand_terms", lambda *args: expanded.append(args)
+        )
+        for terms, from_n, low in (
+            ((ClaimTerm(F(1), (("f", 0),)), ClaimTerm(F(-1), ())), -3, -3),
+            ((ClaimTerm(F(1), (("f", 2), ("f", -5))),), 0, -5),
+        ):
+            message = rf"reads f\({low}\), but sequence 'f' starts at n = 0"
+            with pytest.raises(ValueError, match=message):
+                prove_identity(IdentityClaim({"f": fib}, terms, from_n))
+        assert expanded == []
+
 
 class TestCombineDispatch:
     def test_holonomic_cauchy_route(self):
@@ -771,6 +793,12 @@ class TestOffsetOperands:
         assert [combine(SUBSEQUENCE, fib_from_3, mult=m).offset for m in (1, 2, 3, 4)] == [
             3, 2, 1, 1
         ]
+
+    def test_subsequence_multiplier_checked_first(self):
+        two = parse_recurrence_spec("cfinite:N-2;1")
+        for mult in (0, -1):
+            with pytest.raises(ValueError, match="multiplier must be >= 1"):
+                combine(SUBSEQUENCE, two, mult=mult)
 
     def test_cauchy_keeps_its_error(self):
         fib_from_3 = self.operands()[0]

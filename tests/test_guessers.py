@@ -282,6 +282,22 @@ class TestRigorMode:
         report = guess_holonomic(seq, 2, 1)
         assert not report.proven
 
+    def test_huge_bounds_stop_at_the_data(self):
+        # no shape past the number of terms fits, so bounds of 10**9 cost
+        # what bounds of the sequence length cost, and prove nothing
+        six = Sequence([1, 2, 3, 4, 5, 6])
+        for report in (
+            guess_holonomic(six, 10**9, 10**9, assume_bound=True),
+            guess_cfinite(six, 10**9, assume_bound=True),
+        ):
+            assert report.result is None
+        seq = expand_terms(corpus.catalan_system(), 20)
+        report = guess_holonomic(seq, 10**9, 10**9, assume_bound=True)
+        assert report == guess_holonomic(seq, 20, 20)
+        assert report.shape == ("holonomic", 1, 1) and not report.proven
+        fib = expand_terms(corpus.fibonacci_system(), 20)
+        assert guess_cfinite(fib, 10**9, assume_bound=True) == guess_cfinite(fib, 20)
+
 
 class TestRoundTrips:
     def test_cfinite_roundtrip(self):
@@ -385,13 +401,15 @@ class TestModularPrefilter:
         assert report.result.operator.coeffs == scaled_report.result.operator.coeffs
 
     def test_denominator_p_falls_back(self, monkeypatch):
-        # no term has a residue mod p, so every shape runs exact elimination
+        # the residues come from the cleared terms, here the Catalan numbers
+        # themselves, so the prefilter rejects (1, 0) and (2, 0) as it does
+        # on the unscaled terms, and only (1, 1) runs exact elimination
         seq = expand_terms(corpus.catalan_system(), 20)
         shrunk = Sequence([t / PRIME for t in seq.terms])
         assert all(t.denominator == PRIME for t in shrunk.terms)
         null_calls = count_calls(monkeypatch, "null_vectors")
         report = guess_holonomic(shrunk, 2, 2)
-        assert len(null_calls) == 3
+        assert len(null_calls) == 1
         assert report.shape == ("holonomic", 1, 1)
         expected = guess_holonomic(seq, 2, 2).result.operator.coeffs
         assert report.result.operator.coeffs == expected
@@ -456,6 +474,50 @@ class TestModularPrefilter:
         assert run_all() == filtered
         assert len(null_calls) - filtered_calls > 2 * filtered_calls
         assert any(holonomic[1] is None for holonomic, _ in filtered)
+        assert any(cfinite[1] is not None for _, cfinite in filtered)
+
+    def test_reports_match_exact_search_with_p_in_denominators(self, monkeypatch):
+        # a leading coefficient times PRIME puts PRIME into the denominators
+        # of the terms past the integer initials, so the cleared terms there
+        # are multiples of PRIME only at the initials
+        rng = random.Random(61)
+
+        def sequence(k):
+            if k % 3 == 2:
+                terms = [F(rng.randint(-50, 50)) for _ in range(30)]
+                for index in rng.sample(range(30), 5):
+                    terms[index] /= PRIME
+                return Sequence(terms)
+            if k % 3 == 0:
+                system = corpus.random_holonomic(rng, max_order=2, max_degree=2)
+            else:
+                system = corpus.random_cfinite(rng, max_order=3)
+            coeffs = list(system.operator.coeffs)
+            coeffs[-1] = coeffs[-1] * PRIME
+            operator = ShiftOperator(system.operator.ring, coeffs)
+            return expand_terms(RecurrenceSystem(operator, system.initials), 24)
+
+        sequences = []
+        while len(sequences) < 24:
+            seq = sequence(len(sequences))
+            divisible = [t.denominator % PRIME == 0 for t in seq.terms]
+            if any(divisible) and not all(divisible):
+                sequences.append(seq)
+
+        def run_all():
+            return [
+                (
+                    report_summary(guess_holonomic(seq, 2, 2)),
+                    report_summary(guess_cfinite(seq, 4)),
+                )
+                for seq in sequences
+            ]
+
+        filtered = run_all()
+        monkeypatch.setattr(guess_module, "rank_profile_mod_p", lambda rows: [])
+        assert run_all() == filtered
+        assert any(holonomic[1] is None for holonomic, _ in filtered)
+        assert any(holonomic[1] is not None for holonomic, _ in filtered)
         assert any(cfinite[1] is not None for _, cfinite in filtered)
 
 
