@@ -4,10 +4,16 @@ The ring kernel, ``null_vectors``, finds the left null vectors of a matrix
 of integer polynomials, the one form it takes: callers clear their
 fractions before, by one scale per equation (the guessers scale the terms
 by one common denominator, the closures build their matrices over Z[n]).
-Each equation is divided by its content, and a fraction-free (Bareiss)
-Gauss-Jordan over Z[x] reads one vector off minors at each free column,
-normalised once, on integers.  The guessers and the constant and
-polynomial-coefficient closures use it; its integer-polynomial arithmetic
+Each equation is divided by its content, and a fraction-free (Bareiss,
+Math. Comp. 1968) Gauss-Jordan over Z[x] reads one vector off minors at
+each free column, normalised once, on integers.  It runs on packed
+integers: every entry is evaluated once at x = 2**k, a ring homomorphism
+Z[x] -> Z, so each step is one integer product, difference and exact
+division.  The packing is exact because every entry is a minor, whose
+coefficients a 1-norm bound caps, and k is wide enough for signed k-bit
+digits to hold that bound: evaluation is then injective on the entries,
+and the vectors yielded are unpacked digit by digit.  The guessers and
+the constant and polynomial-coefficient closures use it; its packing
 comes from ``polynomials``.
 
 The field kernel, ``_eliminate``, is Gauss-Jordan over a pluggable field:
@@ -32,19 +38,21 @@ vectors on all of them.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
+from .errors import InternalError
 from .exppoly import _multiset_subtract, _multiset_union_max
 from .polynomials import (
     Poly,
     QQ,
-    _sub,
     _zx_cleared,
     _zx_exact_div,
     _zx_gcd,
-    _zx_mul,
+    _zx_pack,
     _zx_primitive,
+    _zx_unpack,
+    _zx_width,
     poly_gcd,
 )
 
@@ -258,7 +266,7 @@ def clear_exppoly_denominators(vector):
 
 # ---------------------------------------------------------------------------
 # the ring kernel: fraction-free elimination over Z[x], on the integer
-# polynomials of ``polynomials``
+# polynomials of ``polynomials`` packed into integers
 
 
 def _primitive_vector(vector):
@@ -276,6 +284,17 @@ def _primitive_vector(vector):
     if next(v for v in reversed(vector) if v)[-1] < 0:
         content = -content
     return [[c // content for c in v] for v in vector]
+
+
+def _minor_bound(equations, size):
+    """A bound on the coefficients of every minor of at most ``size`` rows
+    of ``equations`` (lists of integer polynomials): the product of the
+    ``size`` largest equation 1-norms.  A minor's terms take one entry
+    from each of its rows, and the 1-norm of a product is at most the
+    product of the 1-norms, so the minor's 1-norm, which bounds its
+    coefficients, is at most the product of its rows' 1-norms."""
+    norms = sorted((sum(abs(c) for e in eq for c in e) for eq in equations), reverse=True)
+    return prod(norm for norm in norms[:size] if norm)
 
 
 def null_vectors(rows):
@@ -297,6 +316,17 @@ def null_vectors(rows):
     because every entry is a minor.  At a free column f the vector is read
     off as v[f] = prev, v[c] = -M[r][f] for each pivot (r, c); the
     elimination runs on only when the caller asks for the next vector.
+
+    The elimination runs on packed integers: each entry is evaluated once
+    at x = 2**k (Kronecker substitution), and only the vectors yielded are
+    unpacked.  Evaluation is a ring homomorphism Z[x] -> Z, so every step
+    computes the packed value of the Z[x] step, division included.  Every
+    stored entry and every prev is a minor of at most as many rows as the
+    matrix has, whose coefficients ``_minor_bound`` bounds, and k is the
+    width at which signed k-bit digits hold that bound; so packing is
+    injective on them, and the zero tests, the pivots and the vectors are
+    those of the elimination over Z[x].  A remainder would break that
+    invariant and is an internal error.
     """
     if not rows:
         return
@@ -304,17 +334,19 @@ def null_vectors(rows):
     # each column is one equation; scaling equations keeps the null space
     m = [[row[col] for row in rows] for col in range(len(rows[0]))]
     m = [_primitive_vector(equation) if any(equation) else equation for equation in m]
+    k = _zx_width(_minor_bound(m, n_rows))
+    m = [[_zx_pack(e, k) for e in equation] for equation in m]
     unused = list(range(len(m)))
     pivots = []
-    prev = [1]
+    prev = 1
     for col in range(n_rows):
         p = next((r for r in unused if m[r][col]), None)
         if p is None:
-            vector = [[] for _ in range(col + 1)]
+            vector = [0] * (col + 1)
             vector[col] = prev
             for r, c in pivots:
-                vector[c] = [-x for x in m[r][col]]
-            yield _primitive_vector(vector)
+                vector[c] = -m[r][col]
+            yield _primitive_vector([_zx_unpack(v, k) for v in vector])
             continue
         unused.remove(p)
         pivot_row = m[p]
@@ -324,9 +356,10 @@ def null_vectors(rows):
                 continue
             factor = row[col]
             for j in range(col + 1, n_rows):
-                row[j] = _zx_exact_div(
-                    _sub(_zx_mul(piv, row[j]), _zx_mul(factor, pivot_row[j])), prev
-                )
+                q, r = divmod(piv * row[j] - factor * pivot_row[j], prev)
+                if r:
+                    raise InternalError("fraction-free elimination step is not exact")
+                row[j] = q
         pivots.append((p, col))
         prev = piv
 

@@ -10,8 +10,6 @@ import os
 import re
 import tempfile
 import time
-import urllib.error
-import urllib.request
 
 from .errors import BFileParseError, NetworkError, NotFound
 from .sequences import Sequence
@@ -109,6 +107,11 @@ def fetch(sequence_id, refresh=False, retries=2, timeout=30.0):
         with open(path) as fh:
             text = fh.read()
         return _sequence_from_entries(parse_bfile(text), sequence_id)
+    # imported here: urllib.request is over a quarter of the package's import
+    # time, and only a download needs it
+    import urllib.error
+    import urllib.request
+
     template = os.environ.get("ANSATZKIT_OEIS_URL", DEFAULT_URL_TEMPLATE)
     url = template.format(id=sequence_id, digits=sequence_id[1:])
     last_error = None

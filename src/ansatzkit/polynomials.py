@@ -15,7 +15,10 @@ results by ``_of``, which trims trailing zeros and does not coerce; an
 operand over a smaller field is lifted into the other's domain once.  The
 ``_zx_`` prefix marks only the integer-only helpers, which the
 fraction-free ring kernel of ``linalg``, the integer combination matrices
-of ``closure`` and the root search share.
+of ``closure`` and the root search share.  Among them ``_zx_pack`` and
+``_zx_unpack`` are the one Kronecker substitution, at the width
+``_zx_width`` gives for a coefficient bound: ``_zx_mul`` packs its factors,
+and the ring kernel packs a whole matrix and eliminates on integers.
 ``rational_roots`` and ``largest_natural_root`` run one root search, by
 p-adic lifting on the squarefree part, in time polynomial in the degree
 and the coefficients' bit size: its lifts stop above twice Cauchy's bound
@@ -423,35 +426,48 @@ def rational_content(values):
 def _zx_mul(a, b):
     """Product by Kronecker substitution: both factors packed into integers
     at x = 2**k, with k wide enough for every coefficient of the product,
-    multiplied once and unpacked as signed k-bit digits."""
+    multiplied once and unpacked."""
     if not a or not b:
         return []
     if len(a) == 1 or len(b) == 1:  # a constant factor scales the other
         return [x * y for x in a for y in b]
-    k = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
-    product = _zx_pack(a, k) * _zx_pack(b, k)
-    out = []
-    mask, half = (1 << k) - 1, 1 << (k - 1)
-    for _ in range(len(a) + len(b) - 1):
-        digit = product & mask
-        product >>= k
-        if digit >= half:
-            digit -= 1 << k
-            product += 1
-        out.append(digit)
-    return _trimmed(out)
+    k = _zx_width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+    return _zx_unpack(_zx_pack(a, k) * _zx_pack(b, k), k)
+
+
+def _zx_width(bound):
+    """The least k whose signed k-bit digits, in [-2**(k-1), 2**(k-1)), hold
+    every integer of absolute value at most ``bound``: evaluation at
+    x = 2**k is then injective on the integer polynomials whose
+    coefficients are that small, and ``_zx_unpack`` inverts it."""
+    return bound.bit_length() + 1
 
 
 def _zx_pack(a, k):
+    """The value of a at x = 2**k."""
     value = 0
     for c in reversed(a):
         value = (value << k) + c
     return value
+
+
+def _zx_unpack(value, k):
+    """The integer polynomial with value ``value`` at x = 2**k whose
+    coefficients are signed k-bit digits: the one ``_zx_pack`` packed, if
+    its coefficients fit the width."""
+    out = []
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    # L digits suffice: a nonzero top digit at power L - 1 leaves
+    # |value| > 2**(k (L - 1)) / 3, so k (L - 1) <= bit_length + 1; a fixed
+    # count also ends the loop at a width too small for the value
+    for _ in range((value.bit_length() + 1) // k + 1):
+        digit = value & mask
+        value >>= k
+        if digit >= half:
+            digit -= 1 << k
+            value += 1
+        out.append(digit)
+    return _trimmed(out)
 
 
 def _zx_quotient(a, b):

@@ -44,6 +44,8 @@ from ansatzkit.genfun import falling_basis_constants
 from ansatzkit.linalg import (
     PRIME,
     FieldAdapter,
+    _minor_bound,
+    _primitive_vector,
     clear_denominators,
     clear_exppoly_denominators,
     null_vectors,
@@ -51,6 +53,12 @@ from ansatzkit.linalg import (
     solve_linear,
 )
 from ansatzkit.polynomials import (
+    _add,
+    _sub,
+    _zx_exact_div,
+    _zx_pack,
+    _zx_unpack,
+    _zx_width,
     forward_differences,
     largest_natural_root,
     newton_poly,
@@ -296,6 +304,171 @@ class TestNullVectors:
                 found = [[Poly(c, QQ, "n") for c in v] for v in null_vectors(matrix)]
                 assert found == expected
                 assert len(found) >= 2  # one row past the bound
+
+
+def schoolbook(a, b):
+    """The product of two integer polynomials, coefficient by coefficient."""
+    return series_mul(a, b, len(a) + len(b) - 1, 0) if a and b else []
+
+
+def reference_null_vectors(rows, record=lambda entry: None):
+    """The fraction-free kernel on integer-polynomial lists, as it ran before
+    ``null_vectors`` packed its entries: the same pivots and read-off, with
+    schoolbook products, so it shares no packing with the kernel it checks.
+    ``record`` sees every entry it stores and every prev."""
+    if not rows:
+        return
+    n_rows = len(rows)
+    m = [[row[col] for row in rows] for col in range(len(rows[0]))]
+    m = [_primitive_vector(equation) if any(equation) else equation for equation in m]
+    unused = list(range(len(m)))
+    pivots = []
+    prev = [1]
+    for col in range(n_rows):
+        p = next((r for r in unused if m[r][col]), None)
+        if p is None:
+            vector = [[] for _ in range(col + 1)]
+            vector[col] = prev
+            for r, c in pivots:
+                vector[c] = [-x for x in m[r][col]]
+            yield _primitive_vector(vector)
+            continue
+        unused.remove(p)
+        pivot_row = m[p]
+        piv = pivot_row[col]
+        for i, row in enumerate(m):
+            if i == p:
+                continue
+            factor = row[col]
+            for j in range(col + 1, n_rows):
+                row[j] = _zx_exact_div(
+                    _sub(schoolbook(piv, row[j]), schoolbook(factor, pivot_row[j])), prev
+                )
+                record(row[j])
+        pivots.append((p, col))
+        prev = piv
+        record(prev)
+
+
+def seeded_polynomial_matrices():
+    """Integer-polynomial matrices of degree at most 4: generic ones, and
+    ones with a dependent row, a zero equation, one row or one equation."""
+    rng = random.Random(1968)
+
+    def entry(degree=4):
+        if rng.random() < 0.2:
+            return []
+        coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, degree + 1))]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return coeffs
+
+    for k in range(60):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+        if k % 6 == 4:
+            n_rows = 1
+        elif k % 6 == 5:
+            n_cols = 1
+        rows = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+        if k % 6 == 1:  # a row that is a Z[x] combination of two others
+            a, b = rng.choice(rows), rng.choice(rows)
+            u, v = entry(1) or [1], entry(1) or [-1]
+            combined = [_add(schoolbook(u, p), schoolbook(v, q)) for p, q in zip(a, b)]
+            rows.insert(rng.randrange(n_rows + 1), combined)
+        elif k % 6 == 2:  # a zero equation
+            col = rng.randrange(n_cols + 1)
+            rows = [row[:col] + [[]] + row[col:] for row in rows]
+        elif k % 6 == 3:  # a duplicated equation, scaled
+            col = rng.randrange(n_cols)
+            rows = [row + [[-3 * c for c in row[col]]] for row in rows]
+        yield rows
+
+
+def guess_shaped_matrices():
+    """Constant fit matrices on terms of about 10**40, as the guessers build
+    them: w**j a(w + i) over the windows w, with and without a relation."""
+    rng = random.Random(40)
+    for k in range(8):
+        terms = [rng.randint(-10**40, 10**40) for _ in range(3)]
+        for n in range(3, 24):  # a(n) = n a(n-1) - 3 a(n-3), or noise
+            terms.append(n * terms[-1] - 3 * terms[-3] if k % 2 else rng.randint(-10**40, 10**40))
+        order, degree = (3, rng.randint(1, 2)) if k % 2 else (rng.randint(1, 3), rng.randint(0, 2))
+        windows = len(terms) - order
+        yield [[[x] if x else [] for x in (w**j * terms[w + i] for w in range(windows))]
+               for i in range(order + 1) for j in range(degree + 1)]
+
+
+class TestPackedKernel:
+    """``null_vectors`` eliminates on packed integers; the Z[x] kernel it
+    replaced is the reference, vector for vector."""
+
+    @staticmethod
+    def dense_operator(rng):
+        coeffs = [[rng.randint(1, 5), rng.choice([-1, 1]) * rng.randint(1, 3)] for _ in range(4)]
+        return ShiftOperator(CoeffRing.POLY_N, [Poly(c, QQ, "n") for c in coeffs])
+
+    def test_polynomial_matrices_against_the_reference(self):
+        dimensions = set()
+        for rows in seeded_polynomial_matrices():
+            found = list(null_vectors(rows))
+            assert found == list(reference_null_vectors(rows)), rows
+            dimensions.add(len(found))
+        assert {0, 1, 2} <= dimensions, dimensions
+
+    def test_guess_shaped_matrices_against_the_reference(self):
+        dimensions = []
+        for rows in guess_shaped_matrices():
+            found = list(null_vectors(rows))
+            assert found == list(reference_null_vectors(rows))
+            dimensions.append(len(found))
+        assert 0 in dimensions and max(dimensions) >= 1, dimensions
+
+    def test_dense_termwise_product_against_the_reference(self):
+        rng = random.Random(3)
+        a, b = self.dense_operator(rng), self.dense_operator(rng)
+        matrix = combination_matrix(TERMWISE, a, b, rows=a.order * b.order + 1)
+        found = list(null_vectors(matrix))
+        assert found == list(reference_null_vectors(matrix))
+        assert len(found) == 1
+
+    @pytest.mark.parametrize("bound", [2, 3, 5, 7, 8, 9, 255, 256, 257, 10**40, 2**130])
+    def test_packing_width_holds_the_bound_and_no_less(self, bound):
+        rng = random.Random(bound)
+        k = _zx_width(bound)
+        polys = [[bound], [-bound], [bound, -bound, bound], [0, 0, -bound, bound]]
+        polys += [[rng.randint(-bound, bound) for _ in range(5)] + [bound] for _ in range(20)]
+        for poly in polys:
+            assert _zx_unpack(_zx_pack(poly, k), k) == poly
+        # one bit fewer: a coefficient of ``bound`` is read as a negative digit and a carry
+        assert _zx_unpack(_zx_pack([bound], k - 1), k - 1) != [bound]
+        assert _zx_unpack(_zx_pack([0, bound, -1], k - 1), k - 1) != [0, bound, -1]
+
+    def test_kernel_unpacks_at_the_full_width(self):
+        # one equation (1, c): the vector is (-c, 1) and the bound is 1 + c,
+        # so c needs every bit of the width whenever 1 + c is no power of two
+        for c in range(2, 70):
+            for shape in ([c], [-c], [0, c]):
+                rows = [[[1]], [shape]]
+                assert list(null_vectors(rows)) == [[[-x for x in shape], [1]]]
+
+    def test_reference_minors_stay_within_the_bound(self):
+        for rows in [*seeded_polynomial_matrices(), *guess_shaped_matrices()]:
+            equations = [[row[col] for row in rows] for col in range(len(rows[0]))]
+            equations = [_primitive_vector(eq) if any(eq) else eq for eq in equations]
+            bound = _minor_bound(equations, len(rows))
+            stored = [entry for eq in equations for entry in eq]
+            list(reference_null_vectors(rows, stored.append))
+            assert all(abs(c) <= bound for entry in stored for c in entry)
+
+    def test_inexact_step_is_internal_error(self, monkeypatch):
+        # one cell off by one in the first step (a division by 1) breaks the
+        # minors, so a later division leaves a remainder, which the kernel
+        # reports rather than rounds
+        exact = divmod
+        monkeypatch.setattr(linalg, "divmod", lambda a, b: exact(a + 1, b), raising=False)
+        rows = [[[2], [3], [5]], [[7], [11], [13]], [[17], [19], [23]], [[1], [4], [9]]]
+        with pytest.raises(InternalError, match="not exact"):
+            list(null_vectors(rows))
 
 
 class TestModularIndependence:
