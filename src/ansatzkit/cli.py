@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 mathematical failure (no fitting recurrence,
-refuted identity, unusable leading coefficient, unproven validity) or
-internal error, 2 usage error, 3 I/O error (download, cache, file problems).
+Exit codes: 0 success, 1 no result (no fitting recurrence, refuted
+identity, unusable leading coefficient, unproven validity, too few terms:
+every library error but a usage or I/O one, printed as ``no result:``) or
+internal error (a failed invariant check, printed as ``error:``), 2 usage
+error, 3 I/O error (download, cache, file problems).
 """
 
 import argparse
@@ -13,19 +15,16 @@ from . import closure, guess, jsonio, oeis
 from .asymptotics import leading_forms, refine_series
 from .c2 import register_coefficient
 from .closedform import cfinite_closed_form, poly_binomial_form
-from .closure import IdentityClaim, prove_identity
+from .closure import ClaimTerm, IdentityClaim, prove_identity
 from .errors import (
     AnsatzError,
     BFileParseError,
-    LeadingAlwaysZero,
+    InternalError,
     MixedRing,
     NetworkError,
     NotFound,
-    NotPolynomial,
     OperatorSyntaxError,
     UnknownCoefficient,
-    UnsupportedCase,
-    UnsupportedField,
 )
 from .genfun import c2_to_diff, genfun_cfinite, genfun_polynomial, holonomic_to_diff, homogenize
 from .optext import (
@@ -49,16 +48,10 @@ _USAGE_ERRORS = (
     ValueError,
 )
 _IO_ERRORS = (NetworkError, NotFound, BFileParseError, OSError)
-_MATH_FAILURES = (
-    LeadingAlwaysZero,
-    NotPolynomial,
-    UnsupportedCase,
-    UnsupportedField,
-)
 
 
-def _add_input_arguments(parser):
-    group = parser.add_mutually_exclusive_group(required=True)
+def _add_input_arguments(parser, required=True):
+    group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument("--oeis", metavar="AXXXXXX", help="sequence id to fetch")
     group.add_argument("--terms", metavar="CSV", help="inline comma-separated terms")
     group.add_argument("--file", metavar="PATH", help="b-file or comma/space separated terms")
@@ -264,16 +257,15 @@ def _cmd_prove(args):
             raise OperatorSyntaxError("sequence declaration needs NAME=SPEC", 0)
         name, spec = item.split("=", 1)
         systems[name.strip()] = parse_recurrence_spec(spec, declared)
-    terms = parse_claim_terms(args.expr, set(systems))
+    pairs = parse_claim_terms(args.expr, set(systems))
+    applied = ()
     if args.apply:
         operator = parse_operator(args.apply)
         if operator.ring is not CoeffRing.CONSTANT:
             print("--apply takes a constant-coefficient operator", file=sys.stderr)
             return EXIT_USAGE
-        terms = tuple(
-            type(term)(term.coeff, term.factors, tuple(operator.coeffs))
-            for term in terms
-        )
+        applied = (tuple(operator.coeffs),)
+    terms = tuple(ClaimTerm(coeff, factors, *applied) for coeff, factors in pairs)
     claim = IdentityClaim(systems, terms, args.from_n)
     certificate = prove_identity(claim)
     if args.bound_report:
@@ -325,10 +317,7 @@ def build_parser():
     p.add_argument("--max-degree", type=int, default=8)
     _add_common(p)
     p.add_argument("spec", nargs="?", help="operator;initials for --class cfinite")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--oeis", metavar="AXXXXXX")
-    group.add_argument("--terms", metavar="CSV")
-    group.add_argument("--file", metavar="PATH")
+    _add_input_arguments(p, required=False)
 
     p = sub.add_parser("closure", help="combine recurrences")
     p.add_argument("--kind", required=True, choices=sorted(_KINDS))
@@ -360,14 +349,14 @@ def main(argv=None):
     except _IO_ERRORS as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except _MATH_FAILURES as exc:
-        print(f"no result: {exc}", file=sys.stderr)
-        return EXIT_NO_RESULT
     except _USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AnsatzError as exc:
+    except InternalError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_RESULT
+    except AnsatzError as exc:
+        print(f"no result: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
 
 

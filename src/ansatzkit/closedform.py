@@ -10,13 +10,12 @@ counted with multiplicity.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InsufficientData, InternalError, NotPolynomial, UnsupportedFactorization
 from .exppoly import ExpPoly
 from .fields import split_roots
 from .linalg import FieldAdapter, solve_linear
-from .polynomials import Poly, QQ, binomial, forward_differences
+from .polynomials import Poly, QQ, forward_differences, newton_poly
 from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator
 
 
@@ -28,10 +27,8 @@ class BinomialForm:
     offset: int = 0
 
     def evaluate(self, n):
-        return sum(
-            (c * binomial(n - self.offset, i) for i, c in enumerate(self.coeffs)),
-            Fraction(0),
-        )
+        """The value at n, which may be an int, a ``Fraction`` or a field element."""
+        return newton_poly(self.coeffs, self.offset).evaluate(n)
 
     def __str__(self):
         parts = []
@@ -47,21 +44,23 @@ class BinomialForm:
 def poly_binomial_form(sequence, degree):
     """Expanded binomial form from iterated finite differences at the start.
 
-    Verifies the form against every supplied term and raises NotPolynomial
-    on the first mismatch.
+    The coefficients are the leading entries of the difference table of
+    the first max(degree, 0) + 1 terms.  Their Newton polynomial is built
+    once and checked against every supplied term; the first mismatch
+    raises NotPolynomial with its index n.
     """
     if len(sequence) < degree + 1:
         raise InsufficientData(
             f"need {degree + 1} terms for a degree-{degree} binomial form"
         )
     coeffs = forward_differences(sequence.terms[: max(degree, 0) + 1])
-    form = BinomialForm(tuple(coeffs), sequence.offset)
+    poly = newton_poly(coeffs, sequence.offset)
     for n in range(sequence.offset, sequence.end):
-        if form.evaluate(n) != sequence.value(n):
+        if poly.evaluate(n) != sequence.value(n):
             raise NotPolynomial(
                 f"data is not a polynomial of degree <= {degree} (fails at n={n})"
             )
-    return form
+    return BinomialForm(tuple(coeffs), sequence.offset)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .fields import (
     common_field,
     compare_modulus,
 )
-from .polynomials import NEG_INFINITY, QQ, Poly, largest_natural_root, poly_gcd, power
+from .polynomials import NEG_INFINITY, QQ, Poly, _signed_join, largest_natural_root, poly_gcd, power
 
 
 def _canonical_terms(pairs):
@@ -248,10 +248,7 @@ class ExpPoly:
                 if " " in poly_str or "/" in poly_str:
                     poly_str = f"({poly_str})"
                 parts.append(f"{poly_str}*{base_str}^n")
-        text = parts[0]
-        for part in parts[1:]:
-            text += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return text
+        return _signed_join(parts)
 
     def __repr__(self):
         return f"ExpPoly({self})"

@@ -23,7 +23,6 @@ from .polynomials import (
     QQ,
     _trimmed,
     falling_factorial,
-    falling_factorial_poly,
     forward_differences,
     rational_content,
     series_inv,
@@ -399,7 +398,7 @@ def diff_to_c2(equation):
                 if not b:
                     continue
                 shift = k + t - s
-                poly = falling_factorial_poly(shift, t, field).scale(
+                poly = falling_factorial(Poly([shift, 1], field, "n"), t).scale(
                     b if unit else b * base ** shift
                 )
                 coeff_terms[shift].append((base, poly))

@@ -23,13 +23,8 @@ _CLASS_BY_RING = {
 _RING_BY_CLASS = {name: ring for ring, name in _CLASS_BY_RING.items()}
 
 
-def _rational_str(q):
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _rational_list(values):
-    return [_rational_str(v) for v in values]
+    return [str(Fraction(v)) for v in values]
 
 
 def _element_coords(element):

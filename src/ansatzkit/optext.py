@@ -20,7 +20,7 @@ from .errors import (
 )
 from .exppoly import ExpPoly
 from .fields import as_rational_poly, common_ratio
-from .polynomials import Poly, QQ
+from .polynomials import Poly, QQ, _signed_join
 from .sequences import (
     CoeffRing,
     RecurrenceSystem,
@@ -297,9 +297,7 @@ def _exppoly_text(coeff, declarations):
             parts.append(f"{qq_poly.coefficient(0)}*{base_text}")
         else:
             parts.append(f"({qq_poly})*{base_text}")
-    text = parts[0]
-    for part in parts[1:]:
-        text += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    text = _signed_join(parts)
     return text, len(parts) > 1 or ("*" in text or "+" in text or " - " in text)
 
 
@@ -398,14 +396,13 @@ def parse_recurrence_spec(spec, declarations=None):
 
 
 def parse_claim_terms(text, known_names):
-    """Parse a claim expression into ClaimTerm tuples.
+    """Parse a claim expression into ``(coefficient, ((name, shift), ...))``
+    pairs, one per term, the arguments of a ``closure.ClaimTerm``.
 
     Grammar: sum of products of NAME(n+shift)^power factors with optional
     leading rational coefficients, e.g.
     ``a(n+1) - a(n)*a(n+1) + a(n)*a(n+2) + a(n+1)^2 - a(n+1)*a(n+2)``.
     """
-    from .closure import ClaimTerm
-
     parser = _Parser(text)
     terms = []
     sign = 1
@@ -451,7 +448,7 @@ def parse_claim_terms(text, known_names):
                 parser.advance()
                 continue
             break
-        terms.append(ClaimTerm(coeff, tuple(factors)))
+        terms.append((coeff, tuple(factors)))
         if parser.finished():
             break
         if not parser.at_symbol("+", "-"):

@@ -18,7 +18,8 @@ fraction-free ring kernel of ``linalg``, the integer combination matrices
 of ``closure`` and the root search share.  Among them ``_zx_pack`` and
 ``_zx_unpack`` are the one Kronecker substitution, at the width
 ``_zx_width`` gives for a coefficient bound: ``_zx_mul`` packs its factors,
-and the ring kernel packs a whole matrix and eliminates on integers.
+the ring kernel packs a whole matrix and eliminates on integers, and the
+heuristic gcd (GCDHEU) packs both operands and unpacks their integer gcd.
 ``rational_roots`` and ``largest_natural_root`` run one root search, by
 p-adic lifting on the squarefree part, in time polynomial in the degree
 and the coefficients' bit size: its lifts stop above twice Cauchy's bound
@@ -30,7 +31,9 @@ entries of the difference table and ``newton_poly`` builds
 sum_j d_j C(n - start, j).  Its users are the polynomial guesser (degree d
 fits when row d + 1 of the table vanishes), the partial-sum and Cauchy
 closures of polynomial sequences, ``poly_binomial_form`` and the
-falling-factorial basis change of the generating-function translations.
+evaluation of a ``BinomialForm``, and the falling-factorial basis change
+of the generating-function translations.  One ``falling_factorial``
+serves integers and polynomials alike.
 
 ``power``, the repeated squaring behind every ``__pow__``, and
 ``series_inv`` serve every ring too; with ``series_mul`` it expands rational
@@ -261,13 +264,19 @@ class Poly:
                         cs = f"({cs})"
                     term = f"{cs}*{base}"
             parts.append(term)
-        text = parts[0]
-        for term in parts[1:]:
-            text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return text
+        return _signed_join(parts)
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _signed_join(parts):
+    """Printed terms joined by " + ", or by " - " before a negative term:
+    the sum layout every printer shares."""
+    text = parts[0]
+    for part in parts[1:]:
+        text += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return text
 
 
 def power(base, exponent, one):
@@ -522,25 +531,18 @@ def _heuristic_gcd(a, b):
     """The gcd of two primitive integer polynomials of positive degree by
     evaluation (Char, Geddes and Gonnet, "GCDHEU", 1989), or None.
 
-    The integer gcd of a(xi) and b(xi) is expanded into xi-adic digits.
-    Since xi > 2 min(|a|, |b|) + 1, their primitive part is the gcd exactly
-    when it divides both operands, which each try checks; None when no try
-    passes.
+    Both operands are packed at x = 2**k and the integer gcd of the packed
+    values is unpacked.  Since 2**k > 2 min(|a|, |b|) + 2, that unpacked
+    polynomial's primitive part is the gcd exactly when it divides both
+    operands, which each try checks; each failed try widens k by about a
+    quarter, and None is the answer when no try passes.
     """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    k = _zx_width(2 * min(max(map(abs, a)), max(map(abs, b))) + 29)
     for _ in range(6):
-        h = gcd(_value(a, xi), _value(b, xi))
-        digits = []
-        while h:
-            digit = h % xi
-            if 2 * digit > xi:
-                digit -= xi
-            digits.append(digit)
-            h = (h - digit) // xi
-        candidate = _zx_primitive(digits)
+        candidate = _zx_primitive(_zx_unpack(gcd(_zx_pack(a, k), _zx_pack(b, k)), k))
         if _zx_quotient(a, candidate) is not None and _zx_quotient(b, candidate) is not None:
             return candidate
-        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+        k += k // 4 + 2
     return None
 
 
@@ -628,31 +630,12 @@ def largest_natural_root(p):
     return int(max(naturals)) if naturals else None
 
 
-def binomial(n, k):
-    """C(n, k) for integer k >= 0 and a rational or field-element n."""
-    if k < 0:
-        raise ValueError("negative binomial index")
-    if isinstance(n, int):
-        n = Fraction(n)
-    result = Fraction(1)
-    for i in range(k):
-        result = (n - i) * result / (i + 1)
-    return result
-
-
 def falling_factorial(n, j):
-    """(n)_j = n (n-1) ... (n-j+1); works for ints and polynomials."""
-    result = 1
+    """(n)_j = n (n-1) ... (n-j+1), starting from n ** 0: for ints and
+    polynomials alike."""
+    result = n ** 0
     for i in range(j):
         result = result * (n - i)
-    return result
-
-
-def falling_factorial_poly(shift, j, domain=QQ, var="n"):
-    """(n + shift)_j as a polynomial in n over the given domain."""
-    result = Poly([domain.one], domain, var)
-    for i in range(j):
-        result = result * Poly([shift - i, 1], domain, var)
     return result
 
 

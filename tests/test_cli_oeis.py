@@ -31,7 +31,7 @@ from ansatzkit.errors import (
     UnknownCoefficient,
 )
 from ansatzkit.jsonio import dumps, loads
-from ansatzkit.optext import parse_recurrence_spec
+from ansatzkit.optext import parse_claim_terms, parse_recurrence_spec
 
 import conftest as corpus
 
@@ -214,6 +214,38 @@ class TestOperatorText:
             parse_operator("(n+1)^n - N")
 
 
+class TestClaimParser:
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            (
+                "a(n+1) - a(n)*a(n+1) + a(n)*a(n+2) + a(n+1)^2 - a(n+1)*a(n+2)",
+                (
+                    (F(1), (("a", 1),)),
+                    (F(-1), (("a", 0), ("a", 1))),
+                    (F(1), (("a", 0), ("a", 2))),
+                    (F(1), (("a", 1), ("a", 1))),
+                    (F(-1), (("a", 1), ("a", 2))),
+                ),
+            ),
+            (
+                "a(n)*a(n+2) - a(n+1)^2 + 1",
+                (
+                    (F(1), (("a", 0), ("a", 2))),
+                    (F(-1), (("a", 1), ("a", 1))),
+                    (F(1), ()),
+                ),
+            ),
+            ("3/4*a(n+1)", ((F(3, 4), (("a", 1),)),)),
+        ],
+    )
+    def test_terms_are_plain_pairs(self, text, terms):
+        parsed = parse_claim_terms(text, {"a"})
+        assert parsed == terms
+        for coeff, factors in parsed:
+            assert type(coeff) is Fraction and type(factors) is tuple
+
+
 class TestJsonRoundTrips:
     def _assert_stable(self, obj):
         text = dumps(obj)
@@ -385,6 +417,25 @@ class TestCliCommands:
         assert code == 1
         assert capsys.readouterr().err == "error: polynomial division is not exact\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closedform", "--class", "poly", "--terms", "1,2", "--max-degree", "5"],
+            ["guess", "--class", "cfinite", "--terms", "1,2"],
+            ["prove", "--seq", "a=holonomic:N-(n+1);1", "--expr", "a(n+1)-a(n)"],
+        ],
+        ids=["insufficient-terms", "too-few-to-guess", "unboundable-expression"],
+    )
+    def test_library_errors_other_than_internal_are_no_result(self, capsys, argv):
+        # only an InternalError is reported as "error:"
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("no result: ")
+        assert "Traceback" not in captured.err
+
     def test_two_quadratic_fields_no_result(self, capsys):
         code = main(
             [
@@ -449,6 +500,25 @@ class TestCliCommands:
         assert code == 0
         assert "order bound: 4 + 4*4 + 4*4 + 4*4 + 4*4 = 68" in out
         assert "PROVEN (checked 68 values)" in out
+
+    def test_prove_applied_operator_bound_report(self, capsys):
+        code = main(
+            [
+                "prove",
+                "--seq",
+                "a=cfinite:N^4-2*N^3+2*N-1;0,0,1,2",
+                "--expr",
+                "a(n+1) - a(n)*a(n+1) + a(n)*a(n+2) + a(n+1)^2 - a(n+1)*a(n+2)",
+                "--apply",
+                "N-1",
+                "--bound-report",
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "order bound: 4 + 4*4 + 4*4 + 4*4 + 4*4 = 68\n"
+            "PROVEN (checked 68 values)\n"
+        )
 
     def test_prove_refuted_exit_1(self, capsys):
         code = main(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ansatzkit import (
+    BinomialForm,
     CoeffRing,
     ExpPoly,
     NumberField,
@@ -52,6 +53,36 @@ class TestBinomialForm:
             form = poly_binomial_form(seq, degree)
             for n in range(degree + 11):
                 assert form.evaluate(n) == poly.evaluate(F(n))
+
+    def test_evaluation_against_the_binomial_sum(self):
+        def binomial_sum(coeffs, offset, n):
+            # sum_i c_i C(n - offset, i), C(m, i) = m (m-1) ... (m-i+1) / i!
+            total, choose = F(0), F(1)
+            for i, c in enumerate(coeffs):
+                total += c * choose
+                choose = choose * (n - offset - i) / (i + 1)
+            return total
+
+        rng = random.Random(7)
+        for _ in range(20):
+            size = rng.randint(0, 6)
+            coeffs = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(size))
+            offset = rng.randint(0, 5)
+            form = BinomialForm(coeffs, offset)
+            for n in [-40, -1, 0, offset - 1, offset, offset + 3, 10**6, 10**30 + 7]:
+                assert form.evaluate(n) == binomial_sum(coeffs, offset, n)
+            assert form.evaluate(F(7, 3)) == binomial_sum(coeffs, offset, F(7, 3))
+        field = NumberField([-2, 0, 1])  # t^2 = 2
+        form = BinomialForm((F(1), F(-2), F(3, 2), F(5)), 2)
+        t = field.generator()
+        value = form.evaluate(t)
+        assert value.field == field and value == binomial_sum(form.coeffs, 2, t)
+
+    def test_long_sequence_reports_the_corrupted_index(self):
+        terms = [F(n**5 - 3 * n**2 + 7, 2) for n in range(2000)]
+        terms[1234] += 1
+        with pytest.raises(NotPolynomial, match=r"degree <= 5 \(fails at n=1237\)$"):
+            poly_binomial_form(Sequence(terms, 3), 5)
 
     def test_rejects_non_polynomial(self):
         seq = expand_terms(corpus.fibonacci_system(), 12)

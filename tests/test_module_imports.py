@@ -1,10 +1,9 @@
 """Imports sit at module level, except where a module cycle or the import
 time of the package needs them.
 
-Two cycles are real: ``sequences`` is imported by ``optext``, which prints
-a ``ShiftOperator``, and ``closure`` is imported by ``optext``, whose claim
-parser builds ``ClaimTerm`` objects.  ``oeis.fetch`` imports ``urllib``'s
-request machinery only for a download: it is over a quarter of the
+One cycle is left: ``sequences`` is imported by ``optext``, which prints
+a ``ShiftOperator``.  ``oeis.fetch`` imports ``urllib``'s request
+machinery only for a download: it is over a quarter of the
 package's import time, which every CLI call pays.  Every other import
 inside a function only hides a dependency, so the package source is read
 with ``ast`` and any new one fails here.
@@ -20,7 +19,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ansatzkit"
 
 ALLOWED = {
     ("sequences", "ShiftOperator.__str__", "optext"),
-    ("optext", "parse_claim_terms", "closure"),
     ("oeis", "fetch", "urllib.error"),
     ("oeis", "fetch", "urllib.request"),
 }
