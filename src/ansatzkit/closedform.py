@@ -9,36 +9,38 @@ construction recovers a recurrence of order exactly the number of roots
 counted with multiplicity.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InsufficientData, InternalError, NotPolynomial, UnsupportedFactorization
 from .exppoly import ExpPoly
 from .fields import split_roots
 from .linalg import FieldAdapter, solve_linear
-from .polynomials import Poly, QQ, forward_differences, newton_poly
+from .polynomials import Poly, QQ, _signed_join, forward_differences, newton_poly
 from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator
 
 
 @dataclass(frozen=True)
 class BinomialForm:
-    """a_n = sum_i coeffs[i] * C(n - offset, i)."""
+    """a_n = sum_i coeffs[i] * C(n - offset, i); its Newton polynomial is
+    built once, with the form, and left out of comparison and ``repr``."""
 
     coeffs: tuple
     offset: int = 0
+    poly: Poly = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "poly", newton_poly(self.coeffs, self.offset))
 
     def evaluate(self, n):
         """The value at n, which may be an int, a ``Fraction`` or a field element."""
-        return newton_poly(self.coeffs, self.offset).evaluate(n)
+        return self.poly.evaluate(n)
 
     def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            arg = "n" if self.offset == 0 else f"n-{self.offset}"
-            term = str(c) if i == 0 else f"{c}*C({arg},{i})"
-            parts.append(term)
-        return " + ".join(parts) if parts else "0"
+        arg = "n" if self.offset == 0 else f"n-{self.offset}"
+        parts = [
+            str(c) if i == 0 else f"{c}*C({arg},{i})" for i, c in enumerate(self.coeffs) if c
+        ]
+        return _signed_join(parts) if parts else "0"
 
 
 def poly_binomial_form(sequence, degree):
@@ -54,13 +56,13 @@ def poly_binomial_form(sequence, degree):
             f"need {degree + 1} terms for a degree-{degree} binomial form"
         )
     coeffs = forward_differences(sequence.terms[: max(degree, 0) + 1])
-    poly = newton_poly(coeffs, sequence.offset)
+    form = BinomialForm(tuple(coeffs), sequence.offset)
     for n in range(sequence.offset, sequence.end):
-        if poly.evaluate(n) != sequence.value(n):
+        if form.evaluate(n) != sequence.value(n):
             raise NotPolynomial(
                 f"data is not a polynomial of degree <= {degree} (fails at n={n})"
             )
-    return BinomialForm(tuple(coeffs), sequence.offset)
+    return form
 
 
 @dataclass(frozen=True)

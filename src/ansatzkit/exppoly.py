@@ -13,11 +13,14 @@ factor lists instead, cancelling only structurally equal factors; that is
 all the null-space elimination needs.
 
 The canonical form makes every order of evaluation give the same terms.
-So sums, products, scalings and argument changes merge their terms by base
-coordinates within the one field and skip the public constructor's
-coercion.  A fraction caches one expansion, its numerator's, built the
-first time a sum, a zero test or a cleared vector needs it; the
-denominator is expanded only to cross-multiply in an equality test.
+So sums, products, scalings and argument changes merge their terms on the
+bases' integer numerators and denominator within the one field, sort them
+by value, and skip the public constructor's coercion.  A fraction's factor
+lists are reduced once, by its constructor; products, quotients, sums and
+negations of fractions only cancel what the two operands bring together.
+A fraction caches one expansion, its numerator's, built the first time a
+sum, a zero test or a cleared vector needs it; the denominator is expanded
+only to cross-multiply in an equality test.
 
 :func:`validity_offset` decides the natural zeros of an exponential
 polynomial exactly.  A base ratio that is a root of unity has order 1, 2,
@@ -46,16 +49,24 @@ from .polynomials import NEG_INFINITY, QQ, Poly, _signed_join, largest_natural_r
 
 def _canonical_terms(pairs):
     """Sorted terms with distinct bases and no zero polynomial, from (base,
-    poly) pairs of one field; bases of one field compare by coordinates."""
+    poly) pairs of one field.  Bases merge on their integers and sort by
+    value, coordinate by coordinate, as numerators over a common denominator."""
     if len(pairs) == 1:
         return (pairs[0],) if pairs[0][1] else ()
     merged = {}
     for base, poly in pairs:
-        key = base.coords
+        key = (base.nums, base.den)
         prev = merged.get(key)
         merged[key] = (base, poly) if prev is None else (base, prev[1] + poly)
+    common = lcm(*[den for _, den in merged])
+    keyed = [
+        (nums if den == common else tuple([a * (common // den) for a in nums]), term)
+        for (nums, den), term in merged.items()
+        if term[1]
+    ]
+    keyed.sort()
     # a tuple from a list, as in sequences.Sequence
-    return tuple([term for _, term in sorted(merged.items()) if term[1]])
+    return tuple([term for _, term in keyed])
 
 
 class ExpPoly:
@@ -417,11 +428,40 @@ def _multiset_union_max(first, second):
     return out
 
 
+def _is_one(f, one):
+    """Whether the ExpPoly ``f`` is the constant 1 (``one`` is its field's 1)."""
+    return f.is_unit() and f.terms[0][0] == one and f.terms[0][1].coefficient(0) == one
+
+
+def _cancel(dens, nums):
+    """The factors of ``dens`` left after each one in turn cancels the first
+    equal factor of the list ``nums``, which loses the ones cancelled."""
+    left = []
+    for den in dens:
+        for i, num in enumerate(nums):
+            if num == den:
+                del nums[i]
+                break
+        else:
+            left.append(den)
+    return left
+
+
 class ExpPolyFraction:
     """Formal quotient of ExpPoly products; no GCD reduction, only
     cancellation of structurally equal factors.  Equality is tested by
     cross-multiplying the expanded products; against zero, by the
     numerator alone.
+
+    The constructor reduces its factor lists: a zero factor makes the zero
+    fraction, explicit ones are dropped, a unit denominator becomes its
+    inverse in the numerator, and equal factors cancel in pairs.  So a
+    fraction's lists hold no zero (but the zero fraction's one factor),
+    no one, no unit denominator, and no numerator equal to a denominator.
+    Products, quotients, sums and negations of such operands rely on that:
+    they build, through ``_of``, the very lists the constructor would, but
+    only cancel what can meet, the factors of one operand against those of
+    the other, and never re-test the factors they keep.
 
     Products, quotients and negations only join factor lists; expanding
     them is the cost.  What keeps it low: the numerator's expansion is
@@ -433,37 +473,37 @@ class ExpPolyFraction:
     __slots__ = ("field", "num_factors", "den_factors", "_expanded_num")
 
     def __init__(self, field, num_factors, den_factors=()):
+        one = field.one
         nums = []
-        zero = False
         for f in num_factors:
             if not f:
-                zero = True
-                break
-            if f.is_unit() and f.terms[0][0] == field.one and f.terms[0][1].coefficient(0) == field.one:
-                continue  # drop explicit ones
-            nums.append(f)
+                self._set(field, [ExpPoly.zero(field)], [])
+                return
+            if not _is_one(f, one):
+                nums.append(f)
         dens = []
-        if not zero:
-            for f in den_factors:
-                if not f:
-                    raise ZeroDivisionError("zero denominator factor")
-                if f.is_unit():
-                    nums.append(f.inverse())
-                else:
-                    dens.append(f)
-            # structural cancellation
-            for den in list(dens):
-                for i, num in enumerate(nums):
-                    if num == den:
-                        del nums[i]
-                        dens.remove(den)
-                        break
-        if zero:
-            nums, dens = [ExpPoly.zero(field)], []
+        for f in den_factors:
+            if not f:
+                raise ZeroDivisionError("zero denominator factor")
+            if not f.is_unit():
+                dens.append(f)
+            elif not _is_one(f, one):
+                nums.append(f.inverse())
+        self._set(field, nums, _cancel(dens, nums))
+
+    def _set(self, field, nums, dens):
         self.field = field
         self.num_factors = tuple(nums)
         self.den_factors = tuple(dens)
         self._expanded_num = None
+
+    @classmethod
+    def _of(cls, field, nums, dens):
+        """The fraction of factor lists that are reduced already: the
+        constructor without its checks."""
+        fraction = object.__new__(cls)
+        fraction._set(field, nums, dens)
+        return fraction
 
     # -- constructors -------------------------------------------------------
 
@@ -576,9 +616,10 @@ class ExpPolyFraction:
             return NotImplemented
         if not a or not b:
             return ExpPolyFraction.zero(a.field)
-        return ExpPolyFraction(
-            a.field, a.num_factors + b.num_factors, a.den_factors + b.den_factors
-        )
+        # a's denominators meet only b's numerators, and b's only a's
+        nums_a, nums_b = list(a.num_factors), list(b.num_factors)
+        dens = _cancel(a.den_factors, nums_b) + _cancel(b.den_factors, nums_a)
+        return ExpPolyFraction._of(a.field, nums_a + nums_b, dens)
 
     __rmul__ = __mul__
 
@@ -588,21 +629,33 @@ class ExpPolyFraction:
             return NotImplemented
         if not b:
             raise ZeroDivisionError("division by zero fraction")
-        return ExpPolyFraction(
-            a.field, a.num_factors + b.den_factors, a.den_factors + b.num_factors
+        if a._is_zero_form():
+            return ExpPolyFraction.zero(a.field)
+        # b's unit numerators invert into the numerator; a's denominators
+        # meet only b's, and b's other numerators only a's numerators
+        inverses = [f.inverse() for f in b.num_factors if f.is_unit()]
+        nums_a, nums_b = list(a.num_factors), list(b.den_factors)
+        dens = _cancel(a.den_factors, nums_b) + _cancel(
+            [f for f in b.num_factors if not f.is_unit()], nums_a
         )
+        return ExpPolyFraction._of(a.field, nums_a + nums_b + inverses, dens)
 
     def __neg__(self):
+        if self._is_zero_form():
+            return self
         # scale an existing rational-constant factor when possible so the
         # factor lists stay small under repeated sign flips
+        one = self.field.one
         nums = list(self.num_factors)
         for i, f in enumerate(nums):
-            if f.is_unit() and f.terms[0][0] == self.field.one:
+            if f.is_unit() and f.terms[0][0] == one:
                 nums[i] = f.scale(-1)
+                if _is_one(nums[i], one):
+                    del nums[i]
                 break
         else:
             nums.insert(0, ExpPoly.constant(-1, self.field))
-        return ExpPolyFraction(self.field, nums, self.den_factors)
+        return ExpPolyFraction._of(self.field, nums, self.den_factors)
 
     def __add__(self, other):
         a, b = self._coerce(other)
@@ -620,7 +673,12 @@ class ExpPolyFraction:
         right = b.expanded_num()
         for f in _multiset_subtract(den, b.den_factors):
             right = right * f
-        return ExpPolyFraction(a.field, [left + right], den)
+        total = left + right
+        if not total:
+            return ExpPolyFraction.zero(a.field)
+        # the denominators are reduced already; only the new sum may cancel
+        nums = [] if _is_one(total, a.field.one) else [total]
+        return ExpPolyFraction._of(a.field, nums, _cancel(den, nums))
 
     __radd__ = __add__
 

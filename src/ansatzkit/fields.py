@@ -10,9 +10,15 @@ constant-coefficient recurrences and the growth constants of asymptotic
 templates both take them from it, and it raises
 :class:`UnsupportedFactorization` for everything else.
 
-Elements are coordinate tuples (a0,) or (a0, a1) standing for a0 + a1*t.
-They multiply by closed formulas with t^2 = -c1*t - c0 and invert as the
-conjugate over the norm; in degree 1 they are plain ``Fraction`` arithmetic.
+An element a0 + a1*t (a0 in degree 1) is stored as integer numerators
+(a0,) or (a0, a1) over one positive denominator, and every result is
+reduced by one gcd of the denominator with the numerators, so equal
+elements have equal integers.  Sums over one denominator add the
+numerators; products use t^2 = -c1*t - c0 with the modulus itself held as
+integers over one denominator, and inverses are the conjugate over the
+norm, all in integers.  ``coords`` gives the ``Fraction`` coordinates for
+printing, sorting and the readers outside this module; a rational element
+hashes as its value, as ``int`` and ``Fraction`` do.
 
 Moduli are compared exactly (``compare_modulus``) and bracketed by
 rationals (``abs_bounds``).  A real quadratic field is embedded with
@@ -24,7 +30,7 @@ single factor; operator printing and equation comparison use it.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import UnsupportedFactorization, UnsupportedField
 from .polynomials import QQ, Poly, power, rational_roots, squarefree_decomposition
@@ -38,7 +44,7 @@ class NumberField:
     """Q[t]/(minpoly) with a monic irreducible modulus of degree 1 or 2;
     also a Poly coefficient domain."""
 
-    __slots__ = ("minpoly", "degree", "low", "zero", "one")
+    __slots__ = ("minpoly", "degree", "low", "int_low", "zero", "one")
 
     def __init__(self, minpoly):
         if isinstance(minpoly, (list, tuple)):
@@ -51,7 +57,10 @@ class NumberField:
         self.minpoly = minpoly
         self.degree = minpoly.degree
         self.low = low
-        self.zero = NumberFieldElement(self, (Fraction(0),) * self.degree)
+        # (k0, k1, m) with c0 = k0/m and c1 = k1/m, for the integer product
+        m = lcm(*(c.denominator for c in low))
+        self.int_low = (*(c.numerator * (m // c.denominator) for c in low), m)
+        self.zero = NumberFieldElement(self, (0,) * self.degree)
         self.one = self.from_rational(1)
 
     def __eq__(self, other):
@@ -75,13 +84,16 @@ class NumberField:
                 return self.from_rational(value.as_rational())
             raise UnsupportedField(f"cannot move {value} into {self}")
         if isinstance(value, (int, Fraction)):
-            return self.from_rational(Fraction(value))
+            return self.from_rational(value)
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def from_rational(self, q):
-        coords = [Fraction(0)] * self.degree
-        coords[0] = Fraction(q)
-        return NumberFieldElement(self, tuple(coords))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        # ints have numerator and denominator too; a Fraction is reduced
+        return NumberFieldElement(
+            self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator
+        )
 
     def element(self, coords):
         coords = [Fraction(c) for c in coords]
@@ -89,7 +101,10 @@ class NumberField:
             rep = Poly(coords, QQ, "t") % self.minpoly
             coords = list(rep.coeffs)
         coords += [Fraction(0)] * (self.degree - len(coords))
-        return NumberFieldElement(self, tuple(coords))
+        den = lcm(*(c.denominator for c in coords))
+        return NumberFieldElement(
+            self, tuple([c.numerator * (den // c.denominator) for c in coords]), den
+        )
 
     def generator(self):
         if self.degree < 2:
@@ -98,13 +113,28 @@ class NumberField:
 
 
 class NumberFieldElement:
-    """a0 + a1*t in a quadratic field, or a0 in a degree-1 field."""
+    """(a0 + a1*t)/den in a quadratic field, or a0/den in a degree-1 field:
+    integer numerators ``nums`` over one positive ``den`` with
+    gcd(den, *nums) = 1, so equal elements have equal integers."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field, coords):
+    def __init__(self, field, nums, den=1):
+        """The element nums/den, reduced by one gcd; ``den`` is positive."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = tuple([a // g for a in nums])
+                den //= g
         self.field = field
-        self.coords = coords
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coords(self):
+        """The rational coordinates (a0,) or (a0, a1) of a0 + a1*t."""
+        den = self.den
+        return tuple([Fraction(a, den) for a in self.nums])
 
     # -- helpers -----------------------------------------------------------
 
@@ -117,7 +147,7 @@ class NumberFieldElement:
             common_field(self.field, other.field)  # raises for two quadratic fields
             return None
         if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(Fraction(other))
+            return self.field.from_rational(other)
         return None
 
     def _lifted(self, other, name):
@@ -128,7 +158,7 @@ class NumberFieldElement:
         return getattr(other.field.coerce(self), name)(other)
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.nums)
 
     def __eq__(self, other):
         try:
@@ -137,21 +167,24 @@ class NumberFieldElement:
             return False
         if other is None:
             return NotImplemented
-        return self.coords == other.coords
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        # equal elements of different fields are rational, so hash the value
+        # equal elements of different fields are rational, so hash the value,
+        # as int and Fraction hash it
         if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.field, self.coords))
+            if self.den == 1:
+                return hash(self.nums[0])
+            return hash(self.as_rational())
+        return hash((self.field, self.nums, self.den))
 
     def is_rational(self):
-        return not any(self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise UnsupportedField(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def sort_key(self):
         return (self.field.minpoly.coeffs, self.coords)
@@ -162,22 +195,32 @@ class NumberFieldElement:
         same = self._same(other)
         if same is None:
             return self._lifted(other, "__add__")
-        # tuples from lists, as in sequences.Sequence
+        da, db = self.den, same.den
+        if da == db:
+            # tuples from lists, as in sequences.Sequence
+            return NumberFieldElement(
+                self.field, tuple([a + b for a, b in zip(self.nums, same.nums)]), da
+            )
         return NumberFieldElement(
-            self.field, tuple([a + b for a, b in zip(self.coords, same.coords)])
+            self.field, tuple([a * db + b * da for a, b in zip(self.nums, same.nums)]), da * db
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.field, tuple([-a for a in self.coords]))
+        return NumberFieldElement(self.field, tuple([-a for a in self.nums]), self.den)
 
     def __sub__(self, other):
         same = self._same(other)
         if same is None:
             return self._lifted(other, "__sub__")
+        da, db = self.den, same.den
+        if da == db:
+            return NumberFieldElement(
+                self.field, tuple([a - b for a, b in zip(self.nums, same.nums)]), da
+            )
         return NumberFieldElement(
-            self.field, tuple([a - b for a, b in zip(self.coords, same.coords)])
+            self.field, tuple([a * db - b * da for a, b in zip(self.nums, same.nums)]), da * db
         )
 
     def __rsub__(self, other):
@@ -188,34 +231,43 @@ class NumberFieldElement:
         if same is None:
             return self._lifted(other, "__mul__")
         field = self.field
+        den = self.den * same.den
         if field.degree == 1:
-            return NumberFieldElement(field, (self.coords[0] * same.coords[0],))
-        (a0, a1), (b0, b1), (c0, c1) = self.coords, same.coords, field.low
+            return NumberFieldElement(field, (self.nums[0] * same.nums[0],), den)
+        # t^2 = -c1*t - c0 with c0 = k0/m, c1 = k1/m
+        (a0, a1), (b0, b1), (k0, k1, m) = self.nums, same.nums, field.int_low
         a1b1 = a1 * b1
         return NumberFieldElement(
-            field, (a0 * b0 - c0 * a1b1, a0 * b1 + a1 * b0 - c1 * a1b1)
+            field, (m * a0 * b0 - k0 * a1b1, m * (a0 * b1 + a1 * b0) - k1 * a1b1), m * den
         )
 
     __rmul__ = __mul__
 
+    def _norm_numerator(self):
+        """m times the norm of the numerator a0 + a1*t (c0 = k0/m, c1 = k1/m)."""
+        (a0, a1), (k0, k1, m) = self.nums, self.field.int_low
+        return m * a0 * a0 - k1 * a0 * a1 + k0 * a1 * a1
+
     def norm(self):
         """The product of the conjugates, a rational."""
         if self.field.degree == 1:
-            return self.coords[0]
-        (a0, a1), (c0, c1) = self.coords, self.field.low
-        return a0 * a0 - c1 * a0 * a1 + c0 * a1 * a1
+            return self.as_rational()
+        return Fraction(self._norm_numerator(), self.field.int_low[2] * self.den**2)
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         field = self.field
         if field.degree == 1:
-            return NumberFieldElement(field, (1 / self.coords[0],))
-        # the conjugate a0 + a1*t' (t' = -c1 - t) over the norm, which is
-        # nonzero because the modulus is irreducible
-        (a0, a1), c1 = self.coords, field.low[1]
-        norm = self.norm()
-        return NumberFieldElement(field, ((a0 - c1 * a1) / norm, -a1 / norm))
+            a = self.nums[0]
+            return NumberFieldElement(field, (-self.den if a < 0 else self.den,), abs(a))
+        # den times the conjugate a0 + a1*t' (t' = -c1 - t) of the numerator
+        # over its norm, which is nonzero because the modulus is irreducible;
+        # both carry a factor 1/m, which cancels
+        (a0, a1), (_, k1, m) = self.nums, field.int_low
+        norm = self._norm_numerator()
+        den = self.den if norm > 0 else -self.den
+        return NumberFieldElement(field, ((m * a0 - k1 * a1) * den, -m * a1 * den), abs(norm))
 
     def __truediv__(self, other):
         same = self._same(other)
@@ -230,10 +282,11 @@ class NumberFieldElement:
         return same * self.inverse()
 
     def __pow__(self, exponent):
-        if self.field.degree == 1:
-            return NumberFieldElement(self.field, (self.coords[0] ** exponent,))
         if exponent < 0:
             return self.inverse() ** (-exponent)
+        if self.field.degree == 1:
+            # a power of a reduced a/den is reduced
+            return NumberFieldElement(self.field, (self.nums[0] ** exponent,), self.den ** exponent)
         return power(self, exponent, self.field.one)
 
     # -- size ------------------------------------------------------------------

@@ -712,6 +712,16 @@ class TestCliCommands:
         assert code == 0
         assert capsys.readouterr().out == "1 + 3*C(n,1) + 2*C(n,2)\n"
 
+    def test_closedform_poly_negative_terms(self, capsys):
+        # a negative coefficient is joined by " - ", never by "+ -"
+        cases = [
+            (["--terms", "1,0,-1,-2", "--max-degree", "2"], "1 - 1*C(n,1)"),
+            (["--terms", "1,-1/2,3", "--max-degree", "2"], "1 - 3/2*C(n,1) + 5*C(n,2)"),
+        ]
+        for args, expected in cases:
+            assert main(["closedform", "--class", "poly", *args]) == 0, args
+            assert capsys.readouterr().out == expected + "\n", args
+
     def test_closedform_usage_errors(self, capsys):
         assert main(["closedform", "--class", "poly"]) == 2
         assert capsys.readouterr().err == "--class poly needs sequence input\n"

@@ -1,5 +1,6 @@
 """Closed-form solutions and their reverse construction."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from ansatzkit import (
     poly_binomial_form,
     verify_annihilates,
 )
+from ansatzkit import closedform
 from ansatzkit.errors import NotPolynomial, UnsupportedFactorization
 
 import conftest as corpus
@@ -77,6 +79,21 @@ class TestBinomialForm:
         t = field.generator()
         value = form.evaluate(t)
         assert value.field == field and value == binomial_sum(form.coeffs, 2, t)
+
+    def test_newton_polynomial_is_built_with_the_form(self, monkeypatch):
+        coeffs = (F(1), F(-2), F(3, 2))
+        form = BinomialForm(coeffs, 2)
+        values = [form.evaluate(n) for n in range(-2, 8)]
+        # the polynomial is no field of comparison, hashing or repr
+        assert repr(form) == (
+            "BinomialForm(coeffs=(Fraction(1, 1), Fraction(-2, 1), Fraction(3, 2)), offset=2)"
+        )
+        assert form == BinomialForm(coeffs, 2) and hash(form) == hash(BinomialForm(coeffs, 2))
+        assert form != BinomialForm(coeffs, 3)
+        moved = dataclasses.replace(form, offset=3)
+        monkeypatch.setattr(closedform, "newton_poly", lambda *args: pytest.fail("rebuilt"))
+        assert [form.evaluate(n) for n in range(-2, 8)] == values
+        assert [moved.evaluate(n + 1) for n in range(-2, 8)] == values
 
     def test_long_sequence_reports_the_corrupted_index(self):
         terms = [F(n**5 - 3 * n**2 + 7, 2) for n in range(2000)]

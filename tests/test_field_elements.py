@@ -1,0 +1,349 @@
+"""Number-field elements on integer numerators over one denominator.
+
+A reference element kept here does the arithmetic on ``Fraction``
+coordinates, as the elements once did; seeded values with denominators up
+to 10**30 must give the same coordinates, equality, hashes, printing and
+term order under both.  The fraction layer's fast products, quotients,
+sums and negations must build the factor lists the full constructor
+builds.  A lint keeps ``Fraction`` out of the element arithmetic.
+"""
+
+import ast
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from ansatzkit import RATIONAL_FIELD, ExpPoly, ExpPolyFraction, NumberField, Poly, QQ
+from ansatzkit.exppoly import _multiset_subtract, _multiset_union_max
+
+F = Fraction
+
+GOLDEN = NumberField([-1, -1, 1])  # t^2 = t + 1, Q(sqrt 5)
+GAUSS = NumberField([1, 0, 1])  # t^2 = -1, Q(i)
+# t^2 + t/2 + 3/4: a modulus with denominators, so the product and the
+# inverse scale by its common denominator
+SKEW = NumberField([F(3, 4), F(1, 2), 1])
+FIELDS = [RATIONAL_FIELD, GOLDEN, GAUSS, SKEW]
+
+
+class Reference:
+    """a0 + a1*t on ``Fraction`` coordinates."""
+
+    def __init__(self, field, coords):
+        self.field = field
+        self.coords = tuple(F(c) for c in coords)
+
+    def _of(self, coords):
+        return Reference(self.field, coords)
+
+    def __add__(self, other):
+        return self._of([a + b for a, b in zip(self.coords, other.coords)])
+
+    def __sub__(self, other):
+        return self._of([a - b for a, b in zip(self.coords, other.coords)])
+
+    def __neg__(self):
+        return self._of([-a for a in self.coords])
+
+    def __mul__(self, other):
+        if self.field.degree == 1:
+            return self._of([self.coords[0] * other.coords[0]])
+        (a0, a1), (b0, b1), (c0, c1) = self.coords, other.coords, self.field.low
+        return self._of([a0 * b0 - c0 * a1 * b1, a0 * b1 + a1 * b0 - c1 * a1 * b1])
+
+    def norm(self):
+        if self.field.degree == 1:
+            return self.coords[0]
+        (a0, a1), (c0, c1) = self.coords, self.field.low
+        return a0 * a0 - c1 * a0 * a1 + c0 * a1 * a1
+
+    def inverse(self):
+        if self.field.degree == 1:
+            return self._of([1 / self.coords[0]])
+        (a0, a1), c1 = self.coords, self.field.low[1]
+        norm = self.norm()
+        return self._of([(a0 - c1 * a1) / norm, -a1 / norm])
+
+    def __pow__(self, exponent):
+        base = self.inverse() if exponent < 0 else self
+        result = self._of([1] + [0] * (self.field.degree - 1))
+        for _ in range(abs(exponent)):
+            result = result * base
+        return result
+
+    def is_rational(self):
+        return not any(self.coords[1:])
+
+    def __str__(self):
+        if self.is_rational():
+            return str(self.coords[0])
+        return str(Poly(self.coords, QQ, "t"))
+
+    def sort_key(self):
+        return (self.field.minpoly.coeffs, self.coords)
+
+
+def _random_rational(rng):
+    size = rng.choice([3, 10**6, 10**30])
+    return F(rng.randint(-size, size), rng.randint(1, rng.choice([1, 12, size])))
+
+
+def _random_pair(rng, field):
+    """An element and its reference, sometimes rational, sometimes zero."""
+    coords = [_random_rational(rng) for _ in range(field.degree)]
+    roll = rng.random()
+    if roll < 0.15:
+        coords = [F(0)] * field.degree
+    elif roll < 0.35:
+        coords[1:] = [F(0)] * (field.degree - 1)
+    return field.element(coords), Reference(field, coords)
+
+
+def _assert_same(element, reference):
+    assert element.field is reference.field
+    assert element.coords == reference.coords
+    assert all(type(c) is Fraction for c in element.coords)
+    assert element.den > 0
+    assert all(type(a) is int for a in element.nums) and type(element.den) is int
+    assert bool(element) == any(reference.coords)
+    assert str(element) == str(reference)
+    assert element.sort_key() == reference.sort_key()
+    assert element.norm() == reference.norm() and type(element.norm()) is Fraction
+
+
+class TestElementsAgainstFractionCoordinates:
+    def test_arithmetic(self):
+        rng = random.Random(23001)
+        for field in FIELDS:
+            for _ in range(150):
+                (x, rx), (y, ry) = _random_pair(rng, field), _random_pair(rng, field)
+                _assert_same(x, rx)
+                _assert_same(x + y, rx + ry)
+                _assert_same(x - y, rx - ry)
+                _assert_same(-x, -rx)
+                _assert_same(x * y, rx * ry)
+                _assert_same(x * x, rx * rx)
+                q = _random_rational(rng)
+                rq = Reference(field, [q] + [0] * (field.degree - 1))
+                _assert_same(x + q, rx + rq)
+                _assert_same(q - x, rq - rx)
+                _assert_same(x * q, rx * rq)
+                if y:
+                    _assert_same(y.inverse(), ry.inverse())
+                    _assert_same(x / y, rx * ry.inverse())
+                    _assert_same(q / y, rq * ry.inverse())
+                    exponent = rng.randint(-3, 3)
+                    _assert_same(y**exponent, ry**exponent)
+                _assert_same(x**2, rx * rx)
+                assert (x == y) == (rx.coords == ry.coords)
+                assert x == field.element(rx.coords) and hash(x) == hash(field.element(rx.coords))
+                # the same value from unreduced integers
+                k = rng.randint(2, 10**12)
+                twin = type(x)(field, tuple([a * k for a in x.nums]), x.den * k)
+                assert twin.nums == x.nums and twin.den == x.den
+                assert twin == x and hash(twin) == hash(x)
+                if rx.is_rational():
+                    assert x == rx.coords[0] and x.as_rational() == rx.coords[0]
+                    assert type(x.as_rational()) is Fraction
+
+    def test_equal_values_are_equal_and_hash_alike(self):
+        rng = random.Random(23002)
+        for x, rx in [_random_pair(rng, field) for field in FIELDS for _ in range(40)]:
+            if rx.is_rational():
+                continue
+            y = x.field.element(rx.coords)
+            z = (x + x.field.one) - x.field.one
+            assert x == y == z and len({x, y, z}) == 1
+            assert x != y + x.field.generator()
+
+    def test_rational_hash_is_the_value_hash(self):
+        rng = random.Random(23003)
+        values = [F(0), F(1), F(-1), F(7), F(-10**30), F(1, 2), F(-3, 10**30)]
+        values += [_random_rational(rng) for _ in range(60)]
+        for q in values:
+            elements = [field.from_rational(q) for field in FIELDS]
+            elements += [field.element([q, 0]) for field in FIELDS[1:]]
+            for element in elements:
+                assert hash(element) == hash(q)
+                if q.denominator == 1:
+                    assert hash(element) == hash(int(q)) and element == int(q)
+                assert element == elements[0] and element == q
+            assert len(set(elements)) == 1
+            assert len({elements[0], q}) == 1
+
+    def test_exppoly_term_order_is_the_value_order(self):
+        rng = random.Random(23004)
+        for field in FIELDS:
+            for _ in range(60):
+                pairs = []
+                for _ in range(rng.randint(2, 7)):
+                    base, _ = _random_pair(rng, field)
+                    if rng.random() < 0.3 and pairs:
+                        base = pairs[0][0] * rng.choice([1, -1, 2, F(1, 3)])
+                    if base:
+                        pairs.append((base, Poly([F(rng.randint(-3, 3))], field, "n")))
+                merged = {}
+                for base, poly in pairs:
+                    merged[base.coords] = merged.get(base.coords, Poly([], field, "n")) + poly
+                expected = sorted(coords for coords, poly in merged.items() if poly)
+                e = ExpPoly(field, pairs)
+                assert [base.coords for base, _ in e.terms] == expected
+
+
+# -- the fraction layer's fast paths ---------------------------------------------
+
+G = ExpPoly.geometric
+
+
+def _factor_pool():
+    """(field, factors) pools: units of base 1 and of other bases, the
+    constant 1, and two-term factors that cancel in pairs; the Q(sqrt 5)
+    pool holds the rational factors too."""
+    phi = GOLDEN.generator()
+    rational = [
+        G(2),
+        G(-1),
+        ExpPoly.constant(3),
+        ExpPoly.constant(1),
+        G(2) + 1,
+        G(2) - G(3),
+        ExpPoly(RATIONAL_FIELD, [(1, Poly([1, 1]))]),
+        G(-1) + 1,
+        G(-1) - 1,
+    ]
+    golden = [
+        G(phi, GOLDEN),
+        ExpPoly.constant(-1, GOLDEN),
+        G(phi, GOLDEN) + G(1 - phi, GOLDEN),
+        G(phi, GOLDEN) - 1,
+    ]
+    return [(RATIONAL_FIELD, rational), (GOLDEN, rational + golden)]
+
+
+def _random_fraction(rng, field, pool):
+    roll = rng.random()
+    if roll < 0.08:
+        return ExpPolyFraction.zero(field)
+    nums = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+    dens = [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+    if roll < 0.16:
+        # the product (1 - (-1)^n)(1 + (-1)^n) is zero but no zero factor
+        nums = [G(-1) - 1, G(-1) + 1]
+    return ExpPolyFraction(
+        field, [f.to_field(field) for f in nums], [f.to_field(field) for f in dens]
+    )
+
+
+def _lifted(a, b):
+    if a.field == b.field:
+        return a, b
+    return a.to_field(GOLDEN), b.to_field(GOLDEN)
+
+
+def _full_product(a, b):
+    a, b = _lifted(a, b)
+    if not a or not b:
+        return ExpPolyFraction.zero(a.field)
+    return ExpPolyFraction(a.field, a.num_factors + b.num_factors, a.den_factors + b.den_factors)
+
+
+def _full_quotient(a, b):
+    a, b = _lifted(a, b)
+    return ExpPolyFraction(a.field, a.num_factors + b.den_factors, a.den_factors + b.num_factors)
+
+
+def _full_sum(a, b):
+    a, b = _lifted(a, b)
+    if not a:
+        return b
+    if not b:
+        return a
+    den = _multiset_union_max(a.den_factors, b.den_factors)
+    parts = []
+    for x in (a, b):
+        part = x.expanded_num()
+        for f in _multiset_subtract(den, x.den_factors):
+            part = part * f
+        parts.append(part)
+    return ExpPolyFraction(a.field, [parts[0] + parts[1]], den)
+
+
+def _full_negation(a):
+    nums = list(a.num_factors)
+    for i, f in enumerate(nums):
+        if f.is_unit() and f.terms[0][0] == a.field.one:
+            nums[i] = f.scale(-1)
+            break
+    else:
+        nums.insert(0, ExpPoly.constant(-1, a.field))
+    return ExpPolyFraction(a.field, nums, a.den_factors)
+
+
+def _assert_same_lists(fast, full):
+    assert fast.num_factors == full.num_factors
+    assert fast.den_factors == full.den_factors
+    assert [f.field for f in fast.num_factors + fast.den_factors] == [
+        f.field for f in full.num_factors + full.den_factors
+    ]
+    assert fast == full
+
+
+class TestFractionFastPaths:
+    def test_factor_lists_match_the_full_constructor(self):
+        rng = random.Random(23005)
+        counts = {"cancelled": 0, "unit_den": 0, "zero": 0, "mixed": 0}
+        pools = _factor_pool()
+        for _ in range(500):
+            (fa, pa), (fb, pb) = rng.choice(pools), rng.choice(pools)
+            a, b = _random_fraction(rng, fa, pa), _random_fraction(rng, fb, pb)
+            counts["mixed"] += fa != fb
+            counts["zero"] += not a or not b
+            product = a * b
+            _assert_same_lists(product, _full_product(a, b))
+            counts["cancelled"] += len(product.num_factors) + len(product.den_factors) < len(
+                a.num_factors + a.den_factors + b.num_factors + b.den_factors
+            )
+            if b:
+                quotient = a / b
+                _assert_same_lists(quotient, _full_quotient(a, b))
+                counts["unit_den"] += any(f.is_unit() for f in b.num_factors)
+            _assert_same_lists(a + b, _full_sum(a, b))
+            _assert_same_lists(-a, _full_negation(a))
+            _assert_same_lists(a - b, _full_sum(*_lifted(a, -b)))
+        assert min(counts.values()) >= 20, counts
+
+    def test_constant_one_denominator_leaves_no_factor(self):
+        one = ExpPoly.constant(1)
+        x = ExpPolyFraction(RATIONAL_FIELD, [G(2) + 1], [one])
+        assert x.num_factors == (G(2) + 1,) and x.den_factors == ()
+        assert ExpPolyFraction(RATIONAL_FIELD, [], [one]).num_factors == ()
+        assert (-ExpPolyFraction(RATIONAL_FIELD, [ExpPoly.constant(-1)])).num_factors == ()
+
+
+# -- the representation lint ------------------------------------------------------
+
+FIELDS_SOURCE = Path(__file__).resolve().parents[1] / "src" / "ansatzkit" / "fields.py"
+INTEGER_METHODS = ("__add__", "__sub__", "__mul__", "__neg__", "inverse", "__eq__", "__bool__")
+
+
+def test_element_arithmetic_names_no_fraction():
+    tree = ast.parse(FIELDS_SOURCE.read_text())
+    element = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "NumberFieldElement"
+    )
+    methods = {
+        node.name: node
+        for node in element.body
+        if isinstance(node, ast.FunctionDef) and node.name in INTEGER_METHODS
+    }
+    assert sorted(methods) == sorted(INTEGER_METHODS)
+    found = [
+        f"{name}:{node.lineno}"
+        for name, method in methods.items()
+        for node in ast.walk(method)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr in ("Fraction", "coords"))
+    ]
+    assert found == []
