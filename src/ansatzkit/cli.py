@@ -69,6 +69,17 @@ def _add_common(parser):
     parser.add_argument("--offset", type=int, default=0, help="index of the first term")
 
 
+def _bound(text):
+    """A shape bound: a non-negative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a bound must be non-negative, got {text}")
+    return value
+
+
 def _load_sequence(args):
     if args.oeis:
         return oeis.fetch(args.oeis)
@@ -299,8 +310,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--class", dest="klass", required=True,
                    choices=["poly", "cfinite", "holonomic", "c2"])
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-order", type=_bound, default=4)
+    p.add_argument("--max-degree", type=_bound, default=3)
     p.add_argument("--margin", type=int, default=None)
     p.add_argument("--assume-bound", action="store_true",
                    help="treat the bounds as known, making the fit a proof")
@@ -314,7 +325,7 @@ def build_parser():
 
     p = sub.add_parser("closedform", help="closed-form solution")
     p.add_argument("--class", dest="klass", required=True, choices=["poly", "cfinite"])
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=_bound, default=8)
     _add_common(p)
     p.add_argument("spec", nargs="?", help="operator;initials for --class cfinite")
     _add_input_arguments(p, required=False)

@@ -35,6 +35,16 @@ as it does when the residues say nothing (rank 0: every cleared term is a
 multiple of p).  A vector that passes is the one the kernel gives on all
 equations at the same free column, so the answers are those of the exact
 search.
+
+The fit rows n^j a(n + i), residues and integers, are built once per
+search and cut to each shape's window starts.  Once the shapes rejected
+so far have cost sum k^3 >= K^3 (k unknowns each), the element-wise
+largest remaining shape, of K unknowns, is tested once mod p on its first
+K window starts, if the data covers it: a relation of a smaller shape,
+padded with zeros, is one of it on a subset of its window starts, so when
+its rows there are independent no remaining shape has a relation and the
+search ends.  The cost bound keeps that test off the searches that find
+a relation early.
 """
 
 from dataclasses import dataclass
@@ -195,20 +205,24 @@ def _poly_coefficients(coeffs, degree):
     )
 
 
-def _fit_rows(values, powers, order, degree, prime=None):
-    """The fit rows of a shape, one per unknown c_{i,j} in coefficient
-    order: n^j a(n + i) at every window start n.  The degree-0 rows are the
-    value slices themselves; ``prime`` reduces the others."""
-    windows = len(values) - order
+def _fit_rows(values, powers, cache, order, degree, windows, prime=None):
+    """The fit rows of a shape at its first ``windows`` window starts, one
+    per unknown c_{i,j} in coefficient order: n^j a(n + i) at each start.
+    The degree-0 rows are slices of the values themselves; the others are
+    built once per search over every start, kept in ``cache`` and sliced,
+    and ``prime`` reduces them."""
     rows = []
     for i in range(order + 1):
-        window = values[i : i + windows]
-        rows.append(window)
+        rows.append(values[i : i + windows])
         for j in range(1, degree + 1):
-            if prime is None:
-                rows.append([p * t for p, t in zip(powers[j], window)])
-            else:
-                rows.append([p * t % prime for p, t in zip(powers[j], window)])
+            row = cache.get((i, j))
+            if row is None:
+                if prime is None:
+                    row = [p * t for p, t in zip(powers[j], values[i:])]
+                else:
+                    row = [p * t % prime for p, t in zip(powers[j], values[i:])]
+                cache[i, j] = row
+            rows.append(row[:windows])
     return rows
 
 
@@ -216,22 +230,44 @@ def _fit_search(sequence, class_name, shapes, margin, proven, operator_of):
     """The first of ``shapes`` (order, degree, fit length) with a relation
     sum_{i,j} c_{i,j} n^j a(n + i) = 0 at every window start n, as a report
     marked ``proven`` as given; ``operator_of`` turns the coefficient vector
-    into the operator."""
+    into the operator.  Shapes the data does not cover are skipped, and
+    the no-fit gate of the module docstring may end the search early."""
     if not any(sequence.terms):
         return _degenerate_zero_report(sequence, class_name)
     terms, offset, length = sequence.terms, sequence.offset, len(sequence)
+    shapes = [shape for shape in shapes if length >= shape[2] + max(margin, 1)]
     # one common denominator for every term scales every fit row alike
     integers = _zx_cleared([terms])[0]
     residues = [x % PRIME for x in integers]
     top = max((degree for _, degree, _ in shapes), default=0)
     powers = [[(offset + w) ** j for w in range(length)] for j in range(top + 1)]
-    for order, degree, fit in shapes:
-        if length < fit + max(margin, 1):
-            continue
-        picks = rank_profile_mod_p(_fit_rows(residues, powers, order, degree, PRIME))
+    residue_rows, integer_rows = {}, {}
+    # the gate shape of each suffix of the search: (order, degree) maxima
+    gates, largest = [], (0, 0)
+    for order, degree, _ in reversed(shapes):
+        largest = (max(largest[0], order), max(largest[1], degree))
+        gates.append(largest)
+    gates.reverse()
+    covered = {(order, degree) for order, degree, _ in shapes}
+    spent, gated = 0, False  # sum of k^3 over the shapes tried; the gate ran
+    for index, (order, degree, fit) in enumerate(shapes):
+        gate_order, gate_degree = gates[index]
+        size = (gate_order + 1) * (gate_degree + 1)
+        if not gated and spent >= size**3 and gates[index] in covered:
+            gated = True
+            square = _fit_rows(
+                residues, powers, residue_rows, gate_order, gate_degree, size, PRIME
+            )
+            if rank_profile_mod_p(square) is None:
+                break
+        spent += ((order + 1) * (degree + 1)) ** 3
+        windows = length - order
+        picks = rank_profile_mod_p(
+            _fit_rows(residues, powers, residue_rows, order, degree, windows, PRIME)
+        )
         if picks is None:  # independent rows mod p: no relation
             continue
-        rows = _fit_rows(integers, powers, order, degree)
+        rows = _fit_rows(integers, powers, integer_rows, order, degree, windows)
         for coeffs in _relations(rows, picks, order * (degree + 1)):
             operator = operator_of(coeffs, degree)
             validity = max(offset, leading_validity_offset(operator))

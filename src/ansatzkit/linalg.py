@@ -29,7 +29,10 @@ leading coefficient.
 
 Beside the exact kernels sits one modular routine, ``rank_profile_mod_p``:
 it reduces integer rows modulo the fixed prime ``PRIME`` one column
-(one equation) at a time.  When their rank reaches the number of rows it
+(one equation) at a time.  ``PRIME`` is below 2**30, so every residue is
+one CPython digit; a smaller prime only raises the chance that a minor
+vanishes mod p (about 2**-30 each), which costs callers time, not
+correctness.  When their rank reaches the number of rows it
 stops and proves the rows independent over Q; otherwise it returns the
 equations that raised the rank.  The guessers use it both ways: most
 shapes they try have no relation and are rejected after a few equations,
@@ -118,7 +121,7 @@ def _eliminate(rows, zero, prefer=None):
     return m, pivots
 
 
-PRIME = 2**61 - 1  # a Mersenne prime; a product of two residues fits in 122 bits
+PRIME = 2**30 - 35  # the largest prime below 2**30: each residue is one CPython digit
 
 
 def rank_profile_mod_p(rows):

@@ -351,12 +351,33 @@ class TestCliCommands:
         assert code == 1
         assert "no cfinite recurrence" in out
 
-    def test_guess_negative_max_degree_is_no_fit(self, capsys):
-        code = main(["guess", "--class", "poly", "--max-degree", "-1", "--terms", "1,2,3,4"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["guess", "--class", "cfinite", "--max-order", "-1"],
+            ["guess", "--class", "holonomic", "--max-degree", "-1"],
+            ["guess", "--class", "poly", "--max-degree", "-2"],
+            ["closedform", "--class", "poly", "--max-degree", "-1"],
+        ],
+        ids=["guess-cfinite-order", "guess-holonomic-degree", "guess-poly-degree", "closedform-poly-degree"],
+    )
+    def test_negative_bound_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--terms", "1,2,3,4"])
+        assert info.value.code == 2
         captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(f"usage: ansatzkit {argv[0]} ")
+        assert lines[-1].endswith(f"{argv[3]}: a bound must be non-negative, got {argv[4]}")
+
+    def test_zero_bound_is_accepted(self, capsys):
+        code = main(["guess", "--class", "poly", "--max-degree", "0", "--terms", "1,2,3,4"])
+        assert capsys.readouterr().out == "no poly recurrence with degree <= 0 fits the data\n"
         assert code == 1
-        assert captured.out == "no poly recurrence with degree <= -1 fits the data\n"
-        assert captured.err == ""
+        code = main(["closedform", "--class", "poly", "--max-degree", "0", "--terms", "5,5,5"])
+        assert capsys.readouterr().out == "5\n"
+        assert code == 0
 
     @pytest.mark.parametrize(
         "spec, printed, document",

@@ -2,6 +2,7 @@
 
 import operator
 import random
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -484,6 +485,17 @@ class TestModularIndependence:
         assert rank_profile_mod_p([[0, 1, 1], [0, 2, 3], [0, 3, 4]]) == [1, 2]
         # independent over Q, dependent mod p: the test only ever says "independent"
         assert rank_profile_mod_p([[1, 1], [1, 1 + PRIME]]) == [0]
+
+    def test_prime_is_one_digit(self):
+        # every residue, and so every pivot and factor, is one CPython digit
+        assert PRIME < 2**sys.int_info.bits_per_digit
+        assert all(PRIME % d for d in range(2, isqrt(2**30) + 1))
+
+    def test_largest_residues(self):
+        # PRIME - 1 is -1 mod p: its products are the largest ones reduced
+        top = PRIME - 1
+        assert rank_profile_mod_p([[top]]) is None
+        assert rank_profile_mod_p([[top] * 4 for _ in range(3)]) == [0]
 
     def test_agrees_with_exact_rank(self):
         rng = random.Random(11)

@@ -521,6 +521,96 @@ class TestModularPrefilter:
         assert any(cfinite[1] is not None for _, cfinite in filtered)
 
 
+def holonomic_of_shape(rng, order, degree, count=40):
+    """A random holonomic system whose operator has exactly this shape and
+    whose first ``count`` terms are nonzero (a zero trailing coefficient at
+    some n can make the terms vanish from there on), with those terms."""
+    while True:
+        system = corpus.random_holonomic(rng, max_order=order, max_degree=degree)
+        coeffs = system.operator.coeffs
+        if len(coeffs) == order + 1 and max(c.degree for c in coeffs) == degree:
+            seq = expand_terms(system, count)
+            if all(seq.terms):
+                return system, seq
+
+
+def gate_calls(calls):
+    """The gate's rank profiles among recorded ones: the square ones."""
+    return [rows for (rows,) in calls if len(rows) == len(rows[0])]
+
+
+class TestNoFitGate:
+    """Once the rejected shapes have cost sum k^3 >= K^3, the search tests
+    the element-wise largest remaining shape, of K unknowns, once mod p on
+    its K x K square and stops when its rows are independent."""
+
+    def test_reports_match_exact_search(self, monkeypatch):
+        rng = random.Random(24)
+        cases = []  # (sequence, bounds, whether the gate must run)
+        for bounds in ((4, 4), (3, 3)):
+            for _ in range(3):
+                noise = [rng.randint(-99, 99) for _ in range(120)]
+                cases.append((Sequence(noise), bounds, True))
+            # a term divisible by PRIME has residue 0
+            noise[rng.randrange(120)] = PRIME * rng.randint(1, 9)
+            cases.append((Sequence(noise), bounds, True))
+        for order in range(1, 5):
+            for degree in range(5):
+                seq = holonomic_of_shape(rng, order, degree)[1]
+                # the gate runs before the shapes of more than 16 unknowns
+                gated = (order + 1) * (degree + 1) > 16
+                cases.append((seq, (4, 4), gated))
+                if order < 4 and degree < 4:
+                    cases.append((seq, (3, 3), (order, degree) == (3, 3)))
+        # hits at the gate shapes whose first term is divisible by PRIME,
+        # and whose terms all are: every residue 0 leaves the gate dependent
+        for bounds in ((4, 4), (3, 3)):
+            system = holonomic_of_shape(rng, *bounds)[0]
+            initials = [PRIME] + list(system.initials[1:])
+            seq = expand_terms(RecurrenceSystem(system.operator, initials), 40)
+            cases.append((seq, bounds, True))
+            cases.append((Sequence([PRIME * t for t in seq.terms]), bounds, True))
+
+        calls = count_calls(monkeypatch, "rank_profile_mod_p")
+        reports = []
+        for seq, bounds, gated in cases:
+            del calls[:]
+            reports.append(report_summary(guess_holonomic(seq, *bounds)))
+            assert len(gate_calls(calls)) == gated
+        monkeypatch.setattr(guess_module, "rank_profile_mod_p", lambda rows: [])
+        exact = [report_summary(guess_holonomic(seq, *bounds)) for seq, bounds, _ in cases]
+        assert exact == reports
+        assert sum(report[1] is None for report in reports) == 8
+        hits = {report[0] for report in reports if report[1] is not None}
+        shapes = {("holonomic", o, d) for o in range(1, 5) for d in range(5)}
+        assert hits == shapes
+
+    def test_no_fit_profiles_fewer_shapes(self, monkeypatch):
+        rng = random.Random(5)
+        seq = Sequence([rng.randint(-99, 99) for _ in range(120)])
+        calls = count_calls(monkeypatch, "rank_profile_mod_p")
+        assert guess_holonomic(seq, 4, 4).result is None
+        # of the 20 shapes, the 17 of at most 16 unknowns cost sum k^3 =
+        # 18775 >= 25^3, then the gate on (4, 4) rejects the other three
+        *shapes, (gate,) = calls
+        assert len(shapes) == 17
+        assert len(gate) == 25 and all(len(row) == 25 for row in gate)
+        assert gate_calls(calls) == [gate]
+
+    def test_uncovered_gate_shape_is_not_tested(self, monkeypatch):
+        # 33 terms cover the fit length plus margin of the 19 shapes but
+        # (4, 4): after 17 shapes (4, 4) is the largest remaining one, but
+        # uncovered, so the gate waits until (4, 3) is the only one left
+        rng = random.Random(6)
+        seq = Sequence([rng.randint(-99, 99) for _ in range(33)])
+        calls = count_calls(monkeypatch, "rank_profile_mod_p")
+        assert guess_holonomic(seq, 4, 4).result is None
+        *shapes, (gate,) = calls
+        assert len(shapes) == 18
+        assert len(gate) == 20 and all(len(row) == 20 for row in gate)
+        assert gate_calls(calls) == [gate]
+
+
 def field_guess_cfinite(seq, max_order, margin=5, assume_bound=False):
     """Reference C-finite guesser on the field kernel: the solution of the
     shifted-window system with the last coefficient one, by ``solve_linear``."""
