@@ -70,7 +70,8 @@ def _add_common(parser):
 
 
 def _bound(text):
-    """A shape bound: a non-negative integer, else a usage error."""
+    """A shape bound or a count (``--margin``, ``--series-terms``): a
+    non-negative integer, else a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -312,7 +313,7 @@ def build_parser():
                    choices=["poly", "cfinite", "holonomic", "c2"])
     p.add_argument("--max-order", type=_bound, default=4)
     p.add_argument("--max-degree", type=_bound, default=3)
-    p.add_argument("--margin", type=int, default=None)
+    p.add_argument("--margin", type=_bound, default=None)
     p.add_argument("--assume-bound", action="store_true",
                    help="treat the bounds as known, making the fit a proof")
 
@@ -337,7 +338,7 @@ def build_parser():
     p.add_argument("spec", nargs="+", help="operand operator;initials specs")
 
     p = sub.add_parser("asymptotics", help="growth templates of a recurrence")
-    p.add_argument("--series-terms", type=int, default=2)
+    p.add_argument("--series-terms", type=_bound, default=2)
     _add_common(p)
     p.add_argument("spec", help="operator;initials")
 

@@ -17,10 +17,12 @@ So sums, products, scalings and argument changes merge their terms on the
 bases' integer numerators and denominator within the one field, sort them
 by value, and skip the public constructor's coercion.  A fraction's factor
 lists are reduced once, by its constructor; products, quotients, sums and
-negations of fractions only cancel what the two operands bring together.
-A fraction caches one expansion, its numerator's, built the first time a
-sum, a zero test or a cleared vector needs it; the denominator is expanded
-only to cross-multiply in an equality test.
+negations of fractions only cancel what the two operands bring together,
+and fold the units c*b^n they bring into one numerator factor, so no chain
+of units is expanded again and again.  A fraction caches one expansion,
+its numerator's, built the first time a sum, a zero test or a cleared
+vector needs it; the denominator is expanded only to cross-multiply in an
+equality test.
 
 :func:`validity_offset` decides the natural zeros of an exponential
 polynomial exactly.  A base ratio that is a root of unity has order 1, 2,
@@ -454,53 +456,64 @@ class ExpPolyFraction:
     numerator alone.
 
     The constructor reduces its factor lists: a zero factor makes the zero
-    fraction, explicit ones are dropped, a unit denominator becomes its
-    inverse in the numerator, and equal factors cancel in pairs.  So a
-    fraction's lists hold no zero (but the zero fraction's one factor),
-    no one, no unit denominator, and no numerator equal to a denominator.
-    Products, quotients, sums and negations of such operands rely on that:
-    they build, through ``_of``, the very lists the constructor would, but
-    only cancel what can meet, the factors of one operand against those of
-    the other, and never re-test the factors they keep.
+    fraction, a unit denominator becomes its inverse in the numerator, the
+    numerator's units multiply into one factor, first and dropped when it
+    is one, and equal factors cancel in pairs.  So a fraction's lists hold
+    no zero (but the zero fraction's one factor), no one, no unit
+    denominator, at most one unit numerator, first, and no numerator equal
+    to a denominator.  Products, quotients, sums and negations of such
+    operands rely on that: they build, through ``_of``, the very lists the
+    constructor would, but only cancel what can meet, the factors of one
+    operand against those of the other, and never re-test the factors
+    they keep.
 
-    Products, quotients and negations only join factor lists; expanding
-    them is the cost.  What keeps it low: the numerator's expansion is
-    cached, as sums and zero tests read it again and again; a zero test
-    with at most one non-unit numerator factor expands nothing; and
-    negation scales a rational constant factor, so sign flips do not
-    lengthen the factor list."""
+    Products, quotients and negations join factor lists; expanding them is
+    the cost.  What keeps it low: the numerator's expansion is cached, as
+    sums and zero tests read it again and again; the operands' units fold
+    into one as they join, one term times one term, so an expansion
+    multiplies in one unit however many pivots, signs and products brought
+    it; a zero test with at most one non-unit numerator factor expands
+    nothing; and negation negates the unit, so sign flips do not lengthen
+    the factor list."""
 
     __slots__ = ("field", "num_factors", "den_factors", "_expanded_num")
 
     def __init__(self, field, num_factors, den_factors=()):
-        one = field.one
-        nums = []
-        for f in num_factors:
-            if not f:
-                self._set(field, [ExpPoly.zero(field)], [])
-                return
-            if not _is_one(f, one):
-                nums.append(f)
+        nums = list(num_factors)
+        if not all(nums):
+            self._set(field, [ExpPoly.zero(field)], [])
+            return
         dens = []
         for f in den_factors:
             if not f:
                 raise ZeroDivisionError("zero denominator factor")
-            if not f.is_unit():
-                dens.append(f)
-            elif not _is_one(f, one):
+            if f.is_unit():
                 nums.append(f.inverse())
+            else:
+                dens.append(f)
         self._set(field, nums, _cancel(dens, nums))
 
     def _set(self, field, nums, dens):
+        """Store the lists, the units of ``nums`` folded into one leading
+        factor, dropped when it is one."""
+        unit = None
+        others = []
+        for f in nums:
+            if f.is_unit():
+                unit = f if unit is None else unit * f
+            else:
+                others.append(f)
+        if unit is not None and not _is_one(unit, field.one):
+            others.insert(0, unit)
         self.field = field
-        self.num_factors = tuple(nums)
+        self.num_factors = tuple(others)
         self.den_factors = tuple(dens)
         self._expanded_num = None
 
     @classmethod
     def _of(cls, field, nums, dens):
-        """The fraction of factor lists that are reduced already: the
-        constructor without its checks."""
+        """The fraction of factor lists that are reduced but for their
+        units: the constructor without its checks and cancellation."""
         fraction = object.__new__(cls)
         fraction._set(field, nums, dens)
         return fraction
@@ -543,22 +556,23 @@ class ExpPolyFraction:
     # -- predicates --------------------------------------------------------------
 
     def __bool__(self):
-        """Whether the value is nonzero.  A zero factor decides it, and so
-        does a product of units with at most one other factor, which is no
-        zero divisor of the rest; only a product of two or more non-units
-        (which may be zero divisors) is expanded."""
+        """Whether the value is nonzero.  The zero fraction's factor decides
+        it, and so does a unit with at most one other factor, which is no
+        zero divisor; only a product of two or more non-units (which may be
+        zero divisors) is expanded."""
         if self._expanded_num is not None:
             return bool(self._expanded_num)
-        non_units = 0
-        for f in self.num_factors:
-            if not f:
-                return False
-            non_units += not f.is_unit()
-        return non_units <= 1 or bool(self.expanded_num())
+        nums = self.num_factors
+        if not nums:
+            return True
+        if not nums[0]:
+            return False
+        return len(nums) - nums[0].is_unit() <= 1 or bool(self.expanded_num())
 
     def is_unit_value(self):
-        """True when the value is c * b^n, safe to divide by everywhere."""
-        return not self.den_factors and all(f.is_unit() for f in self.num_factors) and bool(self)
+        """True when the value is c * b^n, safe to divide by everywhere: no
+        denominator and no numerator but the unit."""
+        return not self.den_factors and all(f.is_unit() for f in self.num_factors)
 
     def _is_zero_form(self):
         """Whether the factor list is the zero fraction's (a zero factor
@@ -631,7 +645,7 @@ class ExpPolyFraction:
             raise ZeroDivisionError("division by zero fraction")
         if a._is_zero_form():
             return ExpPolyFraction.zero(a.field)
-        # b's unit numerators invert into the numerator; a's denominators
+        # b's unit numerator inverts into the numerator; a's denominators
         # meet only b's, and b's other numerators only a's numerators
         inverses = [f.inverse() for f in b.num_factors if f.is_unit()]
         nums_a, nums_b = list(a.num_factors), list(b.den_factors)
@@ -643,16 +657,10 @@ class ExpPolyFraction:
     def __neg__(self):
         if self._is_zero_form():
             return self
-        # scale an existing rational-constant factor when possible so the
-        # factor lists stay small under repeated sign flips
-        one = self.field.one
+        # negate the one unit factor, or put a -1 in its place
         nums = list(self.num_factors)
-        for i, f in enumerate(nums):
-            if f.is_unit() and f.terms[0][0] == one:
-                nums[i] = f.scale(-1)
-                if _is_one(nums[i], one):
-                    del nums[i]
-                break
+        if nums and nums[0].is_unit():
+            nums[0] = -nums[0]
         else:
             nums.insert(0, ExpPoly.constant(-1, self.field))
         return ExpPolyFraction._of(self.field, nums, self.den_factors)

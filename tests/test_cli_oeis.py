@@ -380,6 +380,34 @@ class TestCliCommands:
         assert code == 0
 
     @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            (["asymptotics", "--series-terms", "-2", "holonomic:N-(n+1);1"], "--series-terms", "-2"),
+            (["guess", "--class", "cfinite", "--margin", "-5", "--terms", "1,1,2,3,5,8"], "--margin", "-5"),
+        ],
+        ids=["asymptotics-series-terms", "guess-margin"],
+    )
+    def test_negative_count_is_a_usage_error(self, capsys, argv, option, value):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(f"usage: ansatzkit {argv[0]} ")
+        assert lines[-1].endswith(f"argument {option}: a bound must be non-negative, got {value}")
+
+    def test_zero_count_is_accepted(self, capsys):
+        code = main(["asymptotics", "--series-terms", "0", "holonomic:N-(n+1);1"])
+        assert capsys.readouterr().out == "K * (n/e)^n * (1)^n * n^(1/2) * (1)\n"
+        assert code == 0
+        code = main(["guess", "--class", "cfinite", "--margin", "0", "--terms", "1,1,2,3,5,8"])
+        assert capsys.readouterr().out == (
+            "N^2 - N - 1\ninitials: 1, 1\nshape: class=cfinite order=2 degree=0 fit=4 verified=2\n"
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize(
         "spec, printed, document",
         [
             (

@@ -23,6 +23,7 @@ from ansatzkit import (
     IdentityClaim,
     Poly,
     QQ,
+    RATIONAL_FIELD,
     RecurrenceSystem,
     Sequence,
     ShiftOperator,
@@ -355,6 +356,18 @@ class TestHolonomicCauchy:
         assert all(not r for r in equation.series_residual(series, 14))
 
 
+def rational_exppoly(*terms):
+    """The ExpPoly sum of c * b^n over the (b, c) pairs."""
+    return ExpPoly(RATIONAL_FIELD, list(terms))
+
+
+# order-2 operands whose coefficients are single terms c * b^n, with
+# rational bases of one sign
+G = ExpPoly.geometric
+SINGLE_TERM_A = ShiftOperator(CoeffRing.EXPPOLY, [G(2, poly=-1), G(F(3, 2), poly=2), G(3)])
+SINGLE_TERM_B = ShiftOperator(CoeffRing.EXPPOLY, [G(F(1, 2), poly=2), G(3, poly=-1), G(2, poly=-2)])
+
+
 class TestC2Closures:
     def setup_method(self):
         self.fibonorial = corpus.fibonorial_system()
@@ -391,6 +404,44 @@ class TestC2Closures:
         f3 = corpus.fibonacci_shift_closed_form(3)
         expected = [-(two * f2 * f3), -f3, ExpPoly.constant(1, self.field)]
         assert list(operator.coeffs) == expected
+
+    def test_termwise_single_term_golden(self):
+        # the scale comes from the factor lists of the null vector
+        operator, validity = c2_combine(TERMWISE, SINGLE_TERM_A, SINGLE_TERM_B)
+        assert validity == 0
+        assert list(operator.coeffs) == [
+            rational_exppoly((F(1, 3456), F(-1, 96)), (F(1, 144), F(1, 8))),
+            rational_exppoly((F(1, 768), F(1, 96)), (F(1, 288), F(-23, 288)), (F(1, 32), F(-1, 8))),
+            rational_exppoly(
+                (F(1, 1536), F(1, 32)), (F(1, 576), F(11, 288)), (F(1, 24), F(-5, 36)), (F(3, 8), F(-3, 16))
+            ),
+            rational_exppoly((F(1, 128), F(9, 16)), (F(1, 48), F(23, 48)), (F(3, 16), F(-9, 32))),
+            rational_exppoly((F(1, 96), -1), (F(1, 4), F(1, 2))),
+        ]
+
+    def test_subsequence_golden(self):
+        operator, validity = c2_combine(SUBSEQUENCE, SINGLE_TERM_A, mult=3)
+        assert validity == 0
+        assert list(operator.coeffs) == [
+            rational_exppoly((F(8, 19683), F(-1, 108)), (F(4096, 531441), F(-128, 2187))),
+            rational_exppoly((F(1, 32768), F(1, 32)), (F(1, 1728), F(803, 2592)), (F(8, 729), F(194, 729))),
+            rational_exppoly((F(1, 64), 2), (F(8, 27), F(2, 3))),
+        ]
+
+    def test_termwise_expands_few_products(self, monkeypatch):
+        """Each fraction keeps its units as one factor, so a sum does not
+        re-expand a chain of them: 69 ExpPoly products here, against 283
+        when every unit was a factor of its own."""
+        calls = []
+        multiply = ExpPoly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(ExpPoly, "__mul__", counted)
+        c2_combine(TERMWISE, SINGLE_TERM_A, SINGLE_TERM_B)
+        assert 0 < len(calls) <= 120
 
     def test_degenerate_pair_needs_order_three(self):
         a, b = corpus.alternating_sign_pair()

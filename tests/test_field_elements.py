@@ -5,7 +5,9 @@ coordinates, as the elements once did; seeded values with denominators up
 to 10**30 must give the same coordinates, equality, hashes, printing and
 term order under both.  The fraction layer's fast products, quotients,
 sums and negations must build the factor lists the full constructor
-builds.  A lint keeps ``Fraction`` out of the element arithmetic.
+builds, and match a reference that keeps every unit numerator a factor of
+its own in everything but the units.  A lint keeps ``Fraction`` out of the
+element arithmetic.
 """
 
 import ast
@@ -14,7 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from ansatzkit import RATIONAL_FIELD, ExpPoly, ExpPolyFraction, NumberField, Poly, QQ
-from ansatzkit.exppoly import _multiset_subtract, _multiset_union_max
+from ansatzkit.exppoly import _cancel, _is_one, _multiset_subtract, _multiset_union_max
+from ansatzkit.linalg import clear_exppoly_denominators
 
 F = Fraction
 
@@ -318,6 +321,152 @@ class TestFractionFastPaths:
         assert x.num_factors == (G(2) + 1,) and x.den_factors == ()
         assert ExpPolyFraction(RATIONAL_FIELD, [], [one]).num_factors == ()
         assert (-ExpPolyFraction(RATIONAL_FIELD, [ExpPoly.constant(-1)])).num_factors == ()
+
+
+class KeepUnits:
+    """A fraction that keeps every unit numerator a factor of its own, as
+    fractions did before their units were folded into one: the full
+    constructor's reduction, with products, quotients, sums and negations
+    built through it and the old negation rule."""
+
+    def __init__(self, field, nums, dens=()):
+        self.field = field
+        if not all(nums):
+            self.num_factors, self.den_factors = (ExpPoly.zero(field),), ()
+            return
+        kept = [f for f in nums if not _is_one(f, field.one)]
+        left = []
+        for f in dens:
+            if not f.is_unit():
+                left.append(f)
+            elif not _is_one(f, field.one):
+                kept.append(f.inverse())
+        self.den_factors = tuple(_cancel(left, kept))
+        self.num_factors = tuple(kept)
+
+    def expanded_num(self):
+        product = ExpPoly.constant(1, self.field)
+        for f in self.num_factors:
+            product = product * f
+        return product
+
+    def __bool__(self):
+        return bool(self.expanded_num())
+
+    def __mul__(self, other):
+        if not self or not other:
+            return KeepUnits(self.field, [ExpPoly.zero(self.field)])
+        nums, dens = self.num_factors + other.num_factors, self.den_factors + other.den_factors
+        return KeepUnits(self.field, nums, dens)
+
+    def __truediv__(self, other):
+        nums, dens = self.num_factors + other.den_factors, self.den_factors + other.num_factors
+        return KeepUnits(self.field, nums, dens)
+
+    def __add__(self, other):
+        if not self:
+            return other
+        if not other:
+            return self
+        den = _multiset_union_max(self.den_factors, other.den_factors)
+        parts = []
+        for x in (self, other):
+            part = x.expanded_num()
+            for f in _multiset_subtract(den, x.den_factors):
+                part = part * f
+            parts.append(part)
+        return KeepUnits(self.field, [parts[0] + parts[1]], den)
+
+    def __neg__(self):
+        if self.num_factors and not self.num_factors[0]:
+            return self
+        nums = list(self.num_factors)
+        for i, f in enumerate(nums):
+            if f.is_unit() and f.terms[0][0] == self.field.one:
+                nums[i] = f.scale(-1)
+                break
+        else:
+            nums.insert(0, ExpPoly.constant(-1, self.field))
+        return KeepUnits(self.field, nums, self.den_factors)
+
+
+def _non_units(factors):
+    return [f for f in factors if not f.is_unit()]
+
+
+def _assert_like_keep_units(fast, reference):
+    """The same value, denominators, non-unit numerators and expansion;
+    the fast fraction has at most one unit numerator, first."""
+    units = [i for i, f in enumerate(fast.num_factors) if f.is_unit()]
+    assert units in ([], [0])
+    assert fast.den_factors == reference.den_factors
+    assert _non_units(fast.num_factors) == _non_units(reference.num_factors)
+    assert fast.expanded_num() == reference.expanded_num()
+    assert bool(fast) == bool(reference)
+    assert fast == ExpPolyFraction(fast.field, reference.num_factors, reference.den_factors)
+
+
+class TestOneUnitFactor:
+    def test_against_a_reference_that_keeps_every_unit(self):
+        rng = random.Random(25001)
+        counts = {"folded": 0, "zero_divisor": 0, "cleared": 0}
+        for field, pool in _factor_pool():
+            pool = [f.to_field(field) for f in pool]
+            pairs = []
+            for _ in range(12):
+                nums = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+                dens = [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+                pairs.append((ExpPolyFraction(field, nums, dens), KeepUnits(field, nums, dens)))
+            # (1 - (-1)^n)(1 + (-1)^n) is zero with no zero factor
+            divisor = [G(-1).to_field(field) - 1, G(-1).to_field(field) + 1]
+            pairs.append((ExpPolyFraction(field, divisor), KeepUnits(field, divisor)))
+            for fast, reference in pairs:
+                _assert_like_keep_units(fast, reference)
+            for _ in range(400):
+                (a, ra), (b, rb) = rng.choice(pairs), rng.choice(pairs)
+                op = rng.choice(["mul", "div", "add", "sub", "neg"])
+                if op == "mul":
+                    result = a * b, ra * rb
+                elif op == "div":
+                    if not b:
+                        continue
+                    result = a / b, ra / rb
+                elif op == "add":
+                    result = a + b, ra + rb
+                elif op == "sub":
+                    result = a - b, ra + -rb
+                else:
+                    result = -a, -ra
+                _assert_like_keep_units(*result)
+                fast, reference = result
+                counts["folded"] += sum(f.is_unit() for f in reference.num_factors) > 1
+                counts["zero_divisor"] += len(_non_units(fast.num_factors)) > 1 and not fast
+                # keep the pool small: few factors, short expansions
+                if len(fast.num_factors) + len(fast.den_factors) <= 5 and (
+                    len(fast.expanded_num().terms) <= 4
+                ):
+                    pairs.append(result)
+            for _ in range(60):
+                vector = [rng.choice(pairs) for _ in range(rng.randint(1, 4))]
+                if not any(fast for fast, _ in vector):
+                    continue
+                counts["cleared"] += 1
+                assert clear_exppoly_denominators([f for f, _ in vector]) == (
+                    clear_exppoly_denominators([r for _, r in vector])
+                )
+        assert min(counts.values()) >= 20, counts
+
+    def test_negation_flips_the_unit(self):
+        x = ExpPolyFraction(RATIONAL_FIELD, [G(2) + 1, G(2), G(3)])
+        assert x.num_factors == (G(6), G(2) + 1)
+        assert (-x).num_factors == (G(6).scale(-1), G(2) + 1)
+        assert (-(-x)).num_factors == x.num_factors
+        y = ExpPolyFraction(RATIONAL_FIELD, [G(2) + 1], [G(2) + 1, G(2)])
+        assert y.num_factors == (G(F(1, 2)),) and y.den_factors == ()
+        assert (-ExpPolyFraction(RATIONAL_FIELD, [G(2) + 1])).num_factors == (
+            ExpPoly.constant(-1),
+            G(2) + 1,
+        )
 
 
 # -- the representation lint ------------------------------------------------------
