@@ -354,7 +354,19 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    # exact terms pass CPython's int <-> str digit limit quickly (2000! has
+    # 5736 digits); lift it for this call only, as main may run in-process
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(args):
     handler = globals()[f"_cmd_{args.command}"]
     try:
         return handler(args)

@@ -100,7 +100,7 @@ class ExpPoly:
 
     @classmethod
     def zero(cls, field=RATIONAL_FIELD):
-        return cls(field, [])
+        return cls._of(field, ())
 
     @classmethod
     def constant(cls, value, field=RATIONAL_FIELD):
@@ -149,8 +149,8 @@ class ExpPoly:
         if not self.is_unit():
             raise ZeroDivisionError(f"{self} is not invertible in the ring")
         base, poly = self.terms[0]
-        inv_c = self.field.one / poly.coefficient(0)
-        return ExpPoly(self.field, [(base.inverse(), Poly([inv_c], self.field, "n"))])
+        inverse = poly._of([self.field.one / poly.coeffs[0]])
+        return ExpPoly._of(self.field, [(base.inverse(), inverse)])
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -435,6 +435,16 @@ def _is_one(f, one):
     return f.is_unit() and f.terms[0][0] == one and f.terms[0][1].coefficient(0) == one
 
 
+def _unit_product(a, b):
+    """a * b for units a, b: one base product and one coefficient product,
+    or the general product when their fields differ."""
+    if a.field is not b.field:
+        return a * b
+    (base_a, poly_a), (base_b, poly_b) = a.terms[0], b.terms[0]
+    product = poly_a._of([poly_a.coeffs[0] * poly_b.coeffs[0]])
+    return ExpPoly._of(a.field, [(base_a * base_b, product)])
+
+
 def _cancel(dens, nums):
     """The factors of ``dens`` left after each one in turn cancels the first
     equal factor of the list ``nums``, which loses the ones cancelled."""
@@ -500,7 +510,7 @@ class ExpPolyFraction:
         others = []
         for f in nums:
             if f.is_unit():
-                unit = f if unit is None else unit * f
+                unit = f if unit is None else _unit_product(unit, f)
             else:
                 others.append(f)
         if unit is not None and not _is_one(unit, field.one):

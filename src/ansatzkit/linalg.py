@@ -4,17 +4,17 @@ The ring kernel, ``null_vectors``, finds the left null vectors of a matrix
 of integer polynomials, the one form it takes: callers clear their
 fractions before, by one scale per equation (the guessers scale the terms
 by one common denominator, the closures build their matrices over Z[n]).
-Each equation is divided by its content, and a fraction-free (Bareiss,
-Math. Comp. 1968) Gauss-Jordan over Z[x] reads one vector off minors at
-each free column, normalised once, on integers.  It runs on packed
-integers: every entry is evaluated once at x = 2**k, a ring homomorphism
-Z[x] -> Z, so each step is one integer product, difference and exact
-division.  The packing is exact because every entry is a minor, whose
-coefficients a 1-norm bound caps, and k is wide enough for signed k-bit
-digits to hold that bound: evaluation is then injective on the entries,
-and the vectors yielded are unpacked digit by digit.  The guessers and
-the constant and polynomial-coefficient closures use it; its packing
-comes from ``polynomials``.
+Each equation is divided by its integer content, and a fraction-free
+(Bareiss, Math. Comp. 1968) Gauss-Jordan over Z[x] reads one vector off
+minors at each free column, made primitive once by one GCDHEU pass over
+its entries.  It runs on packed integers: every entry is evaluated once
+at x = 2**k, a ring homomorphism Z[x] -> Z, so each step is one integer
+product, difference and exact division.  The packing is exact because
+every entry is a minor, whose coefficients a 1-norm bound caps, and k is
+wide enough for signed k-bit digits to hold that bound: evaluation is
+then injective on the entries, and the vectors yielded are unpacked digit
+by digit.  The guessers and the constant and polynomial-coefficient
+closures use it; its packing and its gcd come from ``polynomials``.
 
 The field kernel, ``_eliminate``, is Gauss-Jordan over a pluggable field:
 ``rref``, ``rank``, ``solve_linear`` and ``left_null_space`` all read
@@ -50,10 +50,8 @@ from .polynomials import (
     Poly,
     QQ,
     _zx_cleared,
-    _zx_exact_div,
-    _zx_gcd,
+    _zx_common_factor,
     _zx_pack,
-    _zx_primitive,
     _zx_unpack,
     _zx_width,
     poly_gcd,
@@ -274,19 +272,30 @@ def clear_exppoly_denominators(vector):
 
 def _primitive_vector(vector):
     """Divide out the polynomial gcd and the integer content of the entries,
-    and make the leading coefficient of the last nonzero entry positive."""
-    parts = [_zx_primitive(v) for v in vector if v]
-    shared = parts[0]
-    for part in parts[1:]:
-        if len(shared) == 1:
-            break
-        shared = _zx_gcd(shared, part)
-    vector = [_zx_exact_div(v, shared) if v else v for v in vector]
+    and make the leading coefficient of the last nonzero entry positive.
+
+    Each nonzero entry is its signed content s times a primitive part with
+    a positive leading coefficient; one GCDHEU pass divides the parts by
+    their gcd, and the quotients stay primitive (Gauss's lemma), so the
+    vector's integer content is the gcd of the s."""
+    nonzero = [v for v in vector if v]
+    signed = [gcd(*v) if v[-1] > 0 else -gcd(*v) for v in nonzero]
+    _, quotients = _zx_common_factor(
+        [v if s == 1 else [c // s for c in v] for v, s in zip(nonzero, signed)]
+    )
     # star arguments from a list: see sequences.Sequence
-    content = gcd(*[c for v in vector for c in v])
-    if next(v for v in reversed(vector) if v)[-1] < 0:
+    content = gcd(*signed)
+    if signed[-1] < 0:
         content = -content
-    return [[c // content for c in v] for v in vector]
+    parts = iter([[c * (s // content) for c in q] for s, q in zip(signed, quotients)])
+    return [next(parts) if v else [] for v in vector]
+
+
+def _integer_primitive(equation):
+    """An equation divided by the integer gcd of all its coefficients."""
+    # star arguments from a list: see sequences.Sequence
+    content = gcd(*[c for e in equation for c in e])
+    return equation if content < 2 else [[c // content for c in e] for e in equation]
 
 
 def _minor_bound(equations, size):
@@ -310,8 +319,10 @@ def null_vectors(rows):
     f, so it has order exactly f, and its entries are integer polynomials:
     coprime, with a positive leading coefficient in the last entry.
 
-    Each equation is first divided by its integer and polynomial content.
-    Then a fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on the
+    Each equation is first divided by the integer gcd of its coefficients
+    only: Bareiss divides exactly whatever the equations' polynomial
+    content, and the yielded vectors are made primitive anyway.  Then a
+    fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on the
     transposed matrix, with the pivot rule of ``_eliminate``
     (leftmost column, first unused row), so the pivot columns are those of
     the reduced form over the field.  Each step sets M[i][j] = (piv M[i][j]
@@ -325,18 +336,18 @@ def null_vectors(rows):
     unpacked.  Evaluation is a ring homomorphism Z[x] -> Z, so every step
     computes the packed value of the Z[x] step, division included.  Every
     stored entry and every prev is a minor of at most as many rows as the
-    matrix has, whose coefficients ``_minor_bound`` bounds, and k is the
-    width at which signed k-bit digits hold that bound; so packing is
-    injective on them, and the zero tests, the pivots and the vectors are
-    those of the elimination over Z[x].  A remainder would break that
-    invariant and is an internal error.
+    matrix has, of the equations as stored, whose coefficients
+    ``_minor_bound`` bounds, and k is the width at which signed k-bit
+    digits hold that bound; so packing is injective on them, and the zero
+    tests, the pivots and the vectors are those of the elimination over
+    Z[x].  A remainder would break that invariant and is an internal error.
     """
     if not rows:
         return
     n_rows = len(rows)
     # each column is one equation; scaling equations keeps the null space
     m = [[row[col] for row in rows] for col in range(len(rows[0]))]
-    m = [_primitive_vector(equation) if any(equation) else equation for equation in m]
+    m = [_integer_primitive(equation) for equation in m]
     k = _zx_width(_minor_bound(m, n_rows))
     m = [[_zx_pack(e, k) for e in equation] for equation in m]
     unused = list(range(len(m)))

@@ -19,7 +19,8 @@ of ``closure`` and the root search share.  Among them ``_zx_pack`` and
 ``_zx_unpack`` are the one Kronecker substitution, at the width
 ``_zx_width`` gives for a coefficient bound: ``_zx_mul`` packs its factors,
 the ring kernel packs a whole matrix and eliminates on integers, and the
-heuristic gcd (GCDHEU) packs both operands and unpacks their integer gcd.
+heuristic gcd (GCDHEU) packs any number of operands at one width and
+unpacks their integer gcd.
 ``rational_roots`` and ``largest_natural_root`` run one root search, by
 p-adic lifting on the squarefree part, in time polynomial in the degree
 and the coefficients' bit size: its lifts stop above twice Cauchy's bound
@@ -527,34 +528,78 @@ def _zx_cleared(polys):
     return [[c.numerator * (scale // c.denominator) for c in p] for p in polys]
 
 
-def _heuristic_gcd(a, b):
-    """The gcd of two primitive integer polynomials of positive degree by
-    evaluation (Char, Geddes and Gonnet, "GCDHEU", 1989), or None.
+def _heuristic_gcd(*operands):
+    """The gcd g of primitive integer polynomials of positive degree by
+    evaluation (Char, Geddes and Gonnet, "GCDHEU", 1989), with each operand
+    divided by g; None when no try finds it.
 
-    Both operands are packed at x = 2**k and the integer gcd of the packed
-    values is unpacked.  Since 2**k > 2 min(|a|, |b|) + 2, that unpacked
-    polynomial's primitive part is the gcd exactly when it divides both
-    operands, which each try checks; each failed try widens k by about a
-    quarter, and None is the answer when no try passes.
+    Every operand is packed at one x = 2**k, with 2**k > 2 m + 2 for m the
+    least of the operands' largest coefficients, and the integer gcd of the
+    packed values is unpacked into G, with signed k-bit digits.  The
+    candidate pp(G) is the gcd exactly when it divides every operand, which
+    each try checks by the divisions whose quotients it returns; each
+    failed try widens k by about a quarter.
+
+    Why a candidate that divides every operand is the gcd, for any number
+    of operands: write x for 2**k.  A candidate dividing each operand
+    divides g, and g = pp(G) c with c in Z[x] (Gauss's lemma; g is
+    primitive).  g(x) divides every packed value, so it divides their gcd
+    G(x) = cont(G) pp(G)(x), and c(x) divides cont(G), which is nonzero and
+    at most x / 2 in size, as G's digits are.  If c had a root, it would be
+    a root of the operand a with the least largest coefficient m (c divides
+    g, which divides a), so of size below 1 + m (Cauchy); then
+    |c(x)| > (x - 1 - m)**deg c >= (x / 2)**deg c >= x / 2, since
+    x > 2 m + 2.  So c is a constant, and ±1 since g is primitive.  Only
+    one operand's root bound enters, so the argument holds for any number
+    of operands.
     """
-    k = _zx_width(2 * min(max(map(abs, a)), max(map(abs, b))) + 29)
+    k = _zx_width(2 * min([max(map(abs, a)) for a in operands]) + 29)
     for _ in range(6):
-        candidate = _zx_primitive(_zx_unpack(gcd(_zx_pack(a, k), _zx_pack(b, k)), k))
-        if _zx_quotient(a, candidate) is not None and _zx_quotient(b, candidate) is not None:
-            return candidate
+        # star arguments from a list: see sequences.Sequence
+        candidate = _zx_primitive(_zx_unpack(gcd(*[_zx_pack(a, k) for a in operands]), k))
+        if candidate == [1]:
+            return candidate, list(operands)
+        quotients = []
+        for a in operands:
+            quotient = _zx_quotient(a, candidate)
+            if quotient is None:
+                break
+            quotients.append(quotient)
+        else:
+            return candidate, quotients
         k += k // 4 + 2
     return None
 
 
+def _zx_common_factor(operands):
+    """The gcd g of nonzero primitive integer polynomials with positive
+    leading coefficients, primitive with a positive leading coefficient,
+    and each operand divided by g.  An operand of degree at most one is
+    irreducible, so g is 1 or that operand, which divisions decide;
+    otherwise one GCDHEU pass finds g, and ``poly_gcd`` over Q decides when
+    the heuristic fails."""
+    if len(operands) == 1:
+        return operands[0], [[1]]
+    least = min(operands, key=len)
+    if len(least) == 1:
+        return [1], list(operands)
+    if len(least) == 2:
+        quotients = [_zx_quotient(a, least) for a in operands]
+        return ([1], list(operands)) if None in quotients else (least, quotients)
+    found = _heuristic_gcd(*operands)
+    if found is not None:
+        return found
+    shared = Poly(operands[0])
+    for a in operands[1:]:
+        shared = poly_gcd(shared, Poly(a))
+    g = _zx_primitive(_zx_cleared([shared.coeffs])[0])
+    return g, [_zx_exact_div(a, g) for a in operands]
+
+
 def _zx_gcd(a, b):
     """gcd of two primitive integer polynomials, primitive with a positive
-    leading coefficient; ``poly_gcd`` over Q decides when the heuristic fails."""
-    if len(a) == 1 or len(b) == 1:
-        return [1]
-    found = _heuristic_gcd(a, b)
-    if found is None:
-        found = _zx_primitive(_zx_cleared([poly_gcd(Poly(a), Poly(b)).coeffs])[0])
-    return found
+    leading coefficient."""
+    return _zx_common_factor([a, b])[0]
 
 
 def _zx_roots(f):

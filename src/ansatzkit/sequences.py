@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import InsufficientData, LeadingAlwaysZero, LeadingCoefficientZero
 from .exppoly import ExpPoly, validity_offset
 from .fields import RATIONAL_FIELD, common_field
-from .polynomials import Poly, QQ, largest_natural_root
+from .polynomials import Poly, QQ, _value, _zx_cleared, largest_natural_root
 
 
 class CoeffRing(enum.Enum):
@@ -83,15 +83,6 @@ class ShiftOperator:
     @property
     def leading(self):
         return self.coeffs[-1]
-
-    def coeff_value(self, i, n):
-        """Exact rational value of c_i at index n."""
-        c = self.coeffs[i]
-        if self.ring is CoeffRing.CONSTANT:
-            return c
-        if self.ring is CoeffRing.POLY_N:
-            return c.evaluate(Fraction(n))
-        return c.evaluate_rational(n)
 
     def promoted(self, ring):
         """View this operator in a coefficient ring containing its own."""
@@ -197,36 +188,59 @@ class RecurrenceSystem:
         return f"({self.operator}) with initials [{inits}] from n={self.offset}"
 
 
+def _values_at(operator):
+    """A function of an integer n giving the values c_0(n), ..., c_r(n) of
+    the operator's coefficients, all times one nonzero number that does not
+    depend on n, which no relation test or solved term can see.  Constant
+    and polynomial coefficients are cleared to integers once, so each value
+    is one integer Horner evaluation (the constants' values are the same at
+    every n); exponential polynomials are evaluated exactly as rationals."""
+    if operator.ring is CoeffRing.EXPPOLY:
+        return lambda n: [c.evaluate_rational(n) for c in operator.coeffs]
+    if operator.ring is CoeffRing.CONSTANT:
+        values = [c[0] for c in _zx_cleared([[c] for c in operator.coeffs])]
+        return lambda n: values
+    cleared = _zx_cleared([c.coeffs for c in operator.coeffs])
+    return lambda n: [_value(c, n) if c else 0 for c in cleared]
+
+
 def expand_terms(system, count):
     """First ``count`` terms of the recurrence's solution, exactly.
 
-    Raises LeadingCoefficientZero when the top coefficient vanishes at an
-    index where the relation is needed to produce the next term.
+    Each new term is -sum_{i<r} c_i(n) a(n+i) / c_r(n), with the
+    coefficients' values from ``_values_at``: integers for constant and
+    polynomial coefficients, scaled alike, so the quotient is the same
+    exact rational.  Raises LeadingCoefficientZero when the top coefficient
+    vanishes at an index where the relation is needed to produce the next
+    term.
     """
     if count < len(system.initials):
         raise InsufficientData(
             f"count {count} is below the {len(system.initials)} supplied initials"
         )
-    op = system.operator
-    r = op.order
+    r = system.operator.order
+    values_at = _values_at(system.operator)
     terms = list(system.initials)
     # terms[j] holds a(offset + j)
     while len(terms) < count:
         n = system.offset + len(terms) - r  # relation index producing the new term
-        lead = op.coeff_value(r, n)
+        values = values_at(n)
+        lead = values[r]
         if not lead:
             raise LeadingCoefficientZero(n)
         acc = Fraction(0)
+        start = n - system.offset
         for i in range(r):
-            c = op.coeff_value(i, n)
+            c = values[i]
             if c:
-                acc += c * terms[n - system.offset + i]
+                acc += terms[start + i] * c
         terms.append(-acc / lead)
     return Sequence(terms[:count], system.offset)
 
 
 def verify_annihilates(operator, sequence, from_n=None):
-    """Check sum_i c_i(n) a(n+i) = 0 for every applicable n >= from_n.
+    """Check sum_i c_i(n) a(n+i) = 0 for every applicable n >= from_n, with
+    the coefficients' values from ``_values_at``.
 
     Returns None on success, else the smallest violating n.
     """
@@ -236,12 +250,12 @@ def verify_annihilates(operator, sequence, from_n=None):
     last = sequence.end - 1 - r
     if last < from_n:
         raise InsufficientData("window too short to test even one relation instance")
+    values_at = _values_at(operator)
     for n in range(from_n, last + 1):
         acc = Fraction(0)
-        for i in range(r + 1):
-            c = operator.coeff_value(i, n)
+        for i, c in enumerate(values_at(n)):
             if c:
-                acc += c * sequence.value(n + i)
+                acc += sequence.value(n + i) * c
         if acc:
             return n
     return None

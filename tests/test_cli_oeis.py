@@ -1,8 +1,10 @@
 """Front end: b-file handling, operator text, JSON documents, exit codes."""
 
+import contextlib
 import json
 import os
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -925,3 +927,79 @@ def test_golden_stdout(argv, stdout, capsys):
     captured = capsys.readouterr()
     assert captured.out == stdout
     assert captured.err == ""
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Lift CPython's int <-> str digit limit (3.11, and 3.10.7 on) within
+    the block, where the interpreter has one."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+SEVENS = 7 * (10**5000 - 1) // 9  # 5000 digits, built without reading text
+
+
+def big_closure():
+    """A sum whose initials pass 4300 digits: a(n + 1) = (n - 2000) a(n),
+    a(0) = 1, plus 2^n; the relation holds from n = 2003 on, so the
+    initials run to a(2004), of 5736 digits."""
+    argv = ["closure", "--kind", "add", "holonomic:N - (n - 2000);1", "cfinite:N-2;1"]
+    a = [1]
+    for n in range(2004):
+        a.append(a[-1] * (n - 2000))
+    initials = ", ".join(str(x + 2**n) for n, x in enumerate(a))
+    out = (
+        "(n - 2002)*N^2 + (-n^2 + 3999*n - 3997996)*N + (2*n^2 - 8002*n + 8004000)\n"
+        f"initials: {initials}\nvalid from n = 2003\n"
+    )
+    return argv, out
+
+
+def big_guess():
+    """A geometric sequence whose first term has 5000 digits."""
+    terms = ",".join(str(SEVENS * 2**i) for i in range(12))
+    argv = ["guess", "--class", "cfinite", "--terms", terms]
+    out = f"N - 2\ninitials: {SEVENS}\nshape: class=cfinite order=1 degree=0 fit=2 verified=10\n"
+    return argv, out
+
+
+class TestBigIntegers:
+    """Integers past CPython's 4300-digit limit for int <-> str conversion
+    read and print in full through the CLI, which lifts the limit for one
+    call and restores it."""
+
+    @pytest.mark.parametrize("case", [big_closure, big_guess], ids=["closure", "guess"])
+    def test_prints_in_full(self, case, capsys):
+        with unlimited_digits():
+            argv, expected = case()
+        before = digit_limit()
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert digit_limit() == before
+        assert captured.err == ""
+        with unlimited_digits():
+            assert captured.out == expected
+
+    def test_json_document_round_trips(self, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        with unlimited_digits():
+            argv = big_guess()[0] + ["--json", str(target)]
+        assert main(argv) == 0
+        first = target.read_text()
+        assert main(argv) == 0
+        assert target.read_text() == first
+        with unlimited_digits():
+            parsed = loads(first.strip())
+            assert dumps(parsed) == first.strip()
+        assert parsed.initials == (SEVENS,)

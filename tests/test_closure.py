@@ -1136,6 +1136,165 @@ class TestFractionFreeKernel:
             assert found[-1] > 0
 
 
+class TestHeuristicGcd:
+    """GCDHEU on any number of operands, one packing for all of them,
+    against the pairwise fold of two-operand gcds and ``poly_gcd``."""
+
+    @staticmethod
+    def vectors():
+        """Seeded vectors of 2 to 6 primitive operands of positive degree,
+        half with a planted common factor of degree 1 to 3, and coefficient
+        sizes from 2 to 60 bits."""
+        from ansatzkit.polynomials import _zx_mul, _zx_primitive
+
+        rng = random.Random(2718)
+
+        def poly(degree, bits):
+            coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(degree)]
+            return coeffs + [rng.randint(1, 2**bits)]
+
+        out = []
+        for index in range(80):
+            bits = rng.choice([2, 3, 8, 20, 60])
+            shared = poly(rng.randint(1, 3), bits) if index % 2 else [1]
+            vector = [_zx_mul(shared, poly(rng.randint(1, 4), bits)) for _ in range(rng.randint(2, 6))]
+            out.append([_zx_primitive(v) for v in vector])
+        return out
+
+    @staticmethod
+    def fold(operands):
+        from ansatzkit.polynomials import _zx_gcd
+
+        shared = operands[0]
+        for operand in operands[1:]:
+            shared = _zx_gcd(shared, operand)
+        return shared
+
+    def check(self, operands, found):
+        from ansatzkit.polynomials import poly_gcd
+
+        shared, quotients = found
+        assert shared == self.fold(operands)
+        expected = Poly(operands[0], QQ, "n")
+        for operand in operands[1:]:
+            expected = poly_gcd(expected, Poly(operand, QQ, "n"))
+        assert Poly(shared, QQ, "n").monic() == expected
+        assert shared[-1] > 0
+        assert [Poly(q, QQ, "n") * Poly(shared, QQ, "n") for q in quotients] == [
+            Poly(a, QQ, "n") for a in operands
+        ]
+
+    def test_matches_the_pairwise_fold(self):
+        from ansatzkit.polynomials import _heuristic_gcd, _zx_common_factor
+
+        planted = 0
+        for operands in self.vectors():
+            found = _heuristic_gcd(*operands)
+            assert found is not None
+            self.check(operands, found)
+            self.check(operands, _zx_common_factor(operands))
+            planted += len(found[0]) > 1
+        assert planted >= 40
+
+    def test_degree_one_operand_decides_by_division(self, monkeypatch):
+        from ansatzkit import polynomials
+
+        monkeypatch.setattr(polynomials, "_heuristic_gcd", None)  # never called
+        line = [-1, 2]  # 2x - 1
+        shared = polynomials._zx_mul(line, [3, 0, 1])
+        assert polynomials._zx_common_factor([shared, line, [1, 2]]) == ([1], [shared, line, [1, 2]])
+        self.check([shared, line], polynomials._zx_common_factor([shared, line]))
+        assert polynomials._zx_common_factor([shared, line])[0] == line
+
+    def test_widens_after_an_unlucky_point(self, monkeypatch):
+        from ansatzkit import polynomials
+
+        # the least largest coefficient is 7, so the first width is k = 7
+        # (2 * 7 + 29 < 2**6), where the packed gcd unpacks to a
+        # non-divisor; the second, k = 10, finds 3x^2 + 2x - 1
+        operands = [[-2, 1, 13, 6, -1, 3], [-3, 7, 5, 1, 6]]
+        widths = []
+        pack = polynomials._zx_pack
+
+        def recorded(a, k):
+            widths.append(k)
+            return pack(a, k)
+
+        monkeypatch.setattr(polynomials, "_zx_pack", recorded)
+        found = polynomials._heuristic_gcd(*operands)
+        assert found[0] == [-1, 2, 3]
+        assert sorted(set(widths)) == [7, 10]
+        self.check(operands, found)
+
+    @staticmethod
+    def vanishing_at_every_try(small):
+        """A polynomial that vanishes at each of the six points 2**k GCDHEU
+        tries when ``small`` has the least largest coefficient: the first k
+        holds 2 max|small| + 29, and each next one is about a quarter wider."""
+        from ansatzkit.polynomials import _zx_mul, _zx_width
+
+        k = _zx_width(2 * max(map(abs, small)) + 29)
+        out = [1]
+        for _ in range(6):
+            out = _zx_mul(out, [-(2**k), 1])
+            k += k // 4 + 2
+        return out
+
+    def test_falls_back_to_poly_gcd(self, monkeypatch):
+        from ansatzkit import polynomials
+        from ansatzkit.polynomials import _zx_mul
+
+        # the other operand vanishes at every point tried, so each try
+        # unpacks the small operand's value, which does not divide it
+        small = [1, 1, 1]
+        other = self.vanishing_at_every_try(small)
+        calls = []
+        gcd_over_q = polynomials.poly_gcd
+
+        def counted(a, b):
+            calls.append(1)
+            return gcd_over_q(a, b)
+
+        monkeypatch.setattr(polynomials, "poly_gcd", counted)
+        assert polynomials._heuristic_gcd(small, other) is None
+        assert calls == []
+        assert polynomials._zx_common_factor([small, other]) == ([1], [small, other])
+        assert len(calls) == 1
+        # a planted factor, found by poly_gcd and divided out
+        planted = _zx_mul([2, 1, 1], small)
+        operands = [planted, _zx_mul([2, 1, 1], self.vanishing_at_every_try(planted))]
+        assert polynomials._heuristic_gcd(*operands) is None
+        found = polynomials._zx_common_factor(operands)
+        assert found[0] == [2, 1, 1]
+        self.check(operands, found)
+
+    def test_one_pass_per_vector(self, monkeypatch):
+        """A timing-free work guard: integer content alone on the input
+        equations, and one GCDHEU pass per yielded vector, make 15 calls on
+        this fixed set of holonomic closures, where making every input
+        equation primitive by pairwise gcds made 90."""
+        from ansatzkit import polynomials
+
+        calls = []
+        heuristic = polynomials._heuristic_gcd
+
+        def counted(*operands):
+            calls.append(len(operands))
+            return heuristic(*operands)
+
+        monkeypatch.setattr(polynomials, "_heuristic_gcd", counted)
+        catalan, harmonic = corpus.catalan_system(), corpus.harmonic_from_zero()
+        factorial, floor_square = corpus.factorial_system(), corpus.floor_square_holonomic()
+        for kind in (ADD, TERMWISE):
+            for a, b in ((catalan, harmonic), (factorial, catalan), (harmonic, floor_square)):
+                combine(kind, a, b)
+        combine(CAUCHY, catalan, factorial)
+        for a in (catalan, harmonic, factorial):
+            combine(PARTIAL_SUM, a)
+            combine(SUBSEQUENCE, a, mult=2)
+        assert 0 < len(calls) <= 20
+
+
 class TestLargeHolonomicProducts:
     """Term-wise products of two order-3 operators, which the Q(n)
     elimination could not finish: order at most 9, annihilating the

@@ -1,5 +1,6 @@
 """Exact arithmetic foundation: matrices, roots, fields, exponential rings."""
 
+import math
 import operator
 import random
 import sys
@@ -46,7 +47,6 @@ from ansatzkit.linalg import (
     PRIME,
     FieldAdapter,
     _minor_bound,
-    _primitive_vector,
     clear_denominators,
     clear_exppoly_denominators,
     null_vectors,
@@ -63,6 +63,7 @@ from ansatzkit.polynomials import (
     forward_differences,
     largest_natural_root,
     newton_poly,
+    poly_gcd,
     power,
     rational_roots,
     series_inv,
@@ -312,16 +313,40 @@ def schoolbook(a, b):
     return series_mul(a, b, len(a) + len(b) - 1, 0) if a and b else []
 
 
+def integer_primitive(equation):
+    """An equation over the integer gcd of all its coefficients."""
+    content = math.gcd(*[c for e in equation for c in e])
+    return [[c // content for c in e] for e in equation] if content > 1 else equation
+
+
+def reference_primitive(vector):
+    """A vector over the gcd of its entries by ``poly_gcd`` over Q, cleared
+    to integers with content one, the last nonzero entry's leading
+    coefficient positive."""
+    shared = None
+    for v in vector:
+        if v:
+            shared = Poly(v) if shared is None else poly_gcd(shared, Poly(v))
+    parts = [list(Poly(v).exact_div(shared).coeffs) if v else [] for v in vector]
+    scale = math.lcm(*[c.denominator for p in parts for c in p])
+    parts = [[int(c * scale) for c in p] for p in parts]
+    content = math.gcd(*[c for p in parts for c in p])
+    if next(p for p in reversed(parts) if p)[-1] < 0:
+        content = -content
+    return [[c // content for c in p] for p in parts]
+
+
 def reference_null_vectors(rows, record=lambda entry: None):
-    """The fraction-free kernel on integer-polynomial lists, as it ran before
-    ``null_vectors`` packed its entries: the same pivots and read-off, with
-    schoolbook products, so it shares no packing with the kernel it checks.
+    """The fraction-free kernel on integer-polynomial lists, unpacked: the
+    equations over their integer content, the same pivots and read-off,
+    with schoolbook products and each vector made primitive by gcds over
+    Q, so it shares neither packing nor GCDHEU with the kernel it checks.
     ``record`` sees every entry it stores and every prev."""
     if not rows:
         return
     n_rows = len(rows)
     m = [[row[col] for row in rows] for col in range(len(rows[0]))]
-    m = [_primitive_vector(equation) if any(equation) else equation for equation in m]
+    m = [integer_primitive(equation) for equation in m]
     unused = list(range(len(m)))
     pivots = []
     prev = [1]
@@ -332,7 +357,7 @@ def reference_null_vectors(rows, record=lambda entry: None):
             vector[col] = prev
             for r, c in pivots:
                 vector[c] = [-x for x in m[r][col]]
-            yield _primitive_vector(vector)
+            yield reference_primitive(vector)
             continue
         unused.remove(p)
         pivot_row = m[p]
@@ -455,7 +480,7 @@ class TestPackedKernel:
     def test_reference_minors_stay_within_the_bound(self):
         for rows in [*seeded_polynomial_matrices(), *guess_shaped_matrices()]:
             equations = [[row[col] for row in rows] for col in range(len(rows[0]))]
-            equations = [_primitive_vector(eq) if any(eq) else eq for eq in equations]
+            equations = [integer_primitive(eq) for eq in equations]
             bound = _minor_bound(equations, len(rows))
             stored = [entry for eq in equations for entry in eq]
             list(reference_null_vectors(rows, stored.append))

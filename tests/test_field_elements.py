@@ -469,6 +469,66 @@ class TestOneUnitFactor:
         )
 
 
+class TestUnitConstructors:
+    """The zero, a unit's inverse and a product of two units skip the
+    coercing constructor and the general product, with the same results."""
+
+    @staticmethod
+    def units():
+        rng = random.Random(26)
+        for field in FIELDS:
+            elements = [field.coerce(F(rng.randint(-9, 9) or 1, rng.randint(1, 5))) for _ in range(4)]
+            if field is not RATIONAL_FIELD:
+                elements += [field.generator(), field.generator() + F(1, 3)]
+            yield field, [
+                ExpPoly(field, [(base, Poly([c], field, "n"))])
+                for base in elements
+                for c in (field.one, -field.coerce(F(2, 7)))
+            ]
+
+    def test_zero_and_inverse(self):
+        for field, units in self.units():
+            zero = ExpPoly.zero(field)
+            assert zero.field is field and zero.terms == () and zero == ExpPoly(field, [])
+            for u in units:
+                base, poly = u.terms[0]
+                inverse = u.inverse()
+                assert inverse.field is field
+                assert inverse.terms == ExpPoly(
+                    field, [(base.inverse(), Poly([field.one / poly.coeffs[0]], field, "n"))]
+                ).terms
+                assert u * inverse == ExpPoly.constant(1, field)
+
+    def test_unit_products_match_the_general_product(self):
+        from ansatzkit.exppoly import _unit_product
+
+        pairs = 0
+        every = [u for _, units in self.units() for u in units]
+        for a in every:
+            for b in every[::3]:
+                if RATIONAL_FIELD not in (a.field, b.field) and a.field is not b.field:
+                    continue  # no supported field holds two quadratic fields
+                product = _unit_product(a, b)
+                assert product.terms == (a * b).terms and product.field is (a * b).field
+                pairs += 1
+        assert pairs > 300
+
+    def test_folding_units_runs_no_general_product(self, monkeypatch):
+        calls = []
+        multiply = ExpPoly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(ExpPoly, "__mul__", counted)
+        phi = GOLDEN.generator()
+        x = ExpPolyFraction(GOLDEN, [G(2, GOLDEN), G(phi, GOLDEN), G(2, GOLDEN) + 1, G(-3, GOLDEN)])
+        assert calls == []
+        assert x.num_factors[0].terms == ((GOLDEN.coerce(-6) * phi, Poly([1], GOLDEN, "n")),)
+        assert x.num_factors[1:] == (G(2, GOLDEN) + 1,)
+
+
 # -- the representation lint ------------------------------------------------------
 
 FIELDS_SOURCE = Path(__file__).resolve().parents[1] / "src" / "ansatzkit" / "fields.py"

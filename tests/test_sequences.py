@@ -57,6 +57,120 @@ class TestExpandTerms:
             expand_terms(corpus.floor_square_system(), 3)
 
 
+def coefficient_value(operator, i, n):
+    """c_i(n) as an exact rational, by Fraction arithmetic."""
+    c = operator.coeffs[i]
+    if operator.ring is CoeffRing.CONSTANT:
+        return c
+    return c.evaluate(Fraction(n))
+
+
+def reference_expand(system, count):
+    """``expand_terms`` as one Fraction loop, each coefficient evaluated at
+    Fraction(n)."""
+    op, r = system.operator, system.operator.order
+    terms = list(system.initials)
+    while len(terms) < count:
+        n = system.offset + len(terms) - r
+        lead = coefficient_value(op, r, n)
+        if not lead:
+            raise LeadingCoefficientZero(n)
+        acc = Fraction(0)
+        for i in range(r):
+            acc += coefficient_value(op, i, n) * terms[n - system.offset + i]
+        terms.append(-acc / lead)
+    return terms[:count]
+
+
+def reference_verify(operator, sequence, from_n):
+    """``verify_annihilates`` as one Fraction loop."""
+    for n in range(from_n, sequence.end - operator.order):
+        acc = sum(
+            coefficient_value(operator, i, n) * sequence.value(n + i)
+            for i in range(operator.order + 1)
+        )
+        if acc:
+            return n
+    return None
+
+
+class TestIntegerExpansion:
+    """``expand_terms`` and ``verify_annihilates`` clear constant and
+    polynomial coefficients to integers once; the terms and the indices
+    they report equal the Fraction loop's."""
+
+    @staticmethod
+    def rational(rng):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))  # zero one time in 19
+
+    def random_system(self, rng):
+        """Order 1 to 4, offset 0 to 3, rational coefficients with zeros; a
+        polynomial lead sometimes has a root at an index the expansion
+        reaches."""
+        order = rng.randint(1, 4)
+        offset = rng.randint(0, 3)
+        validity = offset + rng.randint(0, 2)
+        if rng.random() < 0.4:
+            ring = CoeffRing.CONSTANT
+            coeffs = [self.rational(rng) if rng.random() < 0.7 else 0 for _ in range(order)]
+            coeffs.append(self.rational(rng) or Fraction(1, 2))
+        else:
+            ring = CoeffRing.POLY_N
+
+            def poly():
+                return Poly([self.rational(rng) for _ in range(rng.randint(0, 3))], QQ, "n")
+
+            coeffs = [poly() for _ in range(order)]
+            lead = poly() or Poly([Fraction(-3, 4)], QQ, "n")
+            if rng.random() < 0.3:  # vanishes at some n >= validity
+                lead = lead * Poly([-rng.randint(validity, validity + 12), 1], QQ, "n")
+            coeffs.append(lead)
+        operator = ShiftOperator(ring, coeffs)
+        initials = [self.rational(rng) for _ in range(validity - offset + order)]
+        return RecurrenceSystem(operator, initials, validity, offset)
+
+    def test_against_the_fraction_loop(self):
+        rng = random.Random(4242)
+        raised = corrupted = 0
+        for _ in range(300):
+            system = self.random_system(rng)
+            count = len(system.initials) + 20
+            try:
+                expected = reference_expand(system, count)
+            except LeadingCoefficientZero as error:
+                with pytest.raises(LeadingCoefficientZero) as info:
+                    expand_terms(system, count)
+                assert info.value.index == error.index
+                raised += 1
+                continue
+            sequence = expand_terms(system, count)
+            assert list(sequence.terms) == expected
+            assert sequence.offset == system.offset
+            for from_n in (system.offset, system.validity_offset):
+                assert verify_annihilates(system.operator, sequence, from_n) == reference_verify(
+                    system.operator, sequence, from_n
+                )
+            # one term changed: both loops report the same first violation
+            terms = list(expected)
+            terms[rng.randrange(len(terms))] += 1
+            changed = Sequence(terms, system.offset)
+            found = verify_annihilates(system.operator, changed, system.offset)
+            assert found == reference_verify(system.operator, changed, system.offset)
+            corrupted += found is not None
+        assert raised >= 20 and corrupted >= 200
+
+    def test_lead_vanishing_at_a_later_index(self):
+        # lead (n - 5)/2: the relation at n = 5 cannot give a(6)
+        operator = ShiftOperator(
+            CoeffRing.POLY_N, [Poly([F(1, 3), F(-2, 7)]), Poly([]), Poly([F(-5, 2), F(1, 2)])]
+        )
+        system = RecurrenceSystem(operator, [F(1, 2), 3, F(-4, 5)], 1, 0)
+        with pytest.raises(LeadingCoefficientZero) as info:
+            expand_terms(system, 10)
+        assert info.value.index == 5
+        assert expand_terms(system, 7).terms == tuple(reference_expand(system, 7))
+
+
 class TestVerifyAnnihilates:
     def test_geometric_passes(self):
         op = ShiftOperator(CoeffRing.CONSTANT, [-2, 1])
