@@ -11,6 +11,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .closedform import cfinite_closed_form
 from .errors import UnsupportedFactorization, ZeroTail
 from .exppoly import deg
+from .linalg import FieldAdapter, solve_linear
 from .polynomials import NEG_INFINITY
 from .sequences import CoeffRing, RecurrenceSystem, expand_terms
 
@@ -114,22 +115,8 @@ def growth_probe(system, n_max):
         [sums[3], sums[2], sums[1]],
         [sums[2], sums[1], sums[0]],
     ]
-
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    base = det3(matrix)
-    solution = []
-    for col in range(3):
-        replaced = [row[:] for row in matrix]
-        for r in range(3):
-            replaced[r][col] = rhs[r]
-        solution.append(det3(replaced) / base)
-    quad, lin, const = solution
+    # the Gram matrix of three or more points is positive definite
+    quad, lin, const = solve_linear(matrix, rhs, FieldAdapter(0.0, 1.0))
     residual = math.sqrt(
         sum(
             (y - (quad * n * n + lin * n + const)) ** 2 for n, y in points

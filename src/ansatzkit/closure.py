@@ -119,22 +119,15 @@ def _check_bound(order, bound):
         raise BoundViolated(f"result order {order} exceeds the closure bound {bound}")
 
 
-def _exppoly_sign(e):
-    """Canonical sign of an exponential polynomial: the sign of the last
-    nonzero rational coordinate of the leading term's leading coefficient."""
-    base, poly = e.terms[-1]
-    lead = poly.leading
-    for c in reversed(lead.coords):
-        if c:
-            return 1 if c > 0 else -1
-    return 1
-
-
 def _exppoly_coeffs(vector):
+    """A null vector cleared of denominators and trailing zeros, in its
+    canonical sign: the last entry's leading term's leading coefficient has
+    a positive last nonzero numerator (over a positive denominator)."""
     cleared = clear_exppoly_denominators(vector)
     while not cleared[-1]:
         cleared.pop()
-    if _exppoly_sign(cleared[-1]) < 0:
+    lead = cleared[-1].terms[-1][1].leading
+    if next(a for a in reversed(lead.nums) if a) < 0:
         cleared = [-e for e in cleared]
     return cleared
 
@@ -373,21 +366,21 @@ def cfinite_combine_gf(kind, gf_a, gf_b=None):
 
 def cfinite_termwise(op_a, op_b):
     """Annihilator of the term-wise product; order at most r*s."""
-    return _closure(TERMWISE, op_a, op_b)[0]
+    return _closure(TERMWISE, *_common_ring(op_a, op_b, CoeffRing.CONSTANT))[0]
 
 
 def cfinite_add(op_a, op_b):
     """Annihilator of the sum via the solution space; order at most r+s."""
-    return _closure(ADD, op_a, op_b)[0]
+    return _closure(ADD, *_common_ring(op_a, op_b, CoeffRing.CONSTANT))[0]
 
 
 def cfinite_subsequence(mult, op):
     """Annihilator of a(mult*n); order at most r."""
-    return _closure(SUBSEQUENCE, op, mult=mult)[0]
+    return _closure(SUBSEQUENCE, *_common_ring(op, ring=CoeffRing.CONSTANT), mult=mult)[0]
 
 
 def cfinite_partial_sum(op):
-    return _closure(PARTIAL_SUM, op)[0]
+    return _closure(PARTIAL_SUM, *_common_ring(op, ring=CoeffRing.CONSTANT))[0]
 
 
 def holonomic_combine(kind, op_a, op_b=None, mult=1):
@@ -574,6 +567,8 @@ def combine(kind, sys_a, sys_b=None, mult=1):
     """
     if kind in (PARTIAL_SUM, SUBSEQUENCE):
         sys_b = None
+    elif kind == CAUCHY and sys_b is None:
+        raise ValueError("cauchy needs two operands")
     operands = [sys_a] if sys_b is None else [sys_a, sys_b]
     if kind == CAUCHY and any(system.offset for system in operands):
         raise ValueError("combinations require offset-0 operands")

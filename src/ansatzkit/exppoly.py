@@ -10,7 +10,9 @@ The ring has zero divisors once roots of unity appear among base ratios
 (e.g. ``(1 - (-1)^n)(1 + (-1)^n) = 0``), so there is no honest field of
 fractions.  :class:`ExpPolyFraction` keeps formal numerator/denominator
 factor lists instead, cancelling only structurally equal factors; that is
-all the null-space elimination needs.
+all the null-space elimination needs.  Only this module reads those lists:
+one cancellation rule, ``_cancel``, and one common denominator, which sums
+and ``linalg.clear_exppoly_denominators`` share.
 
 The canonical form makes every order of evaluation give the same terms.
 So sums, products, scalings and argument changes merge their terms on the
@@ -38,7 +40,7 @@ are the Skolem-Mahler-Lech obstacle: :class:`ValidityUnproven`.
 from fractions import Fraction
 from math import lcm
 
-from .errors import InternalError, ValidityUnproven
+from .errors import ValidityUnproven
 from .fields import (
     NumberField,
     NumberFieldElement,
@@ -403,33 +405,6 @@ def _tail_test(top, rest):
     return holds
 
 
-def _multiset_subtract(big, small):
-    """big minus small under structural equality; small must be contained."""
-    remaining = list(big)
-    for item in small:
-        for i, candidate in enumerate(remaining):
-            if candidate == item:
-                del remaining[i]
-                break
-        else:
-            raise InternalError("multiset subtraction underflow")
-    return remaining
-
-
-def _multiset_union_max(first, second):
-    """Per-factor max of the two multisets (a structural lcm stand-in)."""
-    out = list(first)
-    pool = list(first)
-    for item in second:
-        for i, candidate in enumerate(pool):
-            if candidate == item:
-                del pool[i]
-                break
-        else:
-            out.append(item)
-    return out
-
-
 def _is_one(f, one):
     """Whether the ExpPoly ``f`` is the constant 1 (``one`` is its field's 1)."""
     return f.is_unit() and f.terms[0][0] == one and f.terms[0][1].coefficient(0) == one
@@ -457,6 +432,28 @@ def _cancel(dens, nums):
         else:
             left.append(den)
     return left
+
+
+def _over_common_denominator(fractions):
+    """The common denominator list of ``fractions`` and each one's expanded
+    numerator over it.  Each nonzero fraction's list in turn adds the
+    factors that the common list so far does not cancel (a structural lcm),
+    and its numerator is multiplied by the common factors its own list does
+    not cancel, so no ring division is attempted."""
+    common = []
+    for f in fractions:
+        if f:
+            common += _cancel(f.den_factors, list(common))
+    numerators = []
+    for f in fractions:
+        value = f.expanded_num()
+        if value:
+            missing = list(common)
+            _cancel(f.den_factors, missing)
+            for factor in missing:
+                value = value * factor
+        numerators.append(value)
+    return common, numerators
 
 
 class ExpPolyFraction:
@@ -684,13 +681,7 @@ class ExpPolyFraction:
             return b
         if not b:
             return a
-        den = _multiset_union_max(a.den_factors, b.den_factors)
-        left = a.expanded_num()
-        for f in _multiset_subtract(den, a.den_factors):
-            left = left * f
-        right = b.expanded_num()
-        for f in _multiset_subtract(den, b.den_factors):
-            right = right * f
+        den, (left, right) = _over_common_denominator([a, b])
         total = left + right
         if not total:
             return ExpPolyFraction.zero(a.field)

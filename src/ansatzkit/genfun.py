@@ -231,6 +231,8 @@ def _over(field, value):
 
 
 def _normalize_equation(field, terms, rhs):
+    """The equation over its rational content, scaled once so the last
+    nonzero coordinate of its leading coefficient is positive."""
     coords = []
     for _, coeffs in terms:
         for p in coeffs:
@@ -238,23 +240,17 @@ def _normalize_equation(field, terms, rhs):
                 coords.extend(c.coords)
     for c in rhs.coeffs:
         coords.extend(c.coords)
-    content = rational_content(coords)
-    if content and content != 1:
-        scale = field.from_rational(Fraction(1) / content)
+    # the denominator of a field element is positive: its numerators sign it
+    lead = terms[-1][1][-1].leading
+    sign = 1 if next(a for a in reversed(lead.nums) if a) > 0 else -1
+    factor = Fraction(sign) / rational_content(coords)
+    if factor != 1:
+        scale = field.from_rational(factor)
         # tuples from lists, as in sequences.Sequence
         terms = [
             (b, tuple([p.scale(scale) for p in coeffs])) for b, coeffs in terms
         ]
         rhs = rhs.scale(scale)
-    top_base, top_coeffs = terms[-1]
-    lead_poly = top_coeffs[-1]
-    lead_coord = next(c for c in reversed(lead_poly.leading.coords) if c)
-    if lead_coord < 0:
-        minus = field.from_rational(Fraction(-1))
-        terms = [
-            (b, tuple([p.scale(minus) for p in coeffs])) for b, coeffs in terms
-        ]
-        rhs = rhs.scale(minus)
     return terms, rhs
 
 

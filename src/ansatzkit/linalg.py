@@ -45,7 +45,7 @@ from math import gcd, prod
 from operator import mul
 
 from .errors import InternalError
-from .exppoly import _multiset_subtract, _multiset_union_max
+from .exppoly import _over_common_denominator
 from .polynomials import (
     Poly,
     QQ,
@@ -241,28 +241,13 @@ def clear_denominators(vector):
 
 
 def clear_exppoly_denominators(vector):
-    """Multiply an ExpPolyFraction vector through by a common denominator.
-
-    The common denominator is the per-factor maximum of the nonzero
-    entries' denominator multisets.  Each nonzero entry's numerator is
-    multiplied by the factors of it that its own denominator lacks (the
-    rule of ``ExpPolyFraction.__add__``), so no ring division is attempted.
-    """
+    """Multiply an ExpPolyFraction vector through by a common denominator,
+    the one ``ExpPolyFraction.__add__`` uses: ``exppoly`` alone combines
+    factor lists, and no ring division is attempted."""
     entries = list(vector)
     if not any(entries):
         raise ValueError("cannot normalize the zero vector")
-    common = []
-    for e in entries:
-        if e:
-            common = _multiset_union_max(common, e.den_factors)
-    out = []
-    for e in entries:
-        value = e.expanded_num()
-        if e:
-            for factor in _multiset_subtract(common, e.den_factors):
-                value = value * factor
-        out.append(value)
-    return out
+    return _over_common_denominator(entries)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ from ansatzkit import (
     Sequence,
     ShiftOperator,
     c2_combine,
+    cfinite_add,
     cfinite_combine_gf,
+    cfinite_partial_sum,
     cfinite_subsequence,
     cfinite_termwise,
     combine,
@@ -38,6 +40,7 @@ from ansatzkit import (
     holonomic_combine,
     holonomic_to_diff,
     homogenize,
+    parse_operator,
     poly_closure,
     prove_identity,
     verify_annihilates,
@@ -656,6 +659,10 @@ class TestCombineDispatch:
             is None
         )
 
+    def test_cauchy_needs_two_operands(self):
+        with pytest.raises(ValueError, match="cauchy needs two operands"):
+            combine(CAUCHY, corpus.fibonacci_system())
+
     def test_c2_cauchy_rejected(self):
         from ansatzkit.errors import UnsupportedCase
 
@@ -880,6 +887,25 @@ class TestPromotion:
             is None
         )
 
+    @pytest.mark.parametrize(
+        "closure, operands",
+        [
+            (cfinite_add, ["N - 2^n", "N - 2"]),
+            (cfinite_add, ["(n+1) - N", "N - 2"]),
+            (cfinite_add, ["N - 2", "(n+1) - N"]),
+            (cfinite_termwise, ["N - 2", "(n+1) - N"]),
+            (cfinite_termwise, ["N - 2^n", "N - 2"]),
+            (cfinite_subsequence, [2, "N - 2^n"]),
+            (cfinite_subsequence, [2, "(n+1) - N"]),
+            (cfinite_partial_sum, ["(n+1) - N"]),
+            (cfinite_partial_sum, ["N - 2^n"]),
+        ],
+    )
+    def test_cfinite_closures_reject_larger_rings(self, closure, operands):
+        args = [parse_operator(a) if isinstance(a, str) else a for a in operands]
+        with pytest.raises(ValueError, match="cannot promote"):
+            closure(*args)
+
 
 class TestTypedChecks:
     """Internal checks raise typed errors, so they survive ``python -O``."""
@@ -977,15 +1003,6 @@ class TestTypedChecks:
         from ansatzkit.errors import InternalError, NullSpaceEmpty
 
         assert issubclass(NullSpaceEmpty, InternalError)
-
-    def test_multiset_underflow_is_internal(self):
-        from ansatzkit.errors import InternalError
-        from ansatzkit.exppoly import _multiset_subtract
-
-        two = ExpPoly.geometric(2)
-        assert _multiset_subtract([two, two], [two]) == [two]
-        with pytest.raises(InternalError):
-            _multiset_subtract([two], [two, two])
 
     def test_cli_reports_bound_violation_as_error(self, monkeypatch, capsys):
         from ansatzkit import closure

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ansatzkit import RATIONAL_FIELD, ExpPoly, ExpPolyFraction, NumberField, Poly, QQ
-from ansatzkit.exppoly import _cancel, _is_one, _multiset_subtract, _multiset_union_max
+from ansatzkit.exppoly import _cancel, _is_one
 from ansatzkit.linalg import clear_exppoly_denominators
 
 F = Fraction
@@ -237,6 +237,26 @@ def _random_fraction(rng, field, pool):
     )
 
 
+def _union_max(first, second):
+    """The per-factor maximum of two factor lists, in order: ``first``,
+    then each factor of ``second`` that ``first`` has no copy left of."""
+    out, pool = list(first), list(first)
+    for item in second:
+        if item in pool:
+            pool.remove(item)
+        else:
+            out.append(item)
+    return out
+
+
+def _subtract(big, small):
+    """``big`` less one copy of each factor of ``small``, which it holds."""
+    remaining = list(big)
+    for item in small:
+        remaining.remove(item)
+    return remaining
+
+
 def _lifted(a, b):
     if a.field == b.field:
         return a, b
@@ -261,11 +281,11 @@ def _full_sum(a, b):
         return b
     if not b:
         return a
-    den = _multiset_union_max(a.den_factors, b.den_factors)
+    den = _union_max(a.den_factors, b.den_factors)
     parts = []
     for x in (a, b):
         part = x.expanded_num()
-        for f in _multiset_subtract(den, x.den_factors):
+        for f in _subtract(den, x.den_factors):
             part = part * f
         parts.append(part)
     return ExpPolyFraction(a.field, [parts[0] + parts[1]], den)
@@ -368,11 +388,11 @@ class KeepUnits:
             return other
         if not other:
             return self
-        den = _multiset_union_max(self.den_factors, other.den_factors)
+        den = _union_max(self.den_factors, other.den_factors)
         parts = []
         for x in (self, other):
             part = x.expanded_num()
-            for f in _multiset_subtract(den, x.den_factors):
+            for f in _subtract(den, x.den_factors):
                 part = part * f
             parts.append(part)
         return KeepUnits(self.field, [parts[0] + parts[1]], den)

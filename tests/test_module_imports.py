@@ -7,6 +7,10 @@ machinery only for a download: it is over a quarter of the
 package's import time, which every CLI call pays.  Every other import
 inside a function only hides a dependency, so the package source is read
 with ``ast`` and any new one fails here.
+
+The factor lists of an ``ExpPolyFraction`` are read and combined only in
+``exppoly``, so their rules are written once: no other module reads them
+or their expansions.
 """
 
 import ast
@@ -51,6 +55,20 @@ def test_only_the_two_cycles_import_inside_functions():
     for path in sorted(PACKAGE.glob("*.py")):
         found |= _function_imports(ast.parse(path.read_text()), path.stem)
     assert found == ALLOWED
+
+
+FRACTION_INTERNALS = {"num_factors", "den_factors", "expanded_num", "expanded_den"}
+
+
+def test_only_exppoly_reads_fraction_factor_lists():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "exppoly":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in FRACTION_INTERNALS:
+                found.add((path.stem, node.lineno, node.attr))
+    assert not found
 
 
 def test_importing_the_package_skips_the_download_machinery():
