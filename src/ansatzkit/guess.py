@@ -8,7 +8,11 @@ guess is considered trustworthy.
 A polynomial of degree d needs no fit system: it matches every term
 exactly when row d of the forward-difference table of the terms is
 constant, so that row d + 1 vanishes, and the leading entries of rows
-0..d are its Newton coefficients.
+0..d are its Newton coefficients.  The table is built on integers, the
+terms times one common denominator, which scales every entry alike; only
+the Newton coefficients of the degree found are divided back into
+rationals, and its annihilator (N - 1)^(d + 1) is written from binomial
+coefficients.
 
 C-finite recurrences are the holonomic ones whose coefficients have
 degree 0, so one shape search, ``_fit_search``, serves both guessers: the
@@ -24,17 +28,19 @@ the first one that gives an operator of the shape wins.
 
 The modular rank profile ``linalg.rank_profile_mod_p`` chooses the
 equations the kernel sees.  It reduces the integer fit rows modulo
-``linalg.PRIME`` one equation at a time.  When the rank reaches the number
-of unknowns the rows are independent over Q and the shape has no
-relation, a proof after about as many equations as unknowns.  Otherwise
-the kernel runs on the equations that raised the rank, and each vector it
-yields is checked against every equation by exact integer dot products:
-that check is the proof over all the data.  A failed check shows a rank
-mod p below the rank over Q, and the shape runs again on all equations,
-as it does when the residues say nothing (rank 0: every cleared term is a
-multiple of p).  A vector that passes is the one the kernel gives on all
-equations at the same free column, so the answers are those of the exact
-search.
+``linalg.PRIME`` by a left-looking elimination, one equation at a time
+until an equation raises nothing, then in bulk, every remaining equation
+at once, up to the next one that raises the rank.  When the rank reaches
+the number of unknowns the rows are independent over Q and the shape has
+no relation, a proof after about as many equations as unknowns.
+Otherwise the kernel runs on the equations that raised the rank, and
+each vector it yields is checked against every equation by exact integer
+dot products: that check is the proof over all the data.  A failed check
+shows a rank mod p below the rank over Q, and the shape runs again on
+all equations, as it does when the residues say nothing (rank 0: every
+cleared term is a multiple of p).  A vector that passes is the one the
+kernel gives on all equations at the same free column, so the answers
+are those of the exact search.
 
 The fit rows n^j a(n + i), residues and integers, are built once per
 search and cut to each shape's window starts.  Once the shapes rejected
@@ -48,6 +54,8 @@ a relation early.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb, lcm
 
 from .errors import InsufficientData, InternalError
 from .linalg import PRIME, null_vectors, rank_profile_mod_p
@@ -109,7 +117,9 @@ def guess_polynomial(sequence, max_degree, margin=1, assume_bound=False):
     length = len(sequence)
     if length < 2:
         raise InsufficientData("need at least two terms to guess a polynomial")
-    rows = enumerate(difference_rows(sequence.terms))
+    # one common denominator scales every difference alike
+    integers = _zx_cleared([sequence.terms])[0]
+    rows = enumerate(difference_rows(integers))
     depth, row = next(rows)
     for degree in range(0, max_degree + 1):
         fit = polynomial_fit_length(degree)
@@ -117,15 +127,16 @@ def guess_polynomial(sequence, max_degree, margin=1, assume_bound=False):
             break
         # Row d, over every term, is built and checked to be constant only
         # when the leading entry of row d + 1, from d + 2 terms, is zero.
-        leading = forward_differences(sequence.terms[: degree + 2])
+        leading = forward_differences(integers[: degree + 2])
         if leading.pop():
             continue
         while depth < degree:
             depth, row = next(rows)
         if any(entry != row[0] for entry in row):
             continue
-        annihilator = Poly([-1, 1], QQ, "N") ** (degree + 1)
-        operator = ShiftOperator(CoeffRing.CONSTANT, annihilator.coeffs)
+        # (N - 1)^(degree + 1), lowest power first
+        annihilator = [(-1) ** (degree + 1 - i) * comb(degree + 1, i) for i in range(degree + 2)]
+        operator = ShiftOperator(CoeffRing.CONSTANT, annihilator)
         system = RecurrenceSystem(
             operator,
             sequence.terms[: degree + 1],
@@ -133,12 +144,13 @@ def guess_polynomial(sequence, max_degree, margin=1, assume_bound=False):
             sequence.offset,
         )
         proven = assume_bound and length >= polynomial_fit_length(max_degree)
+        scale = lcm(*[t.denominator for t in sequence.terms])
         return GuessReport(
             result=system,
             shape=("polynomial", degree + 1, degree),
             terms_used_for_fit=fit,
             terms_verified=length - fit,
-            poly=newton_poly(leading, sequence.offset),
+            poly=newton_poly([Fraction(d, scale) for d in leading], sequence.offset),
             proven=proven,
         )
     return GuessReport(None, ("polynomial", None, None), 0, 0)

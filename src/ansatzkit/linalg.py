@@ -28,21 +28,26 @@ pivots steers degenerate combinations towards relations with a usable
 leading coefficient.
 
 Beside the exact kernels sits one modular routine, ``rank_profile_mod_p``:
-it reduces integer rows modulo the fixed prime ``PRIME`` one column
-(one equation) at a time.  ``PRIME`` is below 2**30, so every residue is
-one CPython digit; a smaller prime only raises the chance that a minor
-vanishes mod p (about 2**-30 each), which costs callers time, not
-correctness.  When their rank reaches the number of rows it
-stops and proves the rows independent over Q; otherwise it returns the
-equations that raised the rank.  The guessers use it both ways: most
-shapes they try have no relation and are rejected after a few equations,
-and the others run the exact kernel on the picked equations and check its
-vectors on all of them.
+it finds, modulo the fixed prime ``PRIME``, the equations (columns) of
+integer rows that raise the rank, in order.  ``PRIME`` is below 2**30,
+so every residue is one CPython digit; a smaller prime only raises the
+chance that a minor vanishes mod p (about 2**-30 each), which costs
+callers time, not correctness.  When the rank reaches the number of
+rows it stops and proves the rows independent over Q; otherwise it
+returns the equations that raised the rank.  Its elimination is
+left-looking and runs in C-level loops: each new equation costs one
+forward substitution and one dot product per row, and after an equation
+that raises nothing one bulk scan finds the next that does.  The
+guessers use the routine both ways: most shapes they try have no
+relation and are rejected after a few equations, and the others run the
+exact kernel on the picked equations and check its vectors on all of
+them.
 """
 
 from dataclasses import dataclass
+from itertools import compress, count
 from math import gcd, prod
-from operator import mul
+from operator import mul, sub
 
 from .errors import InternalError
 from .exppoly import _over_common_denominator
@@ -112,7 +117,12 @@ def _eliminate(rows, zero, prefer=None):
             factor = m[r][pcol]
             if factor == zero:
                 continue
-            m[r] = [a - factor * b for a, b in zip(m[r], m[prow])]
+            # the pivot column's a - a * 1 is the field's zero, which over
+            # exponential-polynomial fractions costs a full expansion
+            m[r] = [
+                zero if c == pcol else a - factor * b
+                for c, (a, b) in enumerate(zip(m[r], m[prow]))
+            ]
         used_rows.add(prow)
         pivot_cols.add(pcol)
         pivots.append((prow, pcol))
@@ -124,8 +134,8 @@ PRIME = 2**30 - 35  # the largest prime below 2**30: each residue is one CPython
 
 def rank_profile_mod_p(rows):
     """The equations (columns) that raise the rank mod PRIME of integer
-    rows, given by their residues and reduced one at a time in order; None
-    once that rank reaches the number of rows.
+    rows, given by their residues and taken in order; None once that rank
+    reaches the number of rows.
 
     Reduction mod PRIME is a ring homomorphism on the integers, so a minor
     that is nonzero mod PRIME is nonzero over Z, hence over Q: None proves
@@ -134,30 +144,70 @@ def rank_profile_mod_p(rows):
     they span every equation and have its left null space; a smaller rank
     mod PRIME shows only when a vector is checked on all equations, which
     callers do.  An empty list (rank 0) says nothing.
+
+    The picks are the rank profile of the matrix mod PRIME, whatever order
+    the elimination takes; this one is left-looking (Crout).  The kept
+    equations factor as L U, with L one at each pivot row and zero there
+    for later picks.  Each row is stored with its row of L, one multiplier
+    per pick made while the row had no pivot, so a pick only appends.  A
+    new equation a has coordinates y with L y = a on the pivot rows
+    (forward substitution), and its residue at a remaining row t is
+    a_t - L_t . y, which is the same whatever the elimination order; the
+    first remaining row with a nonzero residue takes the pivot.  An
+    equation with no nonzero residue raises nothing, and ``_next_rise``
+    scans the rest in bulk for the next one that does.
     """
-    # Gauss-Jordan on the kept equations: each is one at its own pivot row
-    # and zero at the others', so the pivot rows of a new equation give its
-    # factors, and only the other rows are stored, as the entries there of
-    # each kept equation in turn
-    pivots, rest, picks = [], [(t, []) for t in range(len(rows))], []
-    for index in range(len(rows[0])):
-        factors = [rows[p][index] for p in pivots]
-        values = [(rows[t][index] - sum(map(mul, factors, kept))) % PRIME for t, kept in rest]
-        first = next((i for i, a in enumerate(values) if a), None)
+    pivots, rest, picks = [], [(row, []) for row in rows], []
+    index, n_cols = 0, len(rows[0])
+    while index < n_cols:
+        coords = []
+        for row, multipliers in pivots:
+            coords.append((row[index] - sum(map(mul, multipliers, coords))) % PRIME)
+        values = [
+            (row[index] - sum(map(mul, multipliers, coords))) % PRIME for row, multipliers in rest
+        ]
+        first = next(compress(count(), values), None)
         if first is None:
+            index = _next_rise(pivots, rest, index + 1)
+            if index is None:
+                return picks
             continue
         inverse = pow(values.pop(first), -1, PRIME)
-        pivot, at_pivot = rest.pop(first)
-        for (_, kept), value in zip(rest, values):
-            value = value * inverse % PRIME
-            if value:  # clear the new pivot row from the kept equations
-                kept[:] = [(a - b * value) % PRIME for a, b in zip(kept, at_pivot)]
-            kept.append(value)
-        pivots.append(pivot)
+        pivots.append(rest.pop(first))
+        for (_, multipliers), value in zip(rest, values):
+            multipliers.append(value * inverse % PRIME)
         picks.append(index)
         if len(picks) == len(rows):
             return None
+        index += 1
     return picks
+
+
+def _next_rise(pivots, rest, start):
+    """The first equation from ``start`` on that has a nonzero residue at
+    some remaining row of ``rank_profile_mod_p``'s elimination, or None;
+    ``pivots`` and ``rest`` hold its rows with their multipliers.
+
+    The residue at row t is a linear functional of the equation a: a_t -
+    L_t . y with L_P y = a_P on the pivot rows P, that is a_t - z_t . a_P
+    with z_t = L_t L_P^-1, one back substitution per row.  It is applied
+    to every later equation at once, as a combination of row slices; each
+    row's scan ends at the first rise found so far."""
+    # column l of L_P below its diagonal, from the last pivot row up
+    below = [[m[l] for _, m in reversed(pivots[l + 1 :])] for l in range(len(pivots))]
+    found = None
+    for row, multipliers in rest:
+        z = []  # z_t from its last entry back
+        for l in reversed(range(len(pivots))):
+            z.append((multipliers[l] - sum(map(mul, z, below[l]))) % PRIME)
+        residues = row[start:found]
+        for (pivot_row, _), c in zip(reversed(pivots), z):
+            if c:
+                residues = map(sub, residues, map(c.__mul__, pivot_row[start:found]))
+        rise = next(compress(count(start), map(PRIME.__rmod__, residues)), None)
+        if rise is not None:
+            found = rise
+    return found
 
 
 def rref(rows, field):

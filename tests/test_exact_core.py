@@ -539,6 +539,111 @@ class TestModularIndependence:
                 )
 
 
+    def test_matches_the_right_looking_reference(self):
+        rng = random.Random(2803)
+        seen = {"none": 0, "stall": 0, "short": 0, "single": 0, "top": 0, "zero": 0}
+        for _ in range(2400):
+            rows = modular_profile_case(rng)
+            picks = reference_rank_profile_mod_p(rows)
+            assert rank_profile_mod_p(rows) == picks
+            seen["none"] += picks is None
+            seen["stall"] += picks is not None and 0 < len(picks) and picks[-1] >= len(picks)
+            seen["short"] += len(rows[0]) < len(rows)
+            seen["single"] += len(rows) == 1
+            seen["top"] += any(x == PRIME - 1 for row in rows for x in row)
+            seen["zero"] += any(not any(x % PRIME for x in column) for column in zip(*rows))
+        assert min(seen.values()) >= 100, seen
+
+    def test_a_fit_reads_few_single_entries(self):
+        # 4 unknowns with one relation over 2000 equations: three picks and
+        # one stall read single entries, the scan after it reads slices
+        rng = random.Random(5)
+        reads = [0]
+
+        class CountingRow(list):
+            def __getitem__(self, key):
+                reads[0] += isinstance(key, int)
+                return super().__getitem__(key)
+
+        base = [[rng.randrange(PRIME) for _ in range(2000)] for _ in range(3)]
+        last = [(2 * a + 3 * b + 5 * c) % PRIME for a, b, c in zip(*base)]
+        rows = [CountingRow(row) for row in base + [last]]
+        assert rank_profile_mod_p(rows) == [0, 1, 2]
+        assert reads[0] <= 2 * 4**2
+        # a rise late in the scan resumes the elimination there
+        rows[3][1500] = (rows[3][1500] + 1) % PRIME
+        reads[0] = 0
+        assert rank_profile_mod_p(rows) is None
+        assert reads[0] <= 4 * 4**2
+
+
+def reference_rank_profile_mod_p(rows):
+    """The right-looking Gauss-Jordan rank profile: every kept equation is
+    stored reduced at the rows without a pivot, and each pick updates them
+    all; read one equation at a time."""
+    pivots, rest, picks = [], [(t, []) for t in range(len(rows))], []
+    for index in range(len(rows[0])):
+        factors = [rows[p][index] for p in pivots]
+        values = [
+            (rows[t][index] - sum(map(operator.mul, factors, kept))) % PRIME for t, kept in rest
+        ]
+        first = next((i for i, a in enumerate(values) if a), None)
+        if first is None:
+            continue
+        inverse = pow(values.pop(first), -1, PRIME)
+        pivot, at_pivot = rest.pop(first)
+        for (_, kept), value in zip(rest, values):
+            value = value * inverse % PRIME
+            if value:
+                kept[:] = [(a - b * value) % PRIME for a, b in zip(kept, at_pivot)]
+            kept.append(value)
+        pivots.append(pivot)
+        picks.append(index)
+        if len(picks) == len(rows):
+            return None
+    return picks
+
+
+def modular_profile_case(rng):
+    """Residue rows, k <= 10 by up to 60 equations, of column rank at most
+    a chosen r: each equation is zero, a combination of the earlier ones
+    (a stall) or a new combination of r random columns, in runs.  Entries
+    are pushed to PRIME - 1, or left unreduced or negative."""
+    k = rng.choice([1, 2, 3, 4, 5, 6, 8, 10])
+    n_cols = rng.randint(1, 60)
+    r = k if rng.random() < 0.2 else max(k - rng.randint(1, 3), 0)
+    top = rng.random() < 0.2
+
+    def draw():
+        # sums of +-1 are often PRIME - 1, whose products are the largest
+        if top:
+            return rng.choice([0, 1, PRIME - 1])
+        return rng.randrange(PRIME) if rng.random() < 0.8 else 0
+
+    basis = [[draw() for _ in range(r)] for _ in range(k)]
+    columns, kind = [], "new"
+    for _ in range(n_cols):
+        if rng.random() < 0.3:
+            kind = rng.choice(["new", "new", "zero", "stall"])
+        coeffs = [0] * r
+        if kind == "stall" and columns:
+            for earlier in rng.sample(columns, min(len(columns), 3)):
+                scale = draw()
+                coeffs = [(c + scale * e) % PRIME for c, e in zip(coeffs, earlier)]
+        elif kind != "zero":
+            coeffs = [draw() for _ in range(r)]
+        columns.append(coeffs)
+    rows = [[sum(map(operator.mul, b, c)) % PRIME for c in columns] for b in basis]
+    for row in rows:
+        for j, x in enumerate(row):
+            roll = rng.random()
+            if roll < 0.05:
+                row[j] = x - PRIME * rng.randint(1, 3)
+            elif roll < 0.1:
+                row[j] = x + PRIME * rng.randint(1, 10**6)
+    return rows
+
+
 class TestExactDivision:
     def test_exact_quotient(self):
         n = Poly([0, 1], QQ, "n")

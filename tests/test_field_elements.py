@@ -549,6 +549,105 @@ class TestUnitConstructors:
         assert x.num_factors[1:] == (G(2, GOLDEN) + 1,)
 
 
+# -- the field kernel's pivot column ----------------------------------------------
+
+
+def reference_eliminate(rows, zero, prefer=None):
+    """``linalg._eliminate`` computing every entry of a row it clears,
+    the pivot column's a - a * 1 included."""
+    m = [list(r) for r in rows]
+    n_cols = len(m[0]) if m else 0
+    pivots, used_rows, pivot_cols = [], set(), set()
+    while len(used_rows) < len(m):
+        chosen = fallback = None
+        for col in range(n_cols):
+            if col in pivot_cols:
+                continue
+            for r, row in enumerate(m):
+                if r in used_rows or row[col] == zero:
+                    continue
+                if prefer is None or prefer(row[col]):
+                    chosen = (r, col)
+                    break
+                if fallback is None:
+                    fallback = (r, col)
+            if chosen is not None:
+                break
+        chosen = chosen or fallback
+        if chosen is None:
+            break
+        prow, pcol = chosen
+        lead = m[prow][pcol]
+        m[prow] = [entry / lead for entry in m[prow]]
+        for r in range(len(m)):
+            if r == prow:
+                continue
+            factor = m[r][pcol]
+            if factor == zero:
+                continue
+            m[r] = [a - factor * b for a, b in zip(m[r], m[prow])]
+        used_rows.add(prow)
+        pivot_cols.add(pcol)
+        pivots.append((prow, pcol))
+    return m, pivots
+
+
+def _deficient(rng, n_rows, n_cols, draw):
+    """Random rows, the last one the sum of two others when there are
+    three or more, so that some columns stay free."""
+    rows = [[draw() for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows >= 3:
+        a, b = rng.sample(range(n_rows - 1), 2)
+        rows[-1] = [x + y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+class TestEliminationPivotColumn:
+    """The field kernel writes the field's zero into the pivot column of
+    each row it clears; the reduced matrices are those it gets computing
+    a - a * 1 there, entry by entry and representation by representation."""
+
+    def test_exppoly_fractions_keep_their_factor_lists(self):
+        from ansatzkit.linalg import _eliminate
+
+        rng = random.Random(2804)
+        pivots_seen = 0
+        for field, pool in _factor_pool():
+            zero = ExpPolyFraction.zero(field)
+            for trial in range(40):
+                n_rows, n_cols = rng.randint(1, 3), rng.randint(1, 4)
+                rows = _deficient(rng, n_rows, n_cols, lambda: _random_fraction(rng, field, pool))
+                prefer = ExpPolyFraction.is_unit_value if trial % 2 else None
+                reduced, pivots = _eliminate(rows, zero, prefer)
+                expected, expected_pivots = reference_eliminate(rows, zero, prefer)
+                assert pivots == expected_pivots
+                pivots_seen += len(pivots)
+                for row, expected_row in zip(reduced, expected):
+                    for entry, value in zip(row, expected_row):
+                        assert entry.num_factors == value.num_factors
+                        assert entry.den_factors == value.den_factors
+        assert pivots_seen >= 30
+
+    def test_number_field_and_float_zeros(self):
+        from ansatzkit.linalg import _eliminate
+
+        rng = random.Random(2805)
+        for _ in range(40):
+            n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 6)
+            rows = _deficient(rng, n_rows, n_cols, lambda: _random_pair(rng, GOLDEN)[0])
+            reduced, pivots = _eliminate(rows, GOLDEN.zero)
+            expected, expected_pivots = reference_eliminate(rows, GOLDEN.zero)
+            assert pivots == expected_pivots
+            for row, expected_row in zip(reduced, expected):
+                assert [(x.nums, x.den) for x in row] == [(x.nums, x.den) for x in expected_row]
+            floats = _deficient(rng, n_rows, n_cols, lambda: rng.uniform(-1e3, 1e3))
+            reduced, pivots = _eliminate(floats, 0.0)
+            expected, expected_pivots = reference_eliminate(floats, 0.0)
+            assert pivots == expected_pivots
+            # repr tells +0.0 from -0.0
+            assert repr(reduced) == repr(expected)
+
+
 # -- the representation lint ------------------------------------------------------
 
 FIELDS_SOURCE = Path(__file__).resolve().parents[1] / "src" / "ansatzkit" / "fields.py"

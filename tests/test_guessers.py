@@ -20,7 +20,12 @@ from ansatzkit import guess as guess_module
 from ansatzkit.errors import InsufficientData, InternalError
 from ansatzkit.guess import GuessReport, holonomic_fit_length
 from ansatzkit.linalg import PRIME, FieldAdapter, left_null_space, solve_linear
-from ansatzkit.polynomials import rational_content
+from ansatzkit.polynomials import (
+    difference_rows,
+    forward_differences,
+    newton_poly,
+    rational_content,
+)
 from ansatzkit.sequences import RecurrenceSystem, ShiftOperator, leading_validity_offset
 
 import conftest as corpus
@@ -145,6 +150,68 @@ class TestGuessPolynomial:
         cubes = Sequence([n**3 - n for n in range(2000)])
         assert guess_polynomial(cubes, 6).shape == ("polynomial", 4, 3)
         assert taken == [2000, 1999, 1998, 1997]
+
+    def test_matches_the_fraction_table(self):
+        rng = random.Random(2806)
+        seen = {"hit": 0, "none": 0, "mixed": 0, "zero": 0, "near": 0, "proven": 0}
+        for k in range(600):
+            degree, margin = k % 9, rng.randint(0, 3)
+            dens = rng.choice([[1], [1, 2], [3, 7, 10], [4, 9, 25, 1]])
+            coeffs = [F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(degree + 1)]
+            offset = rng.randint(0, 4)
+            length = max(degree + margin + rng.randint(-2, 8), 2)
+            terms = [Poly(coeffs, QQ, "n").evaluate(F(n)) for n in range(offset, offset + length)]
+            if k % 7 == 0:
+                terms = [F(0)] * length
+            elif k % 5 == 0:
+                # a near miss: the last term breaks the fit
+                terms[-1] += F(1, rng.choice([1, 3, 8]))
+                seen["near"] += 1
+            seen["mixed"] += len({t.denominator for t in terms}) > 1
+            seq = Sequence(terms, offset)
+            max_degree, assume_bound = rng.randint(0, 8), rng.random() < 0.5
+            report = guess_polynomial(seq, max_degree, margin, assume_bound)
+            expected = fraction_guess_polynomial(seq, max_degree, margin, assume_bound)
+            for name in ("result", "poly", "shape", "terms_used_for_fit", "terms_verified", "proven"):
+                assert getattr(report, name) == getattr(expected, name), name
+            seen["hit"] += report.result is not None
+            seen["none"] += report.result is None
+            seen["zero"] += report.poly is not None and not report.poly
+            seen["proven"] += report.proven
+        assert min(seen.values()) >= 40, seen
+
+
+def fraction_guess_polynomial(sequence, max_degree, margin=1, assume_bound=False):
+    """``guess_polynomial`` on a difference table of the terms themselves,
+    in ``Fraction``, with the annihilator a power of a ``Poly``."""
+    length = len(sequence)
+    rows = enumerate(difference_rows(sequence.terms))
+    depth, row = next(rows)
+    for degree in range(0, max_degree + 1):
+        fit = degree + 1
+        if length < fit + max(margin, 1):
+            break
+        leading = forward_differences(sequence.terms[: degree + 2])
+        if leading.pop():
+            continue
+        while depth < degree:
+            depth, row = next(rows)
+        if any(entry != row[0] for entry in row):
+            continue
+        annihilator = Poly([-1, 1], QQ, "N") ** (degree + 1)
+        operator = ShiftOperator(CoeffRing.CONSTANT, annihilator.coeffs)
+        system = RecurrenceSystem(
+            operator, sequence.terms[: degree + 1], sequence.offset, sequence.offset
+        )
+        return GuessReport(
+            result=system,
+            shape=("polynomial", degree + 1, degree),
+            terms_used_for_fit=fit,
+            terms_verified=length - fit,
+            poly=newton_poly(leading, sequence.offset),
+            proven=assume_bound and length >= max_degree + 1,
+        )
+    return GuessReport(None, ("polynomial", None, None), 0, 0)
 
 
 def vandermonde_guess_polynomial(seq, max_degree, margin, assume_bound):
