@@ -53,7 +53,7 @@ from .errors import (
     UnboundableExpression,
     UnsupportedCase,
 )
-from .exppoly import ExpPolyFraction, validity_offset
+from .exppoly import ExpPoly, ExpPolyFraction, validity_offset
 from .fields import RATIONAL_FIELD, as_rational_poly, common_field
 from .genfun import (
     DiffEquation,
@@ -226,23 +226,22 @@ class _FieldShiftRep:
         field = op.leading.field
         self.zero = ExpPolyFraction.zero(field)
         self.one = ExpPolyFraction.one(field)
-
-    def _coeff(self, i, shift):
-        """c_i evaluated at argument mult*n + shift, as a field element."""
-        return ExpPolyFraction.from_exppoly(self.operator.shifted_coeff(i, shift, self.mult))
+        self.minus_one = ExpPoly.constant(-1, field)
 
     def vectors(self, shifts):
-        r = self.order
+        r, op, mult = self.order, self.operator, self.mult
         vecs = [[self.one if i == t else self.zero for i in range(r)] for t in range(r)]
         for t in range(r, shifts[-1] + 1):
             # a(m n + t) = -sum_i c_i(m n + t - r)/c_r(m n + t - r) a(m n + t - r + i)
-            lead = self._coeff(r, t - r)
+            lead = op.shifted_coeff(r, t - r, mult)
             vec = [self.zero] * r
             for i in range(r):
-                c = self._coeff(i, t - r)
+                c = op.shifted_coeff(i, t - r, mult)
                 if not c:
                     continue
-                factor = (-c) / lead
+                # the lists of (-c)/lead: a unit c negates, any other c takes a -1
+                nums = [-c] if c.is_unit() else [self.minus_one, c]
+                factor = ExpPolyFraction(c.field, nums, [lead])
                 vec = [a + factor * b for a, b in zip(vec, vecs[t - r + i])]
             vecs.append(vec)
         return [vecs[t] for t in shifts]

@@ -29,7 +29,8 @@ on a times a root, a the leading coefficient.
 Every polynomial interpolation goes through Newton's forward-difference
 form: ``forward_differences`` reads the coefficients d_j off the leading
 entries of the difference table and ``newton_poly`` builds
-sum_j d_j C(n - start, j).  Its users are the polynomial guesser (degree d
+sum_j d_j C(n - start, j), by Horner's rule on integers with one division
+at the end.  Its users are the polynomial guesser (degree d
 fits when row d + 1 of the table vanishes), the partial-sum and Cauchy
 closures of polynomial sequences, ``poly_binomial_form`` and the
 evaluation of a ``BinomialForm``, and the falling-factorial basis change
@@ -86,9 +87,13 @@ class Poly:
         self._fill([domain.coerce(c) for c in coeffs], domain, var)
 
     def _fill(self, coeffs, domain, var):
-        object.__setattr__(self, "coeffs", tuple(_trimmed(coeffs)))
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "var", var)
+        """Trim the list ``coeffs`` in place and store the slots through
+        their descriptors, past the immutability guard."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        _set_coeffs(self, tuple(coeffs))
+        _set_domain(self, domain)
+        _set_var(self, var)
 
     def _of(self, coeffs):
         """Our domain's polynomial of a fresh list of its elements: the public
@@ -269,6 +274,9 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+_set_coeffs, _set_domain, _set_var = Poly.coeffs.__set__, Poly.domain.__set__, Poly.var.__set__
 
 
 def _signed_join(parts):
@@ -703,10 +711,22 @@ def forward_differences(values):
 
 
 def newton_poly(diffs, start=0):
-    """sum_j diffs[j] C(n - start, j) as a QQ polynomial in n, by Horner's
-    rule on C(m, j + 1) = C(m, j) (m - j) / (j + 1)."""
-    result = Poly([], QQ, "n")
-    for j in range(len(diffs) - 1, -1, -1):
-        step = Poly([Fraction(-start - j, j + 1), Fraction(1, j + 1)], QQ, "n")
-        result = result * step + diffs[j]
-    return result
+    """sum_j diffs[j] C(n - start, j) as a QQ polynomial in n, for rational
+    ``diffs``.  With L their common denominator and d = len(diffs) - 1,
+    L d! times it is sum_j (L diffs[j]) (d!/j!) (m)_j with m = n - start,
+    an integer polynomial built by Horner's rule on (m)_(j+1) = (m)_j (m - j);
+    one division by L d! ends."""
+    if not diffs:
+        return Poly([], QQ, "n")
+    scale = lcm(*[c.denominator for c in diffs])
+    cleared = [c.numerator * (scale // c.denominator) for c in diffs]
+    acc, weight = [cleared[-1]], 1  # weight = d!/j!
+    for j in range(len(diffs) - 2, -1, -1):
+        weight *= j + 1
+        root = start + j
+        # acc * (n - root) + weight * cleared[j]
+        acc = [weight * cleared[j] - root * acc[0]] + [
+            low - root * high for low, high in zip(acc, acc[1:])
+        ] + [acc[-1]]
+    den = scale * weight
+    return Poly([Fraction(c, den) for c in acc], QQ, "n")

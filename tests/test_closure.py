@@ -446,6 +446,64 @@ class TestC2Closures:
         c2_combine(TERMWISE, SINGLE_TERM_A, SINGLE_TERM_B)
         assert 0 < len(calls) <= 120
 
+    def test_termwise_takes_the_short_paths(self, monkeypatch):
+        """No subtraction of a nonzero fraction negates a copy of the other
+        operand, no product of two constant term polynomials runs a general
+        ``Poly`` product, and every zero fraction of a field is one object."""
+        from ansatzkit.exppoly import ExpPolyFraction
+
+        seen = {"subtractions": 0, "negations": 0, "constant_terms": 0, "poly_products": 0}
+        inside = {"sub": False, "mul": False}
+        zeros = []
+        sub, neg = ExpPolyFraction.__sub__, ExpPolyFraction.__neg__
+        zero, exp_mul, poly_mul = ExpPolyFraction.zero.__func__, ExpPoly.__mul__, Poly.__mul__
+
+        def counted_sub(self, other):
+            if not self:  # a zero minus b is -b either way
+                return sub(self, other)
+            seen["subtractions"] += 1
+            inside["sub"] = True
+            try:
+                return sub(self, other)
+            finally:
+                inside["sub"] = False
+
+        def counted_neg(self):
+            seen["negations"] += inside["sub"]
+            return neg(self)
+
+        def counted_zero(cls, field):
+            zeros.append(zero(cls, field))
+            return zeros[-1]
+
+        def counted_exp_mul(self, other):
+            if isinstance(other, ExpPoly):
+                seen["constant_terms"] += any(
+                    len(p.coeffs) == 1 == len(q.coeffs) for _, p in self.terms for _, q in other.terms
+                )
+            inside["mul"] = True
+            try:
+                return exp_mul(self, other)
+            finally:
+                inside["mul"] = False
+
+        def counted_poly_mul(self, other):
+            constant = isinstance(other, Poly) and len(self.coeffs) == 1 == len(other.coeffs)
+            seen["poly_products"] += inside["mul"] and constant
+            return poly_mul(self, other)
+
+        monkeypatch.setattr(ExpPolyFraction, "__sub__", counted_sub)
+        monkeypatch.setattr(ExpPolyFraction, "__neg__", counted_neg)
+        monkeypatch.setattr(ExpPolyFraction, "zero", classmethod(counted_zero))
+        monkeypatch.setattr(ExpPoly, "__mul__", counted_exp_mul)
+        monkeypatch.setattr(ExpPoly, "__rmul__", counted_exp_mul)
+        monkeypatch.setattr(Poly, "__mul__", counted_poly_mul)
+        c2_combine(TERMWISE, SINGLE_TERM_A, SINGLE_TERM_B)
+        assert seen["subtractions"] > 0 and seen["constant_terms"] > 0
+        assert seen["negations"] == 0 and seen["poly_products"] == 0
+        assert len(zeros) > 1
+        assert len({id(z) for z in zeros}) == len({id(z.field) for z in zeros})
+
     def test_degenerate_pair_needs_order_three(self):
         a, b = corpus.alternating_sign_pair()
         operator, validity = c2_combine(ADD, a.operator, b.operator)

@@ -806,7 +806,71 @@ class TestRationalRoots:
         assert parts[1] == Poly([1, 1], QQ, "N")
 
 
+def reference_newton_poly(diffs, start=0):
+    """``newton_poly`` as it was: one ``Fraction`` Poly product per degree,
+    by Horner's rule on C(m, j + 1) = C(m, j) (m - j) / (j + 1)."""
+    result = Poly([], QQ, "n")
+    for j in range(len(diffs) - 1, -1, -1):
+        step = Poly([F(-start - j, j + 1), F(1, j + 1)], QQ, "n")
+        result = result * step + diffs[j]
+    return result
+
+
+def _assert_same_poly(fast, full):
+    assert fast.coeffs == full.coeffs
+    assert [type(c) for c in fast.coeffs] == [type(c) for c in full.coeffs]
+    assert fast.domain is full.domain and fast.var == full.var
+
+
 class TestNewtonLayer:
+    def test_matches_the_fraction_horner(self):
+        rng = random.Random(2906)
+        draws = [
+            lambda: rng.randint(-99, 99),
+            lambda: F(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4)),
+            lambda: rng.choice([0, 0, 1, -1, F(1, 3), F(-7, 2)]),
+        ]
+        for trial in range(1500):
+            draw = draws[trial % 3]
+            diffs = [draw() for _ in range(rng.randint(0, 10))]
+            if diffs and rng.random() < 0.2:
+                diffs[-1] = 0  # a top coefficient that vanishes
+            start = rng.randint(-20, 20)
+            if trial % 2:
+                diffs = tuple(diffs)  # as a BinomialForm holds them
+            _assert_same_poly(newton_poly(diffs, start), reference_newton_poly(diffs, start))
+
+    def test_callers_build_the_same_polynomials(self, monkeypatch):
+        """The polynomial guesser, the partial-sum and Cauchy closures of
+        polynomials and the binomial form, against the reference body."""
+        from ansatzkit import closedform, closure, guess
+
+        rng = random.Random(2907)
+        polys = [
+            Poly([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))], QQ, "n")
+            for _ in range(30)
+        ]
+
+        def results():
+            out = []
+            for i, p in enumerate(polys):
+                offset = i % 4
+                sequence = Sequence([p.evaluate(F(n)) for n in range(offset, offset + 12)], offset)
+                report = guess_polynomial(sequence, 6)
+                out.append(report.poly)
+                out.append(poly_binomial_form(sequence, max(p.degree, 0)).poly)
+                out.append(poly_closure(PARTIAL_SUM, p))
+                out.append(poly_closure(CAUCHY, p, polys[i - 1]))
+            return out
+
+        fast = results()
+        for module in (closedform, closure, guess):
+            monkeypatch.setattr(module, "newton_poly", reference_newton_poly)
+        full = results()
+        assert len(fast) == len(full) == 120
+        for a, b in zip(fast, full):
+            _assert_same_poly(a, b)
+
     def test_differences_of_a_cubic(self):
         assert forward_differences([n**3 for n in range(5)]) == [0, 1, 6, 6, 0]
         assert forward_differences([]) == []
@@ -1439,6 +1503,22 @@ class TestPolyArithmetic:
                     assert remainder.degree < q.degree
                     for x in points:
                         assert at(p, x) == at(quotient, x) * at(q, x) + at(remainder, x)
+
+    def test_slots_cannot_be_assigned(self):
+        """``_of`` stores the slots past the guard; assignment still raises,
+        by attribute and by ``setattr``, and leaves the polynomial as it was."""
+        p = Poly([1, 2], QQ, "n")
+        q = p._of([F(3), F(0)])
+        for poly in (p, q):
+            before = (poly.coeffs, poly.domain, poly.var)
+            with pytest.raises(AttributeError):
+                poly.coeffs = (F(5),)
+            with pytest.raises(AttributeError):
+                setattr(poly, "domain", self.GOLDEN)
+            with pytest.raises(AttributeError):
+                poly.var = "x"
+            assert (poly.coeffs, poly.domain, poly.var) == before
+        assert q.coeffs == (F(3),)
 
     def test_cancelling_leading_terms_are_trimmed(self):
         for domain, _, draw, *_ in self.cases():

@@ -6,8 +6,11 @@ to 10**30 must give the same coordinates, equality, hashes, printing and
 term order under both.  The fraction layer's fast products, quotients,
 sums and negations must build the factor lists the full constructor
 builds, and match a reference that keeps every unit numerator a factor of
-its own in everything but the units.  A lint keeps ``Fraction`` out of the
-element arithmetic.
+its own in everything but the units.  Direct subtraction, the
+constant-term paths of ``ExpPoly`` and the shift representation's factor
+built in one step must give the lists, fields and values of the bodies
+they replaced, kept here as references, on whole combination matrices
+too.  A lint keeps ``Fraction`` out of the element arithmetic.
 """
 
 import ast
@@ -15,7 +18,21 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from ansatzkit import RATIONAL_FIELD, ExpPoly, ExpPolyFraction, NumberField, Poly, QQ
+from ansatzkit import (
+    ADD,
+    PARTIAL_SUM,
+    QQ,
+    RATIONAL_FIELD,
+    SUBSEQUENCE,
+    TERMWISE,
+    CoeffRing,
+    ExpPoly,
+    ExpPolyFraction,
+    NumberField,
+    Poly,
+    ShiftOperator,
+)
+from ansatzkit import closure
 from ansatzkit.exppoly import _cancel, _is_one
 from ansatzkit.linalg import clear_exppoly_denominators
 
@@ -646,6 +663,222 @@ class TestEliminationPivotColumn:
             assert pivots == expected_pivots
             # repr tells +0.0 from -0.0
             assert repr(reduced) == repr(expected)
+
+
+# -- direct subtraction, constant terms and the shift factor ----------------------
+
+
+def reference_fraction_sub(a, b):
+    """``ExpPolyFraction.__sub__`` as it was: a plus a negated copy of b."""
+    a, b = a._coerce(b)
+    return a + (-b)
+
+
+def reference_exppoly_sub(a, b):
+    """``ExpPoly.__sub__`` as it was: a plus a negated copy of b."""
+    a, b = a._coerce(b)
+    return a + (-b)
+
+
+def reference_exppoly_mul(a, b):
+    """``ExpPoly.__mul__`` as it was: a general ``Poly`` product per pair
+    of terms."""
+    a, b = a._coerce(b)
+    products = []
+    for base_a, poly_a in a.terms:
+        for base_b, poly_b in b.terms:
+            products.append((base_a * base_b, poly_a * poly_b))
+    return ExpPoly._of(a.field, products)
+
+
+def reference_compose_arg(e, mult, offset):
+    """``ExpPoly.compose_arg`` as it was: every term polynomial shifted."""
+    out = []
+    for base, poly in e.terms:
+        new_poly = poly.compose_linear(mult, offset)
+        if base == e.field.one:
+            out.append((base, new_poly))
+        else:
+            out.append((base**mult, new_poly.scale(base**offset)))
+    return ExpPoly._of(e.field, out)
+
+
+def reference_zero(cls, field):
+    """``ExpPolyFraction.zero`` as it was: a new fraction every call."""
+    return cls(field, [ExpPoly.zero(field)])
+
+
+class ReferenceShiftRep(closure._FieldShiftRep):
+    """``_FieldShiftRep.vectors`` as it was: each factor -c_i/c_r is the
+    quotient of the negation of one ``from_exppoly`` fraction by another."""
+
+    def _coeff(self, i, shift):
+        return ExpPolyFraction.from_exppoly(self.operator.shifted_coeff(i, shift, self.mult))
+
+    def vectors(self, shifts):
+        r = self.order
+        vecs = [[self.one if i == t else self.zero for i in range(r)] for t in range(r)]
+        for t in range(r, shifts[-1] + 1):
+            lead = self._coeff(r, t - r)
+            vec = [self.zero] * r
+            for i in range(r):
+                c = self._coeff(i, t - r)
+                if not c:
+                    continue
+                factor = (-c) / lead
+                vec = [a + factor * b for a, b in zip(vec, vecs[t - r + i])]
+            vecs.append(vec)
+        return [vecs[t] for t in shifts]
+
+
+def _install_reference_bodies(patch):
+    """Put the bodies above in place with ``patch.setattr``."""
+    patch.setattr(ExpPolyFraction, "__sub__", reference_fraction_sub)
+    patch.setattr(ExpPolyFraction, "zero", classmethod(reference_zero))
+    patch.setattr(ExpPoly, "__sub__", reference_exppoly_sub)
+    patch.setattr(ExpPoly, "__mul__", reference_exppoly_mul)
+    patch.setattr(ExpPoly, "__rmul__", reference_exppoly_mul)
+    patch.setattr(ExpPoly, "compose_arg", reference_compose_arg)
+    patch.setattr(closure, "_FieldShiftRep", ReferenceShiftRep)
+
+
+def _assert_same_fraction(fast, full):
+    """The same lists, factor by factor, the same field object and value."""
+    _assert_same_lists(fast, full)
+    assert fast.field is full.field
+
+
+def _assert_same_exppoly(fast, full):
+    assert fast.terms == full.terms
+    assert fast.field is full.field
+
+
+N_ = Poly([0, 1])
+
+
+def _exppoly(*terms):
+    """An ExpPoly over Q of (base, coefficient list) pairs."""
+    return ExpPoly(RATIONAL_FIELD, [(base, Poly(coeffs)) for base, coeffs in terms])
+
+
+def _operator(coeffs):
+    return ShiftOperator(CoeffRing.EXPPOLY, coeffs)
+
+
+def _matrix_or_error(*args, **kwargs):
+    try:
+        return closure.combination_matrix(*args, **kwargs)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+class TestDirectSubtractionAndConstantTerms:
+    """Subtraction without a negated copy, products and argument changes of
+    constant term polynomials without a general ``Poly`` operation, and the
+    shift representation's factor built in one step give the lists, fields
+    and values of the bodies they replace, kept here as references."""
+
+    def test_fraction_subtraction(self):
+        rng = random.Random(2901)
+        counts = {"zero_left": 0, "zero_right": 0, "zero_divisor": 0, "mixed": 0, "units": 0}
+        pools = _factor_pool()
+        for _ in range(600):
+            (fa, pa), (fb, pb) = rng.choice(pools), rng.choice(pools)
+            a, b = _random_fraction(rng, fa, pa), _random_fraction(rng, fb, pb)
+            _assert_same_fraction(a - b, reference_fraction_sub(a, b))
+            counts["zero_left"] += not a
+            counts["zero_right"] += not b
+            counts["zero_divisor"] += not a._is_zero_form() and not a or (
+                not b._is_zero_form() and not b
+            )
+            counts["mixed"] += fa is not fb
+            counts["units"] += bool(a.num_factors) and a.num_factors[0].is_unit()
+        assert min(counts.values()) >= 20, counts
+
+    def test_exppoly_subtraction_product_and_argument_change(self):
+        rng = random.Random(2902)
+        counts = {"constant_pairs": 0, "general_pairs": 0, "constant_shifts": 0, "mixed": 0}
+        pools = _factor_pool()
+        for field, pool in pools:
+            lifted = [f.to_field(field) for f in pool]
+            # products of two factors bring terms of higher degree
+            lifted += [rng.choice(lifted) * rng.choice(lifted) for _ in range(12)]
+            for _ in range(250):
+                e, f = rng.choice(lifted), rng.choice(lifted + pools[0][1])
+                counts["mixed"] += e.field is not f.field
+                _assert_same_exppoly(e - f, reference_exppoly_sub(e, f))
+                _assert_same_exppoly(e * f, reference_exppoly_mul(e, f))
+                degrees = [(len(p.coeffs), len(q.coeffs)) for _, p in e.terms for _, q in f.terms]
+                counts["constant_pairs"] += (1, 1) in degrees
+                counts["general_pairs"] += any(pair != (1, 1) for pair in degrees)
+                mult, offset = rng.randint(1, 3), rng.randint(-3, 3)
+                _assert_same_exppoly(e.compose_arg(mult, offset), reference_compose_arg(e, mult, offset))
+                counts["constant_shifts"] += any(len(p.coeffs) == 1 for _, p in e.terms)
+        assert min(counts.values()) >= 20, counts
+
+    def test_shift_factor_lists(self):
+        """Each -c/lead of the fast build is the quotient of fractions made
+        by ``from_exppoly``: unit and non-unit c, c equal to the lead, the
+        constant 1 and unit and non-unit leads."""
+        rng = random.Random(2903)
+        seen = {"unit": 0, "non_unit": 0, "cancelled": 0, "unit_lead": 0}
+        for field, pool in _factor_pool():
+            # one operator's coefficients share a field
+            pool = [f.to_field(field) for f in pool + [_exppoly((2, [0, 1]), (3, [0, 1]), (1, [-1]))]]
+            minus_one = ExpPoly.constant(-1, field)
+            for _ in range(300):
+                c, lead = rng.choice(pool), rng.choice(pool)
+                nums = [-c] if c.is_unit() else [minus_one, c]
+                fast = ExpPolyFraction(c.field, nums, [lead])
+                full = (-ExpPolyFraction.from_exppoly(c)) / ExpPolyFraction.from_exppoly(lead)
+                _assert_same_fraction(fast, full)
+                seen["unit" if c.is_unit() else "non_unit"] += 1
+                seen["cancelled"] += c == lead and not c.is_unit()
+                seen["unit_lead"] += lead.is_unit()
+        assert min(seen.values()) >= 20, seen
+
+    def test_combination_matrices_of_all_kinds(self, monkeypatch):
+        """Whole matrices against the reference bodies, on operators with
+        non-unit leads such as (2^n + 3^n)*N - 1, leads that vanish under a
+        multiplier, and coefficients equal to the lead."""
+        rng = random.Random(2904)
+        two_three = _exppoly((2, [0, 1]), (3, [0, 1]), (1, [-1]))  # (2^n + 3^n) n - 1
+        operators = [
+            _operator([G(2) + 1, ExpPoly.from_poly(N_ + 1), two_three]),
+            _operator([G(-1), two_three, G(3), G(2) - G(3)]),
+            _operator([G(3) - 1, G(-1) + 1]),  # the lead 1 + (-1)^n vanishes on odd n
+            _operator([two_three, G(F(1, 2)), two_three]),
+        ]
+        for field, pool in _factor_pool():
+            pool = [f.to_field(field) for f in pool + [two_three]]
+            for _ in range(8):
+                order = rng.randint(1, 2)
+                lead = rng.choice([f for f in pool if not f.is_unit()])
+                operators.append(_operator([rng.choice(pool + [lead]) for _ in range(order)] + [lead]))
+        cases = []
+        for op in operators:
+            cases.append((PARTIAL_SUM, op, None, 1))
+            cases += [(SUBSEQUENCE, op, None, mult) for mult in (2, 3)]
+            other = rng.choice(operators)
+            cases += [(ADD, op, other, 1), (TERMWISE, op, other, 1)]
+        entries = errors = 0
+        for kind, op_a, op_b, mult in cases:
+            rows = 3 if kind == TERMWISE else None
+            fast = _matrix_or_error(kind, op_a, op_b, mult, rows)
+            with monkeypatch.context() as patch:
+                _install_reference_bodies(patch)
+                full = _matrix_or_error(kind, op_a, op_b, mult, rows)
+            if full is ZeroDivisionError:
+                assert fast is ZeroDivisionError
+                errors += 1
+                continue
+            assert len(fast) == len(full)
+            for row, full_row in zip(fast, full):
+                assert len(row) == len(full_row)
+                for entry, value in zip(row, full_row):
+                    _assert_same_fraction(entry, value)
+                    entries += 1
+        assert entries >= 800 and errors >= 1, (entries, errors)
 
 
 # -- the representation lint ------------------------------------------------------
