@@ -15,6 +15,10 @@ coefficient).  No rational function is formed before the kernel.  The
 relation is read off minors over Z[n] by the fraction-free kernel:
 ``_ring_relation``, shared with the holonomic Cauchy product, takes the
 least-order vector from ``least_null_vector`` and checks its order bound.
+It hands on the kernel's integer polynomials: ``_closure`` builds the
+public operator from them once, and decides where it holds on the
+integer leading coefficient (``polynomials._zx_largest_natural_root``)
+without clearing the operator's fractions again.
 Over exponential polynomials, whose fractions have zero divisors, the
 entries are formal fractions (``_FieldShiftRep``) and ``_closure`` takes
 one explicit branch: the null space comes from Gauss-Jordan over the
@@ -72,6 +76,7 @@ from .polynomials import (
     _derivative,
     _sub,
     _zx_cleared,
+    _zx_largest_natural_root,
     _zx_mul,
     forward_differences,
     newton_poly,
@@ -84,7 +89,6 @@ from .sequences import (
     ShiftOperator,
     expand_terms,
     join_rings,
-    leading_validity_offset,
 )
 
 ADD = "add"
@@ -291,15 +295,16 @@ def combination_matrix(kind, op_a, op_b=None, mult=1, rows=None):
 # the solution-space driver
 
 
-def _ring_relation(matrix, bound, var="n"):
-    """The least-order left null vector of a matrix over Q or Q(var) as
-    coprime polynomials in var, read off minors over Z[var] by the ring
-    kernel ``least_null_vector``; its order is checked against ``bound``."""
+def _ring_relation(matrix, bound):
+    """The least-order left null vector of a matrix over Q or Q(x) as the
+    ring kernel ``least_null_vector`` reads it off minors over Z[x]:
+    coprime integer polynomials, the last with a positive leading
+    coefficient.  Its order is checked against ``bound``."""
     vector = least_null_vector(matrix)
     if vector is None:
         raise NullSpaceEmpty("no usable null vector (internal shape bug)")
     _check_bound(len(vector) - 1, bound)
-    return [Poly(c, QQ, var) for c in vector]
+    return vector
 
 
 def _closure(kind, op_a, op_b=None, mult=1):
@@ -315,8 +320,13 @@ def _closure(kind, op_a, op_b=None, mult=1):
     bound = _order_bound(kind, op_a, op_b)
     if ring is not CoeffRing.EXPPOLY:
         matrix = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1)
-        operator = ShiftOperator(ring, _ring_relation(matrix, bound))
-        return operator, leading_validity_offset(operator)
+        vector = _ring_relation(matrix, bound)
+        operator = ShiftOperator(ring, [Poly(c, QQ, "n") for c in vector])
+        if ring is CoeffRing.CONSTANT:
+            return operator, 0
+        # the leading coefficient's natural roots, on the kernel's integers
+        root = _zx_largest_natural_root(vector[-1])
+        return operator, 0 if root is None else root + 1
     field = op_a.leading.field
     fractions = FieldAdapter(
         ExpPolyFraction.zero(field), ExpPolyFraction.one(field), ExpPolyFraction.is_unit_value
@@ -400,7 +410,7 @@ def holonomic_cauchy(eq_a, eq_b):
             raise ValueError("homogeneous single-base equations required")
     bound = ORDER_BOUNDS[TERMWISE](eq_a.order, eq_b.order)
     rows = _cauchy_matrix(eq_a, eq_b, bound + 1)
-    polys = _ring_relation(rows, bound, var="x")
+    polys = [Poly(c, QQ, "x") for c in _ring_relation(rows, bound)]
     return DiffEquation(RATIONAL_FIELD, [(1, polys)], None)
 
 

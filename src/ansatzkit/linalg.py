@@ -6,8 +6,10 @@ fractions before, by one scale per equation (the guessers scale the terms
 by one common denominator, the closures build their matrices over Z[n]).
 Each equation is divided by its integer content, and a fraction-free
 (Bareiss, Math. Comp. 1968) Gauss-Jordan over Z[x] reads one vector off
-minors at each free column, made primitive once by one GCDHEU pass over
-its entries.  It runs on packed integers: every entry is evaluated once
+minors at each free column, made primitive on its packed entries: their
+integer gcd, unpacked once, is the GCDHEU candidate, and a norm check on
+the quotients proves it (``_packed_primitive_vector``).  It runs on
+packed integers: every entry is evaluated once
 at x = 2**k, a ring homomorphism Z[x] -> Z, so each step is one integer
 product, difference and exact division.  The packing is exact because
 every entry is a minor, whose coefficients a 1-norm bound caps, and k is
@@ -57,6 +59,7 @@ from .polynomials import (
     _zx_cleared,
     _zx_common_factor,
     _zx_pack,
+    _zx_primitive,
     _zx_unpack,
     _zx_width,
     poly_gcd,
@@ -84,6 +87,9 @@ def _eliminate(rows, zero, prefer=None):
     pivot is the first unused nonzero entry of the leftmost column that has
     one; with ``prefer`` set, a later column with a preferred pivot wins
     over earlier ones whose available entries are all non-preferred.
+    Entries are tested for zero by their truth value, which every field
+    here shares with ``== zero`` and answers in one call; ``zero`` fills
+    the pivot column.
     """
     m = [list(r) for r in rows]
     n_cols = len(m[0]) if m else 0
@@ -96,7 +102,7 @@ def _eliminate(rows, zero, prefer=None):
             if col in pivot_cols:
                 continue
             for r, row in enumerate(m):
-                if r in used_rows or row[col] == zero:
+                if r in used_rows or not row[col]:
                     continue
                 if prefer is None or prefer(row[col]):
                     chosen = (r, col)
@@ -115,7 +121,7 @@ def _eliminate(rows, zero, prefer=None):
             if r == prow:
                 continue
             factor = m[r][pcol]
-            if factor == zero:
+            if not factor:
                 continue
             # the pivot column's a - a * 1 is the field's zero, which over
             # exponential-polynomial fractions costs a full expansion
@@ -244,10 +250,10 @@ def left_null_space(rows, field):
         vec[free] = field.one
         for col, row in pivot_for_col.items():
             entry = reduced[row][free]
-            if entry != field.zero:
+            if entry:
                 vec[col] = field.zero - entry
         if field.is_unit is None:
-            lead = next(x for x in vec if x != field.zero)
+            lead = next(x for x in vec if x)
             vec = [x / lead for x in vec]
         basis.append(vec)
     return basis
@@ -308,6 +314,8 @@ def clear_exppoly_denominators(vector):
 def _primitive_vector(vector):
     """Divide out the polynomial gcd and the integer content of the entries,
     and make the leading coefficient of the last nonzero entry positive.
+    ``clear_denominators`` uses it, and the ring kernel when the packed
+    candidate of ``_packed_primitive_vector`` fails its check.
 
     Each nonzero entry is its signed content s times a primitive part with
     a positive leading coefficient; one GCDHEU pass divides the parts by
@@ -324,6 +332,51 @@ def _primitive_vector(vector):
         content = -content
     parts = iter([[c * (s // content) for c in q] for s, q in zip(signed, quotients)])
     return [next(parts) if v else [] for v in vector]
+
+
+def _packed_primitive_vector(vector, k):
+    """``_primitive_vector`` of the integer polynomials packed at x = 2**k
+    into ``vector``, whose last entry is nonzero, read off the packed
+    values: their integer gcd G is unpacked once, and its primitive part c,
+    with a positive leading coefficient, is the GCDHEU candidate for the
+    gcd of the entries.  Each packed entry is divided by c(2**k) and the
+    quotient q unpacked; the division is exact, as c(2**k) divides G, which
+    divides every entry, and a remainder falls back all the same.  When
+    every |q|_inf |c|_1 < 2**(k - 1), the coefficients of q c and of the
+    entry are signed k-bit digits with one packed value, so q c is the
+    entry: c divides every entry in Z[x].  Otherwise ``_primitive_vector``
+    decides on the unpacked entries.
+
+    A candidate dividing every entry is their gcd h (primitive, up to
+    sign) when 2**k >= 2 m + 2, m the largest coefficient of some nonzero
+    entry a: c divides h (Gauss's lemma), and h = c e with e in Z[x]; h(x)
+    divides G = cont(G) c(x), so e(x) divides cont(G), which is nonzero and
+    at most x / 2 in size, as G's digits are.  A root of e is one of a, so
+    of size below 1 + m (Cauchy, strictly), and a nonconstant e has
+    |e(x)| > (x - 1 - m)**deg e >= (x / 2)**deg e >= x / 2.  So e is
+    constant, and ±1 as h is primitive.  The width meets the condition:
+    ``null_vectors`` takes k = b + 1 for a bound B >= m of b bits, so
+    2**k = 2**(b + 1) >= 2 B + 2 >= 2 m + 2.
+
+    Dividing the quotients by their integer content, signed by the last
+    entry's leading coefficient, gives ``_primitive_vector``'s answer."""
+    candidate = _zx_primitive(_zx_unpack(gcd(*vector), k))
+    if candidate == [1]:
+        quotients = [_zx_unpack(v, k) for v in vector]
+    else:
+        packed, norm, half = _zx_pack(candidate, k), sum(map(abs, candidate)), 1 << (k - 1)
+        quotients = []
+        for v in vector:
+            q, r = divmod(v, packed)
+            q = _zx_unpack(q, k)
+            if r or (q and max(map(abs, q)) * norm >= half):
+                return _primitive_vector([_zx_unpack(v, k) for v in vector])
+            quotients.append(q)
+    # star arguments from a list: see sequences.Sequence
+    content = gcd(*[c for q in quotients for c in q])
+    if quotients[-1][-1] < 0:
+        content = -content
+    return quotients if content == 1 else [[c // content for c in q] for q in quotients]
 
 
 def _integer_primitive(equation):
@@ -376,6 +429,9 @@ def null_vectors(rows):
     digits hold that bound; so packing is injective on them, and the zero
     tests, the pivots and the vectors are those of the elimination over
     Z[x].  A remainder would break that invariant and is an internal error.
+    Each vector is made primitive on the packed values before it is
+    unpacked (``_packed_primitive_vector``), with ``_primitive_vector`` on
+    the unpacked entries as its fallback.
     """
     if not rows:
         return
@@ -395,7 +451,7 @@ def null_vectors(rows):
             vector[col] = prev
             for r, c in pivots:
                 vector[c] = -m[r][col]
-            yield _primitive_vector([_zx_unpack(v, k) for v in vector])
+            yield _packed_primitive_vector(vector, k)
             continue
         unused.remove(p)
         pivot_row = m[p]

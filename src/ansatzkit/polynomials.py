@@ -21,10 +21,16 @@ of ``closure`` and the root search share.  Among them ``_zx_pack`` and
 the ring kernel packs a whole matrix and eliminates on integers, and the
 heuristic gcd (GCDHEU) packs any number of operands at one width and
 unpacks their integer gcd.
-``rational_roots`` and ``largest_natural_root`` run one root search, by
-p-adic lifting on the squarefree part, in time polynomial in the degree
-and the coefficients' bit size: its lifts stop above twice Cauchy's bound
-on a times a root, a the leading coefficient.
+``rational_roots`` runs the one root search, by p-adic lifting on the
+squarefree part, in time polynomial in the degree and the coefficients'
+bit size: its lifts stop above twice Cauchy's bound on a times a root, a
+the leading coefficient.  ``largest_natural_root`` and its integer core
+``_zx_largest_natural_root``, which the closures call on the ring
+kernel's integer vector, first bound the positive roots by the signs of
+the coefficients: no negative coefficient (once the zero root is
+stripped and the leading coefficient made positive) means no positive
+root, and a bound of at most ``SCAN_LIMIT`` is scanned by Horner's rule;
+only a larger bound runs the search.
 
 Every polynomial interpolation goes through Newton's forward-difference
 form: ``forward_differences`` reads the coefficients d_j off the leading
@@ -103,6 +109,9 @@ class Poly:
         return result
 
     def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Poly is immutable")
 
     # -- basic structure -------------------------------------------------
@@ -678,9 +687,42 @@ def rational_roots(p):
 def largest_natural_root(p):
     """The largest nonnegative integer root of a nonzero QQ polynomial, or
     None when it has none."""
-    roots = _zx_roots(_zx_cleared([p.coeffs])[0])[0]
-    naturals = [r for r, _ in roots if r >= 0 and r.denominator == 1]
-    return int(max(naturals)) if naturals else None
+    return _zx_largest_natural_root(_zx_cleared([p.coeffs])[0])
+
+
+# the most naturals the sign bound scans before the p-adic search takes over
+SCAN_LIMIT = 16
+
+
+def _zx_largest_natural_root(f):
+    """The largest nonnegative integer root of a nonzero integer polynomial
+    f, or None when it has none.
+
+    With the zero root stripped and the sign set so that the leading
+    coefficient g_d is positive, a natural root x >= 1 of g has
+    g_d x**d <= S x**(d - 1), S the sum of |g_i| over the negative g_i: so
+    x <= S / g_d, and no root at all when no coefficient is negative
+    (Descartes).  A bound of at most ``SCAN_LIMIT`` is scanned: the
+    naturals from it down to 1 are tried by Horner's rule.  A larger bound
+    goes to the p-adic search of ``_zx_roots``.  The search pays a squarefree gcd, a prime
+    search and a Newton lift per residue whatever the bound.  On seeded
+    polynomials of degree 2 to 12 with 4- to 64-bit coefficients one search
+    cost as much as 55 Horner evaluations or more (degree 2, 4 bits), and
+    as much as thousands at degree 12 (CPython 3.11): a scan of at most 16
+    stays under a third of the cheapest search.
+    """
+    zeros = next(i for i, c in enumerate(f) if c)
+    g = f[zeros:] if f[-1] > 0 else [-c for c in f[zeros:]]
+    bound = -sum(c for c in g if c < 0) // g[-1]
+    if bound > SCAN_LIMIT:
+        naturals = [r for r, _ in _zx_roots(g)[0] if r.denominator == 1 and r > 0]
+        if naturals:
+            return int(max(naturals))
+    else:
+        for x in range(bound, 0, -1):
+            if not _value(g, x):
+                return x
+    return 0 if zeros else None
 
 
 def falling_factorial(n, j):

@@ -1343,21 +1343,9 @@ class TestHeuristicGcd:
         assert found[0] == [2, 1, 1]
         self.check(operands, found)
 
-    def test_one_pass_per_vector(self, monkeypatch):
-        """A timing-free work guard: integer content alone on the input
-        equations, and one GCDHEU pass per yielded vector, make 15 calls on
-        this fixed set of holonomic closures, where making every input
-        equation primitive by pairwise gcds made 90."""
-        from ansatzkit import polynomials
-
-        calls = []
-        heuristic = polynomials._heuristic_gcd
-
-        def counted(*operands):
-            calls.append(len(operands))
-            return heuristic(*operands)
-
-        monkeypatch.setattr(polynomials, "_heuristic_gcd", counted)
+    @staticmethod
+    def fixed_closures():
+        """The fixed set of holonomic closures the work guards run."""
         catalan, harmonic = corpus.catalan_system(), corpus.harmonic_from_zero()
         factorial, floor_square = corpus.factorial_system(), corpus.floor_square_holonomic()
         for kind in (ADD, TERMWISE):
@@ -1367,7 +1355,47 @@ class TestHeuristicGcd:
         for a in (catalan, harmonic, factorial):
             combine(PARTIAL_SUM, a)
             combine(SUBSEQUENCE, a, mult=2)
-        assert 0 < len(calls) <= 20
+
+    @staticmethod
+    def counted(monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def counting(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def test_one_pass_per_vector(self, monkeypatch):
+        """A timing-free work guard: the kernel makes each vector primitive
+        by one integer gcd of its packed entries, and on this fixed set of
+        holonomic closures every candidate passes the norm check, so no
+        GCDHEU pass and no fallback to ``_primitive_vector`` runs.  One
+        GCDHEU pass per yielded vector made 15 calls here, and making every
+        input equation primitive by pairwise gcds made 90."""
+        from ansatzkit import linalg, polynomials
+
+        calls = []
+        self.counted(monkeypatch, polynomials, "_heuristic_gcd", calls)
+        self.counted(monkeypatch, linalg, "_primitive_vector", calls)
+        self.counted(monkeypatch, linalg, "_packed_primitive_vector", calls)
+        self.fixed_closures()
+        assert calls.count("_packed_primitive_vector") >= 10
+        assert set(calls) == {"_packed_primitive_vector"}
+
+    def test_no_root_search_on_the_fixed_set(self, monkeypatch):
+        """A timing-free work guard: every validity decision of the same
+        closures is settled by the sign bound of its leading coefficient,
+        so the p-adic root search never runs; it ran 13 times here when
+        every decision went through it."""
+        from ansatzkit import polynomials
+
+        calls, scans = [], []
+        self.counted(monkeypatch, polynomials, "_zx_roots", calls)
+        self.counted(monkeypatch, polynomials, "_value", scans)
+        self.fixed_closures()
+        assert calls == []
+        assert scans
 
 
 class TestLargeHolonomicProducts:

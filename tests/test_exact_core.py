@@ -41,12 +41,15 @@ from ansatzkit.errors import (
     ValidityUnproven,
 )
 from ansatzkit.exppoly import validity_offset
+from ansatzkit.sequences import leading_validity_offset
 from ansatzkit.fields import NumberFieldElement, common_ratio, compare_modulus, split_roots
 from ansatzkit.genfun import falling_basis_constants
 from ansatzkit.linalg import (
     PRIME,
     FieldAdapter,
     _minor_bound,
+    _packed_primitive_vector,
+    _primitive_vector,
     clear_denominators,
     clear_exppoly_denominators,
     null_vectors,
@@ -54,10 +57,15 @@ from ansatzkit.linalg import (
     solve_linear,
 )
 from ansatzkit.polynomials import (
+    SCAN_LIMIT,
     _add,
     _sub,
+    _zx_cleared,
     _zx_exact_div,
+    _zx_largest_natural_root,
+    _zx_mul,
     _zx_pack,
+    _zx_roots,
     _zx_unpack,
     _zx_width,
     forward_differences,
@@ -497,6 +505,91 @@ class TestPackedKernel:
             list(null_vectors(rows))
 
 
+class TestPackedPrimitiveVector:
+    """``null_vectors`` makes each vector primitive on its packed entries;
+    ``_primitive_vector`` on the unpacked entries, and the gcds over Q of
+    ``reference_primitive``, are the references."""
+
+    @staticmethod
+    def seeded_vectors():
+        """Vectors of 1 to 6 integer polynomials with a nonzero last entry,
+        packed at a width that holds their coefficients: most with a
+        planted common factor and integer content, with zero entries and a
+        negative last entry, and widths from the least one for their
+        largest coefficient up."""
+        rng = random.Random(4242)
+
+        def poly(degree, bits):
+            return [rng.randint(-(2**bits), 2**bits) for _ in range(degree)] + [
+                rng.choice([-1, 1]) * rng.randint(1, 2**bits)
+            ]
+
+        for index in range(400):
+            bits = rng.choice([1, 2, 3, 8, 30])
+            shared = poly(rng.randint(1, 3), bits) if index % 4 else [1]
+            content = rng.choice([1, 1, 2, 6, -3, 35])
+            entries = [
+                [content * c for c in _zx_mul(shared, poly(rng.randint(0, 3), bits))]
+                if rng.random() < 0.75 or last == 0 else []
+                for last in range(rng.randint(1, 6) - 1, -1, -1)
+            ]
+            top = max(abs(c) for e in entries for c in e)
+            bound = rng.choice([top, 2 ** top.bit_length() - 1, 3 * top])
+            yield entries, _zx_width(bound)
+
+    def test_matches_the_unpacked_primitive_vector(self, monkeypatch):
+        """Both paths give the reference's vector.  At the least width the
+        norm check has no slack and about half the vectors fall back; with
+        a bit or two to spare, as the kernel's minor bounds leave, almost
+        none do."""
+        fallbacks = []
+        unpacked = _primitive_vector
+        monkeypatch.setattr(linalg, "_primitive_vector", lambda v: fallbacks.append(v) or unpacked(v))
+        seen = {"planted": 0, "content": 0, "zero": 0, "negative": 0, "least width": 0}
+        spare = {False: 0, True: 0}
+        for entries, k in self.seeded_vectors():
+            before = len(fallbacks)
+            found = _packed_primitive_vector([_zx_pack(e, k) for e in entries], k)
+            assert found == unpacked(entries) == reference_primitive(entries), (entries, k)
+            if k >= _zx_width(3 * max(abs(c) for e in entries for c in e)):
+                spare[len(fallbacks) > before] += 1
+            nonzero = [e for e in entries if e]
+            shared = Poly(nonzero[0])
+            for e in nonzero[1:]:
+                shared = poly_gcd(shared, Poly(e))
+            seen["planted"] += shared.degree > 0
+            seen["content"] += math.gcd(*[c for e in entries for c in e]) > 1
+            seen["zero"] += len(nonzero) < len(entries)
+            seen["negative"] += entries[-1][-1] < 0
+            seen["least width"] += k == _zx_width(max(abs(c) for e in entries for c in e))
+        assert min(seen.values()) >= 40, seen
+        assert len(fallbacks) >= 40
+        assert spare[True] <= spare[False] // 20, spare
+
+    def test_unlucky_point_fails_the_norm_check(self, monkeypatch):
+        # x^2 (x + 2) and x^2 (2x + 1)(x - 1) are 18 and 495 times 2**8 at
+        # x = 2**4, whose gcd unpacks to x^2 (x - 7): it divides both packed
+        # values, but the quotients 2 and 3x + 7 are too large next to its
+        # 1-norm 8, so the unpacked entries decide
+        fallbacks = []
+        unpacked = _primitive_vector
+        monkeypatch.setattr(linalg, "_primitive_vector", lambda v: fallbacks.append(v) or unpacked(v))
+        entries, k = [[0, 0, 2, 1], [0, 0, -1, -1, 2]], 4
+        assert _zx_unpack(math.gcd(*[_zx_pack(e, k) for e in entries]), k) == [0, 0, -7, 1]
+        found = _packed_primitive_vector([_zx_pack(e, k) for e in entries], k)
+        assert found == [[2, 1], [-1, -1, 2]]
+        assert fallbacks == [entries]
+
+    def test_remainder_falls_back(self, monkeypatch):
+        # every packed division is exact; one made to leave a remainder
+        # hands the vector to the unpacked entries instead of rounding
+        exact = divmod
+        monkeypatch.setattr(linalg, "divmod", lambda a, b: (exact(a, b)[0], 1), raising=False)
+        for entries, k in self.seeded_vectors():
+            found = _packed_primitive_vector([_zx_pack(e, k) for e in entries], k)
+            assert found == _primitive_vector(entries)
+
+
 class TestModularIndependence:
     def test_independent_rows(self):
         assert rank_profile_mod_p([[1, 2, 3], [0, 1, 4]]) is None
@@ -806,6 +899,143 @@ class TestRationalRoots:
         assert parts[1] == Poly([1, 1], QQ, "N")
 
 
+def reference_largest_natural_root(f):
+    """The largest natural root of a nonzero integer polynomial as the
+    p-adic search alone decides it, for every bound."""
+    roots = _zx_roots(f)[0]
+    naturals = [r for r, _ in roots if r >= 0 and r.denominator == 1]
+    return int(max(naturals)) if naturals else None
+
+
+class TestNaturalRoots:
+    """``largest_natural_root`` decides by the sign bound and scans up to
+    ``SCAN_LIMIT``; the p-adic search is the reference."""
+
+    @staticmethod
+    def sign_bound(f):
+        g = [c for c in f if c] if f[-1] > 0 else [-c for c in f if c]
+        return -sum(c for c in g if c < 0) // g[-1]
+
+    @staticmethod
+    def random_poly(rng):
+        f = [rng.choice([-1, 1]) * rng.randint(1, 6)]
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.random()
+            if kind < 0.15:
+                factor = [0, 1]
+            elif kind < 0.5:  # a natural root, around the scan limit too
+                factor = [-rng.choice([1, rng.randint(1, 2 * SCAN_LIMIT + 4)]), 1]
+            elif kind < 0.65:
+                factor = [rng.randint(1, 30), 1]
+            elif kind < 0.8:  # a rational non-integer root
+                v = rng.randint(2, 4)
+                factor = [-rng.choice([u for u in range(1, 40) if gcd(u, v) == 1]), v]
+            else:
+                factor = [rng.randint(-9, 9) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 4)]
+            for _ in range(rng.choice([1, 1, 1, 2, 3])):  # repeated roots too
+                f = _zx_mul(f, factor)
+        return f
+
+    def test_seeded_integer_polynomials(self):
+        rng = random.Random(8128)
+        seen = {"zeros": 0, "negative lead": 0, "one": 0, "at bound": 0, "repeated": 0,
+                "fraction": 0, "searched": 0, "scanned": 0, "none": 0}
+        for _ in range(1500):
+            f = self.random_poly(rng)
+            expected = reference_largest_natural_root(f)
+            assert _zx_largest_natural_root(f) == expected, f
+            roots = _zx_roots(f)[0]
+            seen["zeros"] += any(not r and m > 1 for r, m in roots)
+            seen["negative lead"] += f[-1] < 0
+            seen["one"] += expected == 1
+            seen["at bound"] += expected is not None and expected == self.sign_bound(f) > 0
+            seen["repeated"] += any(m > 1 and r > 0 for r, m in roots)
+            seen["fraction"] += any(r.denominator > 1 for r, _ in roots)
+            seen["searched"] += self.sign_bound(f) > SCAN_LIMIT
+            seen["scanned"] += 0 < self.sign_bound(f) <= SCAN_LIMIT
+            seen["none"] += expected is None
+        assert min(seen.values()) >= 20, seen
+
+    def test_seeded_rational_polynomials(self):
+        rng = random.Random(496)
+        for _ in range(600):
+            p = Poly([F(1, rng.randint(1, 6))], QQ, "n") * Poly(self.random_poly(rng), QQ, "n")
+            p = p.scale(F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 9)))
+            assert largest_natural_root(p) == reference_largest_natural_root(
+                _zx_cleared([p.coeffs])[0]
+            ), p
+
+    @pytest.mark.parametrize(
+        "factors, expected",
+        [
+            ([[-1, 1]], 1),  # a root at 1, at the bound 1
+            ([[-5, 5]], 1),
+            ([[0, 1], [0, 1], [0, 1]], 0),  # the zero root, thrice
+            ([[0, 1], [0, 1], [-3, 2]], 0),
+            ([[0, 1], [-4, 1], [-4, 1]], 4),
+            ([[-3, 1], [-3, 1], [-5, 1], [-5, 1], [-5, 1]], 5),  # repeated roots
+            ([[-5, 2], [-1, 3]], None),  # rational roots only
+            ([[-SCAN_LIMIT, 1]], SCAN_LIMIT),  # the root at the bound, scanned
+            ([[-SCAN_LIMIT - 1, 1]], SCAN_LIMIT + 1),  # just above: searched
+            ([[-2 * SCAN_LIMIT - 1, 2]], None),  # bound SCAN_LIMIT, root SCAN_LIMIT + 1/2
+            ([[-2 * SCAN_LIMIT - 3, 2]], None),  # bound SCAN_LIMIT + 1: searched
+            ([[-SCAN_LIMIT, 1], [1, 1]], SCAN_LIMIT),  # bound 2 SCAN_LIMIT - 1: searched
+            ([[-20000, 1], [3, 1]], 20000),
+            ([[0, 1], [-20000, 1], [-20000, 1], [7, 0, 1]], 20000),
+            ([[1, 1], [2, 0, 1]], None),  # no sign change
+            ([[0, 1], [1, 1], [2, 1]], 0),
+        ],
+    )
+    def test_edges(self, monkeypatch, factors, expected):
+        from ansatzkit import polynomials
+
+        searches = []
+        search = polynomials._zx_roots
+        monkeypatch.setattr(polynomials, "_zx_roots", lambda f: searches.append(f) or search(f))
+        f = [1]
+        for factor in factors:
+            f = _zx_mul(f, factor)
+        for sign in (1, -1):
+            g = [sign * c for c in f]
+            assert reference_largest_natural_root(g) == expected
+            searches.clear()
+            assert _zx_largest_natural_root(g) == expected
+            assert len(searches) == (self.sign_bound(g) > SCAN_LIMIT)
+
+    def test_validity_offset_of_random_operators(self):
+        rng = random.Random(1729)
+        for _ in range(300):
+            lead = Poly(self.random_poly(rng), QQ, "n").scale(F(rng.randint(1, 5), rng.randint(1, 5)))
+            low = [Poly([F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)], QQ, "n")]
+            op = ShiftOperator(CoeffRing.POLY_N, low + [lead])
+            root = reference_largest_natural_root(_zx_cleared([lead.coeffs])[0])
+            assert leading_validity_offset(op) == (0 if root is None else root + 1)
+
+    def test_closure_validity_on_the_integer_lead(self):
+        # the closures decide on the kernel's integer vector; the reference
+        # decides on the public operator's leading coefficient
+        from conftest import random_holonomic
+
+        from ansatzkit.closure import ADD, SUBSEQUENCE, _closure
+
+        def operand(rng):
+            # a leading coefficient with a natural root, so the results have some
+            op = random_holonomic(rng, max_order=2).operator
+            lead = op.leading * Poly([-rng.randint(0, 20), 1], QQ, "n")
+            return ShiftOperator(CoeffRing.POLY_N, [*op.coeffs[:-1], lead])
+
+        rng = random.Random(99)
+        validities = []
+        for _ in range(25):
+            a, b = operand(rng), operand(rng)
+            for operator, validity in (_closure(ADD, a, b), _closure(SUBSEQUENCE, a, mult=2)):
+                lead = _zx_cleared([operator.leading.coeffs])[0]
+                root = reference_largest_natural_root(lead)
+                assert validity == (0 if root is None else root + 1)
+                validities.append(validity)
+        assert sum(v > 1 for v in validities) >= 20
+
+
 def reference_newton_poly(diffs, start=0):
     """``newton_poly`` as it was: one ``Fraction`` Poly product per degree,
     by Horner's rule on C(m, j + 1) = C(m, j) (m - j) / (j + 1)."""
@@ -1102,6 +1332,7 @@ class TestExpPolyFraction:
         assert any(entry.den_factors for row in matrix for entry in row)
         calls = {"den": 0, "zero_tests": 0}
         expanded_den, eq = ExpPolyFraction.expanded_den, ExpPolyFraction.__eq__
+        truth = ExpPolyFraction.__bool__
 
         def counted_den(self):
             calls["den"] += 1
@@ -1111,8 +1342,14 @@ class TestExpPolyFraction:
             calls["zero_tests"] += isinstance(other, ExpPolyFraction) and other._is_zero_form()
             return eq(self, other)
 
+        def counted_bool(self):
+            # a truth test made by the kernel itself, not inside the arithmetic
+            calls["zero_tests"] += sys._getframe(1).f_code is linalg._eliminate.__code__
+            return truth(self)
+
         monkeypatch.setattr(ExpPolyFraction, "expanded_den", counted_den)
         monkeypatch.setattr(ExpPolyFraction, "__eq__", counted_eq)
+        monkeypatch.setattr(ExpPolyFraction, "__bool__", counted_bool)
         columns = [list(column) for column in zip(*matrix)]
         reduced, pivots = linalg._eliminate(
             columns, ExpPolyFraction.zero(RATIONAL_FIELD), ExpPolyFraction.is_unit_value
@@ -1517,6 +1754,21 @@ class TestPolyArithmetic:
                 setattr(poly, "domain", self.GOLDEN)
             with pytest.raises(AttributeError):
                 poly.var = "x"
+            assert (poly.coeffs, poly.domain, poly.var) == before
+
+    def test_slots_cannot_be_deleted(self):
+        """Deletion raises as assignment does, by ``del`` and by ``delattr``,
+        and leaves every slot in place."""
+        p = Poly([1, 2], QQ, "n")
+        q = p._of([F(3), F(0)])
+        for poly in (p, q):
+            before = (poly.coeffs, poly.domain, poly.var)
+            with pytest.raises(AttributeError, match="immutable"):
+                del poly.coeffs
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(poly, "domain")
+            with pytest.raises(AttributeError, match="immutable"):
+                del poly.var
             assert (poly.coeffs, poly.domain, poly.var) == before
         assert q.coeffs == (F(3),)
 

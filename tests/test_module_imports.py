@@ -10,7 +10,9 @@ with ``ast`` and any new one fails here.
 
 The factor lists of an ``ExpPolyFraction`` are read and combined only in
 ``exppoly``, so their rules are written once: no other module reads them
-or their expansions.
+or their expansions.  Likewise only ``polynomials`` reaches the p-adic
+root search ``_zx_roots``, so every natural-root decision takes the sign
+bound of ``_zx_largest_natural_root`` first.
 """
 
 import ast
@@ -68,6 +70,21 @@ def test_only_exppoly_reads_fraction_factor_lists():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr in FRACTION_INTERNALS:
                 found.add((path.stem, node.lineno, node.attr))
+    assert not found
+
+
+def test_only_polynomials_reaches_the_root_search():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "polynomials":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:  # a Name's id or an Attribute's attr
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if "_zx_roots" in names:
+                found.add((path.stem, node.lineno))
     assert not found
 
 
