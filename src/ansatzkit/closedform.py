@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .errors import InsufficientData, InternalError, NotPolynomial, UnsupportedFactorization
 from .exppoly import ExpPoly
 from .fields import split_roots
-from .linalg import FieldAdapter, solve_linear
+from .linalg import solve_linear
 from .polynomials import Poly, QQ, _signed_join, forward_differences, newton_poly
 from .sequences import CoeffRing, RecurrenceSystem, ShiftOperator
 
@@ -117,7 +117,7 @@ def cfinite_closed_form(system):
         [field.coerce(n) ** j * base ** n for base, j in unknowns] for n in range(reduced_order)
     ]
     rhs = [field.from_rational(v) for v in values]
-    solution = solve_linear(rows, rhs, FieldAdapter(field.zero, field.one))
+    solution = solve_linear(rows, rhs, field)
     if solution is None:
         raise InternalError("initial-condition system must be nonsingular")
     monomials = [

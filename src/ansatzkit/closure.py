@@ -131,7 +131,7 @@ def _exppoly_coeffs(vector):
     while not cleared[-1]:
         cleared.pop()
     lead = cleared[-1].terms[-1][1].leading
-    if next(a for a in reversed(lead.nums) if a) < 0:
+    if lead.canonical_sign() < 0:
         cleared = [-e for e in cleared]
     return cleared
 
@@ -150,7 +150,7 @@ def _common_ring(op_a, op_b=None, ring=None):
     if op_b is None:
         return op_a, None
     op_b = op_b.promoted(ring)
-    if ring is CoeffRing.EXPPOLY and op_a.leading.field != op_b.leading.field:
+    if ring is CoeffRing.EXPPOLY and op_a.leading.field is not op_b.leading.field:
         field = common_field(op_a.leading.field, op_b.leading.field)
         op_a, op_b = (
             ShiftOperator(ring, [c.to_field(field) for c in op.coeffs])

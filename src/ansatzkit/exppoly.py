@@ -25,11 +25,14 @@ of units is expanded again and again.  A fraction caches one expansion,
 its numerator's, built the first time a sum, a zero test or a cleared
 vector needs it; the denominator is expanded only to cross-multiply in an
 equality test.  Each operation is cheap in itself, on the same lists:
-every field object has one shared zero fraction, a difference subtracts
-the expanded numerators instead of adding a negated copy, and a product
-or argument change of constant term polynomials takes one coefficient
-product and no Taylor shift, which took the ``c2-closure`` benchmark
-about 1.27 times further.
+every field has one shared zero fraction, a difference subtracts the
+expanded numerators instead of adding a negated copy, and a product or
+argument change of constant term polynomials takes one coefficient
+product and no Taylor shift.
+
+A field is one object per modulus (see ``fields``), so exponential
+polynomials and fractions test their fields with ``is`` and key the shared
+zeros by the field itself.
 
 :func:`validity_offset` decides the natural zeros of an exponential
 polynomial exactly.  A base ratio that is a root of unity has order 1, 2,
@@ -44,7 +47,6 @@ are the Skolem-Mahler-Lech obstacle: :class:`ValidityUnproven`.
 
 from fractions import Fraction
 from math import lcm
-from weakref import WeakValueDictionary
 
 from .errors import ValidityUnproven
 from .fields import (
@@ -89,7 +91,7 @@ class ExpPoly:
             base = field.coerce(base)
             if not base:
                 raise ValueError("exponential base must be nonzero")
-            if not (isinstance(poly, Poly) and poly.domain == field):
+            if not (isinstance(poly, Poly) and poly.domain is field):
                 poly = Poly(poly.coeffs if isinstance(poly, Poly) else [poly], field, "n")
             pairs.append((base, poly))
         self.field = field
@@ -250,7 +252,7 @@ class ExpPoly:
         return self.evaluate(n).as_rational()
 
     def to_field(self, field):
-        if field == self.field:
+        if field is self.field:
             return self
         return ExpPoly(field, self.terms)  # the constructor coerces into ``field``
 
@@ -470,9 +472,8 @@ def _over_common_denominator(fractions):
     return common, numerators
 
 
-# id(field) -> the zero fraction of that field.  An entry lives only as long
-# as its zero, which holds the field, so no id is reused while it is listed.
-_ZEROS = WeakValueDictionary()
+# field -> the zero fraction of that field
+_ZEROS = {}
 
 
 class ExpPolyFraction:
@@ -502,7 +503,7 @@ class ExpPolyFraction:
     nothing; and negation negates the unit, so sign flips do not lengthen
     the factor list."""
 
-    __slots__ = ("field", "num_factors", "den_factors", "_expanded_num", "__weakref__")
+    __slots__ = ("field", "num_factors", "den_factors", "_expanded_num")
 
     def __init__(self, field, num_factors, den_factors=()):
         nums = list(num_factors)
@@ -562,12 +563,11 @@ class ExpPolyFraction:
 
     @classmethod
     def zero(cls, field):
-        """The zero fraction of ``field``, shared: one object per field
-        object while any holder keeps it.  Equal fields of distinct objects
-        get one each, as a fraction keeps the field object it is given."""
-        zero = _ZEROS.get(id(field))
+        """The zero fraction of ``field``, one shared object per field, as
+        a field is one object per modulus."""
+        zero = _ZEROS.get(field)
         if zero is None:
-            zero = _ZEROS[id(field)] = cls(field, [ExpPoly.zero(field)])
+            zero = _ZEROS.setdefault(field, cls(field, [ExpPoly.zero(field)]))
         return zero
 
     @classmethod
@@ -578,7 +578,7 @@ class ExpPolyFraction:
 
     def _product(self, factors):
         """The product of ``factors``, in the join of their fields and ours."""
-        if factors and factors[0].field == self.field:
+        if factors and factors[0].field is self.field:
             product = factors[0]
             factors = factors[1:]
         else:
@@ -658,7 +658,7 @@ class ExpPolyFraction:
         return self.to_field(field), other.to_field(field)
 
     def to_field(self, field):
-        if field == self.field:
+        if field is self.field:
             return self
         return ExpPolyFraction(
             field,

@@ -18,7 +18,11 @@ numerators; products use t^2 = -c1*t - c0 with the modulus itself held as
 integers over one denominator, and inverses are the conjugate over the
 norm, all in integers.  ``coords`` gives the ``Fraction`` coordinates for
 printing, sorting and the readers outside this module; a rational element
-hashes as its value, as ``int`` and ``Fraction`` do.
+hashes as its value, as ``int`` and ``Fraction`` do, and ``canonical_sign``
+is the one sign rule of the relations and equations built from elements.
+
+A field is one object per modulus, whichever way it was built, so field
+equality is identity (``is``) throughout the toolkit.
 
 Moduli are compared exactly (``compare_modulus``) and bracketed by
 rationals (``abs_bounds``).  A real quadratic field is embedded with
@@ -40,34 +44,45 @@ def _is_rational_square(q):
     return q >= 0 and all(isqrt(k) ** 2 == k for k in (q.numerator, q.denominator))
 
 
+# minpoly.coeffs -> the one field of that modulus
+_FIELDS = {}
+
+
 class NumberField:
     """Q[t]/(minpoly) with a monic irreducible modulus of degree 1 or 2;
-    also a Poly coefficient domain."""
+    also a Poly coefficient domain.
+
+    There is one object per modulus: ``NumberField(m)`` returns the field
+    registered for the coefficients of m, and copies and pickles return it
+    too, so two fields are equal exactly when they are the same object."""
 
     __slots__ = ("minpoly", "degree", "low", "int_low", "zero", "one")
 
-    def __init__(self, minpoly):
+    def __new__(cls, minpoly):
         if isinstance(minpoly, (list, tuple)):
             minpoly = Poly(minpoly, QQ, "t")
+        field = _FIELDS.get(minpoly.coeffs)
+        if field is not None:
+            return field
         if minpoly.degree not in (1, 2) or not minpoly.is_monic():
             raise UnsupportedField(f"field modulus {minpoly} must be monic of degree 1 or 2")
         low = minpoly.coeffs[:-1]  # (c0,) or (c0, c1)
         if minpoly.degree == 2 and _is_rational_square(low[1] ** 2 - 4 * low[0]):
             raise UnsupportedField(f"modulus {minpoly} is reducible over Q")
-        self.minpoly = minpoly
-        self.degree = minpoly.degree
-        self.low = low
+        field = object.__new__(cls)
+        field.minpoly = minpoly
+        field.degree = minpoly.degree
+        field.low = low
         # (k0, k1, m) with c0 = k0/m and c1 = k1/m, for the integer product
         m = lcm(*(c.denominator for c in low))
-        self.int_low = (*(c.numerator * (m // c.denominator) for c in low), m)
-        self.zero = NumberFieldElement(self, (0,) * self.degree)
-        self.one = self.from_rational(1)
+        field.int_low = (*(c.numerator * (m // c.denominator) for c in low), m)
+        field.zero = NumberFieldElement(field, (0,) * field.degree)
+        field.one = field.from_rational(1)
+        # a thread that registered the modulus first wins
+        return _FIELDS.setdefault(minpoly.coeffs, field)
 
-    def __eq__(self, other):
-        return isinstance(other, NumberField) and self.minpoly.coeffs == other.minpoly.coeffs
-
-    def __hash__(self):
-        return hash(self.minpoly.coeffs)
+    def __reduce__(self):
+        return NumberField, (self.minpoly.coeffs,)
 
     def __repr__(self):
         if self.degree == 1:
@@ -78,7 +93,7 @@ class NumberField:
 
     def coerce(self, value):
         if isinstance(value, NumberFieldElement):
-            if value.field is self or value.field == self:
+            if value.field is self:
                 return value
             if value.is_rational():
                 return self.from_rational(value.as_rational())
@@ -140,7 +155,7 @@ class NumberFieldElement:
 
     def _same(self, other):
         if isinstance(other, NumberFieldElement):
-            if other.field is self.field or other.field == self.field:
+            if other.field is self.field:
                 return other
             if other.is_rational():
                 return self.field.from_rational(other.as_rational())
@@ -188,6 +203,13 @@ class NumberFieldElement:
 
     def sort_key(self):
         return (self.field.minpoly.coeffs, self.coords)
+
+    def canonical_sign(self):
+        """The sign of the last nonzero numerator (the denominator is
+        positive), 0 for zero: relations and equations are scaled so that
+        their leading coefficient has sign 1."""
+        last = next((a for a in reversed(self.nums) if a), 0)
+        return (last > 0) - (last < 0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -354,7 +376,7 @@ def compare_modulus(a, b):
 
 def common_field(first, second):
     """Smallest supported field containing both; only QQ embeds elsewhere."""
-    if first == second:
+    if first is second:
         return first
     if first.degree == 1:
         return second

@@ -198,7 +198,7 @@ class DiffEquation:
 
     def scalar_multiple_of(self, other):
         """True when the two equations agree up to one nonzero constant factor."""
-        if self.field != other.field or len(self.terms) != len(other.terms):
+        if self.field is not other.field or len(self.terms) != len(other.terms):
             return False
         pairs = [(self.rhs.coeffs, other.rhs.coeffs)]
         for (b1, c1), (b2, c2) in zip(self.terms, other.terms):
@@ -225,7 +225,7 @@ class DiffEquation:
 
 def _over(field, value):
     """A polynomial or a constant as one in x over ``field``, coerced once."""
-    if isinstance(value, Poly) and value.domain == field:
+    if isinstance(value, Poly) and value.domain is field:
         return value
     return Poly(value.coeffs if isinstance(value, Poly) else [value], field, "x")
 
@@ -240,10 +240,7 @@ def _normalize_equation(field, terms, rhs):
                 coords.extend(c.coords)
     for c in rhs.coeffs:
         coords.extend(c.coords)
-    # the denominator of a field element is positive: its numerators sign it
-    lead = terms[-1][1][-1].leading
-    sign = 1 if next(a for a in reversed(lead.nums) if a) > 0 else -1
-    factor = Fraction(sign) / rational_content(coords)
+    factor = Fraction(terms[-1][1][-1].leading.canonical_sign()) / rational_content(coords)
     if factor != 1:
         scale = field.from_rational(factor)
         # tuples from lists, as in sequences.Sequence
@@ -351,8 +348,7 @@ def c2_to_diff(system):
                     continue
                 b_t = b if unit else b * inv_base_t
                 constants = falling_basis_constants(s, t)
-                key = base.sort_key()
-                slot = lhs.setdefault(key, (base, {}))[1]
+                slot = lhs.setdefault(base, {})
                 for j, cj in enumerate(constants):
                     if not cj:
                         continue
@@ -365,11 +361,11 @@ def c2_to_diff(system):
                         (b if unit else b * base ** (n - t)) * (Fraction(n - t) ** s * a[n])
                     )
                 rhs = rhs + Poly(rhs_piece, field, "x")
-    terms = []
-    for key in sorted(lhs):
-        base, slot = lhs[key]
-        order = max(slot)
-        terms.append((base, [slot.get(j, Poly([], field, "x")) for j in range(order + 1)]))
+    # DiffEquation sorts the terms by base
+    terms = [
+        (base, [slot.get(j, Poly([], field, "x")) for j in range(max(slot) + 1)])
+        for base, slot in lhs.items()
+    ]
     return DiffEquation(field, terms, rhs)
 
 

@@ -260,7 +260,8 @@ def left_null_space(rows, field):
 
 
 def solve_linear(rows, rhs, field):
-    """One exact solution of rows . x = rhs with free variables set to zero.
+    """One exact solution of rows . x = rhs with free variables set to zero;
+    of ``field`` (a ``FieldAdapter`` or a ``NumberField``) only the zero is read.
 
     Returns None when the system is inconsistent, which is exactly when the
     right-hand-side column takes a pivot.

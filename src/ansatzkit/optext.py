@@ -355,8 +355,21 @@ def parse_rational(text):
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
+# the coefficient ring each spec class prefix admits
+_PREFIX_RINGS = {
+    "poly": CoeffRing.CONSTANT,
+    "cfinite": CoeffRing.CONSTANT,
+    "holonomic": CoeffRing.POLY_N,
+    "c2": CoeffRing.EXPPOLY,
+}
+
+
 def parse_recurrence_spec(spec, declarations=None):
     """Parse ``class:operator;v0,v1,...`` into a RecurrenceSystem.
+
+    The optional class prefix bounds the operator's inferred ring: an
+    operator outside the prefix's ring raises MixedRing, and a larger ring
+    than the operator needs is accepted and changes nothing.
 
     Supplying more than ``order`` initial values moves the validity offset
     forward, which is how relations with early leading-coefficient zeros
@@ -372,6 +385,13 @@ def parse_recurrence_spec(spec, declarations=None):
         raise OperatorSyntaxError("missing ';' before initial values", len(spec))
     operator_text, initials_text = body.rsplit(";", 1)
     operator = parse_operator(operator_text.strip(), declarations)
+    if match:
+        ring = _PREFIX_RINGS[match.group(1)]
+        if join_rings(ring, operator.ring) is not ring:
+            raise MixedRing(
+                f"class {match.group(1)!r} admits {ring.value} coefficients,"
+                f" not {operator.ring.value} ones"
+            )
     initials = [
         parse_rational(part) for part in initials_text.split(",") if part.strip()
     ]

@@ -58,7 +58,8 @@ NEG_INFINITY = float("-inf")
 
 
 class RationalDomain:
-    """Domain tag for plain Fraction coefficients."""
+    """Domain tag for plain Fraction coefficients; ``QQ`` is its one
+    object, and copies and pickles return it."""
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -74,11 +75,8 @@ class RationalDomain:
     def __repr__(self):
         return "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalDomain)
-
-    def __hash__(self):
-        return hash("RationalDomain")
+    def __reduce__(self):
+        return "QQ"
 
 
 QQ = RationalDomain()
@@ -155,7 +153,7 @@ class Poly:
         """``self`` and ``other`` over one domain, the one over the smaller
         field coerced once, or (None, None) for a foreign operand."""
         if isinstance(other, Poly):
-            if other.domain is self.domain or other.domain == self.domain:
+            if other.domain is self.domain:
                 return self, other
             # QQ has no degree: it sits below every NumberField
             if getattr(self.domain, "degree", 0) < getattr(other.domain, "degree", 0):

@@ -921,6 +921,36 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("usage error:")
 
 
+# a spec's class prefix bounds the operator's ring: a smaller one is a
+# usage error, a larger one is accepted and prints what no prefix prints
+SPEC_PREFIXES = [
+    ("cfinite:N - n;1", 2),
+    ("poly:N - n;1", 2),
+    ("cfinite:N - 2^n;1", 2),
+    ("holonomic:N - 2^n;1", 2),
+    ("cfinite:N - 2;1", 0),
+    ("poly:N - 2;1", 0),
+    ("holonomic:N - 2;1", 0),
+    ("holonomic:N - (n+1);1", 0),
+    ("c2:N - 2;1", 0),
+    ("c2:N - (n+1);1", 0),
+    ("c2:N - 2^n;1", 0),
+]
+
+
+@pytest.mark.parametrize("spec, code", SPEC_PREFIXES)
+def test_spec_prefix_bounds_the_ring(spec, code, capsys):
+    argv = ["closure", "--kind", "add", spec, "cfinite:N-1;1"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: class ")
+        return
+    assert main(["closure", "--kind", "add", spec.split(":", 1)[1], "cfinite:N-1;1"]) == 0
+    assert capsys.readouterr().out == captured.out
+
+
 @pytest.mark.parametrize("argv, stdout", GOLDEN_STDOUT)
 def test_golden_stdout(argv, stdout, capsys):
     assert main(argv) == 0

@@ -1,9 +1,12 @@
 """Exact arithmetic foundation: matrices, roots, fields, exponential rings."""
 
+import copy
 import math
 import operator
+import pickle
 import random
 import sys
+import threading
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -29,10 +32,12 @@ from ansatzkit import (
     poly_binomial_form,
     poly_closure,
     rank,
+    register_coefficient,
     rref,
 )
-from ansatzkit import exppoly
-from ansatzkit.closure import combination_matrix
+from ansatzkit import exppoly, jsonio
+from ansatzkit import fields as fields_module
+from ansatzkit.closure import c2_combine, combination_matrix
 from ansatzkit.errors import (
     InternalError,
     UnsupportedCase,
@@ -42,8 +47,16 @@ from ansatzkit.errors import (
 )
 from ansatzkit.exppoly import validity_offset
 from ansatzkit.sequences import leading_validity_offset
-from ansatzkit.fields import NumberFieldElement, common_ratio, compare_modulus, split_roots
-from ansatzkit.genfun import falling_basis_constants
+from ansatzkit.fields import (
+    NumberFieldElement,
+    common_field,
+    common_ratio,
+    compare_modulus,
+    quadratic_field,
+    split_roots,
+)
+from ansatzkit.genfun import DiffEquation, falling_basis_constants
+from ansatzkit.optext import parse_recurrence_spec
 from ansatzkit.linalg import (
     PRIME,
     FieldAdapter,
@@ -58,6 +71,7 @@ from ansatzkit.linalg import (
 )
 from ansatzkit.polynomials import (
     SCAN_LIMIT,
+    RationalDomain,
     _add,
     _sub,
     _zx_cleared,
@@ -78,6 +92,8 @@ from ansatzkit.polynomials import (
     series_mul,
     squarefree_decomposition,
 )
+
+import conftest as corpus
 
 F = Fraction
 QFIELD = FieldAdapter(Fraction(0), Fraction(1))
@@ -1218,6 +1234,20 @@ class TestNumberField:
                 getattr(golden, name)(root2)
         assert not golden == root2
         assert golden != root2
+        # and the fields' polynomials, exponential polynomials and fractions
+        gf, rf = golden.field, root2.field
+        with pytest.raises(UnsupportedField):
+            common_field(gf, rf)
+        with pytest.raises(UnsupportedField):
+            gf.coerce(root2)
+        with pytest.raises(UnsupportedField):
+            Poly([golden], gf) + Poly([root2], rf)
+        a, b = ExpPoly.geometric(golden, gf), ExpPoly.geometric(root2, rf)
+        for op in (operator.add, operator.mul):
+            with pytest.raises(UnsupportedField):
+                op(a, b)
+            with pytest.raises(UnsupportedField):
+                op(ExpPolyFraction.from_exppoly(a), ExpPolyFraction.from_exppoly(b))
 
     def test_rational_meets_quadratic_field(self):
         three = RATIONAL_FIELD.from_rational(3)
@@ -1237,6 +1267,85 @@ class TestNumberField:
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+class TestOneFieldPerModulus:
+    """``NumberField`` returns one object per modulus on every construction
+    path, so field equality is identity."""
+
+    def test_every_construction_path_returns_the_registered_field(self):
+        golden = NumberField([-1, -1, 1])
+        document = jsonio.dumps(DiffEquation(golden, [(golden.generator(), [1, 1])]))
+        paths = {
+            "list": NumberField([F(-1), F(-1), F(1)]),
+            "tuple": NumberField((-1, -1, 1)),
+            "poly": NumberField(Poly([-1, -1, 1], QQ, "t")),
+            "quadratic_field": quadratic_field(Poly([-2, -2, 2], QQ, "x")),
+            "split_roots": split_roots(Poly([-1, -1, 1], QQ, "x"))[0],
+            "jsonio.loads": jsonio.loads(document).field,
+            "copy.copy": copy.copy(golden),
+            "copy.deepcopy": copy.deepcopy(golden),
+            "deepcopy of an element": copy.deepcopy(golden.generator()).field,
+            "pickle": pickle.loads(pickle.dumps(golden)),
+        }
+        assert {name: field is golden for name, field in paths.items()} == dict.fromkeys(paths, True)
+        assert copy.deepcopy(RATIONAL_FIELD) is RATIONAL_FIELD
+        assert pickle.loads(pickle.dumps(QQ)) is QQ and copy.deepcopy(QQ) is QQ
+
+    def test_fields_and_domains_compare_by_identity(self):
+        for cls in (NumberField, RationalDomain):
+            assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+        assert NumberField([-1, -1, 1]) != NumberField([-5, 0, 1])
+
+    def test_threads_building_one_new_modulus_get_one_field(self):
+        modulus = [F(-7919, 13), F(1, 17), 1]
+        assert Poly(modulus, QQ, "t").coeffs not in fields_module._FIELDS
+        barrier = threading.Barrier(8)
+        built = []
+
+        def build():
+            barrier.wait()
+            built.append(NumberField(modulus))
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(built) == 8
+        assert len({id(field) for field in built}) == 1
+        assert built[0] is NumberField(modulus)
+
+    def test_invalid_moduli_raise_and_are_not_registered(self):
+        registered = dict(fields_module._FIELDS)
+        # non-monic, reducible, a square, cubic, constant
+        for modulus in ([-1, -1, 2], [-1, 0, 1], [1, 2, 1], [-2, 0, 0, 1], [1]):
+            for _ in range(2):
+                with pytest.raises(UnsupportedField):
+                    NumberField(modulus)
+        assert fields_module._FIELDS == registered
+
+    def test_one_zero_fraction_per_field_across_closures(self, monkeypatch):
+        zeros = []
+        zero = ExpPolyFraction.zero.__func__
+
+        def recorded(cls, field):
+            zeros.append(zero(cls, field))
+            return zeros[-1]
+
+        monkeypatch.setattr(ExpPolyFraction, "zero", classmethod(recorded))
+        fib = register_coefficient(parse_recurrence_spec("cfinite:N^2-N-1;0,1"))
+        parsed = parse_recurrence_spec("c2:N - F(n+1);1", {"F": fib})
+        c2_combine(TERMWISE, parsed.operator, parsed.operator)
+        c2_combine(TERMWISE, corpus.fibonorial_system().operator, corpus.doubling_tail_system().operator)
+        c2_combine(TERMWISE, corpus.doubling_tail_system().operator, corpus.doubling_tail_system().operator)
+        monkeypatch.undo()
+        by_field = {}
+        for z in zeros:
+            by_field.setdefault(z.field, set()).add(id(z))
+        assert set(by_field) == {RATIONAL_FIELD, NumberField([-1, -1, 1])}
+        for field, ids in by_field.items():
+            assert ids == {id(ExpPolyFraction.zero(field))}
 
 
 class TestExpPoly:

@@ -12,7 +12,10 @@ The factor lists of an ``ExpPolyFraction`` are read and combined only in
 ``exppoly``, so their rules are written once: no other module reads them
 or their expansions.  Likewise only ``polynomials`` reaches the p-adic
 root search ``_zx_roots``, so every natural-root decision takes the sign
-bound of ``_zx_largest_natural_root`` first.
+bound of ``_zx_largest_natural_root`` first.  The integers of a field
+element and of its modulus are read only in ``fields`` and ``exppoly``:
+every other module takes coordinates or the one sign rule,
+``canonical_sign``.
 """
 
 import ast
@@ -69,6 +72,20 @@ def test_only_exppoly_reads_fraction_factor_lists():
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr in FRACTION_INTERNALS:
+                found.add((path.stem, node.lineno, node.attr))
+    assert not found
+
+
+ELEMENT_INTERNALS = {"nums", "int_low"}
+
+
+def test_only_fields_and_exppoly_read_element_integers():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("fields", "exppoly"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ELEMENT_INTERNALS:
                 found.add((path.stem, node.lineno, node.attr))
     assert not found
 
