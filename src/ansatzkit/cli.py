@@ -31,6 +31,7 @@ from .optext import (
     operator_to_text,
     parse_claim_terms,
     parse_operator,
+    parse_polynomial,
     parse_rational,
     parse_recurrence_spec,
 )
@@ -172,11 +173,11 @@ def _cmd_guess(args):
 
 def _cmd_genfun(args):
     if args.klass == "poly":
-        operator = parse_operator(args.spec, _declarations(args))
-        if operator.order != 0 or operator.ring is CoeffRing.EXPPOLY:
+        poly = parse_polynomial(args.spec, _declarations(args))
+        if poly is None:
             print("expected a polynomial in n", file=sys.stderr)
             return EXIT_USAGE
-        result = genfun_polynomial(operator.promoted(CoeffRing.POLY_N).coeffs[0])
+        result = genfun_polynomial(poly)
         print(result)
         _write_json(args, result)
         return EXIT_OK

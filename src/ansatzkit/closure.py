@@ -16,9 +16,9 @@ relation is read off minors over Z[n] by the fraction-free kernel:
 ``_ring_relation``, shared with the holonomic Cauchy product, takes the
 least-order vector from ``least_null_vector`` and checks its order bound.
 It hands on the kernel's integer polynomials: ``_closure`` builds the
-public operator from them once, and decides where it holds on the
-integer leading coefficient (``polynomials._zx_largest_natural_root``)
-without clearing the operator's fractions again.
+public operator from them once, and decides where it holds by
+``sequences.leading_validity_offset``, the one rule that guessing,
+parsing and ``diff_to_c2`` use as well.
 Over exponential polynomials, whose fractions have zero divisors, the
 entries are formal fractions (``_FieldShiftRep``) and ``_closure`` takes
 one explicit branch: the null space comes from Gauss-Jordan over the
@@ -76,7 +76,6 @@ from .polynomials import (
     _derivative,
     _sub,
     _zx_cleared,
-    _zx_largest_natural_root,
     _zx_mul,
     forward_differences,
     newton_poly,
@@ -89,6 +88,7 @@ from .sequences import (
     ShiftOperator,
     expand_terms,
     join_rings,
+    leading_validity_offset,
 )
 
 ADD = "add"
@@ -322,11 +322,7 @@ def _closure(kind, op_a, op_b=None, mult=1):
         matrix = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1)
         vector = _ring_relation(matrix, bound)
         operator = ShiftOperator(ring, [Poly(c, QQ, "n") for c in vector])
-        if ring is CoeffRing.CONSTANT:
-            return operator, 0
-        # the leading coefficient's natural roots, on the kernel's integers
-        root = _zx_largest_natural_root(vector[-1])
-        return operator, 0 if root is None else root + 1
+        return operator, leading_validity_offset(operator)
     field = op_a.leading.field
     fractions = FieldAdapter(
         ExpPolyFraction.zero(field), ExpPolyFraction.one(field), ExpPolyFraction.is_unit_value

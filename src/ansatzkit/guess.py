@@ -43,19 +43,22 @@ kernel gives on all equations at the same free column, so the answers
 are those of the exact search.
 
 The fit rows n^j a(n + i), residues and integers, are built once per
-search and cut to each shape's window starts.  Once the shapes rejected
-so far have cost sum k^3 >= K^3 (k unknowns each), the element-wise
-largest remaining shape, of K unknowns, is tested once mod p on its first
-K window starts, if the data covers it: a relation of a smaller shape,
-padded with zeros, is one of it on a subset of its window starts, so when
-its rows there are independent no remaining shape has a relation and the
-search ends.  The cost bound keeps that test off the searches that find
-a relation early.
+search and cut to each shape's window starts.  A search that finds no
+relation ends on the staircase: the covered shapes are closed downwards,
+and their maximal ones are, for each order, its largest covered degree
+when the next order's is smaller.  A relation of (r, d), padded with
+zeros, is one of each (r', d') >= (r, d) element-wise, whose window
+starts are among those of (r, d).  So once the shapes rejected so far
+have cost as much sum k^3 (k unknowns each) as the staircase, each of its
+shapes is profiled mod p on all its window starts, and when all are
+independent no covered shape has a relation and the search ends.  The
+cost bound keeps the staircase off the searches that find a relation
+early.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, inf, lcm
 
 from .errors import InsufficientData, InternalError
 from .linalg import PRIME, null_vectors, rank_profile_mod_p
@@ -243,7 +246,7 @@ def _fit_search(sequence, class_name, shapes, margin, proven, operator_of):
     sum_{i,j} c_{i,j} n^j a(n + i) = 0 at every window start n, as a report
     marked ``proven`` as given; ``operator_of`` turns the coefficient vector
     into the operator.  Shapes the data does not cover are skipped, and
-    the no-fit gate of the module docstring may end the search early."""
+    the staircase of the module docstring may end the search early."""
     if not any(sequence.terms):
         return _degenerate_zero_report(sequence, class_name)
     terms, offset, length = sequence.terms, sequence.offset, len(sequence)
@@ -254,32 +257,28 @@ def _fit_search(sequence, class_name, shapes, margin, proven, operator_of):
     top = max((degree for _, degree, _ in shapes), default=0)
     powers = [[(offset + w) ** j for w in range(length)] for j in range(top + 1)]
     residue_rows, integer_rows = {}, {}
-    # the gate shape of each suffix of the search: (order, degree) maxima
-    gates, largest = [], (0, 0)
-    for order, degree, _ in reversed(shapes):
-        largest = (max(largest[0], order), max(largest[1], degree))
-        gates.append(largest)
-    gates.reverse()
-    covered = {(order, degree) for order, degree, _ in shapes}
-    spent, gated = 0, False  # sum of k^3 over the shapes tried; the gate ran
-    for index, (order, degree, fit) in enumerate(shapes):
-        gate_order, gate_degree = gates[index]
-        size = (gate_order + 1) * (gate_degree + 1)
-        if not gated and spent >= size**3 and gates[index] in covered:
-            gated = True
-            square = _fit_rows(
-                residues, powers, residue_rows, gate_order, gate_degree, size, PRIME
-            )
-            if rank_profile_mod_p(square) is None:
+
+    def profile(order, degree):  # the picks mod p on every window start
+        rows = _fit_rows(residues, powers, residue_rows, order, degree, length - order, PRIME)
+        return rank_profile_mod_p(rows)
+
+    # the staircase of the module docstring and its sum of k^3
+    tops = {}
+    for order, degree, _ in shapes:
+        tops[order] = max(degree, tops.get(order, 0))
+    staircase = [(o, d) for o, d in sorted(tops.items()) if tops.get(o + 1, -1) < d]
+    cost = sum(((o + 1) * (d + 1)) ** 3 for o, d in staircase)
+    spent = 0  # sum of k^3 over the shapes tried
+    for order, degree, fit in shapes:
+        if spent >= cost:
+            if all(profile(o, d) is None for o, d in staircase):
                 break
+            cost = inf  # the staircase runs once
         spent += ((order + 1) * (degree + 1)) ** 3
-        windows = length - order
-        picks = rank_profile_mod_p(
-            _fit_rows(residues, powers, residue_rows, order, degree, windows, PRIME)
-        )
+        picks = profile(order, degree)
         if picks is None:  # independent rows mod p: no relation
             continue
-        rows = _fit_rows(integers, powers, integer_rows, order, degree, windows)
+        rows = _fit_rows(integers, powers, integer_rows, order, degree, length - order)
         for coeffs in _relations(rows, picks, order * (degree + 1)):
             operator = operator_of(coeffs, degree)
             validity = max(offset, leading_validity_offset(operator))

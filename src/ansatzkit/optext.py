@@ -227,17 +227,31 @@ class _Parser:
         return self.peek()[0] == "end"
 
 
-def parse_operator(text, declarations=None):
-    """Parse operator text into a ShiftOperator, inferring the ring."""
+def _parse_value(text, declarations):
+    """Operator text as {power of N: coefficient}, with its inferred ring."""
     parser = _Parser(text, declarations)
     value = parser.expression()
     if not parser.finished():
         raise OperatorSyntaxError("trailing input", parser.peek()[2])
     if not value:
         raise OperatorSyntaxError("empty operator", 0)
-    ring = join_rings(*(_ring_of(c) for c in value.values()))
+    return value, join_rings(*(_ring_of(c) for c in value.values()))
+
+
+def parse_operator(text, declarations=None):
+    """Parse operator text into a ShiftOperator, inferring the ring."""
+    value, ring = _parse_value(text, declarations)
     coeffs = [value.get(power, Fraction(0)) for power in range(max(value) + 1)]
     return ShiftOperator(ring, coeffs)
+
+
+def parse_polynomial(text, declarations=None):
+    """Parse text free of N into a polynomial in n, zero included; None when
+    it has N or an exponential coefficient."""
+    value, ring = _parse_value(text, declarations)
+    if set(value) != {0} or ring is CoeffRing.EXPPOLY:
+        return None
+    return coerce_coeff(CoeffRing.POLY_N, value[0])
 
 
 # -- printing -----------------------------------------------------------------

@@ -24,9 +24,10 @@ unpacks their integer gcd.
 ``rational_roots`` runs the one root search, by p-adic lifting on the
 squarefree part, in time polynomial in the degree and the coefficients'
 bit size: its lifts stop above twice Cauchy's bound on a times a root, a
-the leading coefficient.  ``largest_natural_root`` and its integer core
-``_zx_largest_natural_root``, which the closures call on the ring
-kernel's integer vector, first bound the positive roots by the signs of
+the leading coefficient.  ``largest_natural_root``, which every validity
+offset over polynomials in n goes through
+(``sequences.leading_validity_offset``), and its integer core
+``_zx_largest_natural_root`` first bound the positive roots by the signs of
 the coefficients: no negative coefficient (once the zero root is
 stripped and the leading coefficient made positive) means no positive
 root, and a bound of at most ``SCAN_LIMIT`` is scanned by Horner's rule;
@@ -111,6 +112,10 @@ class Poly:
 
     def __delattr__(self, name):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, not the guard
+        return Poly, (self.coeffs, self.domain, self.var)
 
     # -- basic structure -------------------------------------------------
 

@@ -735,6 +735,9 @@ class TestCliCommands:
     def test_genfun_each_class(self, capsys):
         cases = [
             (["--class", "poly", "n^2+1"], "(2*x^2 - x + 1) / (-x^3 + 3*x^2 - 3*x + 1)"),
+            # the zero polynomial, not a zero operator
+            (["--class", "poly", "0"], "(0) / (1)"),
+            (["--class", "poly", "(n+1)^2 - n^2 - 2*n - 1"], "(0) / (1)"),
             (["--class", "cfinite", "N^2-N-1;0,1"], "(x) / (-x^2 - x + 1)"),
             (["--class", "cfinite", "--homogeneous", "N^2-N-1;0,1"], "(x) / (-x^2 - x + 1)"),
             (["--class", "holonomic", "N-(n+1);1"], "(x - 1)*f(x) + (x^2)*f'(x) = -1"),
@@ -753,8 +756,9 @@ class TestCliCommands:
             assert capsys.readouterr().out == expected + "\n", args
 
     def test_genfun_poly_needs_a_polynomial(self, capsys):
-        assert main(["genfun", "--class", "poly", "N"]) == 2
-        assert capsys.readouterr().err == "expected a polynomial in n\n"
+        for spec in ("N", "N-N", "n*N", "2^n"):
+            assert main(["genfun", "--class", "poly", spec]) == 2, spec
+            assert capsys.readouterr().err == "expected a polynomial in n\n", spec
 
     def test_closedform_poly(self, capsys):
         code = main(

@@ -1292,6 +1292,30 @@ class TestOneFieldPerModulus:
         assert copy.deepcopy(RATIONAL_FIELD) is RATIONAL_FIELD
         assert pickle.loads(pickle.dumps(QQ)) is QQ and copy.deepcopy(QQ) is QQ
 
+    def test_polynomials_and_their_holders_copy_and_pickle(self):
+        field = NumberField([-5, 0, 1])
+        t = field.generator()
+        values = {
+            "Poly over QQ": Poly([1, 2]),
+            "Poly over Q(sqrt 5)": Poly([t, 1 - t], field, "m"),
+            "ExpPoly": ExpPoly.geometric(2, poly=Poly([1, 1], QQ, "n")),
+            "ShiftOperator": ShiftOperator(CoeffRing.POLY_N, [Poly([1, 1]), Poly([-1])]),
+            "RecurrenceSystem": corpus.catalan_system(),
+        }
+        ways = {
+            "copy": copy.copy,
+            "deepcopy": copy.deepcopy,
+            "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+        }
+        for name, value in values.items():
+            for way, how in ways.items():
+                assert how(value) == value, (name, way)
+        for how in ways.values():
+            poly = how(values["Poly over Q(sqrt 5)"])
+            assert (poly.domain, poly.var) == (field, "m")
+            assert all(c.field is field for c in poly.coeffs)
+        assert pickle.loads(pickle.dumps(Poly([]))) == Poly([])
+
     def test_fields_and_domains_compare_by_identity(self):
         for cls in (NumberField, RationalDomain):
             assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)

@@ -19,7 +19,13 @@ from ansatzkit import (
 from ansatzkit import guess as guess_module
 from ansatzkit.errors import InsufficientData, InternalError
 from ansatzkit.guess import GuessReport, holonomic_fit_length
-from ansatzkit.linalg import PRIME, FieldAdapter, left_null_space, solve_linear
+from ansatzkit.linalg import (
+    PRIME,
+    FieldAdapter,
+    left_null_space,
+    rank_profile_mod_p,
+    solve_linear,
+)
 from ansatzkit.polynomials import (
     difference_rows,
     forward_differences,
@@ -601,19 +607,21 @@ def holonomic_of_shape(rng, order, degree, count=40):
                 return system, seq
 
 
-def gate_calls(calls):
-    """The gate's rank profiles among recorded ones: the square ones."""
-    return [rows for (rows,) in calls if len(rows) == len(rows[0])]
+def shape_calls(calls, seq, order, degree):
+    """The recorded rank profiles of shape (order, degree): its
+    (order + 1)(degree + 1) fit rows on all its len(seq) - order windows."""
+    size, windows = (order + 1) * (degree + 1), len(seq) - order
+    return [rows for (rows,) in calls if len(rows) == size and len(rows[0]) == windows]
 
 
 class TestNoFitGate:
-    """Once the rejected shapes have cost sum k^3 >= K^3, the search tests
-    the element-wise largest remaining shape, of K unknowns, once mod p on
-    its K x K square and stops when its rows are independent."""
+    """The staircase: once the rejected shapes have cost as much sum k^3
+    as the maximal covered shapes, the search profiles each of those mod p
+    on all its windows and stops when every one is independent."""
 
     def test_reports_match_exact_search(self, monkeypatch):
         rng = random.Random(24)
-        cases = []  # (sequence, bounds, whether the gate must run)
+        cases = []  # (sequence, bounds, whether the staircase must run)
         for bounds in ((4, 4), (3, 3)):
             for _ in range(3):
                 noise = [rng.randint(-99, 99) for _ in range(120)]
@@ -624,13 +632,14 @@ class TestNoFitGate:
         for order in range(1, 5):
             for degree in range(5):
                 seq = holonomic_of_shape(rng, order, degree)[1]
-                # the gate runs before the shapes of more than 16 unknowns
+                # the staircase runs before the shapes of more than 16 unknowns
                 gated = (order + 1) * (degree + 1) > 16
                 cases.append((seq, (4, 4), gated))
                 if order < 4 and degree < 4:
                     cases.append((seq, (3, 3), (order, degree) == (3, 3)))
-        # hits at the gate shapes whose first term is divisible by PRIME,
-        # and whose terms all are: every residue 0 leaves the gate dependent
+        # hits at the maximal shapes whose first term is divisible by PRIME,
+        # and whose terms all are: every residue 0 leaves the staircase
+        # dependent
         for bounds in ((4, 4), (3, 3)):
             system = holonomic_of_shape(rng, *bounds)[0]
             initials = [PRIME] + list(system.initials[1:])
@@ -642,8 +651,12 @@ class TestNoFitGate:
         reports = []
         for seq, bounds, gated in cases:
             del calls[:]
-            reports.append(report_summary(guess_holonomic(seq, *bounds)))
-            assert len(gate_calls(calls)) == gated
+            report = guess_holonomic(seq, *bounds)
+            reports.append(report_summary(report))
+            # every shape is covered, so the staircase is the bounds alone,
+            # profiled once by the staircase and once when the search gets there
+            maximal = shape_calls(calls, seq, *bounds)
+            assert len(maximal) == gated + (report.shape[1:] == bounds)
         monkeypatch.setattr(guess_module, "rank_profile_mod_p", lambda rows: [])
         exact = [report_summary(guess_holonomic(seq, *bounds)) for seq, bounds, _ in cases]
         assert exact == reports
@@ -657,25 +670,57 @@ class TestNoFitGate:
         seq = Sequence([rng.randint(-99, 99) for _ in range(120)])
         calls = count_calls(monkeypatch, "rank_profile_mod_p")
         assert guess_holonomic(seq, 4, 4).result is None
-        # of the 20 shapes, the 17 of at most 16 unknowns cost sum k^3 =
-        # 18775 >= 25^3, then the gate on (4, 4) rejects the other three
-        *shapes, (gate,) = calls
-        assert len(shapes) == 17
-        assert len(gate) == 25 and all(len(row) == 25 for row in gate)
-        assert gate_calls(calls) == [gate]
+        # the staircase of the 20 shapes is (4, 4) alone: the 17 of at most
+        # 16 unknowns cost sum k^3 = 18775 >= 25^3, then (4, 4) on all its
+        # windows rejects the other three
+        *shapes, (last,) = calls
+        assert len(shapes) == 17 and all(len(rows) <= 16 for (rows,) in shapes)
+        assert shape_calls(calls, seq, 4, 4) == [last]
 
     def test_uncovered_gate_shape_is_not_tested(self, monkeypatch):
         # 33 terms cover the fit length plus margin of the 19 shapes but
-        # (4, 4): after 17 shapes (4, 4) is the largest remaining one, but
-        # uncovered, so the gate waits until (4, 3) is the only one left
+        # (4, 4), so the staircase is (3, 4) and (4, 3), of sum k^3 =
+        # 2 * 20^3: after the 17 shapes of at most 16 unknowns both are
+        # profiled on all their windows and the search stops
         rng = random.Random(6)
         seq = Sequence([rng.randint(-99, 99) for _ in range(33)])
         calls = count_calls(monkeypatch, "rank_profile_mod_p")
         assert guess_holonomic(seq, 4, 4).result is None
-        *shapes, (gate,) = calls
-        assert len(shapes) == 18
-        assert len(gate) == 20 and all(len(row) == 20 for row in gate)
-        assert gate_calls(calls) == [gate]
+        *shapes, (first,), (second,) = calls
+        assert len(shapes) == 17 and all(len(rows) <= 16 for (rows,) in shapes)
+        assert shape_calls(calls, seq, 3, 4) == [first]
+        assert shape_calls(calls, seq, 4, 3) == [second]
+        assert not shape_calls(calls, seq, 4, 4)
+
+    def test_staircase_ends_a_search_at_huge_bounds(self, monkeypatch):
+        # at bounds 10**9 no covered shape is largest in both order and
+        # degree: 100 terms cover 268 shapes, 16 of them maximal
+        covered = {
+            (r, d) for r in range(1, 100) for d in range(100)
+            if holonomic_fit_length(r, d) + 5 <= 100
+        }
+        maximal = sorted(
+            (r, d) for r, d in covered if (r + 1, d) not in covered and (r, d + 1) not in covered
+        )
+        assert (len(covered), len(maximal)) == (268, 16)
+        rng = random.Random(32)
+        terms = [rng.randint(-9, 9) for _ in range(100)]
+        calls = count_calls(monkeypatch, "rank_profile_mod_p")
+        for zeros in (False, True):
+            if zeros:
+                # window 10 of every order-1 shape is zero, so the K x K
+                # square of the maximal order-1 shape (1, 46) is singular
+                terms[10] = terms[11] = 0
+            seq = Sequence(terms)
+            del calls[:]
+            assert guess_holonomic(seq, 10**9, 10**9).result is None
+            assert len(calls) < len(covered)
+            # the search ends on the staircase, each shape on all its windows
+            assert [(len(rows), len(rows[0])) for (rows,) in calls[-16:]] == [
+                ((r + 1) * (d + 1), 100 - r) for r, d in maximal
+            ]
+        (rows,) = calls[-16]
+        assert rank_profile_mod_p([row[:94] for row in rows]) is not None
 
 
 def field_guess_cfinite(seq, max_order, margin=5, assume_bound=False):
