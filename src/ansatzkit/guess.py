@@ -22,25 +22,46 @@ operator.  The search fits over the rationals, using every available term:
 a relation of a shape is a left null vector of its fit rows, one row per
 unknown coefficient and one column (one equation) per window start.  The
 terms are scaled by one common denominator, which scales every row alike
-and keeps the null vectors, and the fraction-free ring kernel
-``linalg.null_vectors`` yields these vectors lazily as coprime integers;
-the first one that gives an operator of the shape wins.
+and keeps the null vectors.  The search's vectors are those of the
+fraction-free ring kernel ``linalg.null_vectors`` on all equations, one
+per free column, in order, as coprime integers with a positive last
+entry; the first one that gives an operator of the shape wins.
 
-The modular rank profile ``linalg.rank_profile_mod_p`` chooses the
-equations the kernel sees.  It reduces the integer fit rows modulo
-``linalg.PRIME`` by a left-looking elimination, one equation at a time
-until an equation raises nothing, then in bulk, every remaining equation
-at once, up to the next one that raises the rank.  When the rank reaches
-the number of unknowns the rows are independent over Q and the shape has
-no relation, a proof after about as many equations as unknowns.
-Otherwise the kernel runs on the equations that raised the rank, and
-each vector it yields is checked against every equation by exact integer
-dot products: that check is the proof over all the data.  A failed check
-shows a rank mod p below the rank over Q, and the shape runs again on
-all equations, as it does when the residues say nothing (rank 0: every
-cleared term is a multiple of p).  A vector that passes is the one the
-kernel gives on all equations at the same free column, so the answers
-are those of the exact search.
+The modular rank profile ``linalg.rank_profile_mod_p`` reduces the integer
+fit rows modulo ``linalg.PRIME`` by a left-looking elimination, one
+equation at a time until an equation raises nothing, then in bulk, every
+remaining equation at once, up to the next one that raises the rank.
+When the rank reaches the number of unknowns the rows are independent
+over Q and the shape has no relation, a proof after about as many
+equations as unknowns.  Otherwise it returns the equations that raised
+the rank and the first relation mod p: the least row t that took no
+pivot, as a combination of the rows before it.
+
+The first vector is lifted from that relation (``_lift``): each residue
+becomes the fraction num / den with |num|, den <= sqrt(p / 2) by rational
+reconstruction, the fractions go over one common denominator, and the
+vector is made primitive with a positive last entry.  When it reaches the
+coefficients of N^order and every equation holds it by exact integer dot
+products, it is yielded: that check is the proof over all the data.
+Otherwise the kernel runs on the equations that raised the rank, and each
+vector it yields is checked the same way.  A failed check shows a rank
+mod p below the rank over Q, and the shape runs again on all equations,
+as it does when the residues say nothing (rank 0: every cleared term is a
+multiple of p).  The kernel also runs when the caller asks for a vector
+after the lifted one, which it skips there.
+
+The answers are those of the kernel on all equations.  The pivot rows of
+the profile are the first basis of the rows mod p in row order (see
+``rank_profile_mod_p``), so the rows before t are independent mod p on the
+picked equations, hence over Q, and the kernel, which reads a vector at
+each free column in order, has no free column before t.  A lifted vector
+that holds on every equation makes row t a combination of the rows before
+it over Q, so t is the kernel's first free column, and the kernel's
+vector there ends at t too: both span the relations of the rows up to t,
+a line, and made primitive with a positive last entry they are equal.  A
+vector of the picked equations that passes the check is the one the
+kernel gives on all equations at the same free column, as the picked
+equations have the same left null space when the ranks agree.
 
 The fit rows n^j a(n + i), residues and integers, are built once per
 search and cut to each shape's window starts.  A search that finds no
@@ -53,12 +74,14 @@ have cost as much sum k^3 (k unknowns each) as the staircase, each of its
 shapes is profiled mod p on all its window starts, and when all are
 independent no covered shape has a relation and the search ends.  The
 cost bound keeps the staircase off the searches that find a relation
-early.
+early.  Its profiles, picks and relation, are kept, so the search does
+not profile a staircase shape again when it gets there.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, lcm
+from math import comb, gcd, inf, isqrt, lcm
+from operator import add
 
 from .errors import InsufficientData, InternalError
 from .linalg import PRIME, null_vectors, rank_profile_mod_p
@@ -207,8 +230,8 @@ def guess_holonomic(sequence, max_order, max_degree, margin=5, assume_bound=Fals
 
 
 def _monic_constant(coeffs, degree):
-    operator = ShiftOperator(CoeffRing.CONSTANT, coeffs)
-    return operator.scaled(1 / operator.leading)
+    lead = coeffs[-1]
+    return ShiftOperator(CoeffRing.CONSTANT, [Fraction(c, lead) for c in coeffs])
 
 
 def _poly_coefficients(coeffs, degree):
@@ -269,17 +292,23 @@ def _fit_search(sequence, class_name, shapes, margin, proven, operator_of):
     staircase = [(o, d) for o, d in sorted(tops.items()) if tops.get(o + 1, -1) < d]
     cost = sum(((o + 1) * (d + 1)) ** 3 for o, d in staircase)
     spent = 0  # sum of k^3 over the shapes tried
+    known = {}  # the staircase's profiles, kept for the rest of the search
     for order, degree, fit in shapes:
         if spent >= cost:
-            if all(profile(o, d) is None for o, d in staircase):
-                break
+            for shape in staircase:
+                known[shape] = profile(*shape)
+                if known[shape] is not None:
+                    break
+            else:
+                break  # every maximal shape is independent
             cost = inf  # the staircase runs once
         spent += ((order + 1) * (degree + 1)) ** 3
-        picks = profile(order, degree)
-        if picks is None:  # independent rows mod p: no relation
+        found = known[order, degree] if (order, degree) in known else profile(order, degree)
+        if found is None:  # independent rows mod p: no relation
             continue
+        picks, relation = found
         rows = _fit_rows(integers, powers, integer_rows, order, degree, length - order)
-        for coeffs in _relations(rows, picks, order * (degree + 1)):
+        for coeffs in _relations(rows, picks, relation, order * (degree + 1)):
             operator = operator_of(coeffs, degree)
             validity = max(offset, leading_validity_offset(operator))
             needed = validity - offset + order
@@ -295,10 +324,30 @@ def _fit_search(sequence, class_name, shapes, margin, proven, operator_of):
     return GuessReport(None, (class_name, None, None), 0, 0)
 
 
-def _relations(rows, picks, lower):
+def _relations(rows, picks, relation, lower):
     """The coefficient vectors of the null vectors of the integer fit
     ``rows`` that reach past index ``lower`` (so the coefficient of N^order
-    is nonzero), in free-column order.
+    is nonzero), in free-column order: those of the kernel, ``null_vectors``
+    on all equations.
+
+    The first is lifted from ``relation``, the first relation mod p of the
+    rank profile, when it reaches past ``lower``: ``_lift`` reconstructs it
+    over Q, and when every equation holds it by exact dot products it is
+    the kernel's first vector (see the module docstring).  Otherwise, and
+    when the caller asks for a further vector, the kernel runs
+    (``_kernel_relations``), and the lifted vector is not yielded again.
+    """
+    lifted = _lift(relation) if len(relation) > lower else None
+    if lifted is not None and _holds(lifted, rows):
+        yield lifted
+    # a lifted vector that fails the check equals no vector yielded here
+    for coeffs in _kernel_relations(rows, picks, lower):
+        if coeffs != lifted:
+            yield coeffs
+
+
+def _kernel_relations(rows, picks, lower):
+    """``_relations`` by the kernel alone.
 
     The kernel runs on the equations ``picks`` only, or on all of them when
     ``picks`` is empty.  Each vector is checked against every equation by
@@ -312,14 +361,48 @@ def _relations(rows, picks, lower):
         if len(vector) <= lower:
             continue  # the coefficient of N^order vanishes
         coeffs = [c[0] if c else 0 for c in vector]
-        totals = [0] * len(rows[0])
-        for c, row in zip(coeffs, rows):
-            if c:
-                totals = [t + c * x for t, x in zip(totals, row)]
-        if not any(totals):
+        if _holds(coeffs, rows):
             yield coeffs
         elif picks:
-            yield from _relations(rows, [], lower)
+            yield from _kernel_relations(rows, [], lower)
             return
         else:
             raise InternalError("fitted recurrence fails on its own data")
+
+
+def _holds(coeffs, rows):
+    """Whether sum_i coeffs[i] rows[i] vanishes at every equation, by exact
+    integer dot products."""
+    totals = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            totals = list(map(add, totals, map(c.__mul__, row)))
+    return not any(totals)
+
+
+_LIFT_BOUND = isqrt(PRIME // 2)  # of the numerators and denominators of a lift
+
+
+def _lift(relation):
+    """The residues ``relation``, ending in 1, as coprime integers with a
+    positive last entry, or None: each residue r becomes the fraction
+    num / den = r mod p with |num|, den <= sqrt(p / 2), by the extended
+    Euclidean algorithm stopped at the first remainder within the bound
+    (rational reconstruction), unique when it exists; the fractions are
+    put over one common denominator and divided by their gcd."""
+    fractions = []
+    for r in relation:
+        a, b, s, t = PRIME, r, 0, 1
+        while b > _LIFT_BOUND:
+            q = a // b
+            a, b, s, t = b, a - q * b, t, s - q * t
+        if t < 0:
+            b, t = -b, -t
+        if t > _LIFT_BOUND or gcd(b, t) != 1:
+            return None
+        fractions.append((b, t))
+    # star arguments from a list: see sequences.Sequence
+    common = lcm(*[den for _, den in fractions])
+    vector = [num * (common // den) for num, den in fractions]
+    content = gcd(*vector)
+    return [x // content for x in vector]

@@ -36,14 +36,14 @@ so every residue is one CPython digit; a smaller prime only raises the
 chance that a minor vanishes mod p (about 2**-30 each), which costs
 callers time, not correctness.  When the rank reaches the number of
 rows it stops and proves the rows independent over Q; otherwise it
-returns the equations that raised the rank.  Its elimination is
-left-looking and runs in C-level loops: each new equation costs one
-forward substitution and one dot product per row, and after an equation
-that raises nothing one bulk scan finds the next that does.  The
-guessers use the routine both ways: most shapes they try have no
-relation and are rejected after a few equations, and the others run the
-exact kernel on the picked equations and check its vectors on all of
-them.
+returns the equations that raised the rank and the first relation of the
+rows mod p.  Its elimination is left-looking and runs in C-level loops:
+each new equation costs one forward substitution and one dot product per
+row, and after an equation that raises nothing one bulk scan finds the
+next that does.  The guessers use the routine both ways: most shapes
+they try have no relation and are rejected after a few equations, and
+the others lift the relation to the rationals and check it on every
+equation, with the exact kernel on the picked equations as the fallback.
 """
 
 from dataclasses import dataclass
@@ -140,8 +140,9 @@ PRIME = 2**30 - 35  # the largest prime below 2**30: each residue is one CPython
 
 def rank_profile_mod_p(rows):
     """The equations (columns) that raise the rank mod PRIME of integer
-    rows, given by their residues and taken in order; None once that rank
-    reaches the number of rows.
+    rows, given by their residues and taken in order, with the first
+    relation of the rows mod PRIME; None once that rank reaches the number
+    of rows.
 
     Reduction mod PRIME is a ring homomorphism on the integers, so a minor
     that is nonzero mod PRIME is nonzero over Z, hence over Q: None proves
@@ -149,7 +150,7 @@ def rank_profile_mod_p(rows):
     equations are independent over Q.  When the rank over Q is no larger,
     they span every equation and have its left null space; a smaller rank
     mod PRIME shows only when a vector is checked on all equations, which
-    callers do.  An empty list (rank 0) says nothing.
+    callers do.  An empty list of picks (rank 0) says nothing.
 
     The picks are the rank profile of the matrix mod PRIME, whatever order
     the elimination takes; this one is left-looking (Crout).  The kept
@@ -162,8 +163,27 @@ def rank_profile_mod_p(rows):
     first remaining row with a nonzero residue takes the pivot.  An
     equation with no nonzero residue raises nothing, and ``_next_rise``
     scans the rest in bulk for the next one that does.
+
+    The relation comes with the picks as a list of residues v of length
+    t + 1, where t is the least row that never took a pivot: v[t] = 1 and
+    v[s] = -z_t[s] at the rows s < t, z_t = L_t L_P^-1 over the pivot rows
+    P, one back substitution as in ``_next_rise``.  Row t has residue a_t -
+    z_t . a_P = 0 at every equation a, so v is a left null vector mod
+    PRIME, and it ends at t.  The residue of a row r at an equation is r's
+    entry there minus the combination of the pivot rows that matches r at
+    the picks so far: linear in r, and zero at the pivot rows.  So a row
+    that is a combination of earlier rows has as residue the same
+    combination of the residues of the earlier rows without a pivot, and
+    where it is nonzero, one of those is too and comes first: no row that
+    depends on earlier rows takes a pivot.  The pivot rows span the rows,
+    so they are exactly the rows independent of the rows before them, the
+    first basis of the rows in row order.  Hence the rows before t are all
+    pivot rows, independent, and row t is the first row that depends on
+    the rows before it; the pivot rows being independent, z_t is zero at
+    those after t.  At rank 0 the relation is [1]: row 0 vanishes.
     """
     pivots, rest, picks = [], [(row, []) for row in rows], []
+    places, pivot_places = list(range(len(rows))), []  # row indices of rest, pivots
     index, n_cols = 0, len(rows[0])
     while index < n_cols:
         coords = []
@@ -176,17 +196,39 @@ def rank_profile_mod_p(rows):
         if first is None:
             index = _next_rise(pivots, rest, index + 1)
             if index is None:
-                return picks
+                break
             continue
         inverse = pow(values.pop(first), -1, PRIME)
         pivots.append(rest.pop(first))
+        pivot_places.append(places.pop(first))
         for (_, multipliers), value in zip(rest, values):
             multipliers.append(value * inverse % PRIME)
         picks.append(index)
         if len(picks) == len(rows):
             return None
         index += 1
-    return picks
+    t = places[0]
+    relation = [0] * t + [1]
+    z = _back_substitution(rest[0][1], _columns_below(pivots))
+    for place, c in zip(reversed(pivot_places), z):
+        if place < t:
+            relation[place] = -c % PRIME
+    return picks, relation
+
+
+def _columns_below(pivots):
+    """Column l of L_P below its diagonal, for each pivot row l of
+    ``rank_profile_mod_p``, from the last pivot row up."""
+    return [[m[l] for _, m in reversed(pivots[l + 1 :])] for l in range(len(pivots))]
+
+
+def _back_substitution(multipliers, below):
+    """z_t = L_t L_P^-1 mod PRIME from its last entry back, for a row t
+    with its ``multipliers`` L_t and the columns ``below`` of L_P."""
+    z = []
+    for l in reversed(range(len(below))):
+        z.append((multipliers[l] - sum(map(mul, z, below[l]))) % PRIME)
+    return z
 
 
 def _next_rise(pivots, rest, start):
@@ -199,15 +241,11 @@ def _next_rise(pivots, rest, start):
     with z_t = L_t L_P^-1, one back substitution per row.  It is applied
     to every later equation at once, as a combination of row slices; each
     row's scan ends at the first rise found so far."""
-    # column l of L_P below its diagonal, from the last pivot row up
-    below = [[m[l] for _, m in reversed(pivots[l + 1 :])] for l in range(len(pivots))]
+    below = _columns_below(pivots)
     found = None
     for row, multipliers in rest:
-        z = []  # z_t from its last entry back
-        for l in reversed(range(len(pivots))):
-            z.append((multipliers[l] - sum(map(mul, z, below[l]))) % PRIME)
         residues = row[start:found]
-        for (pivot_row, _), c in zip(reversed(pivots), z):
+        for (pivot_row, _), c in zip(reversed(pivots), _back_substitution(multipliers, below)):
             if c:
                 residues = map(sub, residues, map(c.__mul__, pivot_row[start:found]))
         rise = next(compress(count(start), map(PRIME.__rmod__, residues)), None)

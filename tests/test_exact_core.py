@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, isqrt, lcm
 
 import pytest
@@ -612,13 +613,19 @@ class TestModularIndependence:
         assert rank_profile_mod_p([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) is None
 
     def test_dependent_rows(self):
-        # the equations (columns) that raise the rank, in order
-        assert rank_profile_mod_p([[1, 2, 3], [2, 4, 6]]) == [0]
-        assert rank_profile_mod_p([[1, 2], [3, 4], [5, 6]]) == [0, 1]
-        assert rank_profile_mod_p([[0, 0, 0]]) == []
-        assert rank_profile_mod_p([[0, 1, 1], [0, 2, 3], [0, 3, 4]]) == [1, 2]
+        # the equations (columns) that raise the rank, in order, and the
+        # first row that depends on the rows before it, as residues
+        assert rank_profile_mod_p([[1, 2, 3], [2, 4, 6]]) == ([0], [PRIME - 2, 1])
+        assert rank_profile_mod_p([[1, 2], [3, 4], [5, 6]]) == ([0, 1], [1, PRIME - 2, 1])
+        assert rank_profile_mod_p([[0, 0, 0]]) == ([], [1])
+        assert rank_profile_mod_p([[0, 1, 1], [0, 2, 3], [0, 3, 4]]) == (
+            [1, 2],
+            [PRIME - 1, PRIME - 1, 1],
+        )
+        # a pivot row after the dependent one is not part of its relation
+        assert rank_profile_mod_p([[1, 0], [2, 0], [0, 1]]) == ([0, 1], [PRIME - 2, 1])
         # independent over Q, dependent mod p: the test only ever says "independent"
-        assert rank_profile_mod_p([[1, 1], [1, 1 + PRIME]]) == [0]
+        assert rank_profile_mod_p([[1, 1], [1, 1 + PRIME]]) == ([0], [PRIME - 1, 1])
 
     def test_prime_is_one_digit(self):
         # every residue, and so every pivot and factor, is one CPython digit
@@ -629,7 +636,7 @@ class TestModularIndependence:
         # PRIME - 1 is -1 mod p: its products are the largest ones reduced
         top = PRIME - 1
         assert rank_profile_mod_p([[top]]) is None
-        assert rank_profile_mod_p([[top] * 4 for _ in range(3)]) == [0]
+        assert rank_profile_mod_p([[top] * 4 for _ in range(3)]) == ([0], [PRIME - 1, 1])
 
     def test_agrees_with_exact_rank(self):
         rng = random.Random(11)
@@ -637,9 +644,13 @@ class TestModularIndependence:
             n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 6)
             rows = [[rng.randint(-2, 2) for _ in range(n_cols)] for _ in range(n_rows)]
             exact = rank(frac_rows(rows), QFIELD)
-            picks = rank_profile_mod_p([[x % PRIME for x in row] for row in rows])
-            assert (picks is None) == (exact == n_rows)
-            if picks is not None:
+            profile = rank_profile_mod_p([[x % PRIME for x in row] for row in rows])
+            assert (profile is None) == (exact == n_rows)
+            if profile is not None:
+                picks, relation = profile
+                # the relation is a left null vector mod p of every equation
+                for column in zip(*rows):
+                    assert sum(map(operator.mul, relation, column)) % PRIME == 0
                 # the picked equations keep the left null space of all of them
                 assert len(picks) == exact
                 picked = [[row[c] for c in picks] for row in rows]
@@ -650,11 +661,17 @@ class TestModularIndependence:
 
     def test_matches_the_right_looking_reference(self):
         rng = random.Random(2803)
-        seen = {"none": 0, "stall": 0, "short": 0, "single": 0, "top": 0, "zero": 0}
+        seen = {"none": 0, "stall": 0, "short": 0, "single": 0, "top": 0, "zero": 0, "after": 0}
         for _ in range(2400):
             rows = modular_profile_case(rng)
             picks = reference_rank_profile_mod_p(rows)
-            assert rank_profile_mod_p(rows) == picks
+            if picks is None:
+                assert rank_profile_mod_p(rows) is None
+            else:
+                relation = reference_first_relation(rows)
+                assert rank_profile_mod_p(rows) == (picks, relation)
+                # pivot rows after the dependent one
+                seen["after"] += len(picks) > len(relation) - 1
             seen["none"] += picks is None
             seen["stall"] += picks is not None and 0 < len(picks) and picks[-1] >= len(picks)
             seen["short"] += len(rows[0]) < len(rows)
@@ -677,7 +694,7 @@ class TestModularIndependence:
         base = [[rng.randrange(PRIME) for _ in range(2000)] for _ in range(3)]
         last = [(2 * a + 3 * b + 5 * c) % PRIME for a, b, c in zip(*base)]
         rows = [CountingRow(row) for row in base + [last]]
-        assert rank_profile_mod_p(rows) == [0, 1, 2]
+        assert rank_profile_mod_p(rows) == ([0, 1, 2], [PRIME - 2, PRIME - 3, PRIME - 5, 1])
         assert reads[0] <= 2 * 4**2
         # a rise late in the scan resumes the elimination there
         rows[3][1500] = (rows[3][1500] + 1) % PRIME
@@ -711,6 +728,31 @@ def reference_rank_profile_mod_p(rows):
         if len(picks) == len(rows):
             return None
     return picks
+
+
+def reference_first_relation(rows):
+    """The first row mod PRIME that is a combination of the rows before it,
+    as the left null vector that ends in one there: each row is reduced by
+    an echelon basis of the rows before it, with its combination of them."""
+    basis = []  # (reduced row, its combination of the rows, its pivot column)
+    for t, row in enumerate(rows):
+        reduced, combination = [x % PRIME for x in row], [0] * t + [1]
+        for kept, kept_combination, col in basis:
+            factor = reduced[col]
+            if factor:
+                reduced = [(a - factor * b) % PRIME for a, b in zip(reduced, kept)]
+                combination = [
+                    (a - factor * b) % PRIME
+                    for a, b in zip_longest(combination, kept_combination, fillvalue=0)
+                ]
+        col = next((c for c, x in enumerate(reduced) if x), None)
+        if col is None:
+            return combination
+        inverse = pow(reduced[col], -1, PRIME)
+        basis.append(
+            ([x * inverse % PRIME for x in reduced], [x * inverse % PRIME for x in combination], col)
+        )
+    return None
 
 
 def modular_profile_case(rng):

@@ -425,6 +425,13 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def says_nothing(rows):
+    """A rank profile that says nothing: rank 0 and the relation [1], which
+    reaches past no shape's lower bound, so every shape runs the kernel on
+    all its equations."""
+    return [], [1]
+
+
 def report_summary(report):
     system = report.result
     if system is None:
@@ -453,36 +460,41 @@ class TestModularPrefilter:
         # every residue is 0, so every shape is dependent mod p
         seq = expand_terms(corpus.catalan_system(), 20)
         scaled = Sequence([PRIME * t for t in seq.terms])
+        lifts = count_calls(monkeypatch, "_lift")
         null_calls = count_calls(monkeypatch, "null_vectors")
         report = guess_holonomic(seq, 2, 2)
-        # shapes (1, 0) and (2, 0) are rejected mod p, (1, 1) fits
-        assert len(null_calls) == 1
+        # shapes (1, 0) and (2, 0) are rejected mod p, (1, 1) fits and its
+        # relation mod p is lifted
+        assert (len(lifts), len(null_calls)) == (1, 0)
         scaled_report = guess_holonomic(scaled, 2, 2)
-        assert len(null_calls) == 1 + 3
+        # rank 0 lifts nothing, and all three shapes run the kernel
+        assert (len(lifts), len(null_calls)) == (1, 3)
         assert scaled_report.shape == report.shape == ("holonomic", 1, 1)
         assert scaled_report.result.operator.coeffs == report.result.operator.coeffs
 
     def test_multiples_of_p_cfinite(self, monkeypatch):
         seq = expand_terms(corpus.fibonacci_system(), 20)
         scaled = Sequence([PRIME * t for t in seq.terms])
+        lifts = count_calls(monkeypatch, "_lift")
         null_calls = count_calls(monkeypatch, "null_vectors")
         report = guess_cfinite(seq, 3)
-        assert len(null_calls) == 1
+        assert (len(lifts), len(null_calls)) == (1, 0)
         scaled_report = guess_cfinite(scaled, 3)
-        assert len(null_calls) == 1 + 2
+        assert (len(lifts), len(null_calls)) == (1, 2)
         assert list(scaled_report.result.operator.coeffs) == [-1, -1, 1]
         assert report.result.operator.coeffs == scaled_report.result.operator.coeffs
 
     def test_denominator_p_falls_back(self, monkeypatch):
         # the residues come from the cleared terms, here the Catalan numbers
         # themselves, so the prefilter rejects (1, 0) and (2, 0) as it does
-        # on the unscaled terms, and only (1, 1) runs exact elimination
+        # on the unscaled terms, and (1, 1) lifts its relation mod p
         seq = expand_terms(corpus.catalan_system(), 20)
         shrunk = Sequence([t / PRIME for t in seq.terms])
         assert all(t.denominator == PRIME for t in shrunk.terms)
+        lifts = count_calls(monkeypatch, "_lift")
         null_calls = count_calls(monkeypatch, "null_vectors")
         report = guess_holonomic(shrunk, 2, 2)
-        assert len(null_calls) == 1
+        assert (len(lifts), len(null_calls)) == (1, 0)
         assert report.shape == ("holonomic", 1, 1)
         expected = guess_holonomic(seq, 2, 2).result.operator.coeffs
         assert report.result.operator.coeffs == expected
@@ -513,7 +525,7 @@ class TestModularPrefilter:
                     -15 * n**2 + 3 * n + 54,
                     2 * n**2 + 4 * n - 6,
                 )
-            monkeypatch.setattr(guess_module, "rank_profile_mod_p", lambda rows: [])
+            monkeypatch.setattr(guess_module, "rank_profile_mod_p", says_nothing)
             assert guess_holonomic(bad, 2, 2) == report
             assert guess_cfinite(bad, 4) == cfinite
             monkeypatch.undo()
@@ -543,7 +555,7 @@ class TestModularPrefilter:
         null_calls = count_calls(monkeypatch, "null_vectors")
         filtered = run_all()
         filtered_calls = len(null_calls)
-        monkeypatch.setattr(guess_module, "rank_profile_mod_p", lambda rows: [])
+        monkeypatch.setattr(guess_module, "rank_profile_mod_p", says_nothing)
         assert run_all() == filtered
         assert len(null_calls) - filtered_calls > 2 * filtered_calls
         assert any(holonomic[1] is None for holonomic, _ in filtered)
@@ -587,11 +599,115 @@ class TestModularPrefilter:
             ]
 
         filtered = run_all()
-        monkeypatch.setattr(guess_module, "rank_profile_mod_p", lambda rows: [])
+        monkeypatch.setattr(guess_module, "rank_profile_mod_p", says_nothing)
         assert run_all() == filtered
         assert any(holonomic[1] is None for holonomic, _ in filtered)
         assert any(holonomic[1] is not None for holonomic, _ in filtered)
         assert any(cfinite[1] is not None for _, cfinite in filtered)
+
+
+class TestLiftedFits:
+    """A shape's first relation mod p, lifted and checked exactly, against
+    the kernel alone: every report must be the one the guessers give with
+    the lift forced to fail."""
+
+    # zero-heavy terms whose first fit vector at the shape found has a
+    # leading coefficient with a natural root past the data, so the search
+    # takes the kernel's next vector of that shape: in the first, (1, 3)
+    # has the leading coefficient 5 n^2 - 1805 n + 15840 = 5 (n - 9) (n - 352)
+    FURTHER = [
+        ([3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 2, 0, 0, 0, 0, 0, 0, 0, 0], 2),
+        ([0, 0, 0, 0, -2, 0, -3, 0, 3, 0, 1, 0, 1, 0, 0], 1),
+        ([0, -2, 0, 0, 0, 0, 0, 3, 0, 2, 0, -2, 0, 2, 0, 0, 0], 2),
+    ]
+
+    @classmethod
+    def draws(cls):
+        """(sequence, holonomic bounds, margin) over six kinds of data."""
+        rng = random.Random(3307)
+        for k in range(240):
+            kind = k % 6
+            if kind == 5:
+                terms, margin = cls.FURTHER[k // 6 % len(cls.FURTHER)]
+                scale = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+                yield Sequence([scale * t for t in terms], rng.randint(0, 3)), (2, 3), margin
+                continue
+            if k % 12 < 6:
+                system = corpus.random_holonomic(rng, max_order=2, max_degree=2)
+            else:
+                system = corpus.random_cfinite(rng, max_order=3)
+            if kind == 1:
+                # coefficients above the reconstruction bound sqrt(p / 2)
+                coeffs = list(system.operator.coeffs)
+                coeffs[0] = coeffs[0] * rng.choice([23209, -30011, 99991])
+                if not coeffs[0]:
+                    coeffs[0] = coeffs[-1] * 46349
+                operator = ShiftOperator(system.operator.ring, coeffs)
+                system = RecurrenceSystem(operator, system.initials)
+            terms = list(expand_terms(system, 26).terms)
+            if kind == 2:  # every residue 0: rank 0
+                terms = [PRIME * t for t in terms]
+            elif kind == 3:  # one term moved by PRIME: an unlucky prime
+                terms[rng.randrange(len(terms))] += PRIME
+            elif kind == 4:  # no relation
+                terms = [F(rng.randint(-9, 9), rng.randint(1, 2)) for _ in terms]
+            if any(terms):
+                yield Sequence(terms), (2, 2), 5
+
+    def test_reports_match_the_kernel(self, monkeypatch):
+        seen = dict.fromkeys(["rank 0", "held", "unreconstructed", "refuted", "further"], 0)
+        state = {"lifted": None, "held": False}
+        lift, holds, kernel = guess_module._lift, guess_module._holds, guess_module.null_vectors
+        profile, relations = guess_module.rank_profile_mod_p, guess_module._relations
+
+        def watched_profile(rows):
+            found = profile(rows)
+            seen["rank 0"] += found is not None and not found[0]
+            return found
+
+        def watched_relations(*args):
+            state.update(lifted=None, held=False)
+            return relations(*args)
+
+        def watched_lift(relation):
+            state["lifted"] = vector = lift(relation)
+            seen["unreconstructed"] += vector is None
+            return vector
+
+        def watched_holds(coeffs, rows):
+            held = holds(coeffs, rows)
+            if coeffs is state["lifted"]:
+                state["held"] = held
+                seen["held" if held else "refuted"] += 1
+            return held
+
+        def watched_kernel(rows):
+            # after a lifted vector that held, only a caller that asks
+            # for a further vector runs the kernel
+            seen["further"] += state["held"]
+            return kernel(rows)
+
+        def run_all():
+            return [
+                (
+                    guess_holonomic(seq, *bounds, margin=margin),
+                    guess_cfinite(seq, 4, margin=margin),
+                )
+                for seq, bounds, margin in self.draws()
+            ]
+
+        monkeypatch.setattr(guess_module, "rank_profile_mod_p", watched_profile)
+        monkeypatch.setattr(guess_module, "_relations", watched_relations)
+        monkeypatch.setattr(guess_module, "_lift", watched_lift)
+        monkeypatch.setattr(guess_module, "_holds", watched_holds)
+        monkeypatch.setattr(guess_module, "null_vectors", watched_kernel)
+        lifted = run_all()
+        assert min(seen.values()) >= 10, seen
+        monkeypatch.setattr(guess_module, "_lift", lambda relation: None)
+        assert run_all() == lifted
+        assert len(lifted) >= 200
+        hits = [report.shape for pair in lifted for report in pair if report.result is not None]
+        assert len(hits) >= 200
 
 
 def holonomic_of_shape(rng, order, degree, count=40):
@@ -654,10 +770,11 @@ class TestNoFitGate:
             report = guess_holonomic(seq, *bounds)
             reports.append(report_summary(report))
             # every shape is covered, so the staircase is the bounds alone,
-            # profiled once by the staircase and once when the search gets there
+            # profiled once by the staircase and kept for when the search
+            # gets there
             maximal = shape_calls(calls, seq, *bounds)
-            assert len(maximal) == gated + (report.shape[1:] == bounds)
-        monkeypatch.setattr(guess_module, "rank_profile_mod_p", lambda rows: [])
+            assert len(maximal) == gated
+        monkeypatch.setattr(guess_module, "rank_profile_mod_p", says_nothing)
         exact = [report_summary(guess_holonomic(seq, *bounds)) for seq, bounds, _ in cases]
         assert exact == reports
         assert sum(report[1] is None for report in reports) == 8
@@ -828,22 +945,32 @@ class TestFieldKernelReference:
     def test_reports_match_without_prefilter(self, monkeypatch):
         # every shape, no-fits included, then runs exact elimination
         calls = count_calls(monkeypatch, "null_vectors")
-        monkeypatch.setattr(guess_module, "rank_profile_mod_p", lambda rows: [])
+        monkeypatch.setattr(guess_module, "rank_profile_mod_p", says_nothing)
         found = self.compare()
         assert min(found.values()) >= 6, found
         assert len(calls) > 40 * 4
 
     def test_failing_candidate_is_internal_error(self, monkeypatch):
+        # a lifted vector that fails its check falls back to the kernel,
+        # whose vectors, failing on all equations too, are an internal error
         original = guess_module.null_vectors
+        original_lift = guess_module._lift
 
         def corrupted(rows):
             for vector in original(rows):
                 yield vector[:-1] + [[2 * vector[-1][0]]]
 
+        def corrupted_lift(relation):
+            vector = original_lift(relation)
+            return vector[:-1] + [2 * vector[-1]]
+
         monkeypatch.setattr(guess_module, "null_vectors", corrupted)
+        monkeypatch.setattr(guess_module, "_lift", corrupted_lift)
+        lifts = count_calls(monkeypatch, "_lift")
         catalan = expand_terms(corpus.catalan_system(), 20)
         with pytest.raises(InternalError, match="fails on its own data"):
             guess_holonomic(catalan, 2, 2)
         fibonacci = expand_terms(corpus.fibonacci_system(), 20)
         with pytest.raises(InternalError, match="fails on its own data"):
             guess_cfinite(fibonacci, 3)
+        assert len(lifts) == 2
