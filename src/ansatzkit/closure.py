@@ -7,18 +7,21 @@ recurrence off the left null space of the resulting matrix.  One driver,
 ``_closure``, does this for all kinds and rings.  Over constants and
 polynomials in n the matrix is built fraction-free, as integer
 polynomials: a shift of an operand is a vector over the nested
-denominator D_t, a product of shifted leading coefficients, and each
-column is scaled by the last row's denominator, which leaves the null
-space unchanged (``_RingShiftRep``; the holonomic Cauchy product's
-derivative rows do the same with powers of the ODE's leading
-coefficient).  No rational function is formed before the kernel.  The
-relation is read off minors over Z[n] by the fraction-free kernel:
-``_ring_relation``, shared with the holonomic Cauchy product, takes the
-least-order vector from ``least_null_vector`` and checks its order bound.
-It hands on the kernel's integer polynomials: ``_closure`` builds the
-public operator from them once, and decides where it holds by
-``sequences.leading_validity_offset``, the one rule that guessing,
-parsing and ``diff_to_c2`` use as well.
+denominator D_t, a product of shifted leading coefficients
+(``_RingShiftRep``).  The rows of a term-wise product, a partial sum and
+a subsequence stay over their own denominators, which ``combination_matrix``
+returns with them; a sum's columns are each scaled by the operand's last
+row's denominator instead, which leaves the null space unchanged (the
+holonomic Cauchy product's derivative rows are scaled the same way, by
+powers of the ODE's leading coefficient).  No rational function is formed
+before the kernel.  The relation is read off minors over Z[n] by the
+fraction-free kernel: ``_ring_relation``, shared with the holonomic
+Cauchy product, takes the least-order vector from ``least_null_vector``,
+which multiplies entry t by the denominator of row t before it makes the
+vector primitive, and checks its order bound.  It hands on the kernel's
+integer polynomials: ``_closure`` builds the public operator from them
+once, and decides where it holds by ``sequences.leading_validity_offset``,
+the one rule that guessing, parsing and ``diff_to_c2`` use as well.
 Over exponential polynomials, whose fractions have zero divisors, the
 entries are formal fractions (``_FieldShiftRep``) and ``_closure`` takes
 one explicit branch: the null space comes from Gauss-Jordan over the
@@ -175,7 +178,11 @@ class _RingShiftRep:
     and, by the relation at mult*n + t - r,
     p_t = -sum_i c_i(mult*n + t - r) p_{t-r+i} (D_{t-1} / D_{t-r+i}).
     The quotient is a product of shifted leads, so the build takes no gcd
-    and no division."""
+    and no division.  The rows are the p_t themselves, each over its own
+    denominator D_t (``denominators``); D_t / D_{t-1} is ``step(t)``.
+    Scaling every row to the last one's denominator would multiply row t
+    by D_last / D_t, a product of shifted leads that every minor of the
+    kernel would then carry; only a sum's columns are scaled that way."""
 
     zero = []
     one = [1]
@@ -190,8 +197,8 @@ class _RingShiftRep:
         self.leads = []  # L_0, L_1, ...
 
     def vectors(self, shifts):
-        """p_t (D_last / D_t) for each t of the ascending ``shifts``: the
-        rows of a(mult*n + t), all over the last one's denominator."""
+        """p_t for each t of the ascending ``shifts``: the row of
+        a(mult*n + t) times its own denominator D_t."""
         r, last = self.order, shifts[-1]
         for t in range(len(self.numerators), last + 1):
             k = t - r
@@ -206,22 +213,34 @@ class _RingShiftRep:
                     c = _zx_mul(shifted[i], factor)
                     vec = [_sub(a, _zx_mul(c, b)) for a, b in zip(vec, self.numerators[k + i])]
             self.numerators.append(vec)
-        out = []
-        scale, j = [1], last - r  # scale = L_{j+1} ... L_{last-r}
-        for t in reversed(shifts):
-            while j > t - r and j >= 0:
-                scale = _zx_mul(scale, self.leads[j])
-                j -= 1
-            out.append([_zx_mul(scale, p) for p in self.numerators[t]])
-        return out[::-1]
+        return [self.numerators[t] for t in shifts]
+
+    def step(self, t):
+        """D_t / D_{t-1}, the lead L_{t-r} of the relation at t - r, for a
+        t that ``vectors`` has reached; None for t < r, where it is one."""
+        return self.leads[t - self.order] if t >= self.order else None
+
+    def denominators(self, shifts):
+        """D_t for each t of the ascending ``shifts``, which ``vectors``
+        has reached; None when every one of them is one."""
+        out, d, j = [], [1], 0  # d = L_0 ... L_(j-1)
+        for t in shifts:
+            while j <= t - self.order:
+                d = _zx_mul(d, self.leads[j])
+                j += 1
+            out.append(d)
+        return out if any(d != [1] for d in out) else None
 
 
 class _FieldShiftRep:
     """Vectors expressing a(mult*n + t) over the basis a(mult*n + i), i < r,
-    for exponential-polynomial coefficients, over their formal fractions."""
+    for exponential-polynomial coefficients, over their formal fractions:
+    the rows themselves, so every denominator and every step is one."""
 
     add = staticmethod(operator.add)
     mul = staticmethod(operator.mul)
+    step = staticmethod(lambda t: None)
+    denominators = staticmethod(lambda shifts: None)
 
     def __init__(self, op, mult=1):
         self.operator = op
@@ -251,16 +270,41 @@ class _FieldShiftRep:
         return [vecs[t] for t in shifts]
 
 
+def _over_last(rep, vectors):
+    """The ``vectors`` of rows 0, 1, ... all over the last one's
+    denominator: row t times D_last / D_t, a product of steps."""
+    out, scale = [], None
+    for t in reversed(range(len(vectors))):
+        out.append(vectors[t] if scale is None else [rep.mul(scale, p) for p in vectors[t]])
+        step = rep.step(t)
+        if step is not None:
+            scale = step if scale is None else rep.mul(scale, step)
+    return out[::-1]
+
+
 def combination_matrix(kind, op_a, op_b=None, mult=1, rows=None):
-    """The solution-space matrix whose left null vectors are recurrences.
+    """The solution-space matrix whose left null vectors are recurrences,
+    and the denominators of its rows.
 
     Row t represents the combined sequence shifted by t over the operand
     basis; ``rows`` overrides the number of shifts (defaults to the
-    closure order bound plus one).  Over constants and polynomials in n
-    the entries are integer polynomials (``_RingShiftRep``): each column is
-    the true one times the last row's denominator, a scaling of one
-    equation that leaves the left null space unchanged.  Over exponential
-    polynomials they are formal fractions (``_FieldShiftRep``).
+    closure order bound plus one).  Over exponential polynomials the
+    entries are formal fractions (``_FieldShiftRep``), the rows themselves,
+    and the denominators are None.  Over constants and polynomials in n
+    they are integer polynomials (``_RingShiftRep``), with a^(t) the
+    operand's row t over its own denominator D_t (a product of shifted
+    leads):
+    - term-wise product: row t is a^(t) (x) b^(t), over Da_t Db_t;
+    - subsequence: row t is a^(mult t), over D_(mult t);
+    - partial sum: row t is [D_t, sum_{1 <= s <= t} a^(s) D_t / D_s] over
+      D_t, the partial sums built by acc_t = acc_(t-1) D_t / D_(t-1) + a^(t);
+    - sum: each operand's columns are over its last row's denominator,
+      a^(t) Da_last / Da_t, a scaling of equations that leaves the left
+      null space unchanged, and the denominators are None.
+    Entry t of a left null vector u of such a matrix, times the
+    denominator of row t, is a left null vector of the rows over Q(n):
+    ``null_vectors`` takes the denominators as its scales.  None stands
+    for denominators that are all one.
     """
     if kind in (ADD, TERMWISE) and op_b is None:
         raise ValueError(f"{kind} needs two operands")
@@ -272,35 +316,46 @@ def combination_matrix(kind, op_a, op_b=None, mult=1, rows=None):
         rows = _order_bound(kind, op_a, op_b) + 1
     rep_type = _FieldShiftRep if op_a.ring is CoeffRing.EXPPOLY else _RingShiftRep
     if kind == SUBSEQUENCE:
-        return rep_type(op_a, mult).vectors([mult * t for t in range(rows)])
+        rep, shifts = rep_type(op_a, mult), [mult * t for t in range(rows)]
+        return rep.vectors(shifts), rep.denominators(shifts)
     if kind == PARTIAL_SUM:
         rep = rep_type(op_a)
+        vectors = rep.vectors(range(rows))
+        denominators = rep.denominators(range(rows))
         matrix = []
         acc = [rep.zero] * op_a.order
-        for t, vec in enumerate(rep.vectors(range(rows))):
+        for t, vec in enumerate(vectors):
             if t > 0:
+                step = rep.step(t)
+                if step is not None:
+                    acc = [rep.mul(step, a) for a in acc]
                 acc = list(map(rep.add, acc, vec))
-            matrix.append([rep.one] + acc)
-        return matrix
+            matrix.append([rep.one if denominators is None else denominators[t]] + acc)
+        return matrix, denominators
     if kind not in (ADD, TERMWISE):
         raise ValueError(f"unsupported combination kind {kind!r}")
     rep_a, rep_b = rep_type(op_a), rep_type(op_b)
-    pairs = zip(rep_a.vectors(range(rows)), rep_b.vectors(range(rows)))
+    u, w = rep_a.vectors(range(rows)), rep_b.vectors(range(rows))
     if kind == ADD:
-        return [u + w for u, w in pairs]
-    return [[rep_a.mul(ui, wj) for ui in u for wj in w] for u, w in pairs]
+        return [x + y for x, y in zip(_over_last(rep_a, u), _over_last(rep_b, w))], None
+    matrix = [[rep_a.mul(ui, wj) for ui in x for wj in y] for x, y in zip(u, w)]
+    da, db = rep_a.denominators(range(rows)), rep_b.denominators(range(rows))
+    if da is None or db is None:
+        return matrix, da or db
+    return matrix, list(map(rep_a.mul, da, db))
 
 
 # ---------------------------------------------------------------------------
 # the solution-space driver
 
 
-def _ring_relation(matrix, bound):
+def _ring_relation(matrix, bound, denominators=None):
     """The least-order left null vector of a matrix over Q or Q(x) as the
     ring kernel ``least_null_vector`` reads it off minors over Z[x]:
     coprime integer polynomials, the last with a positive leading
-    coefficient.  Its order is checked against ``bound``."""
-    vector = least_null_vector(matrix)
+    coefficient.  With the ``denominators`` of the rows, it is the vector
+    of the rows over them.  Its order is checked against ``bound``."""
+    vector = least_null_vector(matrix, denominators)
     if vector is None:
         raise NullSpaceEmpty("no usable null vector (internal shape bug)")
     _check_bound(len(vector) - 1, bound)
@@ -312,15 +367,20 @@ def _closure(kind, op_a, op_b=None, mult=1):
     index from which it holds.
 
     Over constants and polynomials in n the ring kernel gives the relation
-    directly.  Over exponential polynomials the null space comes from the
-    field kernel; candidates whose leading coefficient vanishes on a residue
-    class of n are dropped, the least (order, size) of the others wins, and
-    the matrix grows by a row, up to ``MAX_BUMP`` times, until one is left."""
+    directly: it reads a vector u off the rows over their own denominators
+    D_t and returns v_t = u_t D_t, a vector of the rows over Q(n), made
+    primitive.  That vector ends at the first free column, where the null
+    vector is unique up to scale, so it is the one of the rows all over one
+    denominator, in the same primitive form with a positive lead.  Over
+    exponential polynomials the null space comes from the field kernel;
+    candidates whose leading coefficient vanishes on a residue class of n
+    are dropped, the least (order, size) of the others wins, and the
+    matrix grows by a row, up to ``MAX_BUMP`` times, until one is left."""
     ring = op_a.ring
     bound = _order_bound(kind, op_a, op_b)
     if ring is not CoeffRing.EXPPOLY:
-        matrix = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1)
-        vector = _ring_relation(matrix, bound)
+        matrix, denominators = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1)
+        vector = _ring_relation(matrix, bound, denominators)
         operator = ShiftOperator(ring, [Poly(c, QQ, "n") for c in vector])
         return operator, leading_validity_offset(operator)
     field = op_a.leading.field
@@ -328,7 +388,7 @@ def _closure(kind, op_a, op_b=None, mult=1):
         ExpPolyFraction.zero(field), ExpPolyFraction.one(field), ExpPolyFraction.is_unit_value
     )
     for extra in range(MAX_BUMP + 1):
-        matrix = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1 + extra)
+        matrix, _ = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1 + extra)
         best = None
         for coeffs in map(_exppoly_coeffs, left_null_space(matrix, fractions)):
             validity = probe_leading_coefficient(coeffs[-1])

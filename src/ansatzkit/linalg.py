@@ -5,18 +5,24 @@ of integer polynomials, the one form it takes: callers clear their
 fractions before, by one scale per equation (the guessers scale the terms
 by one common denominator, the closures build their matrices over Z[n]).
 Each equation is divided by its integer content, and a fraction-free
-(Bareiss, Math. Comp. 1968) Gauss-Jordan over Z[x] reads one vector off
-minors at each free column, made primitive on its packed entries: their
-integer gcd, unpacked once, is the GCDHEU candidate, and a norm check on
-the quotients proves it (``_packed_primitive_vector``).  It runs on
-packed integers: every entry is evaluated once
-at x = 2**k, a ring homomorphism Z[x] -> Z, so each step is one integer
-product, difference and exact division.  The packing is exact because
-every entry is a minor, whose coefficients a 1-norm bound caps, and k is
-wide enough for signed k-bit digits to hold that bound: evaluation is
-then injective on the entries, and the vectors yielded are unpacked digit
-by digit.  The guessers and the constant and polynomial-coefficient
-closures use it; its packing and its gcd come from ``polynomials``.
+(Bareiss, Math. Comp. 1968) Gaussian elimination over Z[x], one step at a
+time on the rows not yet used, leaves the pivot rows in echelon form; at
+each free column one vector is solved from them by back substitution,
+each division exact because every value it stores is a minor (Cramer's
+rule), and made primitive on its packed entries: their integer gcd,
+unpacked once, is the GCDHEU candidate, and a norm check on the quotients
+proves it (``_packed_primitive_vector``).  A caller whose rows sit over
+denominators of their own passes them, and the vector is rescaled by them
+before that one primitive step.  It runs on packed integers: every entry
+is evaluated once at x = 2**k, a ring homomorphism Z[x] -> Z, so each
+step is one integer product, difference and exact division.  The packing
+is exact because every entry is a minor, whose coefficients a 1-norm
+bound caps (times the largest denominator's 1-norm for a rescaled
+vector), and k is wide enough for signed k-bit digits to hold that bound:
+evaluation is then injective on the entries, and the vectors yielded are
+unpacked digit by digit.  The guessers and the constant and
+polynomial-coefficient closures use it; its packing and its gcd come from
+``polynomials``.
 
 The field kernel, ``_eliminate``, is Gauss-Jordan over a pluggable field:
 ``rref``, ``rank``, ``solve_linear`` and ``left_null_space`` all read
@@ -427,16 +433,26 @@ def _integer_primitive(equation):
 
 def _minor_bound(equations, size):
     """A bound on the coefficients of every minor of at most ``size`` rows
-    of ``equations`` (lists of integer polynomials): the product of the
-    ``size`` largest equation 1-norms.  A minor's terms take one entry
-    from each of its rows, and the 1-norm of a product is at most the
-    product of the 1-norms, so the minor's 1-norm, which bounds its
-    coefficients, is at most the product of its rows' 1-norms."""
-    norms = sorted((sum(abs(c) for e in eq for c in e) for eq in equations), reverse=True)
-    return prod(norm for norm in norms[:size] if norm)
+    of ``equations`` (lists of integer polynomials, one entry per row):
+    the lesser of the product of the ``size`` largest equation 1-norms
+    and the product of as many largest row 1-norms as a minor can have
+    rows, a row's 1-norm summed over all the equations.  A minor's terms
+    take one entry from each of its equations and each of its rows, and
+    the 1-norm of a product is at most the product of the 1-norms, so the
+    minor's 1-norm, which bounds its coefficients, is at most the product
+    of its equations' 1-norms (the sum over its terms, expanded, runs
+    over a subset of the product's terms) and, the same way, of its rows'.
+    Closure rows grow with the shift, so each equation's norm is about its
+    last row's entry, and the row product, which counts that row once, is
+    the far smaller one on their matrices (156 against 349 bits on the
+    term-wise product of two dense order-3 operators)."""
+    norms = [[sum(map(abs, e)) for e in eq] for eq in equations]
+    by_equation = sorted(map(sum, norms), reverse=True)[:size]
+    by_row = sorted(map(sum, zip(*norms)), reverse=True)[: len(equations)]
+    return min(prod(filter(None, by_equation)), prod(filter(None, by_row)))
 
 
-def null_vectors(rows):
+def null_vectors(rows, scales=None):
     """The left null vectors of a matrix over Z[x], one per free column, in
     free-column order: the basis ``left_null_space`` returns over Q(x), up
     to scale.  Entries are integer polynomials (lists of ints, lowest power
@@ -446,68 +462,92 @@ def null_vectors(rows):
     f, so it has order exactly f, and its entries are integer polynomials:
     coprime, with a positive leading coefficient in the last entry.
 
+    A caller may instead put row t over a denominator of its own and pass
+    the nonzero integer polynomials ``scales``, one per row: the rows are
+    then D M for the diagonal D of the scales, u is a left null vector of
+    D M exactly when v = D u is one of M, and each vector yielded is v,
+    entry t of u times scales[t], made primitive once.
+
     Each equation is first divided by the integer gcd of its coefficients
     only: Bareiss divides exactly whatever the equations' polynomial
     content, and the yielded vectors are made primitive anyway.  Then a
-    fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on the
-    transposed matrix, with the pivot rule of ``_eliminate``
+    one-step fraction-free Gaussian elimination (Bareiss, Math. Comp. 1968)
+    on the transposed matrix, with the pivot rule of ``_eliminate``
     (leftmost column, first unused row), so the pivot columns are those of
     the reduced form over the field.  Each step sets M[i][j] = (piv M[i][j]
-    - M[i][c] M[p][j]) / prev for every other row, an exact division
-    because every entry is a minor.  At a free column f the vector is read
-    off as v[f] = prev, v[c] = -M[r][f] for each pivot (r, c); the
-    elimination runs on only when the caller asks for the next vector.
+    - M[i][c] M[p][j]) / prev for the unused rows only, an exact division
+    because every entry is a minor; a pivot row keeps the minors it had
+    when it took its pivot, the rows U of an echelon form.  At a free
+    column f the vector x is solved from the pivot rows, the last one
+    first: x[f] = prev, zero at the other free columns, and for the pivot
+    (U[i], c) x[c] = -(U[i][f] prev + sum_j U[i][c_j] x[c_j]) / U[i][c],
+    over the later pivot columns c_j.  Row i of the solved system reads
+    U[i] . x = 0, U[i] being zero at the earlier pivot columns (its stale
+    entries there are never read), so x is the null vector with
+    x[f] = prev, which the nonsingular pivot block makes unique: by
+    Cramer's rule, with prev the determinant of that block, each x[c] is a
+    minor up to sign, so each division is exact, and x is the vector a
+    Gauss-Jordan Bareiss elimination, which also updates the pivot rows,
+    reads off as x[c] = -M[r][f] at each pivot (r, c).  The elimination
+    runs on only when the caller asks for the next vector.
 
     The elimination runs on packed integers: each entry is evaluated once
     at x = 2**k (Kronecker substitution), and only the vectors yielded are
     unpacked.  Evaluation is a ring homomorphism Z[x] -> Z, so every step
     computes the packed value of the Z[x] step, division included.  Every
-    stored entry and every prev is a minor of at most as many rows as the
-    matrix has, of the equations as stored, whose coefficients
-    ``_minor_bound`` bounds, and k is the width at which signed k-bit
-    digits hold that bound; so packing is injective on them, and the zero
-    tests, the pivots and the vectors are those of the elimination over
-    Z[x].  A remainder would break that invariant and is an internal error.
-    Each vector is made primitive on the packed values before it is
-    unpacked (``_packed_primitive_vector``), with ``_primitive_vector`` on
-    the unpacked entries as its fallback.
+    stored entry, every prev and every x[c] is a minor of at most as many
+    rows as the matrix has, of the equations as stored, whose coefficients
+    ``_minor_bound`` bounds by B; the sums of the back substitution are
+    never unpacked, only divided exactly.  Entry t of a rescaled vector has
+    coefficients of size at most B |scales[t]|_1 (a 1-norm bounds a
+    product's coefficients with the other factor's largest), and k is the
+    width at which signed k-bit digits hold B times the largest such norm;
+    so packing is injective on every value unpacked or tested for zero,
+    and the zero tests, the pivots and the vectors are those of the
+    elimination over Z[x].  A remainder would break that invariant and is
+    an internal error.  Each vector is made primitive on the packed values
+    before it is unpacked (``_packed_primitive_vector``), with
+    ``_primitive_vector`` on the unpacked entries as its fallback.
     """
     if not rows:
         return
     n_rows = len(rows)
     # each column is one equation; scaling equations keeps the null space
-    m = [[row[col] for row in rows] for col in range(len(rows[0]))]
-    m = [_integer_primitive(equation) for equation in m]
-    k = _zx_width(_minor_bound(m, n_rows))
-    m = [[_zx_pack(e, k) for e in equation] for equation in m]
-    unused = list(range(len(m)))
-    pivots = []
+    m = [_integer_primitive([row[col] for row in rows]) for col in range(len(rows[0]))]
+    bound = _minor_bound(m, n_rows)
+    if scales is not None:
+        bound *= max([sum(map(abs, s)) for s in scales])
+    k = _zx_width(bound)
+    unused = [[_zx_pack(e, k) for e in equation] for equation in m]
+    pivots = []  # (pivot row, pivot column), in pivot order
     prev = 1
     for col in range(n_rows):
-        p = next((r for r in unused if m[r][col]), None)
+        p = next((i for i, row in enumerate(unused) if row[col]), None)
         if p is None:
             vector = [0] * (col + 1)
             vector[col] = prev
-            for r, c in pivots:
-                vector[c] = -m[r][col]
+            for row, c in reversed(pivots):
+                q, r = divmod(-sum(map(mul, row[c + 1 : col + 1], vector[c + 1 :])), row[c])
+                if r:
+                    raise InternalError("back substitution is not exact")
+                vector[c] = q
+            if scales is not None:
+                vector = [v if s == [1] else v * _zx_pack(s, k) for v, s in zip(vector, scales)]
             yield _packed_primitive_vector(vector, k)
             continue
-        unused.remove(p)
-        pivot_row = m[p]
+        pivot_row = unused.pop(p)
         piv = pivot_row[col]
-        for i, row in enumerate(m):
-            if i == p:
-                continue
+        for row in unused:
             factor = row[col]
             for j in range(col + 1, n_rows):
                 q, r = divmod(piv * row[j] - factor * pivot_row[j], prev)
                 if r:
                     raise InternalError("fraction-free elimination step is not exact")
                 row[j] = q
-        pivots.append((p, col))
+        pivots.append((pivot_row, col))
         prev = piv
 
 
-def least_null_vector(rows):
+def least_null_vector(rows, scales=None):
     """The first of ``null_vectors``, of least order; None when there is none."""
-    return next(null_vectors(rows), None)
+    return next(null_vectors(rows, scales), None)

@@ -17,7 +17,8 @@ operand over a smaller field is lifted into the other's domain once.  The
 fraction-free ring kernel of ``linalg``, the integer combination matrices
 of ``closure`` and the root search share.  Among them ``_zx_pack`` and
 ``_zx_unpack`` are the one Kronecker substitution, at the width
-``_zx_width`` gives for a coefficient bound: ``_zx_mul`` packs its factors,
+``_zx_width`` gives for a coefficient bound: ``_zx_mul`` packs its factors
+unless they are short enough for a direct convolution to be cheaper,
 the ring kernel packs a whole matrix and eliminates on integers, and the
 heuristic gcd (GCDHEU) packs any number of operands at one width and
 unpacks their integer gcd.
@@ -453,14 +454,30 @@ def rational_content(values):
 # polynomial is the empty list.
 
 
+# the most coefficient products a direct convolution takes: below about 36
+# it beats packing, multiplying and unpacking, from 2-bit to 200-bit
+# coefficients, and at 64 it loses at every size up to 64 bits
+SHORT_PRODUCT = 36
+
+
 def _zx_mul(a, b):
-    """Product by Kronecker substitution: both factors packed into integers
-    at x = 2**k, with k wide enough for every coefficient of the product,
-    multiplied once and unpacked."""
+    """Product of integer polynomials: of short factors, with at most
+    ``SHORT_PRODUCT`` coefficient products, by direct convolution; of
+    longer ones by Kronecker substitution, both factors packed into
+    integers at x = 2**k, with k wide enough for every coefficient of the
+    product, multiplied once and unpacked.  Both give the product without
+    trailing zeros, whose top coefficient is the product of the factors'."""
     if not a or not b:
         return []
     if len(a) == 1 or len(b) == 1:  # a constant factor scales the other
         return [x * y for x in a for y in b]
+    if len(a) * len(b) <= SHORT_PRODUCT:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return out
     k = _zx_width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
     return _zx_unpack(_zx_pack(a, k) * _zx_pack(b, k), k)
 

@@ -241,7 +241,7 @@ class TestHolonomicClosures:
         assert operator.coeffs[3] == expected_top
 
     def test_addition_degree_ledger(self):
-        matrix = combination_matrix(
+        matrix, _ = combination_matrix(
             ADD, self.catalan.operator, self.harmonic.operator
         )
         cleared_rows = [
@@ -1115,10 +1115,10 @@ class TestFractionFreeKernel:
             a = self.random_operator(rng, rng.randint(1, 2))
             b = self.random_operator(rng, rng.randint(1, 2))
             matrices = [
-                combination_matrix(ADD, a, b),
-                combination_matrix(TERMWISE, a, b),
-                combination_matrix(PARTIAL_SUM, a),
-                combination_matrix(SUBSEQUENCE, a, mult=rng.randint(2, 3)),
+                combination_matrix(ADD, a, b)[0],
+                combination_matrix(TERMWISE, a, b)[0],
+                combination_matrix(PARTIAL_SUM, a)[0],
+                combination_matrix(SUBSEQUENCE, a, mult=rng.randint(2, 3))[0],
             ]
             for matrix in matrices:
                 expected = self.reference(matrix)
@@ -1150,7 +1150,7 @@ class TestFractionFreeKernel:
         matrix = [[[2, 3, 1], [], [1]], [[1], [1], []]]
         assert least_null_vector(matrix) is None
         assert self.reference(matrix) is None
-        short = combination_matrix(
+        short, _ = combination_matrix(
             ADD, corpus.catalan_system().operator, corpus.harmonic_from_zero().operator, rows=3
         )
         assert least_null_vector(short) is None
@@ -1422,6 +1422,14 @@ class TestLargeHolonomicProducts:
             _poly_n([2, -1], [1, 3], [-1, 2], [3, 1]),
         )
 
+    def test_dense_order_three_degree_two_product(self):
+        # A = (2n+1) + (n^2-3)N + (2-n)N^2 + (n^2+1)N^3
+        # B = (2-n^2) + (3n+1)N + (2n-1)N^2 + (n^2+3)N^3
+        self.check(
+            _poly_n([1, 2], [-3, 0, 1], [2, -1], [1, 0, 1]),
+            _poly_n([2, 0, -1], [1, 3], [-1, 2], [3, 0, 1]),
+        )
+
     def test_sparse_order_three_product(self):
         # degree-1 coefficients only at the ends
         self.check(
@@ -1432,9 +1440,11 @@ class TestLargeHolonomicProducts:
 
 class TestIntegerCombinationMatrices:
     """The integer-polynomial combination matrices against a Q(n) reference
-    (Q for constant coefficients): every column is the reference column
-    times one polynomial, the last row's nested denominator, and the
-    nested denominators grow by one shifted lead per row."""
+    (Q for constant coefficients): a sum's every column is the reference
+    column times one polynomial, the last row's nested denominator; every
+    other kind's row t is the reference row times the denominator returned
+    for it, the nested denominator D_t of the row; and the nested
+    denominators grow by one shifted lead per row."""
 
     class ReferenceRep:
         """a(mult*n + t) over the basis a(mult*n + i), i < r, with entries
@@ -1542,24 +1552,39 @@ class TestIntegerCombinationMatrices:
                 cases = [(ADD, b, 1), (TERMWISE, b, 1), (PARTIAL_SUM, None, 1),
                          (SUBSEQUENCE, None, 2), (SUBSEQUENCE, None, 3)]
                 for kind, other, mult in cases:
-                    matrix = combination_matrix(kind, a, other, mult=mult)
+                    matrix, denominators = combination_matrix(kind, a, other, mult=mult)
                     rows = len(matrix)
                     reference = self.reference(kind, a, other, mult, rows)
                     if ring is CoeffRing.CONSTANT:
                         reference = [[RationalFunction(Poly([x], QQ, "n")) for x in row]
                                      for row in reference]
-                    factors = self.column_factors(matrix, reference, "n")
-                    last = mult * (rows - 1)
-                    d_a = self.nested(a, mult, last)
-                    expected = {
-                        ADD: [d_a] * a.order + [self.nested(b, 1, last)] * b.order,
-                        TERMWISE: [d_a * self.nested(b, 1, last)] * (a.order * b.order),
-                        PARTIAL_SUM: [Poly([1], QQ, "n")] + [d_a] * a.order,
-                        SUBSEQUENCE: [d_a] * a.order,
+                    if kind == ADD:
+                        # sums keep the column scaling: no row denominators
+                        assert denominators is None
+                        factors = self.column_factors(matrix, reference, "n")
+                        last = rows - 1
+                        expected = [self.nested(a, 1, last)] * a.order
+                        expected += [self.nested(b, 1, last)] * b.order
+                        assert len(factors) == len(expected)
+                        for factor, want in zip(factors, expected):
+                            assert factor is None or self.proportional(factor, want)
+                        checked.add((ring, kind, mult))
+                        continue
+                    nested = {
+                        TERMWISE: lambda t: self.nested(a, 1, t) * self.nested(b, 1, t),
+                        PARTIAL_SUM: lambda t: self.nested(a, 1, t),
+                        SUBSEQUENCE: lambda t: self.nested(a, mult, mult * t),
                     }[kind]
-                    assert len(factors) == len(expected)
-                    for factor, want in zip(factors, expected):
-                        assert factor is None or self.proportional(factor, want)
+                    if denominators is None:
+                        denominators = [[1]] * rows
+                    assert len(denominators) == rows
+                    for t, (row, ref_row, d) in enumerate(zip(matrix, reference, denominators)):
+                        d = Poly(d, QQ, "n")
+                        assert self.proportional(d, nested(t))
+                        assert len(row) == len(ref_row)
+                        for entry, ref in zip(row, ref_row):
+                            # row t is exactly the reference row times D_t
+                            assert Poly(entry, QQ, "n") * ref.den == ref.num * d
                     checked.add((ring, kind, mult))
         assert len(checked) == 10
 
@@ -1582,6 +1607,8 @@ class TestIntegerCombinationMatrices:
                 assert [Poly(p, QQ, "n") for p in p_t] == [
                     (x * d_t).num for x in reference.vector(t)
                 ]
+                (found,) = rep.denominators([t]) or [[1]]
+                assert Poly(found, QQ, "n") == d_t
             # D_{t+1} / D_t is the next shifted lead c_r(mult*n + t + 1 - r)
             shifted = self.leads(op, mult, top - op.order + 1)
             assert len(rep.leads) == len(shifted)

@@ -25,6 +25,7 @@ from ansatzkit import (
     QQ,
     RATIONAL_FIELD,
     RationalFunction,
+    RecurrenceSystem,
     Sequence,
     ShiftOperator,
     guess_polynomial,
@@ -38,7 +39,8 @@ from ansatzkit import (
 )
 from ansatzkit import exppoly, jsonio
 from ansatzkit import fields as fields_module
-from ansatzkit.closure import c2_combine, combination_matrix
+from ansatzkit import closure as closure_module
+from ansatzkit.closure import ADD, SUBSEQUENCE, c2_combine, combination_matrix
 from ansatzkit.errors import (
     InternalError,
     UnsupportedCase,
@@ -319,7 +321,7 @@ class TestNullVectors:
 
         for _ in range(4):
             a, b = operator(), operator()
-            for matrix in (
+            for matrix, _ in (
                 combination_matrix(ADD, a, b, rows=a.order + b.order + 2),
                 combination_matrix(TERMWISE, a, b, rows=a.order * b.order + 2),
                 combination_matrix(SUBSEQUENCE, a, mult=2, rows=a.order + 2),
@@ -477,7 +479,7 @@ class TestPackedKernel:
     def test_dense_termwise_product_against_the_reference(self):
         rng = random.Random(3)
         a, b = self.dense_operator(rng), self.dense_operator(rng)
-        matrix = combination_matrix(TERMWISE, a, b, rows=a.order * b.order + 1)
+        matrix, _ = combination_matrix(TERMWISE, a, b, rows=a.order * b.order + 1)
         found = list(null_vectors(matrix))
         assert found == list(reference_null_vectors(matrix))
         assert len(found) == 1
@@ -502,14 +504,29 @@ class TestPackedKernel:
                 rows = [[[1]], [shape]]
                 assert list(null_vectors(rows)) == [[[-x for x in shape], [1]]]
 
+    def closure_matrices(self):
+        """Rows over their own denominators, which grow with the shift, so
+        the bound takes the product of the row norms."""
+        rng = random.Random(156)
+        for _ in range(3):
+            a, b = self.dense_operator(rng), self.dense_operator(rng)
+            a, b = (ShiftOperator(CoeffRing.POLY_N, op.coeffs[1:]) for op in (a, b))
+            yield combination_matrix(TERMWISE, a, b, rows=6)[0]
+            yield combination_matrix(PARTIAL_SUM, a)[0]
+            yield combination_matrix(SUBSEQUENCE, a, mult=3)[0]
+
     def test_reference_minors_stay_within_the_bound(self):
-        for rows in [*seeded_polynomial_matrices(), *guess_shaped_matrices()]:
+        by_row = 0
+        for rows in [*seeded_polynomial_matrices(), *guess_shaped_matrices(), *self.closure_matrices()]:
             equations = [[row[col] for row in rows] for col in range(len(rows[0]))]
             equations = [integer_primitive(eq) for eq in equations]
             bound = _minor_bound(equations, len(rows))
             stored = [entry for eq in equations for entry in eq]
             list(reference_null_vectors(rows, stored.append))
             assert all(abs(c) <= bound for entry in stored for c in entry)
+            norms = [sum(abs(c) for e in eq for c in e) for eq in equations]
+            by_row += bound < math.prod(sorted(norms, reverse=True)[: len(rows)])
+        assert by_row >= 9
 
     def test_inexact_step_is_internal_error(self, monkeypatch):
         # one cell off by one in the first step (a division by 1) breaks the
@@ -520,6 +537,164 @@ class TestPackedKernel:
         rows = [[[2], [3], [5]], [[7], [11], [13]], [[17], [19], [23]], [[1], [4], [9]]]
         with pytest.raises(InternalError, match="not exact"):
             list(null_vectors(rows))
+
+    def test_back_substitution_remainder_is_internal_error(self, monkeypatch):
+        # one equation (2, 3) takes one pivot and no elimination step, so
+        # the only division is the back substitution x[0] = -(3 * 2) / 2;
+        # one added to every dividend leaves it a remainder, which the
+        # kernel reports rather than rounds
+        exact = divmod
+        monkeypatch.setattr(linalg, "divmod", lambda a, b: exact(a + 1, b), raising=False)
+        with pytest.raises(InternalError, match="back substitution is not exact"):
+            list(null_vectors([[[2]], [[3]]]))
+
+    @staticmethod
+    def over_denominators(rng):
+        """Seeded rows p_t over denominators D_t of their own: products of
+        random shifted leads, some of them one or negative constants, and
+        the same rows over one common denominator, as a column scaling
+        would build them (row t times lcm / D_t)."""
+        for rows in seeded_polynomial_matrices():
+            leads = [[rng.choice([-2, -1, 1, 3])]] + [
+                [rng.randint(-3, 3), rng.randint(1, 2)] for _ in range(3)
+            ]
+            denominators = []
+            for _ in rows:
+                d = [1]
+                for lead in rng.sample(leads, rng.randint(0, 2)):
+                    d = schoolbook(d, lead)
+                denominators.append(d)
+            common = [1]
+            for d in denominators:
+                common = schoolbook(common, d)
+            scaled = [
+                [schoolbook(_zx_exact_div(common, d), e) for e in row]
+                for row, d in zip(rows, denominators)
+            ]
+            yield rows, denominators, scaled
+
+    def test_rescaled_vectors_against_the_reference(self):
+        """Entry t of a vector of the rows p_t, times D_t, is a vector of
+        the rows p_t / D_t: the kernel's rescaled vectors are those of the
+        reference on the rows over one common denominator."""
+        rng = random.Random(34)
+        dimensions, scaled_entries = set(), 0
+        for rows, denominators, scaled in self.over_denominators(rng):
+            found = list(null_vectors(rows, denominators))
+            assert found == list(reference_null_vectors(scaled)), (rows, denominators)
+            dimensions.add(len(found))
+            scaled_entries += sum(d != [1] for v in found for d in denominators[: len(v)])
+        assert {0, 1, 2} <= dimensions, dimensions
+        assert scaled_entries >= 40
+
+    def test_rescaled_vector_unpacks_at_the_scaled_width(self):
+        # the equation (1, 1): the vector is (-1, 1), rescaled to (-1, d);
+        # the minors alone are bounded by 2, a width of 3 bits, and only the
+        # scales' norm in the bound, 2 |d|_1, makes room for d
+        for c in range(2, 70):
+            for d in ([1, c], [-1, c], [c, 1], [0, 0, c]):
+                assert list(null_vectors([[[1]], [[1]]], [[1], d])) == [[[-1], d]]
+
+
+class TestRowsOverOwnDenominators:
+    """The closures over constants and polynomials in n, whose rows sit over
+    their own denominators and whose kernel rescales its vector, against
+    the rows all over the last row's denominator (each column times one
+    polynomial) run through ``reference_null_vectors``: the same operator,
+    initials, validity offset and start."""
+
+    @staticmethod
+    def column_scaled(kind, op_a, op_b=None, mult=1, rows=None):
+        """The matrix as a column scaling builds it, from the shift
+        representation's numerators p_t and shifted leads alone: row t of
+        each operand is p_t times D_last / D_t, the leads L_(t-r+1) ...
+        L_(last-r), so every column is over the last row's denominator;
+        a partial sum's first column is one."""
+        from ansatzkit.closure import _RingShiftRep
+
+        def over_last(op, mult, shifts):
+            rep = _RingShiftRep(op, mult)
+            rep.vectors(shifts)
+            out, scale, j = [], [1], shifts[-1] - rep.order
+            for t in reversed(shifts):
+                while j > t - rep.order and j >= 0:
+                    scale = schoolbook(scale, rep.leads[j])
+                    j -= 1
+                out.append([schoolbook(scale, p) for p in rep.numerators[t]])
+            return out[::-1]
+
+        if kind == SUBSEQUENCE:
+            return over_last(op_a, mult, [mult * t for t in range(rows)])
+        u = over_last(op_a, 1, list(range(rows)))
+        if kind == PARTIAL_SUM:
+            matrix, acc = [], [[]] * op_a.order
+            for t, vec in enumerate(u):
+                acc = [_add(x, y) for x, y in zip(acc, vec)] if t else acc
+                matrix.append([[1]] + acc)
+            return matrix
+        w = over_last(op_b, 1, list(range(rows)))
+        if kind == ADD:
+            return [x + y for x, y in zip(u, w)]
+        return [[schoolbook(p, q) for p in x for q in y] for x, y in zip(u, w)]
+
+    def reference_combine(self, monkeypatch, kind, sys_a, sys_b, mult):
+        """``combine`` with the column-scaled matrix and the reference
+        kernel in place of the rows over their own denominators and the
+        ring kernel."""
+
+        def column_scaled(*args, **kwargs):
+            return self.column_scaled(*args, **kwargs), None
+
+        def reference_vector(rows, scales=None):
+            assert scales is None
+            return next(reference_null_vectors(rows), None)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(closure_module, "combination_matrix", column_scaled)
+            patch.setattr(closure_module, "least_null_vector", reference_vector)
+            return closure_module.combine(kind, sys_a, sys_b, mult=mult)
+
+    @staticmethod
+    def operand(rng, ring):
+        """A seeded system of order 1 or 2: low coefficients that are
+        sometimes zero, and over polynomials a lead with a natural root
+        half the time, so the system holds from one past it."""
+        order = rng.randint(1, 2)
+        if ring is CoeffRing.CONSTANT:
+            low = [F(rng.choice([0, rng.randint(-4, 4)]), rng.randint(1, 3)) for _ in range(order)]
+            coeffs, validity = low + [F(rng.choice([-2, 1, 3]), rng.randint(1, 2))], 0
+        else:
+            low = [Poly([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))])
+                   for _ in range(order)]
+            root = rng.randint(0, 3)
+            lead = [-root, 1] if rng.random() < 0.5 else [rng.randint(1, 4), rng.randint(1, 2)]
+            coeffs, validity = low + [Poly(lead)], (root + 1 if lead[0] == -root else 0)
+        initials = [rng.randint(-5, 5) for _ in range(validity + order)]
+        return RecurrenceSystem(ShiftOperator(ring, coeffs), initials, validity)
+
+    def test_closures_against_column_scaled_rows(self, monkeypatch):
+        rng = random.Random(2034)
+        seen = {"zero coefficient": 0, "natural root": 0, "rescaled": 0}
+        kinds = set()
+        for _ in range(30):
+            for ring in (CoeffRing.CONSTANT, CoeffRing.POLY_N):
+                a, b = self.operand(rng, ring), self.operand(rng, ring)
+                for kind, other, mult in [(ADD, b, 1), (TERMWISE, b, 1), (PARTIAL_SUM, None, 1),
+                                          (SUBSEQUENCE, None, 2), (SUBSEQUENCE, None, 3)]:
+                    found = closure_module.combine(kind, a, other, mult=mult)
+                    expected = self.reference_combine(monkeypatch, kind, a, other, mult)
+                    assert found.operator == expected.operator, (kind, a, other, mult)
+                    assert found.initials == expected.initials
+                    assert found.validity_offset == expected.validity_offset
+                    assert found.offset == expected.offset
+                    _, denominators = combination_matrix(kind, a.operator, other and other.operator, mult=mult)
+                    seen["rescaled"] += denominators is not None
+                    kinds.add((ring, kind, mult))
+                operators = [a.operator, b.operator]
+                seen["zero coefficient"] += any(not c for op in operators for c in op.coeffs)
+                seen["natural root"] += a.validity_offset > 0 or b.validity_offset > 0
+        assert len(kinds) == 10
+        assert min(seen.values()) >= 20, seen
 
 
 class TestPackedPrimitiveVector:
@@ -605,6 +780,43 @@ class TestPackedPrimitiveVector:
         for entries, k in self.seeded_vectors():
             found = _packed_primitive_vector([_zx_pack(e, k) for e in entries], k)
             assert found == _primitive_vector(entries)
+
+
+class TestShortProducts:
+    """``_zx_mul`` convolves short factors directly and packs longer ones;
+    both sides of ``SHORT_PRODUCT`` agree with the Kronecker product."""
+
+    @staticmethod
+    def kronecker(a, b):
+        """The product by packing alone, at the width ``_zx_mul`` takes."""
+        if not a or not b:
+            return []
+        k = _zx_width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+        return _zx_unpack(_zx_pack(a, k) * _zx_pack(b, k), k)
+
+    def test_both_sides_of_the_cutoff_agree_with_packing(self):
+        from ansatzkit import polynomials
+
+        rng = random.Random(36)
+        sides, kinds = {False: 0, True: 0}, {"zero": 0, "negative": 0, "big": 0}
+        for _ in range(600):
+            bits = rng.choice([1, 3, 30, 64, 300])
+
+            def poly(length):
+                coeffs = [rng.choice([0, rng.randint(-(2**bits), 2**bits)]) for _ in range(length - 1)]
+                return coeffs + [rng.choice([-1, 1]) * rng.randint(1, 2**bits)] if length else []
+
+            a, b = poly(rng.randint(0, 14)), poly(rng.randint(0, 14))
+            found = _zx_mul(a, b)
+            assert found == self.kronecker(a, b) == schoolbook(a, b), (a, b)
+            assert not found or found[-1], found  # no trailing zeros
+            assert len(found) == (len(a) + len(b) - 1 if a and b else 0)
+            sides[len(a) * len(b) <= polynomials.SHORT_PRODUCT and min(len(a), len(b)) > 1] += 1
+            kinds["zero"] += 0 in a[:-1] or 0 in b[:-1] or not a or not b
+            kinds["negative"] += any(c < 0 for c in a + b)
+            kinds["big"] += bits == 300
+        assert min(sides.values()) >= 150, sides
+        assert min(kinds.values()) >= 100, kinds
 
 
 class TestModularIndependence:
@@ -1503,7 +1715,7 @@ class TestExpPolyFraction:
             CoeffRing.EXPPOLY,
             [-ExpPoly.geometric(2), ExpPoly.constant(-1), ExpPoly.constant(1)],
         )
-        matrix = combination_matrix(TERMWISE, op_a, op_b)
+        matrix, _ = combination_matrix(TERMWISE, op_a, op_b)
         assert any(entry.den_factors for row in matrix for entry in row)
         calls = {"den": 0, "zero_tests": 0}
         expanded_den, eq = ExpPolyFraction.expanded_den, ExpPolyFraction.__eq__

@@ -767,7 +767,7 @@ def _operator(coeffs):
 
 def _matrix_or_error(*args, **kwargs):
     try:
-        return closure.combination_matrix(*args, **kwargs)
+        return closure.combination_matrix(*args, **kwargs)[0]
     except ZeroDivisionError:
         return ZeroDivisionError
 
