@@ -28,6 +28,7 @@ from .errors import (
 )
 from .genfun import c2_to_diff, genfun_cfinite, genfun_polynomial, holonomic_to_diff, homogenize
 from .optext import (
+    is_name,
     operator_to_text,
     parse_claim_terms,
     parse_operator,
@@ -98,14 +99,30 @@ def _load_sequence(args):
     return Sequence(values, args.offset)
 
 
+def _declaration(item, kind, declared, reserved=()):
+    """The NAME and SPEC of a ``NAME=SPEC`` declaration of a ``kind``
+    ("coefficient" or "sequence"); a usage error for a NAME that operator
+    or claim text could not use: not an identifier, one of ``reserved``,
+    or already in ``declared``."""
+    if "=" not in item:
+        raise OperatorSyntaxError(f"{kind} declaration needs NAME=SPEC", 0)
+    name, spec = item.split("=", 1)
+    name = name.strip()
+    if not is_name(name):
+        raise ValueError(f"{kind} name {name!r} is not of the form [A-Za-z_][A-Za-z_0-9]*")
+    if name in reserved:
+        raise ValueError(f"{kind} name {name!r} is the shift N or the index n")
+    if name in declared:
+        raise ValueError(f"{kind} name {name!r} is declared twice")
+    return name, spec
+
+
 def _declarations(args):
     declared = {}
     for item in args.coeff:
-        if "=" not in item:
-            raise OperatorSyntaxError("coefficient declaration needs NAME=SPEC", 0)
-        name, spec = item.split("=", 1)
-        system = parse_recurrence_spec(spec, declared)
-        declared[name.strip()] = register_coefficient(system)
+        # N and n are the shift and the index of operator text
+        name, spec = _declaration(item, "coefficient", declared, ("N", "n"))
+        declared[name] = register_coefficient(parse_recurrence_spec(spec, declared))
     return declared
 
 
@@ -263,13 +280,10 @@ def _cmd_asymptotics(args):
 
 
 def _cmd_prove(args):
-    declared = {}
     systems = {}
     for item in args.seq:
-        if "=" not in item:
-            raise OperatorSyntaxError("sequence declaration needs NAME=SPEC", 0)
-        name, spec = item.split("=", 1)
-        systems[name.strip()] = parse_recurrence_spec(spec, declared)
+        name, spec = _declaration(item, "sequence", systems)
+        systems[name] = parse_recurrence_spec(spec)
     pairs = parse_claim_terms(args.expr, set(systems))
     applied = ()
     if args.apply:

@@ -512,6 +512,9 @@ def null_vectors(rows, scales=None):
     if not rows:
         return
     n_rows = len(rows)
+    if len(rows[0]) == 1:
+        yield from _one_equation_null_vectors([row[0] for row in rows], scales)
+        return
     # each column is one equation; scaling equations keeps the null space
     m = [_integer_primitive([row[col] for row in rows]) for col in range(len(rows[0]))]
     bound = _minor_bound(m, n_rows)
@@ -546,6 +549,43 @@ def null_vectors(rows, scales=None):
                 row[j] = q
         pivots.append((pivot_row, col))
         prev = piv
+
+
+def _one_equation_null_vectors(equation, scales):
+    """``null_vectors`` of a matrix with one equation e, whose elimination
+    is its pivot alone: the first nonzero entry e_p.  Every other column
+    is free: a column f < p has the unit vector, x[f] = 1, and a column
+    f > p has x[f] = e_p (Bareiss's prev) and x[p] = -(e_f e_p) / e_p,
+    the back substitution, divided as there.  The minors are the entries,
+    so ``_minor_bound`` is the largest entry's 1-norm (1 for a zero
+    equation), computed here without its sorts, and the packing width is
+    the one ``null_vectors`` takes; only the nonzero x[p] and x[f] are
+    rescaled."""
+    equation = _integer_primitive(equation)
+    bound = max([sum(map(abs, e)) for e in equation]) or 1
+    if scales is not None:
+        bound *= max([sum(map(abs, s)) for s in scales])
+    k = _zx_width(bound)
+
+    def rescaled(value, t):
+        if scales is None or scales[t] == [1]:
+            return value
+        return value * _zx_pack(scales[t], k)
+
+    p = next((t for t, e in enumerate(equation) if e), len(equation))
+    for f in range(p):
+        yield _packed_primitive_vector([0] * f + [rescaled(1, f)], k)
+    if p == len(equation):
+        return
+    lead = _zx_pack(equation[p], k)
+    for f in range(p + 1, len(equation)):
+        q, r = divmod(-_zx_pack(equation[f], k) * lead, lead)
+        if r:
+            raise InternalError("back substitution is not exact")
+        vector = [0] * (f + 1)
+        vector[p] = rescaled(q, p)
+        vector[f] = rescaled(lead, f)
+        yield _packed_primitive_vector(vector, k)
 
 
 def least_null_vector(rows, scales=None):

@@ -6,10 +6,24 @@ constant-coefficient recurrence.  The coefficient ring is inferred: plain
 numbers give constants, n gives polynomials, q^n or coefficient names give
 exponential polynomials.  ``parse_operator(operator_to_text(op)) == op``
 holds structurally for everything this module prints.
+
+The reader evaluates operator text as one table per value, {(power of N,
+power of n, base): coefficient}, in plain numbers (ints until a division,
+field elements for the terms of a declared name), and builds the
+``Fraction``, ``Poly`` or ``ExpPoly`` coefficients and the ``ShiftOperator``
+once, from the finished table.  Besides its terms a table carries what the
+coefficient classes would have carried: the ring of the atoms it was built
+from (``n - n`` is polynomial, ``n^0`` constant, ``1^n`` exponential), the
+powers of N it has written, zero or not (so ``N - N`` is an operator text
+and not a number), and the quadratic field of each power that a declared
+name reached, so a clash of two fields raises where coefficient arithmetic
+would raise it.
 """
 
 import re
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter
 
 from .errors import (
     MixedRing,
@@ -19,7 +33,7 @@ from .errors import (
     ValidityUnproven,
 )
 from .exppoly import ExpPoly
-from .fields import as_rational_poly, common_ratio
+from .fields import RATIONAL_FIELD, as_rational_poly, common_field, common_ratio
 from .polynomials import Poly, QQ, _signed_join
 from .sequences import (
     CoeffRing,
@@ -30,182 +44,273 @@ from .sequences import (
     leading_validity_offset,
 )
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<symbol>[-+*/^(),;]))"
-)
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# a token is (text, number, name, symbol): the match, white space before
+# it included, and the one non-empty string among the other three
+_TOKEN = re.compile(rf"(\s*(?:(\d+)|({_NAME.pattern})|([-+*/^(),;])))")
+# a character that is no white space and starts no token
+_UNEXPECTED = re.compile(r"[^\s\dA-Za-z_+\-*/^(),;]")
+_END = ("", "", "", "")
+
+
+def is_name(text):
+    """Whether ``text`` reads as one name in operator and claim text."""
+    return _NAME.fullmatch(text) is not None
 
 
 def _tokenize(text):
-    tokens = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN.match(text, position)
-        if not match or match.end() == position:
-            bad = _first_nonspace(text, position)
-            if bad < len(text):
-                raise OperatorSyntaxError(
-                    f"unexpected character {text[bad]!r}", bad
-                )
-            break
-        if match.group("number"):
-            tokens.append(("number", int(match.group("number")), match.start()))
-        elif match.group("name"):
-            tokens.append(("name", match.group("name"), match.start()))
-        else:
-            tokens.append(("symbol", match.group("symbol"), match.start()))
-        position = match.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-def _first_nonspace(text, position):
-    while position < len(text) and text[position].isspace():
-        position += 1
-    return position
+    """The tokens of ``text``, closed by the end token, and where each
+    starts: at the white space before it, the end at ``len(text)``."""
+    tokens = _TOKEN.findall(text)
+    positions = list(accumulate(map(len, map(itemgetter(0), tokens)), initial=0))
+    # the matches tile the text up to its trailing white space unless the
+    # scan skipped a character no token starts with
+    if positions[-1] != len(text.rstrip()):
+        bad = _UNEXPECTED.search(text)
+        raise OperatorSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+    positions[-1] = len(text)
+    tokens.append(_END)
+    return tokens, positions
 
 
 # -- coefficient expression values ------------------------------------------
-#
-# Values are dicts {power of N: coefficient}; coefficients are Fraction,
-# Poly in n, or ExpPoly, lifted into the larger ring as needed.
 
 
-def _ring_of(coefficient):
-    if isinstance(coefficient, ExpPoly):
-        return CoeffRing.EXPPOLY
-    if isinstance(coefficient, Poly):
-        return CoeffRing.POLY_N
-    return CoeffRing.CONSTANT
+class _Table:
+    """One value of operator text: ``terms`` {(i, j, base): c} stands for
+    the sum of c * n^j * base^n * N^i with c nonzero; ``ring`` is the ring
+    of the atoms it was built from; ``powers`` lists each i the value has
+    written a coefficient for, zero or not, in the order first written;
+    ``fields`` maps such an i to the quadratic field of a declared name
+    that reached it.  Tables are never changed once built, and share their
+    ``fields``."""
+
+    __slots__ = ("terms", "ring", "powers", "fields")
+
+    def __init__(self, terms, ring, powers=(0,), fields=None):
+        self.terms = terms
+        self.ring = ring
+        self.powers = powers
+        self.fields = fields or _NO_FIELDS
+
+    def scalar(self):
+        """The value of a nonzero number, something to divide by or raise
+        to the power n, else None."""
+        if self.powers == (0,) and self.ring is CoeffRing.CONSTANT and self.terms:
+            return self.terms[_ONE_KEY]
+        return None
 
 
-def _coeff_add(a, b):
-    ring = join_rings(_ring_of(a), _ring_of(b))
-    return coerce_coeff(ring, a) + coerce_coeff(ring, b)
+_NO_FIELDS = {}
+_ONE_KEY = (0, 0, 1)
 
 
-def _coeff_mul(a, b):
-    ring = join_rings(_ring_of(a), _ring_of(b))
-    return coerce_coeff(ring, a) * coerce_coeff(ring, b)
+def _ring(a, b):
+    return a.ring if a.ring is b.ring else join_rings(a.ring, b.ring)
 
 
-def _value_add(a, b):
-    out = dict(a)
-    for power, coeff in b.items():
-        out[power] = _coeff_add(out[power], coeff) if power in out else coeff
-    return out
+def _meet(fields, power, field):
+    """Record ``field`` at ``power``; two quadratic fields raise
+    UnsupportedField, the earlier one named first, as the coefficient
+    arithmetic raises it."""
+    prev = fields.get(power)
+    fields[power] = field if prev is None else common_field(prev, field)
 
 
-def _value_mul(a, b):
-    out = {}
-    for pa, ca in a.items():
-        for pb, cb in b.items():
-            power = pa + pb
-            piece = _coeff_mul(ca, cb)
-            out[power] = _coeff_add(out[power], piece) if power in out else piece
-    return out
+def _add(a, b):
+    terms = dict(a.terms)
+    for key, c in b.terms.items():
+        prev = terms.get(key)
+        if prev is None:
+            terms[key] = c
+        else:
+            total = prev + c
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+    powers = a.powers
+    if b.powers != powers:
+        powers = tuple(dict.fromkeys(powers + b.powers))
+    fields = a.fields
+    if b.fields:
+        fields = dict(fields)
+        for i in b.powers:
+            if i in b.fields:
+                _meet(fields, i, b.fields[i])
+    return _Table(terms, _ring(a, b), powers, fields)
 
 
-def _value_neg(a):
-    return {p: _coeff_mul(c, Fraction(-1)) for p, c in a.items()}
+def _mul(a, b):
+    terms = {}
+    for (i, j, base), c in a.terms.items():
+        for (k, l, other), d in b.terms.items():
+            key = (i + k, j + l, base * other)
+            prev = terms.get(key)
+            if prev is None:
+                terms[key] = c * d
+            else:
+                total = prev + c * d
+                if total:
+                    terms[key] = total
+                else:
+                    del terms[key]
+    powers = tuple(dict.fromkeys([i + k for i in a.powers for k in b.powers]))
+    fields = _NO_FIELDS
+    if a.fields or b.fields:
+        fields = {}
+        for i in a.powers:
+            fa = a.fields.get(i)
+            for k in b.powers:
+                fb = b.fields.get(k)
+                if fa is not None or fb is not None:
+                    field = fb if fa is None else fa if fb is None else common_field(fa, fb)
+                    _meet(fields, i + k, field)
+    return _Table(terms, _ring(a, b), powers, fields)
 
 
-def _is_constant(value):
-    return set(value) <= {0} and _ring_of(value.get(0, Fraction(0))) is CoeffRing.CONSTANT
+def _scaled(a, factor):
+    terms = {key: c * factor for key, c in a.terms.items()}
+    return _Table(terms, a.ring, a.powers, a.fields)
+
+
+def _negated(a):
+    terms = {key: -c for key, c in a.terms.items()}
+    return _Table(terms, a.ring, a.powers, a.fields)
+
+
+_ONE = _Table({_ONE_KEY: 1}, CoeffRing.CONSTANT)
+_SHIFT = _Table({(1, 0, 1): 1}, CoeffRing.CONSTANT, (1,))
+_INDEX = _Table({(0, 1, 1): 1}, CoeffRing.POLY_N)
+
+
+def _number(value):
+    return _Table({_ONE_KEY: value} if value else {}, CoeffRing.CONSTANT)
+
+
+def _declared(coeff):
+    """The table of an ExpPoly coefficient, in its own field."""
+    terms = {
+        (0, j, base): c
+        for base, poly in coeff.terms
+        for j, c in enumerate(poly.coeffs)
+        if c
+    }
+    fields = {0: coeff.field} if coeff.field.degree > 1 else None
+    return _Table(terms, CoeffRing.EXPPOLY, (0,), fields)
 
 
 class _Parser:
+    """Recursive descent over the tokens of one text.  The evaluation reads
+    the token tuples; ``peek`` and ``advance`` give (kind, value,
+    position) triples, kind "number", "name", "symbol" or "end"."""
+
     def __init__(self, text, declarations=None):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens, self.positions = _tokenize(text)
         self.index = 0
         self.declarations = declarations or {}
 
     def peek(self):
-        return self.tokens[self.index]
+        _, number, name, symbol = self.tokens[self.index]
+        position = self.positions[self.index]
+        if number:
+            return "number", int(number), position
+        if name:
+            return "name", name, position
+        if symbol:
+            return "symbol", symbol, position
+        return "end", None, position
 
     def advance(self):
-        token = self.tokens[self.index]
+        token = self.peek()
         self.index += 1
         return token
 
     def expect_symbol(self, symbol):
-        kind, value, position = self.advance()
-        if kind != "symbol" or value != symbol:
-            raise OperatorSyntaxError(f"expected {symbol!r}", position)
+        if self.tokens[self.index][3] != symbol:
+            raise OperatorSyntaxError(f"expected {symbol!r}", self.positions[self.index])
+        self.index += 1
 
     def at_symbol(self, *symbols):
-        kind, value, _ = self.peek()
-        return kind == "symbol" and value in symbols
+        return self.tokens[self.index][3] in symbols
 
     # expression := term (('+'|'-') term)*
     def expression(self):
         value = self.term()
         while self.at_symbol("+", "-"):
-            _, op, _ = self.advance()
+            op = self.tokens[self.index][3]
+            self.index += 1
             rhs = self.term()
-            value = _value_add(value, rhs if op == "+" else _value_neg(rhs))
+            value = _add(value, rhs if op == "+" else _negated(rhs))
         return value
 
     # term := factor (('*'|'/') factor)*
     def term(self):
         value = self.factor()
         while self.at_symbol("*", "/"):
-            _, op, position = self.advance()
+            at = self.index
+            self.index += 1
             rhs = self.factor()
-            if op == "*":
-                value = _value_mul(value, rhs)
+            if self.tokens[at][3] == "*":
+                value = _mul(value, rhs)
             else:
-                if not _is_constant(rhs) or not rhs.get(0):
+                divisor = rhs.scalar()
+                if divisor is None:
                     raise OperatorSyntaxError(
-                        "division only by nonzero numbers", position
+                        "division only by nonzero numbers", self.positions[at]
                     )
-                value = _value_mul(value, {0: 1 / rhs[0]})
+                value = _scaled(value, 1 / Fraction(divisor))
         return value
 
     # factor := atom ['^' exponent]
     def factor(self):
         value = self.atom()
-        if self.at_symbol("^"):
-            _, _, position = self.advance()
-            kind, exponent, exppos = self.advance()
-            if kind == "name" and exponent == "n":
-                if not _is_constant(value) or not value.get(0):
-                    raise MixedRing(
-                        "only nonzero numbers can be raised to the power n"
-                    )
-                return {0: ExpPoly.geometric(value[0])}
-            if kind != "number":
-                raise OperatorSyntaxError("expected integer exponent", exppos)
-            result = {0: Fraction(1)}
-            for _ in range(exponent):
-                result = _value_mul(result, value)
-            return result
-        return value
+        if not self.at_symbol("^"):
+            return value
+        at = self.index + 1
+        _, number, name, _ = self.tokens[at]
+        self.index += 2
+        if name == "n":
+            base = value.scalar()
+            if base is None:
+                raise MixedRing("only nonzero numbers can be raised to the power n")
+            return _Table({(0, 0, base): 1}, CoeffRing.EXPPOLY)
+        if not number:
+            raise OperatorSyntaxError("expected integer exponent", self.positions[at])
+        exponent = int(number)
+        # 1 * value is value itself
+        result = _ONE if not exponent else value
+        for _ in range(exponent - 1):
+            result = _mul(result, value)
+        return result
 
     def atom(self):
-        kind, value, position = self.advance()
-        if kind == "number":
-            return {0: Fraction(value)}
-        if kind == "symbol" and value == "(":
+        at = self.index
+        _, number, name, symbol = self.tokens[at]
+        self.index += 1
+        if number:
+            return _number(int(number))
+        if symbol == "(":
             inner = self.expression()
             self.expect_symbol(")")
             return inner
-        if kind == "symbol" and value == "-":
-            return _value_neg(self.factor())
-        if kind == "symbol" and value == "+":
+        if symbol == "-":
+            return _negated(self.factor())
+        if symbol == "+":
             return self.factor()
-        if kind == "name":
-            if value == "N":
-                return {1: Fraction(1)}
-            if value == "n":
-                return {0: Poly([0, 1], QQ, "n")}
+        if name == "N":
+            return _SHIFT
+        if name == "n":
+            return _INDEX
+        if name:
             if self.at_symbol("("):
                 shift = self.shifted_argument()
-                if value not in self.declarations:
-                    raise UnknownCoefficient(value)
-                return {0: self.declarations[value].shift(shift)}
-            raise OperatorSyntaxError(f"unknown symbol {value!r}", position)
-        raise OperatorSyntaxError("expected a term", position)
+                if name not in self.declarations:
+                    raise UnknownCoefficient(name)
+                return _declared(self.declarations[name].shift(shift))
+            raise OperatorSyntaxError(f"unknown symbol {name!r}", self.positions[at])
+        raise OperatorSyntaxError("expected a term", self.positions[at])
 
     def shifted_argument(self):
         """Parse (n), (n+k) or (n-k); returns the shift k."""
@@ -224,34 +329,64 @@ class _Parser:
         return shift
 
     def finished(self):
-        return self.peek()[0] == "end"
+        return self.tokens[self.index] is _END
 
 
 def _parse_value(text, declarations):
-    """Operator text as {power of N: coefficient}, with its inferred ring."""
+    """Operator text as a finished table."""
     parser = _Parser(text, declarations)
     value = parser.expression()
     if not parser.finished():
-        raise OperatorSyntaxError("trailing input", parser.peek()[2])
-    if not value:
-        raise OperatorSyntaxError("empty operator", 0)
-    return value, join_rings(*(_ring_of(c) for c in value.values()))
+        raise OperatorSyntaxError("trailing input", parser.positions[parser.index])
+    return value
+
+
+def _polynomial(columns, domain):
+    """The polynomial in n of {power of n: coefficient} over ``domain``."""
+    coeffs = [0] * (max(columns) + 1) if columns else []
+    for j, c in columns.items():
+        coeffs[j] = c
+    return Poly(coeffs, domain, "n")
+
+
+def _coefficients(value):
+    """The coefficients of N^0 .. N^top of a finished table, one per power
+    of N the text wrote (the others 0), in the table's ring."""
+    ring = value.ring
+    size = max(value.powers) + 1
+    if ring is CoeffRing.CONSTANT:
+        coeffs = [0] * size
+        for (i, _, _), c in value.terms.items():
+            coeffs[i] = c
+        return coeffs
+    cells = [{} for _ in range(size)]
+    if ring is CoeffRing.POLY_N:
+        for (i, j, _), c in value.terms.items():
+            cells[i][j] = c
+        return [_polynomial(columns, QQ) for columns in cells]
+    for (i, j, base), c in value.terms.items():
+        cells[i].setdefault(base, {})[j] = c
+    coeffs = []
+    for i, groups in enumerate(cells):
+        field = value.fields.get(i, RATIONAL_FIELD)
+        pairs = [(base, _polynomial(columns, field)) for base, columns in groups.items()]
+        coeffs.append(ExpPoly(field, pairs))
+    return coeffs
 
 
 def parse_operator(text, declarations=None):
     """Parse operator text into a ShiftOperator, inferring the ring."""
-    value, ring = _parse_value(text, declarations)
-    coeffs = [value.get(power, Fraction(0)) for power in range(max(value) + 1)]
-    return ShiftOperator(ring, coeffs)
+    value = _parse_value(text, declarations)
+    return ShiftOperator(value.ring, _coefficients(value))
 
 
 def parse_polynomial(text, declarations=None):
     """Parse text free of N into a polynomial in n, zero included; None when
     it has N or an exponential coefficient."""
-    value, ring = _parse_value(text, declarations)
-    if set(value) != {0} or ring is CoeffRing.EXPPOLY:
+    value = _parse_value(text, declarations)
+    if value.powers != (0,) or value.ring is CoeffRing.EXPPOLY:
         return None
-    return coerce_coeff(CoeffRing.POLY_N, value[0])
+    return _polynomial({j: c for (_, j, _), c in value.terms.items()}, QQ)
 
 
 # -- printing -----------------------------------------------------------------
@@ -362,12 +497,19 @@ def operator_to_text(operator, declarations=None):
 
 def parse_rational(text):
     """The rational number ``text`` as ``Fraction`` reads it; ValueError on
-    malformed text and on a zero denominator."""
+    malformed text and on a zero denominator.  A plain integer, the usual
+    initial value or term, is read by ``int`` and returned as an ``int``,
+    which ``Sequence`` and ``RecurrenceSystem`` take in one step."""
+    digits = text.strip()
+    if digits.isdecimal() or (digits[1:].isdecimal() and digits[0] in "+-"):
+        return int(digits)
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
+
+_SPEC_PREFIX = re.compile(r"^\s*(poly|cfinite|holonomic|c2)\s*:(.*)$", re.S)
 
 # the coefficient ring each spec class prefix admits
 _PREFIX_RINGS = {
@@ -391,7 +533,7 @@ def parse_recurrence_spec(spec, declarations=None):
     leading coefficient that vanishes on a residue class of n raises
     LeadingAlwaysZero; one whose zeros are undecided is taken as written.
     """
-    match = re.match(r"^\s*(poly|cfinite|holonomic|c2)\s*:(.*)$", spec, re.S)
+    match = _SPEC_PREFIX.match(spec)
     body = spec
     if match:
         body = match.group(2)
@@ -401,7 +543,7 @@ def parse_recurrence_spec(spec, declarations=None):
     operator = parse_operator(operator_text.strip(), declarations)
     if match:
         ring = _PREFIX_RINGS[match.group(1)]
-        if join_rings(ring, operator.ring) is not ring:
+        if ring is not operator.ring and join_rings(ring, operator.ring) is not ring:
             raise MixedRing(
                 f"class {match.group(1)!r} admits {ring.value} coefficients,"
                 f" not {operator.ring.value} ones"

@@ -925,6 +925,46 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("usage error:")
 
 
+# a declared NAME must be one operator or claim text can use; each of these
+# was accepted before and failed later, or silently replaced a declaration
+FIB = "cfinite:N^2-N-1;0,1"
+BAD_NAMES = [
+    (["genfun", "--class", "c2", "--coeff", f"F G={FIB}", "N - F(n);1"],
+     "coefficient name 'F G' is not of the form [A-Za-z_][A-Za-z_0-9]*"),
+    (["genfun", "--class", "c2", "--coeff", "=cfinite:N-2;1", "N - 2^n;1"],
+     "coefficient name '' is not of the form [A-Za-z_][A-Za-z_0-9]*"),
+    (["genfun", "--class", "c2", "--coeff", f"2F={FIB}", "N - 2^n;1"],
+     "coefficient name '2F' is not of the form [A-Za-z_][A-Za-z_0-9]*"),
+    (["genfun", "--class", "c2", "--coeff", f"N={FIB}", "N - N(n+1);1"],
+     "coefficient name 'N' is the shift N or the index n"),
+    (["genfun", "--class", "c2", "--coeff", f"n={FIB}", "N - n(n+1);1"],
+     "coefficient name 'n' is the shift N or the index n"),
+    (["closure", "--kind", "add", "--coeff", f"F={FIB}", "--coeff", "F=cfinite:N-2;1",
+      "c2:N - F(n);1", "c2:N - 2;1"],
+     "coefficient name 'F' is declared twice"),
+    (["prove", "--seq", "a=cfinite:N-2;1", "--seq", "a=cfinite:N-3;1", "--expr", "a(n+1) - 2*a(n)"],
+     "sequence name 'a' is declared twice"),
+    (["prove", "--seq", "a b=cfinite:N-2;1", "--expr", "a(n+1) - 2*a(n)"],
+     "sequence name 'a b' is not of the form [A-Za-z_][A-Za-z_0-9]*"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_NAMES)
+def test_declared_names_must_be_usable(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+def test_declared_names_are_stripped(capsys):
+    argv = ["genfun", "--class", "c2", "--coeff", f" F ={FIB}", "N - F(n);1"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(["genfun", "--class", "c2", "--coeff", f"F={FIB}", "N - F(n);1"]) == 0
+    assert capsys.readouterr().out == printed
+
+
 # a spec's class prefix bounds the operator's ring: a smaller one is a
 # usage error, a larger one is accepted and prints what no prefix prints
 SPEC_PREFIXES = [

@@ -596,6 +596,54 @@ class TestPackedKernel:
                 assert list(null_vectors([[[1]], [[1]]], [[1], d])) == [[[-1], d]]
 
 
+class TestOneEquationKernel:
+    """A one-equation matrix skips the elimination: its vectors, every
+    one of them, against the reference, with zero entries before, between
+    and after the pivot, and with rows over denominators of their own."""
+
+    @staticmethod
+    def one_equation_rows(rng):
+        for _ in range(120):
+            entries = []
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 0.3:
+                    entries.append([])
+                else:
+                    entries.append([rng.randint(-9, 9) for _ in range(rng.randint(0, 2))] + [rng.choice([-3, -1, 1, 2, 6])])
+            yield [[e] for e in entries]
+
+    def test_vectors_against_the_reference(self):
+        rng = random.Random(35)
+        shapes = set()
+        for rows in self.one_equation_rows(rng):
+            found = list(null_vectors(rows))
+            assert found == list(reference_null_vectors(rows)), rows
+            shapes.add((len(rows), next((t for t, row in enumerate(rows) if row[0]), None)))
+        # pivots first, inside and last, and zero equations
+        assert {(5, 0), (5, 3), (4, 3), (2, None)} <= shapes
+
+    def test_rescaled_vectors_against_the_reference(self):
+        rng = random.Random(36)
+        for rows in self.one_equation_rows(rng):
+            denominators = [rng.choice([[1], [1], [-2], [1, 1], [-1, 3]]) for _ in rows]
+            common = [1]
+            for d in denominators:
+                common = schoolbook(common, d)
+            scaled = [[schoolbook(_zx_exact_div(common, d), row[0])] for row, d in zip(rows, denominators)]
+            found = list(null_vectors(rows, denominators))
+            assert found == list(reference_null_vectors(scaled)), (rows, denominators)
+
+    def test_later_back_substitution_remainder_is_internal_error(self, monkeypatch):
+        # the pivot is the second entry, and the first vector, at the third
+        # column, divides -(5 * 3) by 3
+        exact = divmod
+        monkeypatch.setattr(linalg, "divmod", lambda a, b: exact(a + 1, b), raising=False)
+        vectors = null_vectors([[[]], [[3]], [[5]]])
+        assert next(vectors) == [[1]]
+        with pytest.raises(InternalError, match="back substitution is not exact"):
+            next(vectors)
+
+
 class TestRowsOverOwnDenominators:
     """The closures over constants and polynomials in n, whose rows sit over
     their own denominators and whose kernel rescales its vector, against
