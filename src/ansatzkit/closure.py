@@ -20,8 +20,11 @@ Cauchy product, takes the least-order vector from ``least_null_vector``,
 which multiplies entry t by the denominator of row t before it makes the
 vector primitive, and checks its order bound.  It hands on the kernel's
 integer polynomials: ``_closure`` builds the public operator from them
-once, and decides where it holds by ``sequences.leading_validity_offset``,
-the one rule that guessing, parsing and ``diff_to_c2`` use as well.
+once, keeping them as its integer form (``ShiftOperator._of_integers``),
+and decides where it holds by ``sequences.leading_validity_offset``, the
+one rule that guessing, parsing and ``diff_to_c2`` use as well.  The
+operands' integers come from their own integer forms, so no operator is
+cleared of denominators in a closure.
 Over exponential polynomials, whose fractions have zero divisors, the
 entries are formal fractions (``_FieldShiftRep``) and ``_closure`` takes
 one explicit branch: the null space comes from Gauss-Jordan over the
@@ -72,11 +75,10 @@ from .genfun import (
 )
 from .linalg import FieldAdapter, clear_exppoly_denominators, least_null_vector, left_null_space
 from .polynomials import (
-    Poly,
-    QQ,
     _add,
     _compose_linear,
     _derivative,
+    _qq_poly,
     _sub,
     _zx_cleared,
     _zx_mul,
@@ -169,8 +171,7 @@ def _common_ring(op_a, op_b=None, ring=None):
 class _RingShiftRep:
     """Vectors expressing a(mult*n + t) over the basis a(mult*n + i), i < r,
     for constant and polynomial coefficients, as integer polynomials in n
-    over one denominator each; the operator's rational coefficients are
-    cleared by one integer scale.
+    over one denominator each, built from the operator's integer form.
 
     With the shifted leads L_k = c_r(mult*n + k) and the nested
     denominators D_t = L_0 ... L_{t-r} (D_t = 1 for t < r), a(mult*n + t)
@@ -190,7 +191,7 @@ class _RingShiftRep:
     mul = staticmethod(_zx_mul)
 
     def __init__(self, op, mult=1):
-        self.coeffs = _zx_cleared([c.coeffs for c in op.promoted(CoeffRing.POLY_N).coeffs])
+        self.coeffs = op._integers
         self.mult = mult
         self.order = r = op.order
         self.numerators = [[[1] if i == t else [] for i in range(r)] for t in range(r)]
@@ -381,7 +382,7 @@ def _closure(kind, op_a, op_b=None, mult=1):
     if ring is not CoeffRing.EXPPOLY:
         matrix, denominators = combination_matrix(kind, op_a, op_b, mult=mult, rows=bound + 1)
         vector = _ring_relation(matrix, bound, denominators)
-        operator = ShiftOperator(ring, [Poly(c, QQ, "n") for c in vector])
+        operator = ShiftOperator._of_integers(ring, vector)
         return operator, leading_validity_offset(operator)
     field = op_a.leading.field
     fractions = FieldAdapter(
@@ -466,7 +467,7 @@ def holonomic_cauchy(eq_a, eq_b):
             raise ValueError("homogeneous single-base equations required")
     bound = ORDER_BOUNDS[TERMWISE](eq_a.order, eq_b.order)
     rows = _cauchy_matrix(eq_a, eq_b, bound + 1)
-    polys = [Poly(c, QQ, "x") for c in _ring_relation(rows, bound)]
+    polys = [_qq_poly([Fraction(x) for x in c], "x") for c in _ring_relation(rows, bound)]
     return DiffEquation(RATIONAL_FIELD, [(1, polys)], None)
 
 

@@ -86,8 +86,6 @@ from operator import add
 from .errors import InsufficientData, InternalError
 from .linalg import PRIME, null_vectors, rank_profile_mod_p
 from .polynomials import (
-    Poly,
-    QQ,
     _zx_cleared,
     difference_rows,
     forward_differences,
@@ -230,17 +228,16 @@ def guess_holonomic(sequence, max_order, max_degree, margin=5, assume_bound=Fals
 
 
 def _monic_constant(coeffs, degree):
-    lead = coeffs[-1]
-    return ShiftOperator(CoeffRing.CONSTANT, [Fraction(c, lead) for c in coeffs])
+    # the coprime integers, over their positive last entry, are the integer form
+    integers = [[c] if c else [] for c in coeffs]
+    return ShiftOperator._of_integers(CoeffRing.CONSTANT, integers, coeffs[-1])
 
 
 def _poly_coefficients(coeffs, degree):
     # one block of degree + 1 coefficients per power of N
     step = degree + 1
-    return ShiftOperator(
-        CoeffRing.POLY_N,
-        [Poly(coeffs[i : i + step], QQ, "n") for i in range(0, len(coeffs), step)],
-    )
+    integers = [coeffs[i : i + step] for i in range(0, len(coeffs), step)]
+    return ShiftOperator._of_integers(CoeffRing.POLY_N, integers)
 
 
 def _fit_rows(values, powers, cache, order, degree, windows, prime=None):

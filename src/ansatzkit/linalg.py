@@ -53,6 +53,7 @@ equation, with the exact kernel on the picked equations as the fallback.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress, count
 from math import gcd, prod
 from operator import mul, sub
@@ -62,6 +63,7 @@ from .exppoly import _over_common_denominator
 from .polynomials import (
     Poly,
     QQ,
+    _qq_poly,
     _zx_cleared,
     _zx_common_factor,
     _zx_pack,
@@ -338,7 +340,8 @@ def clear_denominators(vector):
     for e in entries:
         common = common * e.den.exact_div(poly_gcd(common, e.den))
     numerators = [(e.num * common.exact_div(e.den)).coeffs for e in entries]
-    return [Poly(c, QQ, var) for c in _primitive_vector(_zx_cleared(numerators))]
+    vector = _primitive_vector(_zx_cleared(numerators))
+    return [_qq_poly([Fraction(x) for x in c], var) for c in vector]
 
 
 def clear_exppoly_denominators(vector):

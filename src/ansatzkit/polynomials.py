@@ -25,10 +25,10 @@ unpacks their integer gcd.
 ``rational_roots`` runs the one root search, by p-adic lifting on the
 squarefree part, in time polynomial in the degree and the coefficients'
 bit size: its lifts stop above twice Cauchy's bound on a times a root, a
-the leading coefficient.  ``largest_natural_root``, which every validity
-offset over polynomials in n goes through
-(``sequences.leading_validity_offset``), and its integer core
-``_zx_largest_natural_root`` first bound the positive roots by the signs of
+the leading coefficient.  ``largest_natural_root`` and its integer core
+``_zx_largest_natural_root``, which every validity offset over polynomials
+in n goes through (``sequences.leading_validity_offset`` hands it the
+operator's integer form), first bound the positive roots by the signs of
 the coefficients: no negative coefficient (once the zero root is
 stripped and the leading coefficient made positive) means no positive
 root, and a bound of at most ``SCAN_LIMIT`` is scanned by Horner's rule;
@@ -563,6 +563,14 @@ def _zx_cleared(polys):
     # star arguments from a list: see sequences.Sequence
     scale = lcm(*[c.denominator for p in polys for c in p])
     return [[c.numerator * (scale // c.denominator) for c in p] for p in polys]
+
+
+def _qq_poly(fractions, var="n"):
+    """The QQ polynomial of a fresh list of ``Fraction``s, trimmed: the
+    public constructor without its coercion of each coefficient."""
+    result = object.__new__(Poly)
+    result._fill(fractions, QQ, var)
+    return result
 
 
 def _heuristic_gcd(*operands):

@@ -6,16 +6,36 @@ in n, or exponential polynomials (C-finite coefficients in closed form).
 A :class:`RecurrenceSystem` pairs an operator with initial values and the
 index from which the relation is asserted.  Everything is immutable and
 exact; there is no tolerance anywhere in this module.
+
+An operator over constants or polynomials in n has one integer form,
+``ShiftOperator._integers``: its coefficients times one nonzero integer,
+as integer coefficient lists.  It is cleared from the ``Poly`` (or
+``Fraction``) coefficients on first read and kept on the operator, or
+handed over when the operator is built from integers
+(``ShiftOperator._of_integers``: the ring kernel's relations in
+``closure``, the guessers' fits), so no operator is cleared twice.  The
+term expansion, the relation check, the validity decision and the
+closures' integer rows all read it; the coefficients stay the public
+view, and equality, hashing and printing see only them.
 """
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InsufficientData, LeadingAlwaysZero, LeadingCoefficientZero
 from .exppoly import ExpPoly, validity_offset
 from .fields import RATIONAL_FIELD, common_field
-from .polynomials import Poly, QQ, _value, _zx_cleared, largest_natural_root
+from .polynomials import (
+    Poly,
+    QQ,
+    _qq_poly,
+    _trimmed,
+    _value,
+    _zx_cleared,
+    _zx_largest_natural_root,
+)
 
 
 class CoeffRing(enum.Enum):
@@ -76,6 +96,56 @@ class ShiftOperator:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", tuple(coerced))
 
+    @classmethod
+    def _assembled(cls, ring, coeffs, integers):
+        """The operator of the trimmed tuple ``coeffs``, already in the
+        ring, with ``integers`` as its integer form."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "ring", ring)
+        object.__setattr__(op, "coeffs", coeffs)
+        op.__dict__["_integers"] = integers
+        return op
+
+    @classmethod
+    def _of_integers(cls, ring, integers, denominator=1):
+        """The operator over constants or polynomials in n whose
+        coefficients are the integer coefficient lists ``integers`` (lowest
+        power first, one entry at most over constants) over the nonzero
+        integer ``denominator``, keeping them as its integer form: the
+        public constructor without its coercion.  The lists are taken over
+        and trimmed in place."""
+        integers = _trimmed([_trimmed(c) for c in integers])
+        if not integers:
+            raise ValueError("zero shift operator")
+        if denominator == 1:
+            fraction = Fraction
+        else:
+            def fraction(c):
+                return Fraction(c, denominator)
+        if ring is CoeffRing.CONSTANT:
+            if any(len(c) > 1 for c in integers):
+                raise ValueError("constant ring cannot hold a polynomial")
+            coeffs = [fraction(c[0]) if c else Fraction(0) for c in integers]
+        elif ring is CoeffRing.POLY_N:
+            coeffs = [_qq_poly([fraction(x) for x in c]) for c in integers]
+        else:
+            raise ValueError(f"{ring} has no integer form")
+        return cls._assembled(ring, tuple(coeffs), integers)
+
+    @cached_property
+    def _integers(self):
+        """The integer form over constants or polynomials in n: the
+        coefficients times one nonzero integer, as trimmed integer
+        coefficient lists (``[c]``, or ``[]`` for zero, over constants, the
+        same lists as the operator promoted to polynomials in n).  Cleared
+        on first read unless it was handed over; it is shared, so no
+        reader may change it."""
+        if self.ring is CoeffRing.CONSTANT:
+            return [[c] if c else [] for c in _zx_cleared([self.coeffs])[0]]
+        if self.ring is CoeffRing.POLY_N:
+            return _zx_cleared([c.coeffs for c in self.coeffs])
+        raise ValueError(f"{self.ring} has no integer form")
+
     @property
     def order(self):
         return len(self.coeffs) - 1
@@ -85,10 +155,16 @@ class ShiftOperator:
         return self.coeffs[-1]
 
     def promoted(self, ring):
-        """View this operator in a coefficient ring containing its own."""
+        """View this operator in a coefficient ring containing its own; from
+        constants to polynomials in n it keeps the integer form."""
         if join_rings(self.ring, ring) is not ring:
             raise ValueError(f"cannot promote {self.ring} to {ring}")
-        return self if ring is self.ring else ShiftOperator(ring, self.coeffs)
+        if ring is self.ring:
+            return self
+        if ring is CoeffRing.POLY_N:
+            coeffs = tuple([_qq_poly([c]) for c in self.coeffs])
+            return self._assembled(ring, coeffs, self._integers)
+        return ShiftOperator(ring, self.coeffs)
 
     def shifted_coeff(self, i, offset, mult=1):
         """Coefficient c_i with its argument rewritten as mult*n + offset."""
@@ -128,6 +204,15 @@ class Sequence:
         # block, so the memory held would grow with the number of calls
         object.__setattr__(self, "terms", tuple([Fraction(t) for t in terms]))
         object.__setattr__(self, "offset", offset)
+
+    @classmethod
+    def _of_fractions(cls, terms, offset):
+        """The sequence of a list of ``Fraction``s: the public constructor
+        without its coercion of each term."""
+        sequence = object.__new__(cls)
+        sequence.__init__((), offset)  # the constructor's offset check
+        object.__setattr__(sequence, "terms", tuple(terms))
+        return sequence
 
     def __len__(self):
         return len(self.terms)
@@ -192,16 +277,17 @@ def _values_at(operator):
     """A function of an integer n giving the values c_0(n), ..., c_r(n) of
     the operator's coefficients, all times one nonzero number that does not
     depend on n, which no relation test or solved term can see.  Constant
-    and polynomial coefficients are cleared to integers once, so each value
-    is one integer Horner evaluation (the constants' values are the same at
-    every n); exponential polynomials are evaluated exactly as rationals."""
+    and polynomial coefficients are read from the operator's integer form
+    (``ShiftOperator._integers``), so each value is one integer Horner
+    evaluation (the constants' values are the same at every n);
+    exponential polynomials are evaluated exactly as rationals."""
     if operator.ring is CoeffRing.EXPPOLY:
         return lambda n: [c.evaluate_rational(n) for c in operator.coeffs]
+    integers = operator._integers
     if operator.ring is CoeffRing.CONSTANT:
-        values = [c[0] for c in _zx_cleared([[c] for c in operator.coeffs])]
+        values = [c[0] if c else 0 for c in integers]
         return lambda n: values
-    cleared = _zx_cleared([c.coeffs for c in operator.coeffs])
-    return lambda n: [_value(c, n) if c else 0 for c in cleared]
+    return lambda n: [_value(c, n) if c else 0 for c in integers]
 
 
 def expand_terms(system, count):
@@ -235,7 +321,8 @@ def expand_terms(system, count):
             if c:
                 acc += terms[start + i] * c
         terms.append(-acc / lead)
-    return Sequence(terms[:count], system.offset)
+    # every term is a Fraction already: the initials and each quotient
+    return Sequence._of_fractions(terms, system.offset)
 
 
 def verify_annihilates(operator, sequence, from_n=None):
@@ -273,7 +360,7 @@ def leading_validity_offset(operator):
     if operator.ring is CoeffRing.CONSTANT:
         return 0
     if operator.ring is CoeffRing.POLY_N:
-        root = largest_natural_root(operator.leading)
+        root = _zx_largest_natural_root(operator._integers[-1])
         return 0 if root is None else root + 1
     offset = validity_offset(operator.leading)
     if offset is None:

@@ -1656,3 +1656,76 @@ class TestIntegerCombinationMatrices:
             expected = lead_a ** max(rows - eq_a.order, 0) * lead_b ** max(rows - eq_b.order, 0)
             for factor in factors:
                 assert factor is None or self.proportional(factor, expected)
+
+
+class TestIntegerFormWork:
+    """Timing-free work guards for the integer form of operators over
+    constants and polynomials in n: each operator is cleared of
+    denominators at most once, and a closure's result keeps the kernel's
+    integers, so a closure clears nothing."""
+
+    OPERANDS = (
+        "holonomic:(n/2 + 1)*N - (4*n + 2/3);1",
+        "holonomic:(n + 2)*N^2 - (2*n + 3)/5*N + (n + 1);0,1",
+    )
+
+    @staticmethod
+    def clearings(monkeypatch):
+        """Count every ``_zx_cleared`` call, in each module that calls it."""
+        from ansatzkit import closure, guess, linalg, polynomials, sequences
+
+        calls = []
+        original = polynomials._zx_cleared
+
+        def counting(polys):
+            calls.append(len(polys))
+            return original(polys)
+
+        for module in (closure, guess, linalg, polynomials, sequences):
+            if hasattr(module, "_zx_cleared"):
+                monkeypatch.setattr(module, "_zx_cleared", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", [ADD, TERMWISE])
+    def test_a_closure_of_parsed_operands_clears_nothing(self, monkeypatch, kind):
+        """Parsing clears each operand once, for its validity offset; the
+        combination reads the operands' forms and hands the kernel's
+        integers to its result, whose validity offset reads them.  It
+        cleared 5 times when every reader cleared for itself."""
+        calls = self.clearings(monkeypatch)
+        a, b = (parse_recurrence_spec(spec) for spec in self.OPERANDS)
+        assert len(calls) == 2
+        calls.clear()
+        result = combine(kind, a, b)
+        assert calls == []
+        x, y = expand_terms(a, 30).terms, expand_terms(b, 30).terms
+        combined = [p + q if kind == ADD else p * q for p, q in zip(x, y)]
+        assert expand_terms(result, 30).terms == tuple(combined)
+        assert verify_annihilates(result.operator, Sequence(combined), result.validity_offset) is None
+        assert calls == []
+
+    def test_an_operator_is_cleared_once(self, monkeypatch):
+        """A freshly built operator read by the expansion, the relation
+        check and then the validity decision is cleared on the first read
+        only."""
+        from ansatzkit import leading_validity_offset
+
+        calls = self.clearings(monkeypatch)
+        op = ShiftOperator(
+            CoeffRing.POLY_N, [Poly([F(1, 2), 1]), Poly([F(-1, 3)]), Poly([2, F(1, 5)])]
+        )
+        seq = expand_terms(RecurrenceSystem(op, [1, 2]), 20)
+        assert verify_annihilates(op, seq) is None
+        assert leading_validity_offset(op) == 0
+        assert len(calls) == 1
+
+    def test_a_promoted_constant_operand_is_cleared_once(self, monkeypatch):
+        calls = self.clearings(monkeypatch)
+        fib = parse_recurrence_spec("cfinite:N^2 - N/2 - 1/3;0,1")
+        poly = parse_recurrence_spec(self.OPERANDS[0])
+        calls.clear()
+        result = combine(ADD, fib, poly)
+        assert len(calls) == 1  # the constant operand's form, read once
+        x, y = expand_terms(fib, 20).terms, expand_terms(poly, 20).terms
+        assert expand_terms(result, 20).terms == tuple(p + q for p, q in zip(x, y))
+        assert len(calls) == 1

@@ -276,3 +276,114 @@ class TestRoundTrips:
                 moved = expand_terms(advanced, 15)
                 for n in range(15):
                     assert moved.value(n) == full.value(n + steps)
+
+
+def proportional(a, b):
+    """Whether the integer coefficient lists ``a`` and ``b`` are one
+    another times one nonzero rational."""
+    flat_a = [x for c in a for x in c]
+    flat_b = [x for c in b for x in c]
+    if [len(c) for c in a] != [len(c) for c in b] or len(flat_a) != len(flat_b):
+        return False
+    pivot = next(i for i, x in enumerate(flat_a) if x)
+    ratio = F(flat_b[pivot], flat_a[pivot])
+    return bool(ratio) and all(y == ratio * x for x, y in zip(flat_a, flat_b))
+
+
+class TestIntegerForm:
+    """``ShiftOperator._of_integers``, the constructor that keeps an integer
+    form handed over, against the public constructor on seeded integer
+    vectors, and the form that every other operator clears on first read."""
+
+    @staticmethod
+    def vectors():
+        """Seeded integer vectors over constants and polynomials in n:
+        zero entries, trailing zero entries and trailing zero coefficients
+        included, and some all zero."""
+        rng = random.Random(4242)
+        for index in range(300):
+            ring = CoeffRing.CONSTANT if index % 3 == 0 else CoeffRing.POLY_N
+            width = 1 if ring is CoeffRing.CONSTANT else 4
+            vector = []
+            for _ in range(rng.randint(1, 5)):
+                entry = [rng.randint(-60, 60) for _ in range(rng.randint(0, width))]
+                if rng.random() < 0.3:
+                    entry = [0] * len(entry)
+                vector.append(entry)
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                vector.append([0] * rng.randint(0, width))
+            denominator = rng.choice([1, 1, rng.randint(-9, 9) or 1])
+            yield ring, vector, denominator
+
+    @staticmethod
+    def public(ring, vector, denominator):
+        return ShiftOperator(
+            ring, [Poly([F(x, denominator) for x in c], QQ, "n") for c in vector]
+        )
+
+    def test_against_the_public_constructor(self):
+        import copy
+        import pickle
+
+        from ansatzkit.jsonio import dumps
+
+        built = zero = 0
+        for ring, vector, denominator in self.vectors():
+            try:
+                expected = self.public(ring, vector, denominator)
+            except ValueError as error:
+                with pytest.raises(ValueError, match=str(error)):
+                    ShiftOperator._of_integers(ring, [list(c) for c in vector], denominator)
+                zero += 1
+                continue
+            op = ShiftOperator._of_integers(ring, [list(c) for c in vector], denominator)
+            built += 1
+            assert op == expected and hash(op) == hash(expected)
+            assert op.order == expected.order and op.ring is ring
+            assert str(op) == str(expected) and repr(op) == repr(expected)
+            assert dumps(op) == dumps(expected)
+            if ring is CoeffRing.CONSTANT:
+                assert all(type(c) is Fraction for c in op.coeffs)
+            else:
+                assert all(type(x) is Fraction for c in op.coeffs for x in c.coeffs)
+            assert proportional(op._integers, expected._integers)
+            assert op._integers[-1] and all(not c or c[-1] for c in op._integers)
+            for twin in (copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
+                assert twin == op and hash(twin) == hash(op) and str(twin) == str(op)
+                assert twin._integers == op._integers
+        assert built > 200 and zero > 5
+
+    def test_constant_ring_holds_no_polynomial(self):
+        with pytest.raises(ValueError, match="constant ring cannot hold a polynomial"):
+            ShiftOperator._of_integers(CoeffRing.CONSTANT, [[1], [2, 1]])
+
+    def test_promotion_keeps_the_integer_form(self):
+        from ansatzkit.polynomials import _zx_cleared
+
+        rng = random.Random(99)
+        for _ in range(60):
+            op = corpus.random_cfinite(rng).operator
+            if rng.random() < 0.5:
+                op = op.scaled(F(rng.randint(1, 9), rng.randint(1, 9)))
+            promoted = op.promoted(CoeffRing.POLY_N)
+            assert promoted == ShiftOperator(CoeffRing.POLY_N, op.coeffs)
+            assert promoted._integers is op._integers
+            cleared = _zx_cleared([c.coeffs for c in promoted.coeffs])
+            assert proportional(promoted._integers, cleared)
+
+    def test_the_form_is_invisible(self):
+        op = ShiftOperator(CoeffRing.POLY_N, [Poly([F(1, 2), 1]), Poly([F(-1, 3)])])
+        fresh = ShiftOperator(CoeffRing.POLY_N, op.coeffs)
+        assert op._integers == [[3, 6], [-2]]
+        assert op == fresh and hash(op) == hash(fresh) and repr(op) == repr(fresh)
+
+    def test_expansion_hands_over_its_fractions(self):
+        rng = random.Random(6)
+        for generate in (corpus.random_cfinite, corpus.random_holonomic, corpus.random_c2):
+            for _ in range(10):
+                system = generate(rng)
+                seq = expand_terms(system, len(system.initials) + 10)
+                assert all(type(t) is Fraction for t in seq.terms)
+                assert seq == Sequence(seq.terms, seq.offset)
+        with pytest.raises(ValueError, match="offset"):
+            Sequence._of_fractions([F(1)], -1)
